@@ -189,75 +189,45 @@ let bench_seminaive () =
     ]
     (List.rev !rows)
 
-(* B8: the two evaluator fast paths, ablated independently.
-
-   Symbol interning changes the hash function of every relation, so a
-   database populated under one [Term.use_interning] setting must never be
-   probed under the other: each configuration rebuilds its workload from
-   scratch inside the flag scope. *)
+(* B8: cost-based join planning, ablated: each setting builds its own
+   workload and plan cache. *)
 let bench_planner () =
-  banner "B8"
-    "Ablations: symbol interning and cost-based join planning, separately \
-     and together";
-  let with_flags ~planner ~interning f =
-    let old_p = !Plan.use_planner and old_i = !Term.use_interning in
+  banner "B8" "Ablation: cost-based join planning off vs on";
+  let with_planner planner f =
+    let old = !Plan.use_planner in
     Plan.use_planner := planner;
-    Term.use_interning := interning;
-    Fun.protect
-      ~finally:(fun () ->
-        Plan.use_planner := old_p;
-        Term.use_interning := old_i)
-      f
-  in
-  let configs =
-    [
-      ("baseline", false, false);
-      ("planned", true, false);
-      ("interned", false, true);
-      ("planned+interned", true, true);
-    ]
+    Fun.protect ~finally:(fun () -> Plan.use_planner := old) f
   in
   let rows = ref [] in
   List.iter
     (fun size ->
-      let measured =
-        List.map
-          (fun (label, planner, interning) ->
-            with_flags ~planner ~interning (fun () ->
-                let theory = Workload.full_theory () in
-                let db, _, _ = Workload.database theory ~types:size in
-                let lookup =
-                  run_group
-                    ~name:(Printf.sprintf "eval-%d" size)
-                    [
-                      Test.make ~name:label
-                        (Staged.stage (fun () -> Checker.check theory db));
-                    ]
-                in
-                (label, lookup label)))
-          configs
+      let measure (label, planner) =
+        with_planner planner (fun () ->
+            let theory = Workload.full_theory () in
+            let db, _, _ = Workload.database theory ~types:size in
+            let lookup =
+              run_group
+                ~name:(Printf.sprintf "eval-%d" size)
+                [
+                  Test.make ~name:label
+                    (Staged.stage (fun () -> Checker.check theory db));
+                ]
+            in
+            lookup label)
       in
-      let ns_of label = List.assoc label measured in
-      let base = ns_of "baseline" in
+      let base = measure ("baseline", false) in
+      let planned = measure ("planned", true) in
       rows :=
-        (string_of_int size
-        :: List.concat_map
-             (fun (label, ns) ->
-               if label = "baseline" then [ pretty_ns ns ]
-               else [ pretty_ns ns; Printf.sprintf "%.1fx" (base /. ns) ])
-             measured)
+        [
+          string_of_int size; pretty_ns base; pretty_ns planned;
+          Printf.sprintf "%.1fx" (base /. planned);
+        ]
         :: !rows)
     (sizes [ 40; 80 ] [ 10 ]);
-  table
-    [
-      "types"; "baseline"; "planned"; "speedup"; "interned"; "speedup";
-      "both"; "speedup";
-    ]
-    (List.rev !rows);
+  table [ "types"; "baseline"; "planned"; "speedup" ] (List.rev !rows);
   print_endline
-    "expected shape: interning cheapens every unification and hash; the\n\
-     planner cuts the number of tuples considered per join.  The axes are\n\
-     orthogonal, so the combined row should compound."
+    "expected shape: the planner cuts the number of tuples considered per\n\
+     join, so the gap widens with the schema."
 
 (* ------------------------------------------------------------------ *)
 (* B2: conversion (O2) vs masking (ENCORE)                             *)
@@ -748,22 +718,20 @@ let bench_replication () =
 (* B9: hardening overhead on the commit path                           *)
 (* ------------------------------------------------------------------ *)
 
-(* The fault-injection PR put two things on the hot write path: a CRC-32
+(* The fault-injection work put two things on the hot write path: a CRC-32
    line in every journal record and a failpoint check at each I/O site.
-   This series prices both — an fsync-per-commit append with CRCs off vs
-   on, and the bare cost of consulting an inactive failpoint. *)
+   This series prices the checksummed fsync-per-commit append against the
+   bare cost of consulting an inactive failpoint. *)
 let bench_hardening () =
   banner "B9"
-    "Hardening overhead: journal append (fsync per commit) without vs \
-     with per-record CRCs; inactive failpoint check";
-  let mkj tag =
-    let dir =
-      Filename.concat
-        (Filename.get_temp_dir_name ())
-        (Printf.sprintf "gomsm-bench-crc-%s-%d" tag (Unix.getpid ()))
-    in
-    (Server.Journal.recover ~dir ()).Server.Journal.journal
+    "Hardening overhead: journal append (fsync per commit, with per-record \
+     CRCs); inactive failpoint check";
+  let dir =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "gomsm-bench-crc-%d" (Unix.getpid ()))
   in
+  let j = (Server.Journal.recover ~dir ()).Server.Journal.journal in
   let ids =
     {
       Gom.Ids.schemas = 1;
@@ -786,44 +754,28 @@ let bench_hardening () =
         "Attr(\"tid_9\", \"plate\", \"tid_string\")";
       ]
   in
-  let jn = mkj "nocrc" and jc = mkj "crc" in
   let fp = Fault.Failpoint.define "bench.inactive" in
   let lookup =
     run_group ~name:"hardening"
       [
-        Test.make ~name:"append-nocrc"
-          (Staged.stage (fun () ->
-               Server.Journal.crc_records := false;
-               ignore (Server.Journal.append jn ~ids ~code:[] delta)));
         Test.make ~name:"append-crc"
           (Staged.stage (fun () ->
-               Server.Journal.crc_records := true;
-               ignore (Server.Journal.append jc ~ids ~code:[] delta)));
+               ignore (Server.Journal.append j ~ids ~code:[] delta)));
         Test.make ~name:"failpoint-inactive"
           (Staged.stage (fun () -> Fault.Failpoint.hit fp));
       ]
   in
-  Server.Journal.crc_records := true;
-  Server.Journal.close jn;
-  Server.Journal.close jc;
-  let n = lookup "append-nocrc"
-  and c = lookup "append-crc"
-  and f = lookup "failpoint-inactive" in
+  Server.Journal.close j;
   table
     [ "series"; "ns/run" ]
     [
-      [ "append, no crc"; pretty_ns n ];
-      [ "append, crc"; pretty_ns c ];
-      [ "failpoint (inactive)"; pretty_ns f ];
+      [ "append, crc"; pretty_ns (lookup "append-crc") ];
+      [ "failpoint (inactive)"; pretty_ns (lookup "failpoint-inactive") ];
     ];
-  if not (Float.is_nan n || Float.is_nan c) then
-    Printf.printf "crc overhead on the commit path: %+.2f%%\n"
-      ((c -. n) /. n *. 100.);
   print_endline
-    "expected shape: the fsync dominates the commit, so the CRC adds low\n\
-     single-digit percent at worst, and an inactive failpoint is a couple\n\
-     of nanoseconds — cheap enough to leave compiled into production\n\
-     builds."
+    "expected shape: the fsync dominates the commit, and an inactive\n\
+     failpoint is a couple of nanoseconds — cheap enough to leave\n\
+     compiled into production builds."
 
 (* ------------------------------------------------------------------ *)
 (* B10: multi-tenant writer throughput                                 *)
@@ -1062,16 +1014,19 @@ let bench_obs () =
 (* ------------------------------------------------------------------ *)
 
 (* The profiler rides in every build, so it is priced like the span
-   wrapper (B11): (a) the disarmed [observe_rule] hook in ns/op — the
-   budget is its advertised cost, one atomic load on top of the thunk;
-   (b) end-to-end query throughput with profiling off versus [profile on]
-   (scope install, rule-observer arming, fingerprint and table update per
-   request) — the budget for (b) is 5%. *)
+   wrapper (B11): (a) [observe_rule] on a thread with no context, in
+   ns/op — one atomic load on top of the thunk when no thread has a
+   context, plus a lock-free table lookup while another thread does (the
+   B7 replicas' feed threads keep theirs for the life of this process);
+   (b)
+   end-to-end query throughput with profiling off versus [profile on]
+   (scope install, fingerprint and table update per request) — the
+   budget for (b) is 5%. *)
 let bench_profile () =
   banner "B13"
-    "Query profiler overhead: disarmed observe_rule hook (ns/op) and \
+    "Query profiler overhead: observe_rule without a context (ns/op) and \
      profiled vs unprofiled query throughput (5% budget)";
-  (* (a) the disabled fast path: one atomic load before the thunk *)
+  (* (a) the disabled path: no context on this thread *)
   let n = if !smoke then 100_000 else 5_000_000 in
   let sink = ref 0 in
   let t0 = Unix.gettimeofday () in
@@ -1086,7 +1041,7 @@ let bench_profile () =
   if !sink = 0 then print_string "";
   let ns = dt *. 1e9 /. float_of_int n in
   record "obs/B13-observe-disabled" ns;
-  Printf.printf "disarmed observe_rule hook: %.1f ns/op\n\n" ns;
+  Printf.printf "observe_rule, no context on this thread: %.1f ns/op\n\n" ns;
   (* (b) end-to-end: the B11 daemon and closed-loop clients, driving the
      query verb with profiling off and on *)
   let m = Manager.create () in
@@ -1171,11 +1126,11 @@ let bench_profile () =
   Printf.printf "enabled profiling vs 5%% budget: %s\n"
     (if enabled_pct <= 5.0 then "within budget" else "OVER BUDGET");
   print_endline
-    "expected shape: the disarmed hook is a few ns (one atomic load on\n\
-     top of the thunk); profiling a cached read pays two clock reads, a\n\
-     memoized fingerprint lookup and one table update — low single\n\
-     digits — while observer arming and the scope install are deferred\n\
-     to queries that actually evaluate, where the work amortizes them."
+    "expected shape: the hook without a context is tens of ns at most\n\
+     (a lock-free lookup on top of the thunk); profiling a cached read\n\
+     pays two clock reads, a memoized fingerprint lookup and one table\n\
+     update — low single digits — while the scope install is deferred\n\
+     to queries that actually evaluate, where the work amortizes it."
 
 (* ------------------------------------------------------------------ *)
 (* B12: scaling with client count                                      *)

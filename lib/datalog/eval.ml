@@ -29,49 +29,50 @@ type planned_rule = {
 }
 
 (* ------------------------------------------------------------------ *)
-(* Rule observation seam                                               *)
+(* Observation seam                                                    *)
 (* ------------------------------------------------------------------ *)
 
-(* Like [stratum_observer] below but per rule evaluation: the server's
-   profiler installs a wrapper that times each body evaluation and
-   records the chosen plan and plan-cache outcome, without this library
-   depending on the observability code.  The thunk returns the number of
-   facts the evaluation derived, which the wrapper passes through.
+(* One hook around each stratum fixpoint and each rule evaluation: the
+   server installs a translator to its tracing and profiling code here,
+   without this library depending on either.  Events carry raw values
+   (the planned rule, the plan); rendering them is the observer's call,
+   so an observer with nowhere to record builds no string.  Each case
+   fixes what its thunk returns: nothing for a stratum, the number of
+   facts derived for a rule. *)
 
-   [observer_arms] is a refcount, not a flag: [profile on] holds the seam
-   armed for the daemon's lifetime while an [explain] arms it around a
-   single query — both can overlap.  When the count is zero the only cost
-   per rule evaluation is one atomic load. *)
+type _ event =
+  | Stratum : { stratum : int; rules : int } -> unit event
+  | Rule : {
+      stratum : int;
+      rule : planned_rule;
+      plan : Plan.t option;
+      cache : [ `Hit | `Miss | `Unplanned ];
+    }
+      -> int event
 
-type rule_event = {
-  re_stratum : int;  (* -1 for ad-hoc query bodies *)
-  re_label : string;
-  re_plan : string;
-  re_cache : [ `Hit | `Miss | `Unplanned ];
-}
+type observer = { observe : 'a. 'a event -> (unit -> 'a) -> 'a }
 
-let rule_observer : (rule_event -> (unit -> int) -> int) ref =
-  ref (fun _ f -> f ())
+let observer = ref { observe = (fun _ f -> f ()) }
+let observe ev f = !observer.observe ev f
 
-let observer_arms = Atomic.make 0
-let arm_rule_observer () = Atomic.incr observer_arms
+let query_head = "$query"
 
-let disarm_rule_observer () =
-  ignore (Atomic.fetch_and_add observer_arms (-1))
-
-let rule_observer_armed () = Atomic.get observer_arms > 0
-
-let plan_str = function
-  | Some p -> Fmt.str "%a" Plan.pp p
-  | None -> "-"
-
-let label_of pr =
+let rule_label pr =
   match pr.label with
   | Some l -> l
   | None ->
-      let l = Rule.to_string pr.rule in
+      let r = pr.rule in
+      let l =
+        if r.Rule.head.Atom.pred = query_head then
+          Fmt.str "%s :- %a" query_head
+            Fmt.(list ~sep:(any ", ") Rule.pp_literal)
+            r.Rule.body
+        else Rule.to_string r
+      in
       pr.label <- Some l;
       l
+
+let plan_label = function Some p -> Fmt.str "%a" Plan.pp p | None -> "-"
 
 type prepared = {
   rules : Rule.t list;
@@ -227,23 +228,14 @@ let derive_rule db ?scan ?plan (r : Rule.t) acc =
       end);
   !n
 
-(* [derive_rule] for a prepared rule: resolve the plan, then evaluate
-   under the rule observer when armed.  [stratum] is the stratum index,
-   or -1 for contexts without one (naive eval, incremental deltas). *)
+(* [derive_rule] for a prepared rule of stratum [stratum]: resolve the
+   plan, then evaluate under the observer. *)
 let derive_planned db ?scan ~stratum ~delta (pr : planned_rule) acc =
   let plan, cache = plan_for db pr ~delta in
-  if not (rule_observer_armed ()) then
-    ignore (derive_rule db ?scan ?plan pr.rule acc)
-  else
-    let ev =
-      {
-        re_stratum = stratum;
-        re_label = label_of pr;
-        re_plan = plan_str plan;
-        re_cache = cache;
-      }
-    in
-    ignore (!rule_observer ev (fun () -> derive_rule db ?scan ?plan pr.rule acc))
+  ignore
+    (observe
+       (Rule { stratum; rule = pr; plan; cache })
+       (fun () -> derive_rule db ?scan ?plan pr.rule acc))
 
 (* One stratum, semi-naive.  [recursive p] holds for predicates defined in
    this stratum; rules mentioning them positively participate in delta
@@ -295,22 +287,12 @@ let run_stratum db ~stratum (prs : planned_rule list) =
   in
   loop delta
 
-(* Observation hook around each stratum's fixpoint: the default runs the
-   thunk untouched; the server installs a tracing wrapper here so
-   per-stratum evaluation time shows up as spans without this library
-   depending on the observability code.  [rules] is the stratum's rule
-   count — enough context to tell strata apart in a trace. *)
-let stratum_observer :
-    (stratum:int -> rules:int -> (unit -> unit) -> unit) ref =
-  ref (fun ~stratum:_ ~rules:_ f -> f ())
-
-let observe_stratum ~stratum ~rules f = !stratum_observer ~stratum ~rules f
-
 let run t db =
   Array.iteri
     (fun i prs ->
-      observe_stratum ~stratum:i ~rules:(List.length prs) (fun () ->
-          run_stratum db ~stratum:i prs))
+      observe
+        (Stratum { stratum = i; rules = List.length prs })
+        (fun () -> run_stratum db ~stratum:i prs))
     t.planned
 
 (* Naive fixpoint per stratum: re-evaluate every rule until nothing new. *)
@@ -328,76 +310,31 @@ let run_naive t db =
       done)
     t.planned
 
-(* Continue a materialized database after EDB additions: [added] must already
-   be inserted into [db].  Sound for programs where the added predicates do
-   not feed any negated literal (checked by the caller; see Incremental for
-   the general case). *)
-let continue_with_additions t db (added : Fact.t list) =
-  let d = Database.create () in
-  List.iter (fun f -> ignore (Database.add d f)) added;
-  Array.iteri
-    (fun stratum prs ->
-      (* Variants: any rule literal whose predicate has delta facts; the
-         accumulated delta is rescanned each round (already-present heads are
-         filtered out), which is simple and correct. *)
-      let rec loop () =
-        let fresh = ref [] in
-        List.iter
-          (fun pr ->
-            List.iteri
-              (fun i lit ->
-                match lit with
-                | Rule.Pos a -> (
-                    match Database.relation_opt d a.Atom.pred with
-                    | None -> ()
-                    | Some drel ->
-                        if not (Relation.is_empty drel) then
-                          derive_planned db
-                            ~scan:(fun j -> if j = i then Some drel else None)
-                            ~stratum ~delta:(Some i) pr fresh)
-                | Rule.Neg _ | Rule.Cmp _ -> ())
-              pr.rule.Rule.body)
-          prs;
-        let new_facts = List.filter (fun f -> Database.add db f) !fresh in
-        if new_facts <> [] then begin
-          List.iter (fun f -> ignore (Database.add d f)) new_facts;
-          loop ()
-        end
-      in
-      loop ())
-    t.planned
-
-(* Answer a query (a body) against a materialized database. *)
+(* Answer a query (a body) against a materialized database.  The body is
+   observed as a pseudo-rule of stratum -1, so an [explain] sees the
+   query's own join order and time, not only the rules that materialized
+   its input. *)
 let query db lits k =
   (* Order literals for evaluability via a throwaway rule, then plan. *)
-  let dummy_head = Atom.make "$query" [] in
-  let r = Rule.normalize (Rule.make dummy_head lits) in
+  let r = Rule.normalize (Rule.make (Atom.make query_head []) lits) in
   let plan =
     if !Plan.use_planner then Some (Plan.make db r.body) else None
   in
-  if not (rule_observer_armed ()) then
-    eval_lits db ?plan r.body Subst.empty k
-  else
-    (* Surface the ad-hoc body itself as a pseudo-rule (stratum -1) so an
-       [explain] sees the query's own join order and time, not only the
-       rules that materialized its input. *)
-    let ev =
-      {
-        re_stratum = -1;
-        re_label =
-          "$query :- "
-          ^ String.concat ", " (List.map (Fmt.str "%a" Rule.pp_literal) r.body);
-        re_plan = plan_str plan;
-        re_cache = `Unplanned;
-      }
-    in
-    ignore
-      (!rule_observer ev (fun () ->
-           let n = ref 0 in
-           eval_lits db ?plan r.body Subst.empty (fun s ->
-               incr n;
-               k s);
-           !n))
+  ignore
+    (observe
+       (Rule
+          {
+            stratum = -1;
+            rule = { rule = r; plans = []; label = None };
+            plan;
+            cache = `Unplanned;
+          })
+       (fun () ->
+         let n = ref 0 in
+         eval_lits db ?plan r.body Subst.empty (fun s ->
+             incr n;
+             k s);
+         !n))
 
 let query_once db lits =
   let result = ref None in

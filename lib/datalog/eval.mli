@@ -25,38 +25,43 @@ val eval_lits :
     the evaluation order; [scan] indices always refer to the original body
     positions.  A plan whose length does not match the body is ignored. *)
 
-type rule_event = {
-  re_stratum : int;  (** -1 for ad-hoc query bodies *)
-  re_label : string;  (** the printed rule *)
-  re_plan : string;  (** chosen join order, ["-"] when unplanned *)
-  re_cache : [ `Hit | `Miss | `Unplanned ];  (** plan-cache outcome *)
-}
+type planned_rule
+(** A rule as the evaluator runs it, with its cached join plans. *)
 
-val rule_observer : (rule_event -> (unit -> int) -> int) ref
-(** Wrapper invoked around each rule-body evaluation when armed; the thunk
-    returns the number of facts the evaluation derived.  The server's
-    profiler installs its accumulator here — same seam pattern as
-    {!stratum_observer}, keeping this library free of observability
-    dependencies. *)
+val rule_label : planned_rule -> string
+(** The printed rule, rendered once and memoized; an ad-hoc query body
+    prints as [$query :- body]. *)
 
-val arm_rule_observer : unit -> unit
-(** Increment the observer refcount.  [profile on] holds one arm for the
-    daemon's lifetime while [explain] arms around a single query; when the
-    count is zero each rule evaluation pays one atomic load only. *)
+val plan_label : Plan.t option -> string
+(** A chosen join order as printed, ["-"] when unplanned. *)
 
-val disarm_rule_observer : unit -> unit
+(** What the evaluator reports: a stratum's fixpoint (run by {!run} and
+    by {!Incremental.apply}), or one rule-body evaluation (by {!run},
+    {!run_naive} and {!query}).  The type index is what the observed thunk
+    returns: nothing for a stratum, the number of facts derived (answers,
+    for a query body) for a rule. *)
+type _ event =
+  | Stratum : { stratum : int; rules : int } -> unit event
+      (** [rules] is the stratum's rule count *)
+  | Rule : {
+      stratum : int;  (** -1 for ad-hoc query bodies *)
+      rule : planned_rule;
+      plan : Plan.t option;  (** chosen join order; [None] when unplanned *)
+      cache : [ `Hit | `Miss | `Unplanned ];  (** plan-cache outcome *)
+    }
+      -> int event
 
-val rule_observer_armed : unit -> bool
+type observer = { observe : 'a. 'a event -> (unit -> 'a) -> 'a }
 
-val stratum_observer :
-  (stratum:int -> rules:int -> (unit -> unit) -> unit) ref
-(** Wrapper invoked around each stratum's fixpoint by {!run} (and by
-    {!Incremental.apply}).  Defaults to just running the thunk; the server
-    installs a tracing span here, keeping this library free of any
-    observability dependency. *)
+val observer : observer ref
+(** The one observation seam: called around every event with a thunk that
+    does the work.  The default just runs the thunk; the server installs a
+    translator to its tracing and profiling, keeping this library free of
+    any observability dependency.  Events carry raw values, so an observer
+    renders labels only when it will record them. *)
 
-val observe_stratum : stratum:int -> rules:int -> (unit -> unit) -> unit
-(** Apply the current {!stratum_observer}. *)
+val observe : 'a event -> (unit -> 'a) -> 'a
+(** Apply the current {!observer}. *)
 
 val run : prepared -> Database.t -> unit
 (** Materialize all intensional predicates into the database, semi-naive
@@ -65,11 +70,6 @@ val run : prepared -> Database.t -> unit
 val run_naive : prepared -> Database.t -> unit
 (** Naive fixpoint (re-evaluate everything until no change); kept for the
     evaluation-strategy ablation bench. *)
-
-val continue_with_additions : prepared -> Database.t -> Fact.t list -> unit
-(** Continue a materialized database after EDB additions ([added] must
-    already be inserted).  Only sound when additions cannot reach a negated
-    literal; {!Incremental} handles the general case. *)
 
 val query : Database.t -> Rule.literal list -> (Subst.t -> unit) -> unit
 (** Answer a query body against a materialized database.  The body is

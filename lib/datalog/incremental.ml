@@ -163,8 +163,10 @@ let apply (state : state) (delta : Delta.t) : Delta.t =
   let db = state.materialized in
   Array.iteri
     (fun stratum_index stratum_rules ->
-      Eval.observe_stratum ~stratum:stratum_index
-        ~rules:(List.length stratum_rules) @@ fun () ->
+      Eval.observe
+        (Eval.Stratum
+           { stratum = stratum_index; rules = List.length stratum_rules })
+      @@ fun () ->
       let heads = Hashtbl.create 16 in
       List.iter
         (fun (r : Rule.t) -> Hashtbl.replace heads r.Rule.head.Atom.pred ())

@@ -57,15 +57,6 @@ let sym s = Const (symc s)
 let int i = Const (Int i)
 let var v = Var v
 
-(* Ablation switch for the bench: with interning off, symbol equality and
-   hashing fall back to the string operations the pre-interning engine paid
-   for.  Results are identical either way (interning is canonical), only the
-   cost changes.  Because hash tables remember where entries hashed to, the
-   switch must not move while any [Relation] holds tuples — populate and
-   probe under the same setting (the bench rebuilds its workload per
-   configuration). *)
-let use_interning = ref true
-
 let compare_const (a : const) (b : const) =
   match a, b with
   | Sym x, Sym y ->
@@ -80,17 +71,14 @@ let compare_const (a : const) (b : const) =
 
 let equal_const a b =
   match a, b with
-  | Sym x, Sym y ->
-      if !use_interning then x.id = y.id else String.equal x.name y.name
+  | Sym x, Sym y -> x.id = y.id
   | Int x, Int y -> x = y
   | Fresh x, Fresh y -> String.equal x y
   | (Sym _ | Int _ | Fresh _), _ -> false
 
 let hash_const (c : const) =
   match c with
-  | Sym s ->
-      if !use_interning then s.id * 0x9e3779b1 land max_int
-      else Hashtbl.hash s.name
+  | Sym s -> s.id * 0x9e3779b1 land max_int
   | Int i -> Hashtbl.hash i
   | Fresh s -> Hashtbl.hash s lxor 0x55555555
 

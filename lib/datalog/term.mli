@@ -39,13 +39,6 @@ val int : int -> t
 val var : string -> t
 (** [var v] is the variable term [Var v]. *)
 
-val use_interning : bool ref
-(** Ablation switch (default [true]).  Off, symbol equality/hashing fall back
-    to string operations — same results, pre-interning cost — to isolate the
-    interning contribution in the bench.  Hash tables remember where entries
-    hashed to, so never toggle this while relations hold tuples; the bench
-    rebuilds its workload under each setting. *)
-
 val compare_const : const -> const -> int
 (** Total order; symbols order by name (stable dump/journal byte format). *)
 

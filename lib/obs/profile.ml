@@ -10,14 +10,15 @@
    contended there; the atomics make cross-thread reads (renderers,
    scrapes) safe without a lock and keep concurrent tenants independent.
 
-   The disabled fast path mirrors Trace: when nothing is armed,
-   {!observe_rule} is one atomic load ([scope_count]) and the thunk —
-   priced, together with the evaluator's own gate, by the B13 bench.
+   The disabled fast path mirrors Trace: when no thread carries a
+   context, {!observe_rule} is one atomic load and the thunk — priced by
+   the B13 bench.
 
-   Scopes are per-thread, like Trace contexts: the broker installs its
-   profile as the current thread's sink around a request, and [explain]
-   installs a collector that captures the raw per-rule events of one
-   query.  The table itself is only locked for surgery. *)
+   Scopes live in the per-thread {!Context}, next to the trace id: the
+   broker installs its profile as the current thread's sink around a
+   request, and [explain] installs a collector that captures the raw
+   per-rule events of one query.  The table itself is only locked for
+   surgery. *)
 
 type cache_status = Hit | Miss | Unplanned
 
@@ -67,7 +68,7 @@ let reset t =
       Hashtbl.reset t.fps)
 
 (* ------------------------------------------------------------------ *)
-(* Arming                                                              *)
+(* Switches                                                            *)
 (* ------------------------------------------------------------------ *)
 
 (* [enabled]: the [profile on] switch — rule/fingerprint accumulation for
@@ -99,37 +100,18 @@ type event = {
   ev_ns : int;
 }
 
-type scope = { sc_sink : t option; sc_collect : event list ref option }
-
-let scope_mu = Mutex.create ()
-let scopes : (int, scope) Hashtbl.t = Hashtbl.create 16
-let scope_count = Atomic.make 0
-
-let self () = Thread.id (Thread.self ())
-
-let find_scope () =
-  Mutex.lock scope_mu;
-  let s = Hashtbl.find_opt scopes (self ()) in
-  Mutex.unlock scope_mu;
-  s
+type Context.scope +=
+  | Scope of { sink : t option; collect : event list ref option }
 
 let with_scope ?sink ?collect f =
-  let tid = self () in
-  Mutex.lock scope_mu;
-  let saved = Hashtbl.find_opt scopes tid in
-  Hashtbl.replace scopes tid { sc_sink = sink; sc_collect = collect };
-  if saved = None then Atomic.incr scope_count;
-  Mutex.unlock scope_mu;
-  Fun.protect
-    ~finally:(fun () ->
-      Mutex.lock scope_mu;
-      (match saved with
-      | Some s -> Hashtbl.replace scopes tid s
-      | None ->
-          Hashtbl.remove scopes tid;
-          Atomic.decr scope_count);
-      Mutex.unlock scope_mu)
-    f
+  Context.with_
+    (fun c -> { c with Context.scope = Some (Scope { sink; collect }) })
+    (fun _ -> f ())
+
+let scoped () =
+  match Context.current () with
+  | Some { Context.scope = Some (Scope _); _ } -> true
+  | Some _ | None -> false
 
 (* ------------------------------------------------------------------ *)
 (* Recording                                                           *)
@@ -173,35 +155,32 @@ let record_rule t (ev : event) =
 
 (* The evaluator-side hook body: the engine's observer seam calls this
    around each rule evaluation; the thunk returns the number of facts it
-   derived.  When no thread carries a scope this is one atomic load. *)
+   derived.  Only a profile scope on this thread records — a trace context
+   alone does not. *)
 let observe_rule ~stratum ~label ~plan ~cache f =
-  if Atomic.get scope_count = 0 then f ()
-  else
-    match find_scope () with
-    | None -> f ()
-    | Some sc ->
-        let t0 = Mtime.now_ns () in
-        let derived = ref 0 in
-        Fun.protect
-          ~finally:(fun () ->
-            let ev =
-              {
-                ev_stratum = stratum;
-                ev_label = label;
-                ev_plan = plan;
-                ev_cache = cache;
-                ev_derived = !derived;
-                ev_ns = Mtime.elapsed_ns t0;
-              }
-            in
-            (match sc.sc_sink with Some t -> record_rule t ev | None -> ());
-            match sc.sc_collect with
-            | Some r -> r := ev :: !r
-            | None -> ())
-          (fun () ->
-            let n = f () in
-            derived := n;
-            n)
+  match Context.current () with
+  | Some { Context.scope = Some (Scope { sink; collect }); _ } ->
+      let t0 = Mtime.now_ns () in
+      let derived = ref 0 in
+      Fun.protect
+        ~finally:(fun () ->
+          let ev =
+            {
+              ev_stratum = stratum;
+              ev_label = label;
+              ev_plan = plan;
+              ev_cache = cache;
+              ev_derived = !derived;
+              ev_ns = Mtime.elapsed_ns t0;
+            }
+          in
+          (match sink with Some t -> record_rule t ev | None -> ());
+          match collect with Some r -> r := ev :: !r | None -> ())
+        (fun () ->
+          let n = f () in
+          derived := n;
+          n)
+  | Some _ | None -> f ()
 
 (* ------------------------------------------------------------------ *)
 (* Query fingerprints                                                  *)

@@ -2,12 +2,14 @@
     top-K table of normalized query fingerprints.
 
     One {!t} lives per broker; the evaluator reports each rule evaluation
-    through {!observe_rule} (wired via the engine's observer seam, keeping
-    the datalog library free of any obs dependency), and the broker
-    records each finished query through {!note_query}.  Accumulation is
-    lock-free: counters are atomics, the table mutex guards only row
-    creation and eviction.  When nothing is armed, {!observe_rule} costs a
-    single atomic load. *)
+    through {!observe_rule} (wired via the engine's single observer seam,
+    keeping the datalog library free of any obs dependency), and the
+    broker records each finished query through {!note_query}.
+    Accumulation is lock-free: counters are atomics, the table mutex
+    guards only row creation and eviction.  Whether a rule evaluation is
+    recorded is decided only by the current thread's {!Context}: a scope
+    installed by {!with_scope}.  With no context on any thread,
+    {!observe_rule} costs a single atomic load. *)
 
 type t
 
@@ -17,7 +19,7 @@ val create : ?cap:int -> unit -> t
 
 val reset : t -> unit
 
-(** {1 Arming} *)
+(** {1 Switches} *)
 
 val set_enabled : bool -> unit
 (** The [profile on|off] switch: when on, brokers install their profile as
@@ -51,7 +53,13 @@ type event = {
 val with_scope : ?sink:t -> ?collect:event list ref -> (unit -> 'a) -> 'a
 (** Run a thunk with a per-thread recording scope installed: rule events
     go to [sink] (accumulated) and/or [collect] (raw, for [explain]).
-    Scopes nest; the previous scope is restored on exit. *)
+    Scopes nest; the previous scope is restored on exit.  The thread's
+    trace context, if any, is kept. *)
+
+val scoped : unit -> bool
+(** Would {!observe_rule} record on this thread?  Lets a caller skip
+    rendering a rule's label and plan when nothing is listening; one atomic
+    load when no thread carries a context. *)
 
 val observe_rule :
   stratum:int ->
@@ -61,8 +69,9 @@ val observe_rule :
   (unit -> int) ->
   int
 (** Time one rule evaluation.  The thunk returns the number of facts it
-    derived; the event lands in the current thread's scope, if any.  With
-    no scope anywhere this is one atomic load plus the thunk. *)
+    derived; the event lands in the current thread's scope, if any (a
+    trace context alone records nothing).  With no context on any thread
+    this is one atomic load plus the thunk. *)
 
 val fingerprint : string -> string
 (** Normalize a query text pg_stat_statements-style: integer and quoted

@@ -7,14 +7,10 @@
    span slower than the [--slow-ms] threshold is additionally emitted at
    warn level (comp=slow) with its full ancestry.
 
-   The context is per-thread: the daemon serves one connection per thread,
-   so a mutable stack keyed by [Thread.id] needs no locking once fetched —
-   only the table itself is guarded.  When tracing is off and no thread
-   carries a context, [with_span] costs two atomic loads and nothing else;
-   the B11 bench series prices exactly that. *)
-
-type frame = { f_name : string; f_id : string; f_start : int (* mono ns *) }
-type ctx = { trace : string; mutable stack : frame list }
+   The trace id and span stack live in this thread's {!Context} entry,
+   next to any profile scope.  When tracing is off and no thread carries a
+   context, [with_span] costs two atomic loads and nothing else; the B11
+   bench series prices exactly that. *)
 
 type span = {
   name : string;
@@ -27,10 +23,9 @@ type span = {
 }
 
 (* [armed] mirrors "would a finished span go anywhere": tracing enabled, a
-   slow threshold set, or a test hook installed.  [ctx_count] is the number
-   of threads currently inside [with_context] — a client that sent a
-   [trace] prefix is recorded even when the server itself has tracing
-   off. *)
+   slow threshold set, or a test hook installed.  A thread inside
+   [with_context] records regardless — a client that sent a [trace] prefix
+   is recorded even when the server itself has tracing off. *)
 let enabled = Atomic.make false
 let slow_ms_v = Atomic.make 0.0
 let hooked = Atomic.make false
@@ -58,62 +53,40 @@ let set_hook h =
   Atomic.set hooked (Option.is_some h);
   recompute ()
 
-let mu = Mutex.create ()
-let contexts : (int, ctx) Hashtbl.t = Hashtbl.create 16
-let ctx_count = Atomic.make 0
-
+let rng_mu = Mutex.create ()
 let rng = lazy (Random.State.make_self_init ())
 
 let new_id () =
-  Mutex.lock mu;
+  Mutex.lock rng_mu;
   let st = Lazy.force rng in
   let a = Random.State.bits st land 0xffffff
   and b = Random.State.bits st land 0xffffff
   and c = Random.State.bits st land 0xffff in
-  Mutex.unlock mu;
+  Mutex.unlock rng_mu;
   Printf.sprintf "%06x%06x%04x" a b c
 
-let self () = Thread.id (Thread.self ())
-
-let find_ctx () =
-  Mutex.lock mu;
-  let c = Hashtbl.find_opt contexts (self ()) in
-  Mutex.unlock mu;
-  c
-
 let current_trace () =
-  if Atomic.get ctx_count = 0 then None
-  else match find_ctx () with Some c -> Some c.trace | None -> None
+  match Context.current () with Some c -> c.Context.trace | None -> None
 
-let with_context id f =
-  let tid = self () in
-  Mutex.lock mu;
-  let saved = Hashtbl.find_opt contexts tid in
-  Hashtbl.replace contexts tid { trace = id; stack = [] };
-  if saved = None then Atomic.incr ctx_count;
-  Mutex.unlock mu;
-  Fun.protect
-    ~finally:(fun () ->
-      Mutex.lock mu;
-      (match saved with
-      | Some c -> Hashtbl.replace contexts tid c
-      | None ->
-          Hashtbl.remove contexts tid;
-          Atomic.decr ctx_count);
-      Mutex.unlock mu)
-    f
+(* A new trace keeps the thread's profile scope: the two are independent,
+   and each is restored on exit. *)
+let in_context id f =
+  Context.with_ (fun c -> { c with Context.trace = Some id; stack = [] }) f
 
-let emit c fr ~ms ~kvs =
+let with_context id f = in_context id (fun _ -> f ())
+
+let emit (c : Context.t) trace (fr : Context.frame) ~ms ~kvs =
   let parent, ancestry =
     match c.stack with
     | [] -> (None, [])
     | up :: _ ->
-        (Some up.f_id, List.rev_map (fun f -> f.f_name) c.stack)
+        ( Some up.f_id,
+          List.rev_map (fun (f : Context.frame) -> f.f_name) c.stack )
   in
   let sp =
     {
       name = fr.f_name;
-      trace = c.trace;
+      trace;
       span_id = fr.f_id;
       parent;
       ancestry;
@@ -142,30 +115,30 @@ let emit c fr ~ms ~kvs =
 (* Durations come from the monotonic clock: a wall-clock (NTP) step under
    an open span must not produce negative or inflated ms= values or false
    slow-span logs.  Log timestamps stay wall-clock (Log stamps them). *)
-let record c name kvs f =
-  let fr = { f_name = name; f_id = new_id (); f_start = Mtime.now_ns () } in
+let record (c : Context.t) trace name kvs f =
+  let fr =
+    { Context.f_name = name; f_id = new_id (); f_start = Mtime.now_ns () }
+  in
   c.stack <- fr :: c.stack;
   Fun.protect
     ~finally:(fun () ->
       (match c.stack with _ :: rest -> c.stack <- rest | [] -> ());
       let ms = Mtime.ns_to_ms (Mtime.elapsed_ns fr.f_start) in
-      emit c fr ~ms ~kvs)
+      emit c trace fr ~ms ~kvs)
     f
 
+(* A profile scope alone is no trace: without a trace id the span is
+   recorded only when tracing is armed, as if the thread had no context. *)
 let with_span ?(kvs = []) name f =
-  if (not (Atomic.get armed_v)) && Atomic.get ctx_count = 0 then f ()
-  else
-    match find_ctx () with
-    | Some c -> record c name kvs f
-    | None ->
-        if Atomic.get armed_v then
-          (* no surrounding request: record under a fresh one-span trace so
-             slow background work (recovery, checkpoints) still surfaces *)
-          with_context (new_id ()) (fun () ->
-              match find_ctx () with
-              | Some c -> record c name kvs f
-              | None -> f ())
-        else f ()
+  match Context.current () with
+  | Some ({ Context.trace = Some id; _ } as c) -> record c id name kvs f
+  | Some { Context.trace = None; _ } | None ->
+      if Atomic.get armed_v then
+        (* no surrounding request: record under a fresh one-span trace so
+           slow background work (recovery, checkpoints) still surfaces *)
+        let id = new_id () in
+        in_context id (fun c -> record c id name kvs f)
+      else f ()
 
 (* Stamp every log line emitted inside a traced request with trace=<id>. *)
 let () = Log.set_context_provider (fun () ->

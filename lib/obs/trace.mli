@@ -7,9 +7,11 @@
     longer than the {!set_slow_ms} threshold — at warn level (comp=slow)
     with its full ancestry ([a>b>c]).
 
-    When tracing is disabled, no slow threshold is set and no context is
-    active, {!with_span} is two atomic loads — cheap enough to leave on
-    every hot path (priced by the B11 bench series). *)
+    The trace id and open spans live in the thread's {!Context} entry,
+    next to any profile scope.  When tracing is disabled, no slow
+    threshold is set and no thread carries a context, {!with_span} is two
+    atomic loads — cheap enough to leave on every hot path (priced by the
+    B11 bench series). *)
 
 type span = {
   name : string;
@@ -39,13 +41,15 @@ val new_id : unit -> string
 
 val with_context : string -> (unit -> 'a) -> 'a
 (** Run [f] with the given trace id as this thread's active trace; nested
-    calls save and restore the outer context. *)
+    calls save and restore the outer context.  The thread's profile scope,
+    if any, is kept. *)
 
 val current_trace : unit -> string option
 
 val with_span : ?kvs:(string * string) list -> string -> (unit -> 'a) -> 'a
-(** Time [f] as a span named [name].  Recorded when a context is active or
-    tracing is armed; a no-op wrapper otherwise. *)
+(** Time [f] as a span named [name].  Recorded when this thread carries a
+    trace id (a profile scope alone does not count) or tracing is armed; a
+    no-op wrapper otherwise. *)
 
 val set_hook : (span -> unit) option -> unit
 (** Test hook: called with every finished span (before it is logged). *)

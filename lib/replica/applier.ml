@@ -96,7 +96,7 @@ let apply_record t ~seq ~text =
       failwith
         (Printf.sprintf "record header says %d, frame says %d"
            r.Journal.r_seq seq);
-    let t0 = Unix.gettimeofday () in
+    let t0 = Obs.Mtime.now_ns () in
     Obs.Trace.with_span "replica.apply" ~kvs:[ ("seq", string_of_int seq) ]
       (fun () ->
         Broker.exclusively t.broker (fun () ->
@@ -112,7 +112,7 @@ let apply_record t ~seq ~text =
     if r.Journal.r_epoch > Broker.epoch t.broker then
       Broker.note_feed_epoch t.broker ~epoch:r.Journal.r_epoch;
     Metrics.observe t.metrics "latency.replica_apply"
-      (Unix.gettimeofday () -. t0);
+      (Obs.Mtime.ns_to_s (Obs.Mtime.elapsed_ns t0));
     Metrics.incr t.metrics "replica_records_applied"
   end;
   (* duplicates after a reconnect are skipped, but still advance lag info *)

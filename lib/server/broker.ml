@@ -13,50 +13,38 @@ module Crc32 = Fault.Crc32
    variant, so faults can be aimed at a single tenant. *)
 let fp_broker_commit = Failpoint.define "broker.commit"
 
-(* Per-stratum evaluation spans: the datalog library exposes an observer
-   hook precisely so it never has to depend on the observability code; the
-   server installs the tracing wrapper once, here (broker.ml is linked
-   into every server path).  With tracing off this adds two atomic loads
-   per stratum. *)
+(* The evaluator's observation seam, translated once here (broker.ml is
+   linked into every server path): stratum fixpoints become
+   [datalog.stratum] spans, rule evaluations feed the profiler.  Whether
+   either records is decided by the current thread's context alone; with
+   no context on any thread a rule evaluation costs one atomic load and
+   renders no label or plan. *)
 let () =
-  Datalog.Eval.stratum_observer :=
-    fun ~stratum ~rules f ->
-      Obs.Trace.with_span "datalog.stratum"
-        ~kvs:
-          [ ("stratum", string_of_int stratum); ("rules", string_of_int rules) ]
-        f
+  let observe (type a) (ev : a Datalog.Eval.event) (f : unit -> a) : a =
+    match ev with
+    | Datalog.Eval.Stratum { stratum; rules } ->
+        Obs.Trace.with_span "datalog.stratum"
+          ~kvs:
+            [
+              ("stratum", string_of_int stratum); ("rules", string_of_int rules);
+            ]
+          f
+    | Datalog.Eval.Rule { stratum; rule; plan; cache } ->
+        if not (Obs.Profile.scoped ()) then f ()
+        else
+          Obs.Profile.observe_rule ~stratum
+            ~label:(Datalog.Eval.rule_label rule)
+            ~plan:(Datalog.Eval.plan_label plan)
+            ~cache:
+              (match cache with
+              | `Hit -> Obs.Profile.Hit
+              | `Miss -> Obs.Profile.Miss
+              | `Unplanned -> Obs.Profile.Unplanned)
+            f
+  in
+  Datalog.Eval.observer := { Datalog.Eval.observe }
 
-(* Same seam pattern, per rule evaluation: the profiler's accumulator.
-   The seam stays disarmed unless [profile on] (or a one-shot [explain])
-   holds an arm, so the common path through the evaluator pays one atomic
-   load here and nothing else. *)
-let () =
-  Datalog.Eval.rule_observer :=
-    fun ev f ->
-      Obs.Profile.observe_rule ~stratum:ev.Datalog.Eval.re_stratum
-        ~label:ev.Datalog.Eval.re_label ~plan:ev.Datalog.Eval.re_plan
-        ~cache:
-          (match ev.Datalog.Eval.re_cache with
-          | `Hit -> Obs.Profile.Hit
-          | `Miss -> Obs.Profile.Miss
-          | `Unplanned -> Obs.Profile.Unplanned)
-        f
-
-(* The daemon-wide [profile on|off] switch: flips the profiler's enabled
-   flag and holds (or releases) exactly one arm on the evaluator seam.
-   Guarded so racing [profile on] requests cannot double-arm. *)
-let profiling_mu = Mutex.create ()
-let profiling_held = ref false
-
-let set_profiling on =
-  Mutex.lock profiling_mu;
-  (if on <> !profiling_held then begin
-     profiling_held := on;
-     if on then Datalog.Eval.arm_rule_observer ()
-     else Datalog.Eval.disarm_rule_observer ()
-   end);
-  Obs.Profile.set_enabled on;
-  Mutex.unlock profiling_mu
+let set_profiling on = Obs.Profile.set_enabled on
 
 (* Locking, outermost first (never acquire a lock left of one you hold):
 
@@ -665,20 +653,17 @@ let do_query t text =
     in
     match cache_probe t ("query:" ^ text) with
     | Some resp ->
-        (* a response-cache hit evaluates no rules, so there is no
-           observer to arm and no scope to install — the hit is still
-           this query's real cost, so it is timed and filed under its
-           fingerprint like any other run *)
+        (* a response-cache hit evaluates no rules, so there is no scope
+           to install — the hit is still this query's real cost, so it is
+           timed and filed under its fingerprint like any other run *)
         Metrics.incr t.metrics "read_cache_hits";
         note resp []
     | None ->
         let events = ref [] in
         let sink = if Obs.Profile.enabled () then Some t.profile else None in
-        Datalog.Eval.arm_rule_observer ();
         let resp =
-          Fun.protect ~finally:Datalog.Eval.disarm_rule_observer (fun () ->
-              Obs.Profile.with_scope ?sink ~collect:events (fun () ->
-                  do_query_uninstrumented t text))
+          Obs.Profile.with_scope ?sink ~collect:events (fun () ->
+              do_query_uninstrumented t text)
         in
         note resp !events
   end
@@ -695,15 +680,13 @@ let do_explain t text =
   let result =
     with_read t (fun () ->
         with_eval t (fun () ->
-            Datalog.Eval.arm_rule_observer ();
-            Fun.protect ~finally:Datalog.Eval.disarm_rule_observer (fun () ->
-                Obs.Profile.with_scope ~sink:tmp (fun () ->
-                    match Manager.query_text t.manager text with
-                    | answers -> Ok (List.length answers)
-                    | exception Datalog.Parse.Error e ->
-                        Error ("syntax error: " ^ e)
-                    | exception Datalog.Rule.Unsafe e ->
-                        Error ("unsafe query: " ^ e)))))
+            Obs.Profile.with_scope ~sink:tmp (fun () ->
+                match Manager.query_text t.manager text with
+                | answers -> Ok (List.length answers)
+                | exception Datalog.Parse.Error e ->
+                    Error ("syntax error: " ^ e)
+                | exception Datalog.Rule.Unsafe e ->
+                    Error ("unsafe query: " ^ e))))
   in
   let total_ns = Obs.Mtime.elapsed_ns t0 in
   match result with

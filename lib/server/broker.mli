@@ -108,9 +108,9 @@ val profile : t -> Obs.Profile.t
     fingerprint top-K), accumulated while profiling is on. *)
 
 val set_profiling : bool -> unit
-(** The daemon-wide [profile on|off] switch: flips
-    {!Obs.Profile.set_enabled} and holds/releases one arm on the
-    evaluator's rule-observer seam. *)
+(** The daemon-wide [profile on|off] switch: {!Obs.Profile.set_enabled}.
+    While on, each request runs in a profile scope; nothing else arms the
+    evaluator's observer. *)
 
 val journal_metrics :
   ?labels:(string * string) list -> t -> Obs.Export.metric list

@@ -213,7 +213,7 @@ let client_loop (router : router) ~client fd =
                         Metrics.incr metrics "failpoint_drops";
                         true
                     | () ->
-                        let t0 = Unix.gettimeofday () in
+                        let t0 = Obs.Mtime.now_ns () in
                         let resp =
                           Obs.Trace.with_span
                             ("verb." ^ request_kind req)
@@ -238,7 +238,7 @@ let client_loop (router : router) ~client fd =
                         in
                         Metrics.observe metrics
                           ("latency." ^ request_kind req)
-                          (Unix.gettimeofday () -. t0);
+                          (Obs.Mtime.ns_to_s (Obs.Mtime.elapsed_ns t0));
                         Protocol.write_response oc resp;
                         false))
           in

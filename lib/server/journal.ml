@@ -25,10 +25,6 @@ let labeled_site site label =
 let hit_opt = function None -> () | Some fp -> Failpoint.hit fp
 let hit_io_opt fp n = match fp with None -> n | Some fp -> Failpoint.hit_io fp n
 
-(* Ablation flag for the B9 bench: records are written without their [crc]
-   line when false.  The read side always accepts both forms. *)
-let crc_records = ref true
-
 let header = "# gomsm journal v1\n"
 
 (* The header records the global sequence number the snapshot covers, so
@@ -219,9 +215,8 @@ let record_bytes ~seq ~epoch ~(ids : Gom.Ids.gen) ~code (delta : Delta.t) :
     code;
   (* the crc covers every record byte before its own line (begin through
      the last payload line, newlines included) *)
-  if !crc_records then
-    Printf.bprintf buf "crc %s\n"
-      (Crc32.to_decimal (Crc32.string (Buffer.contents buf)));
+  Printf.bprintf buf "crc %s\n"
+    (Crc32.to_decimal (Crc32.string (Buffer.contents buf)));
   Printf.bprintf buf "commit %d\n" seq;
   Buffer.contents buf
 

@@ -37,7 +37,7 @@
     single-bit flip inside a record is caught on replay and the record
     (and everything after it) is treated as the torn tail.  Records
     written before the checksum existed carry no [crc] line and still
-    replay; {!crc_records} disables emission for benchmarking.
+    replay.
 
     Sequence numbers are {e global}: they keep increasing across
     checkpoints (the journal header records the sequence number the
@@ -83,11 +83,6 @@ val recover :
     header's base sequence number no longer parses (defaulting it would
     silently renumber the log); other journal damage is repaired by
     truncation, never fatal. *)
-
-val crc_records : bool ref
-(** Whether {!append} emits [crc] lines (default [true]).  Read-side
-    verification always accepts both checksummed and legacy records;
-    this exists for the B9 overhead benchmark. *)
 
 val append :
   t ->

@@ -263,17 +263,6 @@ let prop_indexing_agrees =
       Database.count with_idx "t" = Database.count without "t"
       && List.for_all (Database.mem without) (Database.facts with_idx "t"))
 
-let test_continue_with_additions () =
-  let db = chain_db 10 in
-  let prepared = Eval.prepare tc_rules in
-  Eval.run prepared db;
-  let added = fact "e" [ "10"; "11" ] in
-  ignore (Database.add db added);
-  Eval.continue_with_additions prepared db [ added ];
-  let db2 = chain_db 11 in
-  Eval.run prepared db2;
-  check_int "same as scratch" (Database.count db2 "t") (Database.count db "t")
-
 (* ------------------------------------------------------------------ *)
 (* Join planning and indexes                                            *)
 (* ------------------------------------------------------------------ *)
@@ -1117,8 +1106,6 @@ let suite =
         Alcotest.test_case "negation" `Quick test_negation_eval;
         Alcotest.test_case "query" `Quick test_query;
         Alcotest.test_case "query_once" `Quick test_query_once;
-        Alcotest.test_case "continue with additions" `Quick
-          test_continue_with_additions;
         qcheck prop_indexing_agrees;
       ] );
     ( "datalog.plan",

@@ -638,6 +638,186 @@ let test_explain_stability () =
           check Alcotest.int "no fingerprints recorded" 0
             (Profile.fingerprints (Server.Broker.profile broker))))
 
+(* ------------------------------------------------------------------ *)
+(* The shared per-thread context                                       *)
+(* ------------------------------------------------------------------ *)
+
+let observe_r () =
+  ignore
+    (Profile.observe_rule ~stratum:0 ~label:"r" ~plan:"-"
+       ~cache:Profile.Unplanned (fun () -> 0))
+
+let evals_of p =
+  List.fold_left (fun n r -> n + r.Profile.evals) 0 (Profile.rules p)
+
+let test_context_nesting () =
+  with_profile_off (fun () ->
+      with_span_hook (fun spans ->
+          let p = Profile.create () in
+          let trace = Alcotest.(option string) in
+          (* a trace context inside a profile scope *)
+          Profile.with_scope ~sink:p (fun () ->
+              Trace.with_context "t-inner" (fun () ->
+                  check trace "inner trace" (Some "t-inner")
+                    (Trace.current_trace ());
+                  checkb "scope kept under the trace" true (Profile.scoped ());
+                  observe_r ());
+              check trace "trace restored to none" None (Trace.current_trace ());
+              checkb "scope restored" true (Profile.scoped ());
+              observe_r ());
+          check Alcotest.int "both evaluations recorded" 2 (evals_of p);
+          (* a profile scope inside a trace context, under an open span *)
+          Trace.with_context "t-outer" (fun () ->
+              Trace.with_span "outer" (fun () ->
+                  Profile.with_scope ~sink:p (fun () ->
+                      check trace "trace kept under the scope" (Some "t-outer")
+                        (Trace.current_trace ());
+                      Trace.with_span "inner" (fun () -> observe_r ()))));
+          check Alcotest.int "scoped evaluation recorded" 3 (evals_of p);
+          Trace.with_context "t-outer" (fun () ->
+              Profile.with_scope ~sink:p (fun () -> ());
+              check trace "trace restored" (Some "t-outer")
+                (Trace.current_trace ());
+              checkb "scope restored to none" false (Profile.scoped ());
+              observe_r ());
+          check Alcotest.int "no evaluation outside the scope" 3 (evals_of p);
+          checkb "no context left" true
+            (Trace.current_trace () = None && not (Profile.scoped ()));
+          let find n = List.find (fun s -> s.Trace.name = n) !spans in
+          check
+            Alcotest.(option string)
+            "span opened under the scope keeps its parent"
+            (Some (find "outer").Trace.span_id)
+            (find "inner").Trace.parent))
+
+let test_context_independence () =
+  with_profile_off (fun () ->
+      (* a profile scope alone is no trace: with tracing unarmed, a span
+         under it is not recorded *)
+      with_captured_log (fun buf ->
+          Profile.with_scope ~sink:(Profile.create ()) (fun () ->
+              check Alcotest.(option string) "no trace id" None
+                (Trace.current_trace ());
+              Trace.with_span "invisible" (fun () -> ()));
+          checkb "no span logged" false
+            (contains (Buffer.contents buf) "comp=trace"));
+      (* a trace context alone does not make observe_rule record, even
+         while another thread holds a scope *)
+      let p = Profile.create () in
+      Profile.with_scope ~sink:p (fun () ->
+          Thread.join
+            (Thread.create
+               (fun () ->
+                 Trace.with_context "t-alone" (fun () ->
+                     checkb "not scoped" false (Profile.scoped ());
+                     observe_r ()))
+               ()));
+      check Alcotest.int "no rule row" 0 (Profile.rule_count p))
+
+(* One thread explains on one database while another toggles profiling
+   around queries on a second: each sees its own rule rows, and once both
+   are done an evaluation outside any context records nowhere. *)
+let test_concurrent_explain_and_toggle () =
+  with_profile_off (fun () ->
+      with_captured_log (fun _buf ->
+          let m1 = Core.Manager.create () and m2 = Core.Manager.create () in
+          let b1 = Server.Broker.create ~metrics:(Metrics.create ()) m1 in
+          let b2 = Server.Broker.create ~metrics:(Metrics.create ()) m2 in
+          let rounds = 20 in
+          let explained = Atomic.make 0 in
+          let explainer () =
+            for _ = 1 to rounds do
+              match
+                Server.Broker.handle b1 ~client:1
+                  (Protocol.Explain "SubTypRel_t(X, Y)")
+              with
+              | { Protocol.status = Protocol.Ok; body } ->
+                  if
+                    List.exists
+                      (fun l ->
+                        contains l "SubTypRel_t(X, Y) :- SubTypRel(X, Y).")
+                      body
+                  then Atomic.incr explained
+              | { Protocol.status = Protocol.Err _; _ } -> ()
+            done
+          in
+          let toggler () =
+            for i = 1 to rounds do
+              Server.Broker.set_profiling true;
+              (* a distinct text each round misses the response cache *)
+              ignore
+                (Server.Broker.handle b2 ~client:2
+                   (Protocol.Query (Printf.sprintf "SubTypRel_t(X, %d)" i)));
+              Server.Broker.set_profiling false
+            done
+          in
+          let t1 = Thread.create explainer () and t2 = Thread.create toggler () in
+          Thread.join t1;
+          Thread.join t2;
+          check Alcotest.int "every explain has its rule rows" rounds
+            (Atomic.get explained);
+          let p1 = Server.Broker.profile b1 and p2 = Server.Broker.profile b2 in
+          checkb "profiled queries left rule rows" true (evals_of p2 > 0);
+          check Alcotest.int "explain leaves its broker's table empty" 0
+            (Profile.rule_count p1);
+          let before = (evals_of p1, evals_of p2) in
+          let theory = Core.Manager.theory m2 in
+          Datalog.Eval.run
+            (Datalog.Theory.prepared theory)
+            (Datalog.Theory.fresh_database theory);
+          check
+            Alcotest.(pair int int)
+            "an evaluation with no context records nowhere" before
+            (evals_of p1, evals_of p2)))
+
+(* The stratum half of the evaluator seam, without a broker in the way:
+   both the from-scratch fixpoint and DRed maintenance emit one
+   [datalog.stratum] span per stratum, carrying its index and rule count. *)
+let test_stratum_spans () =
+  with_span_hook (fun spans ->
+      with_captured_log (fun _buf ->
+          let theory = Datalog.Theory.create () in
+          Datalog.Theory.add_rules theory
+            (List.map Datalog.Parse.rule
+               [ "T(X, Y) :- E(X, Y)."; "T(X, Z) :- E(X, Y), T(Y, Z)." ]);
+          let e x y =
+            Datalog.Fact.make "E" [ Datalog.Term.symc x; Datalog.Term.symc y ]
+          in
+          let db = Datalog.Theory.fresh_database theory in
+          ignore (Datalog.Database.add db (e "a" "b"));
+          let strata () =
+            List.filter (fun s -> s.Trace.name = "datalog.stratum") !spans
+          in
+          let check_kvs what =
+            match strata () with
+            | [] -> Alcotest.failf "%s: no datalog.stratum span" what
+            | ss ->
+                List.iter
+                  (fun s ->
+                    checkb (what ^ ": stratum kv") true
+                      (List.mem_assoc "stratum" s.Trace.kvs);
+                    checkb (what ^ ": rules kv") true
+                      (List.mem ("rules", "2") s.Trace.kvs))
+                  ss
+          in
+          Trace.with_context "t-run" (fun () ->
+              Datalog.Eval.run (Datalog.Theory.prepared theory)
+                (Datalog.Database.copy db));
+          check_kvs "Eval.run";
+          let state = Datalog.Incremental.init theory db in
+          spans := [];
+          Trace.with_context "t-apply" (fun () ->
+              ignore
+                (Datalog.Incremental.apply state
+                   (Datalog.Delta.of_lists ~additions:[ e "b" "c" ]
+                      ~deletions:[])));
+          check_kvs "Incremental.apply";
+          List.iter
+            (fun s ->
+              check Alcotest.string "apply spans carry its trace" "t-apply"
+                s.Trace.trace)
+            (strata ())))
+
 let () =
   Alcotest.run "obs"
     [
@@ -694,5 +874,16 @@ let () =
           Alcotest.test_case "exporter series" `Quick test_profile_export;
           Alcotest.test_case "explain is complete and stable" `Quick
             test_explain_stability;
+        ] );
+      ( "context",
+        [
+          Alcotest.test_case "trace and scope nest both ways" `Quick
+            test_context_nesting;
+          Alcotest.test_case "scope alone is no trace, trace alone no scope"
+            `Quick test_context_independence;
+          Alcotest.test_case "explain beside a profiling toggle" `Quick
+            test_concurrent_explain_and_toggle;
+          Alcotest.test_case "Eval.run and Incremental.apply stratum spans"
+            `Quick test_stratum_spans;
         ] );
     ]
