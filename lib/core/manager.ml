@@ -289,13 +289,25 @@ let describe_violation (v : Checker.violation) : string =
   in
   Printf.sprintf "constraint %s violated [%s]" v.Checker.constraint_name witness
 
-let check_now t : report list =
+(* The derived database the current base facts imply.  [Maintained] hands
+   out the DRed-maintained database itself, not a copy; the other modes
+   materialize a fresh copy of the base. *)
+let materialized t : Database.t =
+  match t.check_mode with
+  | Maintained -> Incremental.materialized (maintained_state t)
+  | Full | Affected -> Checker.materialize t.theory t.edb
+
+let check_now ?materialized:db t : report list =
   let violations =
     match t.check_mode, t.session with
     | Maintained, _ -> Incremental.violations (maintained_state t)
     | Affected, Some _ ->
         Incremental.check_affected t.theory t.edb ~delta:(session_delta t)
-    | Affected, None | Full, _ -> Checker.check t.theory t.edb
+    | Affected, None | Full, _ ->
+        let db =
+          match db with Some db -> Lazy.force db | None -> materialized t
+        in
+        Checker.violations_of t.theory db
   in
   List.map
     (fun v -> { violation = v; description = describe_violation v })
@@ -304,12 +316,7 @@ let check_now t : report list =
 (* Repairs for one violation, each decorated with the Analyzer/Runtime
    explanations of its actions (protocol step 7). *)
 let repairs_for t (v : Checker.violation) : (Repair.t * string list) list =
-  let materialized =
-    match t.check_mode with
-    | Maintained -> Incremental.materialized (maintained_state t)
-    | Full | Affected -> Checker.materialize t.theory t.edb
-  in
-  Repair.generate t.theory materialized v
+  Repair.generate t.theory (materialized t) v
   |> List.map (fun r -> r, Explain.explain_repair t.edb r)
 
 (* Instantiate Fresh placeholders with newly allocated identifiers. *)
@@ -464,18 +471,17 @@ let end_session_with t
   loop 64
 
 (* Answer a deductive query (textual or pre-parsed literals) against the
-   current materialized state; each answer is the witness bindings. *)
-let query t (lits : Rule.literal list) : (string * Term.const) list list =
-  let materialized =
-    match t.check_mode with
-    | Maintained -> Incremental.materialized (maintained_state t)
-    | Full | Affected -> Checker.materialize t.theory t.edb
-  in
+   given materialization of the current state, or a fresh one; each answer
+   is the witness bindings. *)
+let query ?materialized:db t (lits : Rule.literal list) :
+    (string * Term.const) list list =
+  let db = match db with Some db -> db | None -> materialized t in
   let out = ref [] in
-  Eval.query materialized lits (fun s -> out := Subst.bindings s :: !out);
+  Eval.query db lits (fun s -> out := Subst.bindings s :: !out);
   List.rev !out
 
-let query_text t (src : string) = query t (Parse.query src)
+let query_text ?materialized t (src : string) =
+  query ?materialized t (Parse.query src)
 
 (* Run a command script containing bes/ees markers (step 1-5 driver). *)
 let run_script t (src : string) : outcome =

@@ -120,8 +120,23 @@ val rollback : t -> unit
 
 (** {2 Checking and repairs} *)
 
-val check_now : t -> report list
-(** Check without ending the session. *)
+val materialized : t -> Datalog.Database.t
+(** The derived (IDB) state the current base facts imply: every
+    intensional predicate, the violation predicates included, computed
+    over the base.  In [Maintained] mode this is the DRed-maintained
+    database itself, not a copy, so it moves with every later change and
+    must be treated as read-only.  In [Full] and [Affected] mode it is a
+    fresh materialization over a copy of the base, valid until the next
+    change: a caller that knows the state has not moved since (the
+    server's broker, keyed by its state version) may answer any number of
+    {!query} and {!check_now} calls from one such value. *)
+
+val check_now : ?materialized:Datalog.Database.t Lazy.t -> t -> report list
+(** Check without ending the session.  In [Full] mode, and in [Affected]
+    mode with no session open, violations are read off [materialized]
+    (forced only then; default: a fresh {!materialized}).  The other
+    paths — the affected cone of an open session, the maintained
+    violation relations — ignore it. *)
 
 val repairs_for : t -> Datalog.Checker.violation -> (Datalog.Repair.t * string list) list
 (** Generated repairs for a violation, each with its Analyzer/Runtime
@@ -135,12 +150,23 @@ val execute_repair :
     representation deletes all instances); other actions are plain base-fact
     changes.  Fresh placeholders are instantiated with new identifiers. *)
 
-val query : t -> Datalog.Rule.literal list -> (string * Datalog.Term.const) list list
-(** Answer a deductive query against the current (materialized) state; each
-    answer is its witness bindings.
+val query :
+  ?materialized:Datalog.Database.t ->
+  t ->
+  Datalog.Rule.literal list ->
+  (string * Datalog.Term.const) list list
+(** Answer a deductive query against [materialized] — which must be a
+    {!materialized} of the current state — or, by default, against a
+    fresh {!materialized}; each answer is its witness bindings.  Lazily
+    built relation indexes persist on [materialized], so concurrent
+    queries on one value must be serialized by the caller.
     @raise Datalog.Rule.Unsafe if the query cannot be ordered. *)
 
-val query_text : t -> string -> (string * Datalog.Term.const) list list
+val query_text :
+  ?materialized:Datalog.Database.t ->
+  t ->
+  string ->
+  (string * Datalog.Term.const) list list
 (** Same, from text (see {!Datalog.Parse}): e.g.
     [query_text m "Attr_i(T, A, D), not Slot(C, A, V)"].
     @raise Datalog.Parse.Error on syntax errors. *)

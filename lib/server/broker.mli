@@ -9,8 +9,12 @@
     cache published per state version — and are only excluded by the
     writer's exclusive sections, so each sees an internally consistent
     state (including, as in the paper's single shared schema, the open
-    session's intermediate state).  A client that disconnects mid-session
-    is rolled back automatically — the paper's "undo session" repair.
+    session's intermediate state).  Reads that miss the response cache
+    share one materialized snapshot of the derived state per version:
+    the first builds it, the rest only evaluate their own query body,
+    and the next exclusive section drops it.  A client that disconnects
+    mid-session is rolled back automatically — the paper's "undo
+    session" repair.
 
     Committed sessions are appended to the write-ahead journal (fsync
     before the acknowledgment) and periodically checkpointed.  With
@@ -84,8 +88,9 @@ val disconnect : t -> client:int -> unit
 (** The client went away: roll back its open session, if any. *)
 
 val close : t -> unit
-(** Close the broker's journal file descriptor (no-op without a journal):
-    the tenant registry's eviction/shutdown path.  No checkpoint is forced
+(** Drop the version snapshot and close the broker's journal file
+    descriptor (no-op without a journal): the tenant registry's
+    eviction/shutdown path.  No checkpoint is forced
     — every record is already fsynced, so reopening the data directory
     replays the journal exactly like a restart.  The broker must not be
     used afterwards; callers guarantee no writer or feed is active. *)

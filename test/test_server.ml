@@ -185,6 +185,195 @@ let test_script_line_rejects_markers () =
   check_bool "explains" true (contains r "bes/ees")
 
 (* ------------------------------------------------------------------ *)
+(* Version snapshot: one materialization per state version             *)
+(* ------------------------------------------------------------------ *)
+
+let snapshot_builds b = Metrics.counter (Broker.metrics b) "snapshot_builds"
+
+(* The response body the broker gives for [text], computed by a fresh
+   materialization of [m]: the reference every snapshot answer must
+   equal. *)
+let fresh_query_body m text =
+  let answers = Manager.query_text m text in
+  List.map
+    (fun bindings ->
+      "  "
+      ^ String.concat ", "
+          (List.map
+             (fun (v, c) ->
+               Printf.sprintf "%s = %s" v (Datalog.Term.const_to_string c))
+             bindings))
+    answers
+  @ [ Printf.sprintf "%d answer(s)." (List.length answers) ]
+
+let fresh_check_body m =
+  match Manager.check_now m with
+  | [] -> [ "consistent." ]
+  | reports -> List.map (fun r -> "violation: " ^ r.Manager.description) reports
+
+let query_body b ~client text =
+  let resp = Broker.handle b ~client (Protocol.Query text) in
+  expect_ok ("query " ^ text) resp;
+  resp.Protocol.body
+
+let zoo_broker ?check_mode () =
+  let b =
+    Broker.create ~acquire_timeout:0.05 ~metrics:(Metrics.create ())
+      (Manager.create ?check_mode ())
+  in
+  expect_ok "bes" (Broker.handle b ~client:1 Protocol.Bes);
+  expect_ok "script" (Broker.handle b ~client:1 (Protocol.Script_line zoo_frame));
+  expect_ok "ees" (Broker.handle b ~client:1 Protocol.Ees);
+  b
+
+let test_snapshot_shared_by_reads () =
+  let b = zoo_broker () in
+  check_int "no read yet" 0 (snapshot_builds b);
+  let scoped text =
+    let events = ref [] in
+    let body =
+      Obs.Profile.with_scope ~collect:events (fun () ->
+          query_body b ~client:2 text)
+    in
+    (body, !events)
+  in
+  let body1, ev1 = scoped "Attr_i(T, A, D)" in
+  check_int "first query builds" 1 (snapshot_builds b);
+  check_bool "the build evaluated rules" true
+    (List.exists (fun e -> e.Obs.Profile.ev_stratum >= 0) ev1);
+  let body2, ev2 = scoped "Type(T, N, S)" in
+  check_int "second query reuses it" 1 (snapshot_builds b);
+  check_bool "second query records its body" true (ev2 <> []);
+  check_bool "second query records only stratum -1 rows" true
+    (List.for_all (fun e -> e.Obs.Profile.ev_stratum = -1) ev2);
+  let m = Broker.manager b in
+  Alcotest.(check (list string))
+    "first answer" (fresh_query_body m "Attr_i(T, A, D)") body1;
+  Alcotest.(check (list string))
+    "second answer" (fresh_query_body m "Type(T, N, S)") body2;
+  let resp = Broker.handle b ~client:2 Protocol.Check in
+  expect_ok "check" resp;
+  check_int "check reads the same snapshot" 1 (snapshot_builds b);
+  Alcotest.(check (list string)) "check answer" (fresh_check_body m)
+    resp.Protocol.body
+
+(* After every kind of manager mutation the next read rebuilds, and
+   answers what a fresh materialization answers. *)
+let test_snapshot_rebuilt_after_every_mutation () =
+  let b = zoo_broker () in
+  let text = "Attr_i(T, A, D)" in
+  let expect_rebuild what =
+    let before = snapshot_builds b in
+    let body = query_body b ~client:9 text in
+    check_int (what ^ ": one rebuild") (before + 1) (snapshot_builds b);
+    Alcotest.(check (list string))
+      (what ^ ": fresh answer")
+      (fresh_query_body (Broker.manager b) text)
+      body;
+    ignore (query_body b ~client:9 text);
+    check_int (what ^ ": reread reuses it") (before + 1) (snapshot_builds b)
+  in
+  let script client line =
+    expect_ok line (Broker.handle b ~client (Protocol.Script_line line))
+  in
+  expect_rebuild "committed base";
+  expect_ok "bes" (Broker.handle b ~client:1 Protocol.Bes);
+  expect_rebuild "bes";
+  script 1 "add attribute name : string to Animal@Zoo;";
+  expect_rebuild "script-line in a session";
+  expect_ok "ees" (Broker.handle b ~client:1 Protocol.Ees);
+  expect_rebuild "ees";
+  expect_ok "bes" (Broker.handle b ~client:1 Protocol.Bes);
+  script 1 "add attribute age : int to Animal@Zoo;";
+  expect_rebuild "second script-line";
+  expect_ok "rollback" (Broker.handle b ~client:1 Protocol.Rollback);
+  expect_rebuild "rollback";
+  expect_ok "bes" (Broker.handle b ~client:2 Protocol.Bes);
+  script 2 "add attribute weight : int to Animal@Zoo;";
+  expect_rebuild "third script-line";
+  Broker.disconnect b ~client:2;
+  expect_rebuild "disconnect rollback";
+  let other = Manager.create () in
+  ignore
+    (Manager.run_script other
+       "bes; schema Farm is type Cow is [ horns : int; ] end type Cow; end \
+        schema Farm; ees;");
+  Broker.exclusively b (fun () -> Broker.replace_manager b other);
+  expect_rebuild "replace_manager";
+  check_bool "answers come from the new manager" true
+    (List.exists
+       (fun l -> contains l "horns")
+       (query_body b ~client:9 text))
+
+(* Seeded random sessions, rollbacks, checks and queries in every check
+   mode: each broker answer equals the fresh-materialization answer. *)
+let test_snapshot_answers_match_fresh () =
+  let texts =
+    [ "Attr_i(T, A, D)"; "Type(T, N, S)"; "Decl_i(X, T, O, R)";
+      "Attr_i(T, A, D), Type(T, N, S)" ]
+  in
+  List.iter
+    (fun (mode_name, check_mode) ->
+      let rng = Random.State.make [| 2 |] in
+      let b = zoo_broker ~check_mode () in
+      let m () = Broker.manager b in
+      (* which attributes f0..f2 exist now, and at the last commit; slot 3
+         is [bad], whose undefined domain makes the state inconsistent *)
+      let present = Array.make 4 false and committed = Array.make 4 false in
+      let session = ref false in
+      let step_label i what = Printf.sprintf "%s step %d %s" mode_name i what in
+      let ensure_session () =
+        if not !session then begin
+          expect_ok "bes" (Broker.handle b ~client:1 Protocol.Bes);
+          session := true
+        end
+      in
+      for i = 1 to 120 do
+        match Random.State.int rng 8 with
+        | 0 | 1 ->
+            (* toggle one attribute inside the (possibly new) session *)
+            ensure_session ();
+            let k = Random.State.int rng (Array.length present) in
+            let name, domain =
+              if k = 3 then ("bad", "Missing") else (Printf.sprintf "f%d" k, "int")
+            in
+            let line =
+              if present.(k) then Printf.sprintf "delete attribute %s from Animal@Zoo;" name
+              else Printf.sprintf "add attribute %s : %s to Animal@Zoo;" name domain
+            in
+            expect_ok (step_label i line)
+              (Broker.handle b ~client:1 (Protocol.Script_line line));
+            present.(k) <- not present.(k)
+        | 2 when !session ->
+            let resp = Broker.handle b ~client:1 Protocol.Ees in
+            if present.(3) then
+              (* rejected: the session stays open *)
+              ignore (expect_err (step_label i "inconsistent ees") resp)
+            else begin
+              expect_ok (step_label i "ees") resp;
+              session := false;
+              Array.blit present 0 committed 0 (Array.length present)
+            end
+        | 3 when !session ->
+            expect_ok (step_label i "rollback")
+              (Broker.handle b ~client:1 Protocol.Rollback);
+            session := false;
+            Array.blit committed 0 present 0 (Array.length present)
+        | 4 | 5 ->
+            let resp = Broker.handle b ~client:2 Protocol.Check in
+            expect_ok (step_label i "check") resp;
+            Alcotest.(check (list string))
+              (step_label i "check") (fresh_check_body (m ())) resp.Protocol.body
+        | _ ->
+            let text = List.nth texts (Random.State.int rng (List.length texts)) in
+            Alcotest.(check (list string))
+              (step_label i text) (fresh_query_body (m ()) text)
+              (query_body b ~client:2 text)
+      done)
+    [ ("full", Manager.Full); ("cone", Manager.Affected);
+      ("dred", Manager.Maintained) ]
+
+(* ------------------------------------------------------------------ *)
 (* Journal: commit, crash, replay                                      *)
 (* ------------------------------------------------------------------ *)
 
@@ -671,6 +860,15 @@ let suite =
           test_inconsistent_ees_stays_open;
         Alcotest.test_case "script-line rejects bes/ees" `Quick
           test_script_line_rejects_markers;
+      ] );
+    ( "server.snapshot",
+      [
+        Alcotest.test_case "one build serves every read" `Quick
+          test_snapshot_shared_by_reads;
+        Alcotest.test_case "rebuilt after every mutation" `Quick
+          test_snapshot_rebuilt_after_every_mutation;
+        Alcotest.test_case "answers match fresh materialization" `Quick
+          test_snapshot_answers_match_fresh;
       ] );
     ( "server.journal",
       [
