@@ -16,7 +16,9 @@ module Value = Runtime.Value
 
 type check_mode =
   | Full  (** re-materialize and evaluate every constraint at EES *)
-  | Affected  (** evaluate only the rule cone of affected constraints *)
+  | Affected
+      (** evaluate only the rule cone of affected constraints; a cone that
+          two consecutive checks need is kept DRed-maintained *)
   | Maintained
       (** keep a DRed-maintained materialization in step with every modify;
           EES reads the violation relations directly *)
@@ -50,7 +52,15 @@ type t = {
   mutable check_mode : check_mode;
   mutable maintained : (int * Incremental.state) option;
       (* DRed state + the theory revision it was built against *)
+  mutable cone : (cone_key * Incremental.state) option;
+      (* [Affected]: the retained DRed-maintained cone and its key *)
+  mutable last_key : cone_key option;
+      (* [Affected]: the key the previous session check needed *)
 }
+
+(* What a session check in [Affected] mode evaluates: the theory revision
+   and the sorted names of the affected constraints. *)
+and cone_key = int * string list
 
 (* ------------------------------------------------------------------ *)
 (* Construction                                                        *)
@@ -82,12 +92,16 @@ let maintained_state t : Incremental.state =
       state
 
 (* Apply a base-fact delta, keeping the maintained materialization (if the
-   mode uses one) in step. *)
+   mode uses one) or the retained cone in step.  A cone built against an
+   older theory is dropped instead. *)
 let apply_delta t (delta : Delta.t) : Delta.t =
-  match t.check_mode with
-  | Maintained -> Incremental.apply (maintained_state t) delta
-  | Full | Affected ->
-      t.maintained <- None;
+  match t.check_mode, t.cone with
+  | Maintained, _ -> Incremental.apply (maintained_state t) delta
+  | (Full | Affected), Some ((rev, _), cone)
+    when rev = Theory.revision t.theory ->
+      Incremental.apply cone delta
+  | (Full | Affected), (Some _ | None) ->
+      t.cone <- None;
       Delta.apply t.edb delta
 
 let modify t (delta : Delta.t) : Delta.t =
@@ -122,6 +136,8 @@ let create ?(versioning = true) ?(fashion = true) ?(subschemas = true)
       session = None;
       check_mode;
       maintained = None;
+      cone = None;
+      last_key = None;
     }
   in
   install_extensions t ~versioning ~fashion ~subschemas ~sorts;
@@ -155,7 +171,10 @@ let check_mode_name t =
 
 let set_check_mode t mode =
   t.check_mode <- mode;
+  t.cone <- None;
+  t.last_key <- None;
   match mode with Maintained -> () | Full | Affected -> t.maintained <- None
+
 let in_session t = t.session <> None
 
 (* ------------------------------------------------------------------ *)
@@ -297,12 +316,47 @@ let materialized t : Database.t =
   | Maintained -> Incremental.materialized (maintained_state t)
   | Full | Affected -> Checker.materialize t.theory t.edb
 
-let check_now ?materialized:db t : report list =
+(* The session check in [Affected] mode.  The first time a key is needed
+   the cone is evaluated from scratch over a copy of the base and nothing
+   is kept.  When the next check needs the same key, the cone is evaluated
+   in place over the base and kept: from then on every delta maintains it
+   ({!apply_delta}) and a check with that key evaluates nothing.  Needing
+   another key drops it. *)
+let cone_violations t delta =
+  match
+    Theory.affected_constraints t.theory
+      ~changed_preds:(Delta.changed_preds delta)
+  with
+  | [] -> []
+  | affected -> (
+      let key =
+        ( Theory.revision t.theory,
+          List.sort String.compare
+            (List.map (fun c -> c.Constraint_compile.name) affected) )
+      in
+      let previous = t.last_key in
+      t.last_key <- Some key;
+      match t.cone with
+      | Some (k, cone) when k = key -> Incremental.violations ~only:affected cone
+      | Some _ | None ->
+          t.cone <- None;
+          if previous = Some key then begin
+            let cone =
+              Incremental.init ~copy:false
+                ~rules:(Incremental.cone t.theory affected) t.theory t.edb
+            in
+            t.cone <- Some (key, cone);
+            Incremental.violations ~only:affected cone
+          end
+          else Incremental.check_affected t.theory t.edb ~delta)
+
+let check_now ?materialized:db ?delta t : report list =
   let violations =
     match t.check_mode, t.session with
     | Maintained, _ -> Incremental.violations (maintained_state t)
     | Affected, Some _ ->
-        Incremental.check_affected t.theory t.edb ~delta:(session_delta t)
+        cone_violations t
+          (match delta with Some d -> d | None -> session_delta t)
     | Affected, None | Full, _ ->
         let db =
           match db with Some db -> Lazy.force db | None -> materialized t
@@ -428,9 +482,9 @@ let rollback t =
 
 (* EES: check; on success the session ends, otherwise it stays open and the
    reports are returned (protocol steps 4-6). *)
-let end_session t : outcome =
+let end_session ?delta t : outcome =
   ignore (current_session t);
-  match check_now t with
+  match check_now ?delta t with
   | [] ->
       t.session <- None;
       Consistent

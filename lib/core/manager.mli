@@ -16,7 +16,17 @@ module Value = Runtime.Value
 (** How EES (and {!check_now}) evaluates consistency. *)
 type check_mode =
   | Full  (** re-materialize and evaluate every constraint *)
-  | Affected  (** evaluate only the rule cone of affected constraints *)
+  | Affected
+      (** evaluate only the rule cone of the affected constraints: those
+          whose base predicates the session changed.  The cone is keyed by
+          the theory revision and the affected constraint names.  A key
+          seen for the first time is evaluated from scratch over a copy of
+          the base, leaving nothing behind; when the next session check
+          needs the same key, the cone is evaluated in place and retained,
+          and every later change (modify, runtime modify, rollback)
+          maintains it by DRed, so a check with that key evaluates
+          nothing.  A check with another key, a theory change or
+          {!set_check_mode} drops it. *)
   | Maintained
       (** keep a DRed-maintained materialization in step with every modify;
           checking reads the violation relations directly *)
@@ -110,9 +120,12 @@ val session_code_changes : t -> (string * (string list * Ast.stmt)) list
     together with {!session_delta} this is everything a committed session
     changed in the Database Model.  Capture it {e before} {!end_session}. *)
 
-val end_session : t -> outcome
+val end_session : ?delta:Datalog.Delta.t -> t -> outcome
 (** EES: check consistency.  On [Consistent] the session is committed and
-    closed; on [Inconsistent] it stays open for repairs or rollback. *)
+    closed; on [Inconsistent] it stays open for repairs or rollback.
+    [delta], when given, must be {!session_delta} of the current state: a
+    caller that needs it anyway (to journal the session) spares the check
+    computing it again. *)
 
 val rollback : t -> unit
 (** Undo the whole session: inverse deltas, code registrations, and the
@@ -131,12 +144,17 @@ val materialized : t -> Datalog.Database.t
     server's broker, keyed by its state version) may answer any number of
     {!query} and {!check_now} calls from one such value. *)
 
-val check_now : ?materialized:Datalog.Database.t Lazy.t -> t -> report list
+val check_now :
+  ?materialized:Datalog.Database.t Lazy.t ->
+  ?delta:Datalog.Delta.t ->
+  t ->
+  report list
 (** Check without ending the session.  In [Full] mode, and in [Affected]
     mode with no session open, violations are read off [materialized]
     (forced only then; default: a fresh {!materialized}).  The other
     paths — the affected cone of an open session, the maintained
-    violation relations — ignore it. *)
+    violation relations — ignore it.  [delta], as for {!end_session},
+    is the open session's {!session_delta} if the caller has it. *)
 
 val repairs_for : t -> Datalog.Checker.violation -> (Datalog.Repair.t * string list) list
 (** Generated repairs for a violation, each with its Analyzer/Runtime

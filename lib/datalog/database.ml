@@ -76,11 +76,21 @@ let all_facts db =
 let predicates db =
   Hashtbl.fold (fun pred _ acc -> pred :: acc) db.relations []
 
-let copy db =
+let share ?(copy = fun _ -> false) db =
   let relations = Hashtbl.create (Hashtbl.length db.relations) in
-  Hashtbl.iter (fun pred r -> Hashtbl.replace relations pred (Relation.copy r))
+  Hashtbl.iter
+    (fun pred r ->
+      Hashtbl.replace relations pred (if copy pred then Relation.copy r else r))
     db.relations;
   { relations; decls = Hashtbl.copy db.decls }
+
+let copy db = share ~copy:(fun _ -> true) db
+
+let share_relation db ~from pred =
+  if not (Hashtbl.mem db.relations pred) then
+    match Hashtbl.find_opt from.relations pred with
+    | Some r -> Hashtbl.replace db.relations pred r
+    | None -> ()
 
 let clear_pred db pred =
   match relation_opt db pred with None -> () | Some r -> Relation.clear r

@@ -38,4 +38,17 @@ val facts : t -> string -> Fact.t list
 val all_facts : t -> Fact.t list
 val predicates : t -> string list
 val copy : t -> t
+
+val share : ?copy:(string -> bool) -> t -> t
+(** A database over the same relations: each relation of the argument is
+    the very same object in the result (a change through either database
+    is seen by both), except those whose predicate satisfies [copy]
+    (default: none), which are copied.  Relations created later in either
+    database stay private to it; see {!share_relation}.  Declarations are
+    copied. *)
+
+val share_relation : t -> from:t -> string -> unit
+(** [share_relation db ~from pred] makes [from]'s relation for [pred] also
+    [db]'s, if [db] has none yet. *)
+
 val clear_pred : t -> string -> unit

@@ -14,7 +14,8 @@
 
    Plans are cached on the prepared program per (rule, bound pattern,
    database size class): the bound pattern is the semi-naive delta position
-   (or none), and the size class — the bit length of the database's total
+   (or none; DRed's rule variants in [Incremental] add keys of their own),
+   and the size class — the bit length of the database's total
    cardinality — retires a plan once the database has roughly doubled, so a
    plan computed against an empty bootstrap database is not reused against a
    populated one.  Cache traffic is counted in [Plan] and surfaced by the
@@ -98,31 +99,94 @@ let size_class n =
   let rec go b n = if n = 0 then b else go (b + 1) (n lsr 1) in
   go 0 n
 
-(* The cached plan for [pr] with the given delta position (bound pattern),
-   computed against [db]'s current statistics on first use.  Also reports
-   the cache outcome so the profiler can count hits and misses per rule. *)
-let plan_for db (pr : planned_rule) ~(delta : int option) :
+(* The cached plan of one body shape of [pr]: [variant] tells the shapes
+   apart (the semi-naive delta position, -1 for none; {!Incremental}'s
+   DRed variants add their own), and the size class of [db] retires a plan
+   once the database has roughly doubled.  Computed against [db]'s current
+   statistics on first use; the cache outcome is counted in [Plan] and
+   reported so the profiler can count hits and misses per rule. *)
+let cached_plan db (pr : planned_rule) ~variant ?first body :
     Plan.t option * [ `Hit | `Miss | `Unplanned ] =
   if not !Plan.use_planner then (None, `Unplanned)
   else begin
-    let dp = match delta with Some i -> i | None -> -1 in
-    let key = (dp, size_class (Database.total db)) in
+    let key = (variant, size_class (Database.total db)) in
     match List.assoc_opt key pr.plans with
     | Some p ->
         Plan.record_hit ();
         (Some p, `Hit)
     | None ->
-        let p = Plan.make ?first:delta db pr.rule.Rule.body in
+        let p = Plan.make ?first db body in
         pr.plans <- (key, p) :: pr.plans;
         Plan.record_miss ();
         (Some p, `Miss)
   end
 
+let plan_for db pr ~(delta : int option) =
+  cached_plan db pr
+    ~variant:(match delta with Some i -> i | None -> -1)
+    ?first:delta pr.rule.Rule.body
+
+let variant_plan db pr ~variant ~first body =
+  fst (cached_plan db pr ~variant ~first body)
+
+let planned t = t.planned
+let rule_of pr = pr.rule
+
+(* Iterate the tuples of [rel] that can unify with [args] under [s]. *)
+let scan_rel rel (args : Term.t array) s consider =
+  if !Plan.use_planner then begin
+    (* the most selective bound column: the smallest index bucket among
+       the arguments bound under [s]; an empty bucket proves there is no
+       match at all *)
+    let best = ref None in
+    let empty = ref false in
+    (try
+       Array.iteri
+         (fun j arg ->
+           match Subst.apply_term s arg with
+           | Term.Const key -> (
+               match Relation.lookup rel ~col:j ~key with
+               | Some [] ->
+                   empty := true;
+                   raise Exit
+               | Some bucket -> (
+                   match !best with
+                   | Some b when List.compare_lengths b bucket <= 0 -> ()
+                   | Some _ | None -> best := Some bucket)
+               | None -> ())
+           | Term.Var _ -> ())
+         args
+     with Exit -> ());
+    if not !empty then
+      match !best with
+      | Some bucket -> List.iter consider bucket
+      | None -> Relation.iter consider rel
+  end
+  else begin
+    (* planner off: the historical first-bound-column heuristic *)
+    let rec first_bound j =
+      if j >= Array.length args then None
+      else
+        match Subst.apply_term s args.(j) with
+        | Term.Const c -> Some (j, c)
+        | Term.Var _ -> first_bound (j + 1)
+    in
+    match first_bound 0 with
+    | Some (col, key) -> (
+        match Relation.lookup rel ~col ~key with
+        | Some tuples -> List.iter consider tuples
+        | None -> Relation.iter consider rel)
+    | None -> Relation.iter consider rel
+  end
+
 (* Enumerate substitutions satisfying [lits] against [db], extending [s].
    [scan i] may override the relation scanned by the [i]-th literal (used to
    restrict one literal to a delta); [plan] permutes the evaluation order —
-   [scan] indices always refer to the original body positions. *)
-let eval_lits db ?(scan = fun _ -> None) ?plan lits s k =
+   [scan] indices always refer to the original body positions.  With
+   [pre = (dplus, dminus)] the other literals see the pre-update view
+   [(db \ dplus) ∪ dminus] instead of [db]: scans skip [dplus] tuples and
+   also range over [dminus], negations test the view. *)
+let eval_lits db ?(scan = fun _ -> None) ?pre ?plan lits s k =
   let lits = Array.of_list lits in
   let n = Array.length lits in
   let order =
@@ -136,71 +200,47 @@ let eval_lits db ?(scan = fun _ -> None) ?plan lits s k =
       let i = if order == [||] then pos else order.(pos) in
       match lits.(i) with
       | Rule.Pos a -> (
-          let rel =
-            match scan i with
-            | Some r -> Some r
-            | None -> Database.relation_opt db a.Atom.pred
+          let args = a.Atom.args in
+          let consider tuple =
+            match Subst.unify_args args tuple s with
+            | None -> ()
+            | Some s -> go (pos + 1) s
           in
-          match rel with
-          | None -> ()
-          | Some rel ->
-              let consider tuple =
-                match Subst.unify_args a.Atom.args tuple s with
-                | None -> ()
-                | Some s -> go (pos + 1) s
-              in
-              if !Plan.use_planner then begin
-                (* the most selective bound column: the smallest index
-                   bucket among the arguments bound under [s]; an empty
-                   bucket proves there is no match at all *)
-                let best = ref None in
-                let empty = ref false in
-                (try
-                   Array.iteri
-                     (fun j arg ->
-                       match Subst.apply_term s arg with
-                       | Term.Const key -> (
-                           match Relation.lookup rel ~col:j ~key with
-                           | Some [] ->
-                               empty := true;
-                               raise Exit
-                           | Some bucket -> (
-                               match !best with
-                               | Some b when List.compare_lengths b bucket <= 0
-                                 ->
-                                   ()
-                               | Some _ | None -> best := Some bucket)
-                           | None -> ())
-                       | Term.Var _ -> ())
-                     a.Atom.args
-                 with Exit -> ());
-                if not !empty then
-                  match !best with
-                  | Some bucket -> List.iter consider bucket
-                  | None -> Relation.iter consider rel
-              end
-              else begin
-                (* planner off: the historical first-bound-column heuristic *)
-                let rec first_bound j =
-                  if j >= Array.length a.Atom.args then None
-                  else
-                    match Subst.apply_term s a.Atom.args.(j) with
-                    | Term.Const c -> Some (j, c)
-                    | Term.Var _ -> first_bound (j + 1)
-                in
-                match first_bound 0 with
-                | Some (col, key) -> (
-                    match Relation.lookup rel ~col ~key with
-                    | Some tuples -> List.iter consider tuples
-                    | None -> Relation.iter consider rel)
-                | None -> Relation.iter consider rel
-              end)
+          match scan i with
+          | Some rel -> scan_rel rel args s consider
+          | None -> (
+              let pred = a.Atom.pred in
+              match pre with
+              | None -> (
+                  match Database.relation_opt db pred with
+                  | Some rel -> scan_rel rel args s consider
+                  | None -> ())
+              | Some (dplus, dminus) -> (
+                  (match Database.relation_opt db pred with
+                  | None -> ()
+                  | Some rel -> (
+                      match Database.relation_opt dplus pred with
+                      | Some added when not (Relation.is_empty added) ->
+                          scan_rel rel args s (fun tuple ->
+                              if not (Relation.mem added tuple) then
+                                consider tuple)
+                      | Some _ | None -> scan_rel rel args s consider));
+                  match Database.relation_opt dminus pred with
+                  | Some removed -> scan_rel removed args s consider
+                  | None -> ())))
       | Rule.Neg a ->
           let f = Subst.ground_atom s a in
           if not (Fact.is_ground f) then
             invalid_arg
               (Fmt.str "eval: negated literal not ground: %a" Fact.pp f);
-          if not (Database.mem db f) then go (pos + 1) s
+          let present =
+            match pre with
+            | None -> Database.mem db f
+            | Some (dplus, dminus) ->
+                (Database.mem db f && not (Database.mem dplus f))
+                || Database.mem dminus f
+          in
+          if not present then go (pos + 1) s
       | Rule.Cmp (op, x, y) -> (
           match Subst.apply_term s x, Subst.apply_term s y with
           | Term.Const a, Term.Const b ->

@@ -14,6 +14,7 @@ val is_idb : prepared -> string -> bool
 val eval_lits :
   Database.t ->
   ?scan:(int -> Relation.t option) ->
+  ?pre:Database.t * Database.t ->
   ?plan:Plan.t ->
   Rule.literal list ->
   Subst.t ->
@@ -23,10 +24,39 @@ val eval_lits :
     evaluable order).  [scan i] overrides the relation scanned by the [i]-th
     literal, which is how semi-naive deltas are injected.  [plan] permutes
     the evaluation order; [scan] indices always refer to the original body
-    positions.  A plan whose length does not match the body is ignored. *)
+    positions.  A plan whose length does not match the body is ignored.
+
+    [pre = (dplus, dminus)] evaluates against the pre-update view
+    [(db \ dplus) ∪ dminus] of a database that an update has already
+    changed by the net delta [dplus]/[dminus], without copying it: scans
+    not overridden by [scan] skip the tuples in [dplus] and also range
+    over [dminus], and negated literals test membership in the view.  A
+    fact in both [dplus] and [dminus] is in the view.  The view is exact
+    when [dminus] holds only facts absent from [db] or also in [dplus]. *)
 
 type planned_rule
 (** A rule as the evaluator runs it, with its cached join plans. *)
+
+val planned : prepared -> planned_rule list array
+(** The prepared rules per stratum, aligned with
+    [Stratify.strata (stratification p)]. *)
+
+val rule_of : planned_rule -> Rule.t
+
+val variant_plan :
+  Database.t ->
+  planned_rule ->
+  variant:int ->
+  first:int ->
+  Rule.literal list ->
+  Plan.t option
+(** The cached join plan for one body shape of a prepared rule, with
+    literal [first] placed first ([None] when the planner is off).
+    [variant] keys the shape: a delta position [i >= 0] shares the plan
+    {!run}'s semi-naive rounds use for that position, so the body must be
+    the rule's own; other shapes take keys below [-1].  Like {!run}'s own
+    plans, an entry is keyed by the database's size class too, and each
+    lookup counts a hit or a miss in {!Plan}. *)
 
 val rule_label : planned_rule -> string
 (** The printed rule, rendered once and memoized; an ad-hoc query body

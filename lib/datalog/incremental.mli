@@ -1,30 +1,49 @@
-(** Incremental consistency checking: affected-constraint cone evaluation and
-    a maintained materialization updated by a stratified delete-and-rederive
-    (DRed) algorithm. *)
+(** Incremental consistency checking: a materialization maintained under
+    base-fact changes by a stratified delete-and-rederive (DRed) algorithm,
+    over a whole theory or only the rule cone of some constraints. *)
 
 type state
 
+val cone : Theory.t -> Constraint_compile.compiled list -> Rule.t list
+(** The rules of the theory that the given constraints' violation
+    predicates transitively need: their rule cone. *)
+
 val check_affected :
   Theory.t -> Database.t -> delta:Delta.t -> Checker.violation list
-(** Re-materialize from scratch, but only the rule cone of the constraints
-    that transitively depend on a predicate changed by [delta], and report
-    only their violations.  [delta] is assumed already applied to the
-    database. *)
+(** Materialize from scratch, over a copy of the base, only the {!cone} of
+    the constraints that transitively depend on a predicate changed by
+    [delta], and report only their violations: a copying {!init}
+    [~rules] plus {!violations} [~only].  [delta] is assumed already
+    applied to the database. *)
 
-val init : ?copy:bool -> Theory.t -> Database.t -> state
-(** Snapshot the extensional database and materialize it.  With [~copy:false]
-    the caller's database is maintained in place (every change must then go
-    through {!apply}).
+val init : ?copy:bool -> ?rules:Rule.t list -> Theory.t -> Database.t -> state
+(** Materialize the extensional database and keep it maintained.  [rules]
+    (default: every rule of the theory, {!Theory.all_rules}) is the
+    program maintained; a {!cone} keeps only what some constraints need,
+    and its plans are its own.  With [~copy:false] the caller's database
+    is maintained in place (every change must then go through {!apply});
+    by default it is copied once.
+
+    The materialization shares the base relations of that database: a
+    base fact is stored once, and {!materialized} sees every base change
+    {!apply} makes.
     @raise Invalid_argument if a declared base predicate is also derived. *)
 
 val apply : state -> Delta.t -> Delta.t
 (** Apply a base-fact delta and maintain the materialization (DRed).
     Returns the effective delta (facts actually inserted/removed), suitable
-    for {!Delta.invert}-based rollback. *)
+    for {!Delta.invert}-based rollback.
+
+    The deletion phase evaluates against the pre-update state without
+    copying it: a view of the updated materialization with the net
+    changes so far masked out (see {!Eval.eval_lits}'s [pre]).  The cost
+    follows the delta and what it derives, not the size of the base.
+    @raise Invalid_argument if [delta] changes a derived predicate. *)
 
 val violations :
   ?only:Constraint_compile.compiled list -> state -> Checker.violation list
-(** Current violations, read directly off the maintained materialization. *)
+(** Current violations, read directly off the maintained materialization.
+    For a {!cone}, [only] must name constraints of that cone. *)
 
 val edb : state -> Database.t
 val materialized : state -> Database.t

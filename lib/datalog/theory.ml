@@ -14,6 +14,9 @@ type t = {
   mutable constraints : Constraint_compile.compiled list;
   mutable prepared_cache : Eval.prepared option;
   mutable deps_cache : (string, string list) Hashtbl.t option;
+  mutable constraint_deps :
+    (Constraint_compile.compiled * string list) list option;
+      (* every constraint with its base deps, for [affected_constraints] *)
   mutable revision : int;  (* bumped on every definition change *)
 }
 
@@ -26,12 +29,14 @@ let create () =
     constraints = [];
     prepared_cache = None;
     deps_cache = None;
+    constraint_deps = None;
     revision = 0;
   }
 
 let invalidate t =
   t.prepared_cache <- None;
   t.deps_cache <- None;
+  t.constraint_deps <- None;
   t.revision <- t.revision + 1
 
 let revision t = t.revision
@@ -135,9 +140,20 @@ let constraint_base_deps t (c : Constraint_compile.compiled) : string list =
          match Hashtbl.find_opt tbl p with Some ds -> ds | None -> [ p ])
   |> List.sort_uniq String.compare
 
+(* Computed once per revision: every EES asks, the theory rarely moves. *)
+let constraint_deps t =
+  match t.constraint_deps with
+  | Some cds -> cds
+  | None ->
+      let cds =
+        List.map (fun c -> (c, constraint_base_deps t c)) t.constraints
+      in
+      t.constraint_deps <- Some cds;
+      cds
+
 let affected_constraints t ~changed_preds =
-  List.filter
-    (fun c ->
-      let deps = constraint_base_deps t c in
-      List.exists (fun p -> List.mem p deps) changed_preds)
-    t.constraints
+  List.filter_map
+    (fun (c, deps) ->
+      if List.exists (fun p -> List.mem p deps) changed_preds then Some c
+      else None)
+    (constraint_deps t)

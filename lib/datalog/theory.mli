@@ -50,4 +50,5 @@ val constraint_base_deps : t -> Constraint_compile.compiled -> string list
 
 val affected_constraints :
   t -> changed_preds:string list -> Constraint_compile.compiled list
-(** Constraints whose truth can depend on the given base predicates. *)
+(** Constraints whose truth can depend on the given base predicates.  Each
+    constraint's base dependencies are computed once per {!revision}. *)

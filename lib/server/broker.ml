@@ -547,7 +547,9 @@ let do_ees t ~client =
           match
             Obs.Trace.with_span "session.check"
               ~kvs:[ ("mode", Manager.check_mode_name t.manager) ]
-              (fun () -> count_plan_traffic t (fun () -> Manager.end_session t.manager))
+              (fun () ->
+                count_plan_traffic t (fun () ->
+                    Manager.end_session ~delta t.manager))
           with
           | Manager.Consistent -> (
               with_lock t (fun () -> release_slot_locked t);

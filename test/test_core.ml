@@ -531,6 +531,260 @@ let prop_maintained_equals_full =
       in
       run Manager.Full = run Manager.Maintained)
 
+(* Property: mixed deltas over recursive strata.  Each proposal is one
+   delta that deletes existing subtype edges and attributes of the car
+   schema — so facts that join are deleted together — and inserts new
+   ones in the same apply, re-inserting some of what it deletes: present
+   before and after, yet in both halves of the delta, the case the DRed
+   pre-update view must see as present.  The maintained verdict and the
+   whole maintained materialization match the Full mode's. *)
+let prop_maintained_mixed_deltas =
+  let types = [ "Person"; "Location"; "City"; "Car" ] in
+  let add_gen =
+    QCheck.Gen.(
+      oneof
+        [
+          map2 (fun a b -> `Sub (a, b)) (oneofl types) (oneofl types);
+          map2 (fun a n -> `Attr (a, n)) (oneofl types) (oneofl [ "z1"; "z2" ]);
+        ])
+  in
+  let delta_gen =
+    QCheck.Gen.(
+      triple
+        (list_size (int_range 0 3) nat)
+        (list_size (int_range 0 3) add_gen)
+        (int_bound 3))
+  in
+  QCheck.Test.make ~count:40
+    ~name:"Maintained mode = Full mode, mixed deltas over recursive strata"
+    QCheck.(make Gen.(list_size (int_range 1 4) delta_gen))
+    (fun proposals ->
+      let run mode =
+        let m = manager_with_cars_mode mode in
+        let add = function
+          | `Sub (a, b) ->
+              Gom.Preds.subtyprel_fact ~sub:(tid_of m a) ~super:(tid_of m b)
+          | `Attr (a, n) ->
+              Gom.Preds.attr_fact ~tid:(tid_of m a) ~name:n ~domain:"tid_int"
+        in
+        Manager.begin_session m;
+        List.iter
+          (fun (dels, adds, readd) ->
+            let db = Manager.database m in
+            let tids = List.map (fun n -> Datalog.Term.symc (tid_of m n)) types in
+            let existing =
+              Datalog.Database.facts db "SubTypRel"
+              @ Datalog.Database.facts db "Attr"
+              |> List.filter (fun (f : Datalog.Fact.t) ->
+                     List.mem f.Datalog.Fact.args.(0) tids)
+              |> List.sort Datalog.Fact.compare |> Array.of_list
+            in
+            let dels =
+              List.map (fun i -> existing.(i mod Array.length existing)) dels
+            in
+            (* the first [readd] deletions are also re-inserted *)
+            let readd = List.filteri (fun i _ -> i < readd) dels in
+            Manager.propose m
+              (Datalog.Delta.of_lists
+                 ~additions:(List.map add adds @ readd)
+                 ~deletions:dels))
+          proposals;
+        let verdict =
+          match Manager.end_session m with
+          | Manager.Consistent -> []
+          | Manager.Inconsistent rs ->
+              List.map (fun r -> r.Manager.description) rs
+              |> List.sort_uniq compare
+        in
+        let mat = Manager.materialized m in
+        let derived =
+          List.concat_map
+            (fun p -> Datalog.Database.facts mat p)
+            (Datalog.Database.predicates mat)
+          |> List.sort_uniq Datalog.Fact.compare
+        in
+        (verdict, derived)
+      in
+      run Manager.Full = run Manager.Maintained)
+
+(* Property: the retained cone.  Random session sequences run in Affected
+   mode; at every EES the check — from scratch, building the retained
+   cone, or reading a retained one — must equal the Full check and a
+   from-scratch evaluation of the cone. *)
+type cone_step =
+  | Toggle of int  (* add attribute [a<k>] to Plain, or delete it *)
+  | Chain of int  (* add a chain of types below Plain *)
+  | Bad of [ `Rollback | `Fix | `Repair ]
+      (* an attribute Car's instances lack: rejected, then undone *)
+  | Rolled_back  (* a session undone without EES *)
+  | Disconnected  (* a session its client abandons: the broker rolls back *)
+  | New_constraint  (* between sessions: bumps the theory revision *)
+
+let cone_step_to_string = function
+  | Toggle k -> Printf.sprintf "toggle %d" k
+  | Chain n -> Printf.sprintf "chain %d" n
+  | Bad `Rollback -> "bad/rollback"
+  | Bad `Fix -> "bad/fix"
+  | Bad `Repair -> "bad/repair"
+  | Rolled_back -> "rolled back"
+  | Disconnected -> "disconnected"
+  | New_constraint -> "new constraint"
+
+let prop_retained_cone_equals_full =
+  let step_gen =
+    QCheck.Gen.(
+      frequency
+        [
+          (5, map (fun k -> Toggle k) (int_bound 2));
+          (2, map (fun n -> Chain n) (int_range 1 3));
+          (2, map (fun o -> Bad o) (oneofl [ `Rollback; `Fix; `Repair ]));
+          (1, return Rolled_back);
+          (1, return Disconnected);
+          (1, return New_constraint);
+        ])
+  in
+  QCheck.Test.make ~count:30 ~long_factor:10
+    ~name:"retained-cone Affected check = Full check = from-scratch cone"
+    QCheck.(
+      make
+        ~print:(fun steps -> String.concat "; " (List.map cone_step_to_string steps))
+        Gen.(list_size (int_range 2 14) step_gen))
+    (fun steps ->
+      let m = manager_with_cars () in
+      let _ = make_car m in
+      Manager.begin_session m;
+      Manager.run_commands m "add type Plain to CarSchema;";
+      ignore (Manager.end_session m);
+      let broker =
+        Server.Broker.create ~metrics:(Server.Metrics.create ()) m
+      in
+      let attrs = Hashtbl.create 4 in
+      let norm vs =
+        List.map
+          (fun (v : Datalog.Checker.violation) ->
+            (v.Datalog.Checker.constraint_name, v.Datalog.Checker.witness))
+          vs
+        |> List.sort_uniq compare
+      in
+      (* one EES, checked against both references first *)
+      let ees () =
+        let theory = Manager.theory m and db = Manager.database m in
+        let delta = Manager.session_delta m in
+        let affected =
+          Datalog.Theory.affected_constraints theory
+            ~changed_preds:(Datalog.Delta.changed_preds delta)
+          |> List.map (fun c -> c.Datalog.Constraint_compile.name)
+        in
+        let full = norm (Datalog.Checker.check theory db) in
+        let scratch = norm (Datalog.Incremental.check_affected theory db ~delta) in
+        let outcome = Manager.end_session m in
+        let got =
+          match outcome with
+          | Manager.Consistent -> []
+          | Manager.Inconsistent rs ->
+              norm (List.map (fun r -> r.Manager.violation) rs)
+        in
+        if got <> scratch then QCheck.Test.fail_report "cone <> from-scratch cone";
+        if got <> full then
+          QCheck.Test.fail_reportf "cone <> Full (affected: %s)"
+            (String.concat "," affected);
+        outcome
+      in
+      let toggle k =
+        let name = Printf.sprintf "a%d" k in
+        if Hashtbl.mem attrs name then begin
+          Hashtbl.remove attrs name;
+          Printf.sprintf "delete attribute %s from Plain@CarSchema;" name
+        end
+        else begin
+          Hashtbl.replace attrs name ();
+          Printf.sprintf "add attribute %s : int to Plain@CarSchema;" name
+        end
+      in
+      List.iteri
+        (fun i step ->
+          match step with
+          | Toggle k ->
+              Manager.begin_session m;
+              Manager.run_commands m (toggle k);
+              if ees () <> Manager.Consistent then
+                QCheck.Test.fail_report "toggle rejected"
+          | Chain n ->
+              Manager.begin_session m;
+              for j = 1 to n do
+                let super =
+                  if j = 1 then "Plain" else Printf.sprintf "X%d_%d" i (j - 1)
+                in
+                Manager.run_commands m
+                  (Printf.sprintf
+                     "add type X%d_%d to CarSchema supertype %s@CarSchema;" i
+                     j super)
+              done;
+              if ees () <> Manager.Consistent then
+                QCheck.Test.fail_report "chain rejected"
+          | Bad outcome -> (
+              Manager.begin_session m;
+              let attr = Printf.sprintf "fuel%d" i in
+              Manager.run_commands m
+                (Printf.sprintf "add attribute %s : string to Car@CarSchema;"
+                   attr);
+              match ees () with
+              | Manager.Consistent -> QCheck.Test.fail_report "bad accepted"
+              | Manager.Inconsistent (r :: _) -> (
+                  match outcome with
+                  | `Rollback -> Manager.rollback m
+                  | `Fix ->
+                      Manager.run_commands m
+                        (Printf.sprintf "delete attribute %s from Car@CarSchema;"
+                           attr);
+                      if ees () <> Manager.Consistent then
+                        QCheck.Test.fail_report "fix rejected"
+                  | `Repair ->
+                      let slot =
+                        List.find
+                          (fun (rep, _) ->
+                            match rep with
+                            | [ Datalog.Repair.Add f ] ->
+                                f.Datalog.Fact.pred = "Slot"
+                            | _ -> false)
+                          (Manager.repairs_for m r.Manager.violation)
+                      in
+                      Manager.execute_repair m (fst slot);
+                      if ees () <> Manager.Consistent then
+                        QCheck.Test.fail_report "repair rejected")
+              | Manager.Inconsistent [] -> assert false)
+          | Rolled_back ->
+              Manager.begin_session m;
+              Manager.run_commands m (toggle 0);
+              Manager.rollback m;
+              (* the rollback undid the toggle *)
+              ignore (toggle 0)
+          | Disconnected ->
+              let client = 1000 + i in
+              let ok req =
+                match (Server.Broker.handle broker ~client req).status with
+                | Server.Protocol.Ok -> ()
+                | Server.Protocol.Err e -> QCheck.Test.fail_report e
+              in
+              ok Server.Protocol.Bes;
+              ok (Server.Protocol.Script_line (toggle 1));
+              Server.Broker.disconnect broker ~client;
+              ignore (toggle 1)
+          | New_constraint ->
+              Datalog.Theory.add_constraint (Manager.theory m)
+                ~name:(Printf.sprintf "user$Unnamed%d" i)
+                Datalog.Formula.(
+                  forall [ "T"; "S" ]
+                    (atom "Type"
+                       [
+                         Datalog.Term.var "T";
+                         Datalog.Term.sym "NoSuchType";
+                         Datalog.Term.var "S";
+                       ]
+                    ==> Datalog.Formula.False)))
+        steps;
+      true)
+
 let qcheck = QCheck_alcotest.to_alcotest
 
 (* ------------------------------------------------------------------ *)
@@ -817,7 +1071,10 @@ let suite =
         Alcotest.test_case "theory change rebuilds state" `Quick
           test_maintained_survives_theory_change;
         qcheck prop_maintained_equals_full;
+        qcheck prop_maintained_mixed_deltas;
       ] );
+    ( "core.cone",
+      [ qcheck prop_retained_cone_equals_full ] );
   ]
 
 let () = Alcotest.run "core" suite

@@ -747,6 +747,74 @@ let prop_incremental_negation =
           && List.for_all (Database.mem inc) (Database.facts scratch pred))
         [ "t"; "reach"; "orphan"; "viol$all_reachable" ])
 
+(* Mixed deltas over recursive strata: one apply deletes and inserts
+   edges, re-inserting some of what it deletes (a fact in both halves of
+   the delta: present before and after).  [s], a stratum above the
+   recursive [t], joins [t] with base edges, so one deletion can remove two
+   facts a derivation joins — the pre-update view must still see both —
+   and [u] tests a re-inserted edge under negation. *)
+let mixed_theory () =
+  theory_with
+    ~preds:[ "e", [ "x"; "y" ] ]
+    ~rules:
+      (tc_rules
+      @ [
+          Rule.make
+            (atom "s" [ v "X"; v "Z" ])
+            [
+              Rule.Pos (atom "t" [ v "X"; v "Y" ]);
+              Rule.Pos (atom "e" [ v "Y"; v "Z" ]);
+              Rule.Neg (atom "t" [ v "Z"; v "X" ]);
+            ];
+          Rule.make
+            (atom "u" [ v "X" ])
+            [ Rule.Pos (atom "s" [ v "X"; v "Y" ]); Rule.Neg (atom "e" [ v "Y"; v "X" ]) ];
+        ])
+    ~constraints:
+      [ "no_u", Formula.(forall [ "X" ] (neg (atom "u" [ v "X" ]))) ]
+
+let prop_incremental_mixed =
+  let edges = QCheck.(small_list (pair (int_bound 4) (int_bound 4))) in
+  let picks = QCheck.(small_list small_nat) in
+  QCheck.Test.make ~count:200 ~name:"incremental DRed, mixed deltas over strata"
+    QCheck.(
+      pair edges
+        (list_of_size Gen.(int_range 1 3) (triple edges picks (int_bound 3))))
+    (fun (initial, deltas) ->
+      let t = mixed_theory () in
+      let edge (x, y) = fact "e" [ string_of_int x; string_of_int y ] in
+      let db = Theory.fresh_database t in
+      List.iter (fun e -> ignore (Database.add db (edge e))) initial;
+      let state = Incremental.init t db in
+      List.for_all
+        (fun (adds, picks, readd) ->
+          (* deletions pick existing edges, so joined facts go together *)
+          let existing =
+            Array.of_list
+              (List.sort Fact.compare (Database.facts (Incremental.edb state) "e"))
+          in
+          let dels =
+            if existing = [||] then []
+            else
+              List.map (fun i -> existing.(i mod Array.length existing)) picks
+          in
+          (* the first [readd] deletions are inserted again *)
+          let readd = List.filteri (fun i _ -> i < readd) dels in
+          let _ =
+            Incremental.apply state
+              (Delta.of_lists
+                 ~additions:(List.map edge adds @ readd)
+                 ~deletions:dels)
+          in
+          let scratch = Checker.materialize t (Incremental.edb state) in
+          let inc = Incremental.materialized state in
+          List.for_all
+            (fun pred ->
+              Database.count scratch pred = Database.count inc pred
+              && List.for_all (Database.mem inc) (Database.facts scratch pred))
+            [ "e"; "t"; "s"; "u"; "viol$no_u" ])
+        deltas)
+
 (* ------------------------------------------------------------------ *)
 (* Derivation and repair                                                *)
 (* ------------------------------------------------------------------ *)
@@ -1158,6 +1226,7 @@ let suite =
         Alcotest.test_case "affected = full" `Quick test_check_affected_matches_full;
         qcheck prop_incremental_equals_scratch;
         qcheck prop_incremental_negation;
+        qcheck prop_incremental_mixed;
       ] );
     ( "datalog.semantics",
       [ qcheck prop_compiler_matches_reference ] );

@@ -257,6 +257,34 @@ let test_snapshot_shared_by_reads () =
   Alcotest.(check (list string)) "check answer" (fresh_check_body m)
     resp.Protocol.body
 
+(* Affected mode retains a constraint cone once two consecutive EES need
+   the same one: the first and second such EES evaluate rules (from
+   scratch, then in place), the third reads the maintained cone and
+   evaluates none.  An EES needing another cone evaluates again. *)
+let test_retained_cone_evaluates_nothing () =
+  let b = zoo_broker () in
+  let ees_rows line =
+    expect_ok "bes" (Broker.handle b ~client:1 Protocol.Bes);
+    expect_ok "script" (Broker.handle b ~client:1 (Protocol.Script_line line));
+    let events = ref [] in
+    Obs.Profile.with_scope ~collect:events (fun () ->
+        expect_ok "ees" (Broker.handle b ~client:1 Protocol.Ees));
+    List.length
+      (List.filter (fun e -> e.Obs.Profile.ev_stratum >= 0) !events)
+  in
+  let add = "add attribute tail : int to Animal@Zoo;"
+  and del = "delete attribute tail from Animal@Zoo;" in
+  check_bool "first: from scratch" true (ees_rows add > 0);
+  check_bool "second: built in place" true (ees_rows del > 0);
+  check_int "third: read off the retained cone" 0 (ees_rows add);
+  check_int "fourth: still retained" 0 (ees_rows del);
+  check_bool "another cone evaluates" true
+    (ees_rows "add type Keeper to Zoo;" > 0);
+  let m = Broker.manager b in
+  Alcotest.(check (list string))
+    "verdicts still match a fresh check" (fresh_check_body m)
+    (Broker.handle b ~client:2 Protocol.Check).Protocol.body
+
 (* After every kind of manager mutation the next read rebuilds, and
    answers what a fresh materialization answers. *)
 let test_snapshot_rebuilt_after_every_mutation () =
@@ -869,6 +897,11 @@ let suite =
           test_snapshot_rebuilt_after_every_mutation;
         Alcotest.test_case "answers match fresh materialization" `Quick
           test_snapshot_answers_match_fresh;
+      ] );
+    ( "server.cone",
+      [
+        Alcotest.test_case "a retained cone evaluates nothing" `Quick
+          test_retained_cone_evaluates_nothing;
       ] );
     ( "server.journal",
       [
