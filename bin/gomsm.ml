@@ -306,7 +306,7 @@ let repl () =
         | s when String.length s > 6 && String.sub s 0 6 = ".open " ->
             let path = String.trim (String.sub s 6 (String.length s - 6)) in
             (try
-               m := Persist.load ~path ();
+               m := Persist.load ~path;
                pending := [];
                Printf.printf "opened %s\n" path
              with

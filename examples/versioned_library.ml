@@ -118,7 +118,7 @@ end fashion;
      let n = in_channel_length ic in
      close_in ic;
      n);
-  let m2 = Persist.load ~path () in
+  let m2 = Persist.load ~path in
   Sys.remove path;
   let rt2 = Manager.runtime m2 in
   let restored =

@@ -14,15 +14,6 @@ module Ast = Analyzer.Ast
 module Object_store = Runtime.Object_store
 module Value = Runtime.Value
 
-type check_mode =
-  | Full  (** re-materialize and evaluate every constraint at EES *)
-  | Affected
-      (** evaluate only the rule cone of affected constraints; a cone that
-          two consecutive checks need is kept DRed-maintained *)
-  | Maintained
-      (** keep a DRed-maintained materialization in step with every modify;
-          EES reads the violation relations directly *)
-
 type report = {
   violation : Checker.violation;
   description : string;
@@ -49,18 +40,24 @@ type t = {
   code : (string, string list * Ast.stmt) Hashtbl.t;
   mutable runtime : Runtime.t option;  (* backpatched at creation *)
   mutable session : session option;
-  mutable check_mode : check_mode;
-  mutable maintained : (int * Incremental.state) option;
-      (* DRed state + the theory revision it was built against *)
-  mutable cone : (cone_key * Incremental.state) option;
-      (* [Affected]: the retained DRed-maintained cone and its key *)
+  mutable derived : derived option;
+      (* the one DRed-maintained derived state, shaped by what was read *)
   mutable last_key : cone_key option;
-      (* [Affected]: the key the previous session check needed *)
+      (* the key the previous session check needed *)
+  mutable read : bool;
+      (* derived state was read since the previous session check *)
 }
 
-(* What a session check in [Affected] mode evaluates: the theory revision
-   and the sorted names of the affected constraints. *)
+(* What a session check evaluates: the theory revision and the sorted
+   names of the affected constraints. *)
 and cone_key = int * string list
+
+(* [Cone]: the rules a repeated session check needs.  [Whole]: the whole
+   program, built by a read of derived state and kept while reads keep
+   coming; the int is the theory revision it was built against. *)
+and derived =
+  | Cone of cone_key * Incremental.state
+  | Whole of int * Incremental.state
 
 (* ------------------------------------------------------------------ *)
 (* Construction                                                        *)
@@ -80,29 +77,33 @@ let runtime t =
   | Some rt -> rt
   | None -> invalid_arg "Manager: runtime not initialized"
 
-(* The DRed-maintained materialization over [t.edb]; (re)built when the
-   theory changed since it was last constructed. *)
-let maintained_state t : Incremental.state =
+(* The derived state, unless the theory changed since it was built: a
+   revision bump drops either shape. *)
+let live t =
   let rev = Theory.revision t.theory in
-  match t.maintained with
-  | Some (r, state) when r = rev -> state
-  | Some _ | None ->
+  match t.derived with
+  | Some (Cone ((r, _), _) | Whole (r, _)) when r <> rev ->
+      t.derived <- None;
+      None
+  | d -> d
+
+(* The whole program maintained in place over [t.edb]; building it drops
+   a retained cone, which it subsumes. *)
+let whole t : Incremental.state =
+  t.read <- true;
+  match live t with
+  | Some (Whole (_, state)) -> state
+  | Some (Cone _) | None ->
       let state = Incremental.init ~copy:false t.theory t.edb in
-      t.maintained <- Some (rev, state);
+      t.derived <- Some (Whole (Theory.revision t.theory, state));
       state
 
-(* Apply a base-fact delta, keeping the maintained materialization (if the
-   mode uses one) or the retained cone in step.  A cone built against an
-   older theory is dropped instead. *)
+(* Apply a base-fact delta, keeping whichever derived state is live in
+   step. *)
 let apply_delta t (delta : Delta.t) : Delta.t =
-  match t.check_mode, t.cone with
-  | Maintained, _ -> Incremental.apply (maintained_state t) delta
-  | (Full | Affected), Some ((rev, _), cone)
-    when rev = Theory.revision t.theory ->
-      Incremental.apply cone delta
-  | (Full | Affected), (Some _ | None) ->
-      t.cone <- None;
-      Delta.apply t.edb delta
+  match live t with
+  | Some (Cone (_, state) | Whole (_, state)) -> Incremental.apply state delta
+  | None -> Delta.apply t.edb delta
 
 let modify t (delta : Delta.t) : Delta.t =
   match t.session with
@@ -123,7 +124,7 @@ let runtime_modify t (delta : Delta.t) : unit =
   | None -> ignore (apply_delta t delta)
 
 let create ?(versioning = true) ?(fashion = true) ?(subschemas = true)
-    ?(sorts = true) ?(check_mode = Affected) () : t =
+    ?(sorts = true) () : t =
   let theory = Theory.create () in
   Model.install_core theory;
   let t =
@@ -134,10 +135,9 @@ let create ?(versioning = true) ?(fashion = true) ?(subschemas = true)
       code = Hashtbl.create 64;
       runtime = None;
       session = None;
-      check_mode;
-      maintained = None;
-      cone = None;
+      derived = None;
       last_key = None;
+      read = false;
     }
   in
   install_extensions t ~versioning ~fashion ~subschemas ~sorts;
@@ -161,20 +161,6 @@ let database t = t.edb
 let theory t = t.theory
 let ids t = t.ids
 let lookup_code t cid = Hashtbl.find_opt t.code cid
-let check_mode t = t.check_mode
-
-let check_mode_name t =
-  match t.check_mode with
-  | Full -> "full"
-  | Affected -> "cone"
-  | Maintained -> "dred"
-
-let set_check_mode t mode =
-  t.check_mode <- mode;
-  t.cone <- None;
-  t.last_key <- None;
-  match mode with Maintained -> () | Full | Affected -> t.maintained <- None
-
 let in_session t = t.session <> None
 
 (* ------------------------------------------------------------------ *)
@@ -308,21 +294,24 @@ let describe_violation (v : Checker.violation) : string =
   in
   Printf.sprintf "constraint %s violated [%s]" v.Checker.constraint_name witness
 
-(* The derived database the current base facts imply.  [Maintained] hands
-   out the DRed-maintained database itself, not a copy; the other modes
-   materialize a fresh copy of the base. *)
-let materialized t : Database.t =
-  match t.check_mode with
-  | Maintained -> Incremental.materialized (maintained_state t)
-  | Full | Affected -> Checker.materialize t.theory t.edb
+(* The derived database the current base facts imply: the whole program's
+   maintained state itself, not a copy. *)
+let materialized t : Database.t = Incremental.materialized (whole t)
 
-(* The session check in [Affected] mode.  The first time a key is needed
-   the cone is evaluated from scratch over a copy of the base and nothing
-   is kept.  When the next check needs the same key, the cone is evaluated
-   in place over the base and kept: from then on every delta maintains it
-   ({!apply_delta}) and a check with that key evaluates nothing.  Needing
-   another key drops it. *)
+(* The session check reads only the affected constraints.  Off the whole
+   state while reads keep it: one that nothing has read since the previous
+   session check is dropped here, so a manager that mostly commits stops
+   maintaining the whole program.  Otherwise the first time a key is
+   needed the cone is evaluated from scratch over a copy of the base and
+   nothing is kept.  When the next check needs the same key, the cone is
+   evaluated in place over the base and kept: from then on every delta
+   maintains it ({!apply_delta}) and a check with that key evaluates
+   nothing.  Needing another key drops it. *)
 let cone_violations t delta =
+  (match t.derived with
+  | Some (Whole _) when not t.read -> t.derived <- None
+  | _ -> ());
+  t.read <- false;
   match
     Theory.affected_constraints t.theory
       ~changed_preds:(Delta.changed_preds delta)
@@ -336,32 +325,29 @@ let cone_violations t delta =
       in
       let previous = t.last_key in
       t.last_key <- Some key;
-      match t.cone with
-      | Some (k, cone) when k = key -> Incremental.violations ~only:affected cone
-      | Some _ | None ->
-          t.cone <- None;
+      match live t with
+      | Some (Whole (_, state)) -> Incremental.violations ~only:affected state
+      | Some (Cone (k, cone)) when k = key ->
+          Incremental.violations ~only:affected cone
+      | Some (Cone _) | None ->
+          t.derived <- None;
           if previous = Some key then begin
             let cone =
               Incremental.init ~copy:false
                 ~rules:(Incremental.cone t.theory affected) t.theory t.edb
             in
-            t.cone <- Some (key, cone);
+            t.derived <- Some (Cone (key, cone));
             Incremental.violations ~only:affected cone
           end
           else Incremental.check_affected t.theory t.edb ~delta)
 
-let check_now ?materialized:db ?delta t : report list =
+let check_now ?delta t : report list =
   let violations =
-    match t.check_mode, t.session with
-    | Maintained, _ -> Incremental.violations (maintained_state t)
-    | Affected, Some _ ->
+    match t.session with
+    | Some _ ->
         cone_violations t
           (match delta with Some d -> d | None -> session_delta t)
-    | Affected, None | Full, _ ->
-        let db =
-          match db with Some db -> Lazy.force db | None -> materialized t
-        in
-        Checker.violations_of t.theory db
+    | None -> Incremental.violations (whole t)
   in
   List.map
     (fun v -> { violation = v; description = describe_violation v })
@@ -525,8 +511,8 @@ let end_session_with t
   loop 64
 
 (* Answer a deductive query (textual or pre-parsed literals) against the
-   given materialization of the current state, or a fresh one; each answer
-   is the witness bindings. *)
+   given materialization of the current state, or the maintained one;
+   each answer is the witness bindings. *)
 let query ?materialized:db t (lits : Rule.literal list) :
     (string * Term.const) list list =
   let db = match db with Some db -> db | None -> materialized t in

@@ -13,24 +13,6 @@ module Ast = Analyzer.Ast
 module Object_store = Runtime.Object_store
 module Value = Runtime.Value
 
-(** How EES (and {!check_now}) evaluates consistency. *)
-type check_mode =
-  | Full  (** re-materialize and evaluate every constraint *)
-  | Affected
-      (** evaluate only the rule cone of the affected constraints: those
-          whose base predicates the session changed.  The cone is keyed by
-          the theory revision and the affected constraint names.  A key
-          seen for the first time is evaluated from scratch over a copy of
-          the base, leaving nothing behind; when the next session check
-          needs the same key, the cone is evaluated in place and retained,
-          and every later change (modify, runtime modify, rollback)
-          maintains it by DRed, so a check with that key evaluates
-          nothing.  A check with another key, a theory change or
-          {!set_check_mode} drops it. *)
-  | Maintained
-      (** keep a DRed-maintained materialization in step with every modify;
-          checking reads the violation relations directly *)
-
 type report = {
   violation : Datalog.Checker.violation;
   description : string;  (** human-readable, with witness bindings *)
@@ -54,12 +36,29 @@ val create :
   ?fashion:bool ->
   ?subschemas:bool ->
   ?sorts:bool ->
-  ?check_mode:check_mode ->
   unit ->
   t
 (** A schema manager over a fresh schema base (built-in sorts seeded).  The
     optional flags select which section 4.1 / appendix A extensions are
-    installed; all default to [true].  [check_mode] defaults to [Affected]. *)
+    installed; all default to [true].
+
+    The manager keeps at most one derived (IDB) state, maintained in place
+    by DRed under every base change (modify, runtime modify, rollback),
+    and its shape follows what has been read:
+    - once anything reads derived state ({!materialized}, {!query}
+      without [materialized], {!check_now} outside a session,
+      {!repairs_for}), the whole program is kept maintained, for as
+      long as reads keep coming: a session check that finds it unread
+      since the previous session check drops it;
+    - otherwise, at most the rule cone of the affected constraints is
+      kept: those whose base predicates a session changed, keyed by the
+      theory revision and their names.  A key seen for the first time is
+      evaluated from scratch over a copy of the base, leaving nothing
+      behind; when the next session check needs the same key, the cone is
+      evaluated in place and retained, so a check with that key evaluates
+      nothing.  A check with another key drops it.
+    A theory change drops either shape.  Verdicts do not depend on which
+    shape is live. *)
 
 val database : t -> Datalog.Database.t
 (** The live extensional database (Schema Base + Object Base Model).  Treat
@@ -74,12 +73,6 @@ val runtime : t -> Runtime.t
 
 val ids : t -> Gom.Ids.gen
 val lookup_code : t -> string -> (string list * Ast.stmt) option
-val check_mode : t -> check_mode
-val check_mode_name : t -> string
-(** The active mode as the short name used in trace spans and stats:
-    ["full"], ["cone"] or ["dred"]. *)
-
-val set_check_mode : t -> check_mode -> unit
 val in_session : t -> bool
 
 (** {2 Evolution sessions} *)
@@ -134,27 +127,17 @@ val rollback : t -> unit
 (** {2 Checking and repairs} *)
 
 val materialized : t -> Datalog.Database.t
-(** The derived (IDB) state the current base facts imply: every
-    intensional predicate, the violation predicates included, computed
-    over the base.  In [Maintained] mode this is the DRed-maintained
-    database itself, not a copy, so it moves with every later change and
-    must be treated as read-only.  In [Full] and [Affected] mode it is a
-    fresh materialization over a copy of the base, valid until the next
-    change: a caller that knows the state has not moved since (the
-    server's broker, keyed by its state version) may answer any number of
-    {!query} and {!check_now} calls from one such value. *)
+(** The derived (IDB) state the current base facts imply, the violation
+    predicates included: the whole program's maintained state itself, not
+    a copy, so it moves with every later change and must be treated as
+    read-only.  Reading it keeps the whole program maintained until a
+    session check finds it unread since the previous one. *)
 
-val check_now :
-  ?materialized:Datalog.Database.t Lazy.t ->
-  ?delta:Datalog.Delta.t ->
-  t ->
-  report list
-(** Check without ending the session.  In [Full] mode, and in [Affected]
-    mode with no session open, violations are read off [materialized]
-    (forced only then; default: a fresh {!materialized}).  The other
-    paths — the affected cone of an open session, the maintained
-    violation relations — ignore it.  [delta], as for {!end_session},
-    is the open session's {!session_delta} if the caller has it. *)
+val check_now : ?delta:Datalog.Delta.t -> t -> report list
+(** Check without ending the session.  Inside a session only the
+    constraints the session affects are read; outside one, every
+    violation of {!materialized}.  [delta], as for {!end_session}, is the
+    open session's {!session_delta} if the caller has it. *)
 
 val repairs_for : t -> Datalog.Checker.violation -> (Datalog.Repair.t * string list) list
 (** Generated repairs for a violation, each with its Analyzer/Runtime
@@ -173,11 +156,11 @@ val query :
   t ->
   Datalog.Rule.literal list ->
   (string * Datalog.Term.const) list list
-(** Answer a deductive query against [materialized] — which must be a
-    {!materialized} of the current state — or, by default, against a
-    fresh {!materialized}; each answer is its witness bindings.  Lazily
-    built relation indexes persist on [materialized], so concurrent
-    queries on one value must be serialized by the caller.
+(** Answer a deductive query against [materialized] — a materialization
+    of the current state, such as {!Datalog.Checker.materialize}'s — or,
+    by default, against {!materialized}; each answer is its witness
+    bindings.  Lazily built relation indexes persist on the database, so
+    concurrent queries must be serialized by the caller.
     @raise Datalog.Rule.Unsafe if the query cannot be ordered. *)
 
 val query_text :

@@ -272,9 +272,8 @@ let save (m : Manager.t) ~(path : string) : unit =
 (* Load                                                                *)
 (* ------------------------------------------------------------------ *)
 
-let load_from_string ?versioning ?fashion ?subschemas ?sorts ?check_mode
-    (text : string) : Manager.t =
-  let m = Manager.create ?versioning ?fashion ?subschemas ?sorts ?check_mode () in
+let load_from_string (text : string) : Manager.t =
+  let m = Manager.create () in
   let rt = Manager.runtime m in
   let facts = ref [] in
   let codes = ref [] in
@@ -364,10 +363,9 @@ let load_from_string ?versioning ?fashion ?subschemas ?sorts ?check_mode
   List.iter (fun (name, v) -> Runtime.set_global rt name v) !globals;
   m
 
-let load ?versioning ?fashion ?subschemas ?sorts ?check_mode ~(path : string)
-    () : Manager.t =
+let load ~(path : string) : Manager.t =
   let ic = open_in_bin path in
   let n = in_channel_length ic in
   let text = really_input_string ic n in
   close_in ic;
-  load_from_string ?versioning ?fashion ?subschemas ?sorts ?check_mode text
+  load_from_string text

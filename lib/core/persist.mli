@@ -29,25 +29,10 @@ val save : Manager.t -> path:string -> unit
 
 val save_to_buffer : Manager.t -> Buffer.t
 
-val load :
-  ?versioning:bool ->
-  ?fashion:bool ->
-  ?subschemas:bool ->
-  ?sorts:bool ->
-  ?check_mode:Manager.check_mode ->
-  path:string ->
-  unit ->
-  Manager.t
-(** Restore into a fresh manager.  The facts are replayed through a session,
-    so the load fails on a dump that is inconsistent under the (possibly
-    different) installed theory.
+val load : path:string -> Manager.t
+(** Restore into a fresh manager with every extension installed.  The
+    facts are replayed through a session, so the load fails on a dump that
+    is inconsistent under that theory.
     @raise Corrupt on malformed input or an inconsistent dump. *)
 
-val load_from_string :
-  ?versioning:bool ->
-  ?fashion:bool ->
-  ?subschemas:bool ->
-  ?sorts:bool ->
-  ?check_mode:Manager.check_mode ->
-  string ->
-  Manager.t
+val load_from_string : string -> Manager.t

@@ -1,10 +1,11 @@
 (* Apply feed events to the replica's manager and local journal.
 
-   Every record goes through a BES..EES session on a manager running in
-   [Maintained] check mode, so the materialization is kept in step by
-   {!Datalog.Incremental.apply} — maintained, never re-derived — and the
-   raw record bytes are appended to the replica's own journal before the
-   position advances: a replica restart resumes exactly where it stopped.
+   Every record goes through a BES..EES session, like a commit on the
+   primary, so the manager's derived state — the whole program while
+   reads keep it — is kept in step by {!Datalog.Incremental.apply},
+   maintained, never re-derived.  The raw record bytes are appended to the
+   replica's own journal before the position advances: a replica restart
+   resumes exactly where it stopped.
    All manager/journal mutation happens inside {!Server.Broker.exclusively},
    serializing the applier against the read traffic the replica serves. *)
 
@@ -27,8 +28,6 @@ type t = {
   mutable last_applied : int;  (* position: last record in the local state *)
   mutable primary_seq : int;  (* primary's position, from frames *)
 }
-
-let fresh_manager () = Manager.create ~check_mode:Manager.Maintained ()
 
 let create ?(checkpoint_every = 64) ?(checkpoint_bytes = 4 * 1024 * 1024)
     broker : t =
@@ -73,9 +72,7 @@ let install_snapshot t ~seq ~text =
     ~kvs:[ ("seq", string_of_int seq) ]
   @@ fun () ->
   (* parse outside the lock (the expensive part), swap inside it *)
-  let m =
-    Persist.load_from_string ~check_mode:Manager.Maintained text
-  in
+  let m = Persist.load_from_string text in
   Broker.exclusively t.broker (fun () ->
       Broker.replace_manager t.broker m;
       (match Broker.journal t.broker with
@@ -122,7 +119,7 @@ let apply_record t ~seq ~text =
    was replaced.  Drop everything and resubscribe from zero; the next feed
    will bootstrap us (snapshot or full record history). *)
 let reset t =
-  let m = fresh_manager () in
+  let m = Manager.create () in
   let empty = Buffer.contents (Persist.save_to_buffer m) in
   Broker.exclusively t.broker (fun () ->
       Broker.replace_manager t.broker m;
@@ -173,7 +170,7 @@ let resync_to_seal t ~seal =
             let n = Journal.orphan_suffix j ~seal:cut in
             if n > 0 then Metrics.incr ~by:n t.metrics "orphaned_records";
             if cut = seal then begin
-              let m = Journal.reload ~check_mode:Manager.Maintained j in
+              let m = Journal.reload j in
               Broker.replace_manager t.broker m;
               t.last_applied <- Journal.seq j;
               Some n

@@ -67,10 +67,9 @@ let prepare config metrics : Broker.t =
   let read_only = primary_address config in
   match config.data_dir with
   | None ->
-      Broker.create ~read_only ~metrics
-        (Manager.create ~check_mode:Manager.Maintained ())
+      Broker.create ~read_only ~metrics (Manager.create ())
   | Some dir ->
-      let r = Journal.recover ~check_mode:Manager.Maintained ~dir () in
+      let r = Journal.recover ~dir () in
       logf "data dir %s: %s, replayed %d record(s), resuming from seq %d" dir
         (if r.Journal.from_snapshot then "loaded snapshot" else "no snapshot")
         r.Journal.replayed

@@ -57,9 +57,9 @@ let set_profiling on = Obs.Profile.set_enabled on
    [eval_mu] — serializes datalog evaluation among concurrent readers:
    the evaluator's caches (lazily built relation indexes, per-program
    plans) are mutable per-manager state, so two evals on the same manager
-   must not interleave.  It also guards building the version snapshot,
-   whose relation indexes are built lazily by the queries answered from
-   it and persist there.  Readers that hit the response cache skip it.
+   must not interleave.  It also guards the manager's derived-state slot,
+   which a cache-miss read fills with the whole maintained program.  Readers
+   that hit the response cache skip it.
    [mu] — a leaf protecting the quick mutable fields: the writer slot,
    the response/digest caches, the degraded flag, the subscriber table. *)
 type t = {
@@ -80,10 +80,6 @@ type t = {
      manager state: the "published snapshot" concurrent readers serve
      from without evaluating (or locking) anything *)
   mutable read_cache : (int * (string, Protocol.response) Hashtbl.t) option;
-  (* the materialized database of the current version, built by the first
-     cache-miss read and answering every later one; dropped by every
-     exclusive section, so it never outlives its version *)
-  mutable snapshot : Datalog.Database.t option;
   checkpoint_every : int;
   checkpoint_bytes : int;
   acquire_timeout : float;
@@ -133,7 +129,6 @@ let create ?journal ?(checkpoint_every = 64)
     wake_w;
     version = 0;
     read_cache = None;
-    snapshot = None;
     checkpoint_every;
     checkpoint_bytes;
     acquire_timeout;
@@ -174,7 +169,6 @@ let with_read t f = Rwlock.read t.rw f
 let with_write t f =
   Rwlock.write t.rw (fun () ->
       t.version <- t.version + 1;
-      t.snapshot <- None;
       f ())
 
 (* Per-tenant plan-cache traffic: the evaluator's hit/miss counters are
@@ -399,22 +393,10 @@ let cache_store t v key resp =
       if Hashtbl.length tbl >= max_cache_entries then Hashtbl.reset tbl;
       Hashtbl.replace tbl key resp)
 
-(* The current version's materialized database, built on first use.  Call
-   with the read lock and [eval_mu] held: the version cannot move, and no
-   other reader builds or indexes it meanwhile. *)
-let snapshot t =
-  match t.snapshot with
-  | Some db -> db
-  | None ->
-      let db = Manager.materialized t.manager in
-      t.snapshot <- Some db;
-      Metrics.incr t.metrics "snapshot_builds";
-      db
-
 (* Serve a read-only verb: from the response cache when the state hasn't
    moved since the answer was computed, else evaluate under the shared
-   lock (evaluations themselves serialized by [eval_mu], over the version
-   snapshot where they read derived state) and publish the answer for
+   lock (evaluations themselves serialized by [eval_mu], over the
+   manager's maintained derived state) and publish the answer for
    every later reader at this version. *)
 let cached t key compute =
   match cache_probe t key with
@@ -545,9 +527,7 @@ let do_ees t ~client =
           let delta = Manager.session_delta t.manager in
           let code = Manager.session_code_changes t.manager in
           match
-            Obs.Trace.with_span "session.check"
-              ~kvs:[ ("mode", Manager.check_mode_name t.manager) ]
-              (fun () ->
+            Obs.Trace.with_span "session.check" (fun () ->
                 count_plan_traffic t (fun () ->
                     Manager.end_session ~delta t.manager))
           with
@@ -623,10 +603,8 @@ let do_rollback t ~client =
 let do_check t =
   cached t "check" (fun () ->
       match
-        Obs.Trace.with_span "session.check"
-          ~kvs:[ ("mode", Manager.check_mode_name t.manager) ]
-          (fun () ->
-            Manager.check_now ~materialized:(lazy (snapshot t)) t.manager)
+        Obs.Trace.with_span "session.check" (fun () ->
+            Manager.check_now t.manager)
       with
       | [] -> ok [ "consistent." ]
       | reports ->
@@ -635,7 +613,7 @@ let do_check t =
 
 let do_query_uninstrumented t text =
   cached t ("query:" ^ text) (fun () ->
-      match Manager.query_text ~materialized:(snapshot t) t.manager text with
+      match Manager.query_text t.manager text with
       | answers ->
           let lines =
             List.map
@@ -696,9 +674,9 @@ let do_query t text =
    one-shot collector scope, then report what actually happened — the
    program's strata, every rule evaluation with its chosen plan, cache
    outcome and time, the ad-hoc query body's own plan, and the answer
-   count.  Bypassing both the response cache and the version snapshot is
-   the point: the rule rows exist to show what evaluation costs, and an
-   explain answered from either would have nothing to explain.  The
+   count.  Bypassing both the response cache and the maintained derived
+   state is the point: the rule rows exist to show what evaluation costs,
+   and an explain answered from either would have nothing to explain.  The
    strata are read inside the same locked section: preparing the theory
    fills a lazy cache a concurrent writer could be changing. *)
 let do_explain t text =
@@ -708,7 +686,14 @@ let do_explain t text =
     with_read t (fun () ->
         with_eval t (fun () ->
             Obs.Profile.with_scope ~sink:tmp (fun () ->
-                match Manager.query_text t.manager text with
+                let m = t.manager in
+                match
+                  Manager.query_text
+                    ~materialized:
+                      (Datalog.Checker.materialize (Manager.theory m)
+                         (Manager.database m))
+                    m text
+                with
                 | answers ->
                     let strata =
                       Datalog.Eval.stratification
@@ -736,11 +721,7 @@ let do_explain t text =
       let query_rows, rule_rows =
         List.partition (fun r -> r.Obs.Profile.stratum < 0) rows
       in
-      let rule_lines =
-        match rule_rows with
-        | [] -> [ "no rule evaluations (answered from maintained state)" ]
-        | rows -> Obs.Profile.render_rules rows
-      in
+      let rule_lines = Obs.Profile.render_rules rule_rows in
       let query_plan_lines =
         List.map
           (fun r ->
@@ -1109,7 +1090,6 @@ let handle t ~client (req : Protocol.request) : Protocol.response =
    Never called with a writer active or records in flight (the registry
    refuses to evict then). *)
 let close t =
-  Rwlock.write t.rw (fun () -> t.snapshot <- None);
   with_lock t (fun () ->
       (match t.journal with
       | None -> ()

@@ -88,8 +88,8 @@ val disconnect : t -> client:int -> unit
 (** The client went away: roll back its open session, if any. *)
 
 val close : t -> unit
-(** Drop the version snapshot and close the broker's journal file
-    descriptor (no-op without a journal): the tenant registry's
+(** Close the broker's journal file descriptor (no-op without a
+    journal): the tenant registry's
     eviction/shutdown path.  No checkpoint is forced
     — every record is already fsynced, so reopening the data directory
     replays the journal exactly like a restart.  The broker must not be

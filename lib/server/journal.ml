@@ -777,16 +777,15 @@ let scan_and_replay (m : Manager.t) ~base ?(epoch0 = 0) ?(fenced0 = false)
   (try between () with Corrupt _ -> ());
   (!good, !replayed, !last_seq, !epoch, !fenced)
 
-let recover ?versioning ?fashion ?subschemas ?sorts ?check_mode ?label ~dir ()
-    : recovery =
+let recover ?label ~dir () : recovery =
   mkdir_p dir;
   let snap = snapshot_path ~dir in
   let from_snapshot = Sys.file_exists snap in
   let manager =
     if from_snapshot then
-      try Persist.load ?versioning ?fashion ?subschemas ?sorts ?check_mode ~path:snap ()
+      try Persist.load ~path:snap
       with Persist.Corrupt e -> raise (Corrupt ("snapshot: " ^ e))
-    else Manager.create ?versioning ?fashion ?subschemas ?sorts ?check_mode ()
+    else Manager.create ()
   in
   let jpath = journal_path ~dir in
   let existed = Sys.file_exists jpath in
@@ -882,15 +881,13 @@ let orphan_suffix t ~seal =
    truncated) journal, without disturbing the journal handle: the resync
    path's way to roll its in-memory state back to what the file now
    holds. *)
-let reload ?versioning ?fashion ?subschemas ?sorts ?check_mode t : Manager.t =
+let reload t : Manager.t =
   let snap = snapshot_path ~dir:t.dir in
   let manager =
     if Sys.file_exists snap then
-      try
-        Persist.load ?versioning ?fashion ?subschemas ?sorts ?check_mode
-          ~path:snap ()
+      try Persist.load ~path:snap
       with Persist.Corrupt e -> raise (Corrupt ("snapshot: " ^ e))
-    else Manager.create ?versioning ?fashion ?subschemas ?sorts ?check_mode ()
+    else Manager.create ()
   in
   let text = read_file (journal_path ~dir:t.dir) in
   let base, epoch0, fenced0 = base_of_header text in

@@ -65,11 +65,6 @@ type recovery = {
 }
 
 val recover :
-  ?versioning:bool ->
-  ?fashion:bool ->
-  ?subschemas:bool ->
-  ?sorts:bool ->
-  ?check_mode:Core.Manager.check_mode ->
   ?label:string ->
   dir:string ->
   unit ->
@@ -210,9 +205,10 @@ val parse_record : string -> parsed_record
     over a feed). @raise Corrupt on malformed input. *)
 
 val apply_record : Core.Manager.t -> parsed_record -> bool
-(** Apply one record through a BES..EES session (so a [Maintained] manager
-    updates its materialization incrementally); [false] — with the session
-    rolled back — if the record does not commit cleanly. *)
+(** Apply one record through a BES..EES session, so whatever derived state
+    the manager keeps is maintained by DRed, not re-derived; [false] —
+    with the session rolled back — if the record does not commit
+    cleanly. *)
 
 val append_raw : t -> ?epoch:int -> seq:int -> text:string -> unit -> unit
 (** Append one record's exact bytes (the replica's write path) and fsync.
@@ -231,14 +227,7 @@ val orphan_suffix : t -> seal:int -> int
     @raise Invalid_argument if [seal < base t] (the snapshot already
     covers past the seal; the caller must full-resync instead). *)
 
-val reload :
-  ?versioning:bool ->
-  ?fashion:bool ->
-  ?subschemas:bool ->
-  ?sorts:bool ->
-  ?check_mode:Core.Manager.check_mode ->
-  t ->
-  Core.Manager.t
+val reload : t -> Core.Manager.t
 (** Rebuild a fresh manager from the on-disk snapshot + journal as they
     stand now, leaving the journal handle untouched: how a resync rolls
     its in-memory state back after {!orphan_suffix}. *)

@@ -421,21 +421,20 @@ let test_restrict_to_single_inheritance () =
     (Datalog.Theory.remove_constraint (Manager.theory m) "user$SingleInheritance")
 
 (* ------------------------------------------------------------------ *)
-(* The Maintained (DRed) check mode must agree with Full               *)
+(* The whole DRed-maintained state, which a read builds, must agree    *)
+(* with a fresh materialization                                         *)
 (* ------------------------------------------------------------------ *)
 
-let manager_with_cars_mode mode =
-  let m = Manager.create ~check_mode:mode () in
-  Manager.begin_session m;
-  Manager.load_definitions m Analyzer.Sources.car_schema;
-  (match Manager.end_session m with
-  | Manager.Consistent -> ()
-  | Manager.Inconsistent _ -> Alcotest.fail "car schema inconsistent");
+(* The car schema with its derived state read once: from then on the
+   manager keeps the whole program maintained and checks off it. *)
+let manager_with_cars_read () =
+  let m = manager_with_cars () in
+  ignore (Manager.materialized m);
   m
 
 let test_maintained_protocol () =
   (* the whole fuelType protocol under the maintained materialization *)
-  let m = manager_with_cars_mode Manager.Maintained in
+  let m = manager_with_cars_read () in
   let rt, car, _, _, _ = make_car m in
   Manager.begin_session m;
   Manager.run_commands m "add attribute fuelType : string to Car@CarSchema;";
@@ -462,22 +461,24 @@ let test_maintained_protocol () =
     (Value.equal (Runtime.get rt car ~attr:"fuelType") (Value.Str "leaded"))
 
 let test_maintained_scenario_42 () =
-  let m = manager_with_cars_mode Manager.Maintained in
+  let m = manager_with_cars_read () in
   match Manager.run_script m Analyzer.Sources.new_car_schema_commands with
   | Manager.Consistent -> ()
   | Manager.Inconsistent rs ->
-      Alcotest.failf "inconsistent under Maintained mode: %s"
+      Alcotest.failf "inconsistent off the maintained state: %s"
         (String.concat "; " (List.map (fun r -> r.Manager.description) rs))
 
 let test_maintained_survives_theory_change () =
-  (* adding a constraint invalidates and rebuilds the maintained state *)
-  let m = manager_with_cars_mode Manager.Maintained in
+  (* adding a constraint drops the maintained state; the next read
+     rebuilds it under the new theory *)
+  let m = manager_with_cars_read () in
   Datalog.Theory.add_constraint (Manager.theory m) ~name:"user$NoTrucks"
     Datalog.Formula.(
       forall [ "T"; "S" ]
         (atom "Type"
            [ Datalog.Term.var "T"; Datalog.Term.sym "Truck"; Datalog.Term.var "S" ]
         ==> Datalog.Formula.False));
+  check_bool "consistent after the change" true (Manager.check_now m = []);
   Manager.begin_session m;
   Manager.run_commands m "add type Truck to CarSchema;";
   (match Manager.end_session m with
@@ -495,8 +496,46 @@ let test_maintained_survives_theory_change () =
     | exception Manager.No_session -> true
     | _ -> false)
 
-(* Property: random evolution scripts produce the same violation sets under
-   Full and Maintained checking. *)
+let norm_violations vs =
+  List.map
+    (fun (v : Datalog.Checker.violation) ->
+      (v.Datalog.Checker.constraint_name, v.Datalog.Checker.witness))
+    vs
+  |> List.sort_uniq compare
+
+(* Every derived fact of a materialization, sorted. *)
+let derived_facts db =
+  List.concat_map (Datalog.Database.facts db) (Datalog.Database.predicates db)
+  |> List.sort_uniq Datalog.Fact.compare
+
+(* The manager, a session open on a read manager, against the fresh
+   oracles: its derived state inside the session equals
+   [Checker.materialize]'s, its EES verdict (read off the whole maintained
+   state) equals [Checker.check]'s, and once the session is over —
+   committed, or undone when EES rejected it — so do its derived state and
+   a check outside a session. *)
+let agrees_with_fresh m =
+  let theory = Manager.theory m and db () = Manager.database m in
+  let fresh () = derived_facts (Datalog.Checker.materialize theory (db ()))
+  and oracle () = norm_violations (Datalog.Checker.check theory (db ()))
+  and reports rs =
+    norm_violations (List.map (fun r -> r.Manager.violation) rs)
+  in
+  let in_session = derived_facts (Manager.materialized m) = fresh () in
+  let expected = oracle () in
+  let verdict =
+    match Manager.end_session m with
+    | Manager.Consistent -> []
+    | Manager.Inconsistent rs -> reports rs
+  in
+  if Manager.in_session m then Manager.rollback m;
+  in_session && verdict = expected
+  && reports (Manager.check_now m) = oracle ()
+  && derived_facts (Manager.materialized m) = fresh ()
+
+(* Property: random evolution scripts sent through [Manager.run_commands]
+   in one session, each command's delta applied by DRed to the whole
+   maintained state, leave what a fresh materialization derives. *)
 let prop_maintained_equals_full =
   let cmd_gen =
     QCheck.Gen.(
@@ -514,30 +553,21 @@ let prop_maintained_equals_full =
           "delete operation distance from Location@CarSchema;";
         ])
   in
-  QCheck.Test.make ~count:25 ~name:"Maintained mode = Full mode"
+  QCheck.Test.make ~count:25 ~name:"DRed = fresh, evolution scripts"
     QCheck.(make Gen.(list_size (int_range 1 5) cmd_gen))
     (fun cmds ->
-      let run mode =
-        let m = manager_with_cars_mode mode in
-        Manager.begin_session m;
-        List.iter
-          (fun c -> try Manager.run_commands m c with _ -> ())
-          cmds;
-        match Manager.end_session m with
-        | Manager.Consistent -> []
-        | Manager.Inconsistent rs ->
-            List.map (fun r -> r.Manager.description) rs
-            |> List.sort_uniq compare
-      in
-      run Manager.Full = run Manager.Maintained)
+      let m = manager_with_cars_read () in
+      Manager.begin_session m;
+      List.iter (fun c -> try Manager.run_commands m c with _ -> ()) cmds;
+      agrees_with_fresh m)
 
 (* Property: mixed deltas over recursive strata.  Each proposal is one
    delta that deletes existing subtype edges and attributes of the car
    schema — so facts that join are deleted together — and inserts new
    ones in the same apply, re-inserting some of what it deletes: present
    before and after, yet in both halves of the delta, the case the DRed
-   pre-update view must see as present.  The maintained verdict and the
-   whole maintained materialization match the Full mode's. *)
+   pre-update view must see as present.  Sent through [Manager.propose]
+   in one session, they leave what a fresh materialization derives. *)
 let prop_maintained_mixed_deltas =
   let types = [ "Person"; "Location"; "City"; "Car" ] in
   let add_gen =
@@ -555,62 +585,46 @@ let prop_maintained_mixed_deltas =
         (list_size (int_range 0 3) add_gen)
         (int_bound 3))
   in
-  QCheck.Test.make ~count:40
-    ~name:"Maintained mode = Full mode, mixed deltas over recursive strata"
+  QCheck.Test.make ~count:40 ~name:"DRed = fresh, mixed deltas"
     QCheck.(make Gen.(list_size (int_range 1 4) delta_gen))
     (fun proposals ->
-      let run mode =
-        let m = manager_with_cars_mode mode in
-        let add = function
-          | `Sub (a, b) ->
-              Gom.Preds.subtyprel_fact ~sub:(tid_of m a) ~super:(tid_of m b)
-          | `Attr (a, n) ->
-              Gom.Preds.attr_fact ~tid:(tid_of m a) ~name:n ~domain:"tid_int"
-        in
-        Manager.begin_session m;
-        List.iter
-          (fun (dels, adds, readd) ->
-            let db = Manager.database m in
-            let tids = List.map (fun n -> Datalog.Term.symc (tid_of m n)) types in
-            let existing =
-              Datalog.Database.facts db "SubTypRel"
-              @ Datalog.Database.facts db "Attr"
-              |> List.filter (fun (f : Datalog.Fact.t) ->
-                     List.mem f.Datalog.Fact.args.(0) tids)
-              |> List.sort Datalog.Fact.compare |> Array.of_list
-            in
-            let dels =
-              List.map (fun i -> existing.(i mod Array.length existing)) dels
-            in
-            (* the first [readd] deletions are also re-inserted *)
-            let readd = List.filteri (fun i _ -> i < readd) dels in
-            Manager.propose m
-              (Datalog.Delta.of_lists
-                 ~additions:(List.map add adds @ readd)
-                 ~deletions:dels))
-          proposals;
-        let verdict =
-          match Manager.end_session m with
-          | Manager.Consistent -> []
-          | Manager.Inconsistent rs ->
-              List.map (fun r -> r.Manager.description) rs
-              |> List.sort_uniq compare
-        in
-        let mat = Manager.materialized m in
-        let derived =
-          List.concat_map
-            (fun p -> Datalog.Database.facts mat p)
-            (Datalog.Database.predicates mat)
-          |> List.sort_uniq Datalog.Fact.compare
-        in
-        (verdict, derived)
+      let m = manager_with_cars_read () in
+      let add = function
+        | `Sub (a, b) ->
+            Gom.Preds.subtyprel_fact ~sub:(tid_of m a) ~super:(tid_of m b)
+        | `Attr (a, n) ->
+            Gom.Preds.attr_fact ~tid:(tid_of m a) ~name:n ~domain:"tid_int"
       in
-      run Manager.Full = run Manager.Maintained)
+      Manager.begin_session m;
+      List.iter
+        (fun (dels, adds, readd) ->
+          let db = Manager.database m in
+          let tids = List.map (fun n -> Datalog.Term.symc (tid_of m n)) types in
+          let existing =
+            Datalog.Database.facts db "SubTypRel"
+            @ Datalog.Database.facts db "Attr"
+            |> List.filter (fun (f : Datalog.Fact.t) ->
+                   List.mem f.Datalog.Fact.args.(0) tids)
+            |> List.sort Datalog.Fact.compare |> Array.of_list
+          in
+          let dels =
+            List.map (fun i -> existing.(i mod Array.length existing)) dels
+          in
+          (* the first [readd] deletions are also re-inserted *)
+          let readd = List.filteri (fun i _ -> i < readd) dels in
+          Manager.propose m
+            (Datalog.Delta.of_lists
+               ~additions:(List.map add adds @ readd)
+               ~deletions:dels))
+        proposals;
+      agrees_with_fresh m)
 
-(* Property: the retained cone.  Random session sequences run in Affected
-   mode; at every EES the check — from scratch, building the retained
-   cone, or reading a retained one — must equal the Full check and a
-   from-scratch evaluation of the cone. *)
+(* Property: one derived state, shaped by reads.  Random session sequences
+   with broker reads in and between them; at every EES the check — from
+   scratch, building the retained cone, reading a retained one, or reading
+   the whole state a read built — must equal [Checker.check] and a
+   from-scratch evaluation of the cone, and every read must answer what a
+   fresh materialization answers. *)
 type cone_step =
   | Toggle of int  (* add attribute [a<k>] to Plain, or delete it *)
   | Chain of int  (* add a chain of types below Plain *)
@@ -619,6 +633,8 @@ type cone_step =
   | Rolled_back  (* a session undone without EES *)
   | Disconnected  (* a session its client abandons: the broker rolls back *)
   | New_constraint  (* between sessions: bumps the theory revision *)
+  | Read of [ `Query | `Check ] * bool
+      (* a broker read; inside a session (around a toggle) when [true] *)
 
 let cone_step_to_string = function
   | Toggle k -> Printf.sprintf "toggle %d" k
@@ -629,6 +645,10 @@ let cone_step_to_string = function
   | Rolled_back -> "rolled back"
   | Disconnected -> "disconnected"
   | New_constraint -> "new constraint"
+  | Read (what, inside) ->
+      Printf.sprintf "read %s%s"
+        (match what with `Query -> "query" | `Check -> "check")
+        (if inside then " in a session" else "")
 
 let prop_retained_cone_equals_full =
   let step_gen =
@@ -641,6 +661,7 @@ let prop_retained_cone_equals_full =
           (1, return Rolled_back);
           (1, return Disconnected);
           (1, return New_constraint);
+          (2, map2 (fun w i -> Read (w, i)) (oneofl [ `Query; `Check ]) bool);
         ])
   in
   QCheck.Test.make ~count:30 ~long_factor:10
@@ -659,13 +680,7 @@ let prop_retained_cone_equals_full =
         Server.Broker.create ~metrics:(Server.Metrics.create ()) m
       in
       let attrs = Hashtbl.create 4 in
-      let norm vs =
-        List.map
-          (fun (v : Datalog.Checker.violation) ->
-            (v.Datalog.Checker.constraint_name, v.Datalog.Checker.witness))
-          vs
-        |> List.sort_uniq compare
-      in
+      let norm = norm_violations in
       (* one EES, checked against both references first *)
       let ees () =
         let theory = Manager.theory m and db = Manager.database m in
@@ -770,6 +785,55 @@ let prop_retained_cone_equals_full =
               ok (Server.Protocol.Script_line (toggle 1));
               Server.Broker.disconnect broker ~client;
               ignore (toggle 1)
+          | Read (what, inside) ->
+              if inside then begin
+                Manager.begin_session m;
+                Manager.run_commands m (toggle 2)
+              end;
+              let theory = Manager.theory m and db = Manager.database m in
+              let fresh = Datalog.Checker.materialize theory db in
+              let const = Datalog.Term.const_to_string in
+              let pairs sep bindings =
+                String.concat ", "
+                  (List.map
+                     (fun (v, c) -> Printf.sprintf "%s%s%s" v sep (const c))
+                     bindings)
+              in
+              let expected, request =
+                match what with
+                | `Query ->
+                    let text = "Attr_i(T, A, D), Type(T, N, S)" in
+                    let answers = Manager.query_text ~materialized:fresh m text in
+                    ( List.map (fun bs -> "  " ^ pairs " = " bs) answers
+                      @ [ Printf.sprintf "%d answer(s)." (List.length answers) ],
+                      Server.Protocol.Query text )
+                | `Check ->
+                    ( (match Datalog.Checker.violations_of theory fresh with
+                      | [] -> [ "consistent." ]
+                      | vs ->
+                          List.map
+                            (fun v ->
+                              Printf.sprintf
+                                "violation: constraint %s violated [%s]"
+                                v.Datalog.Checker.constraint_name
+                                (pairs " = "
+                                   (Datalog.Checker.witness_bindings v)))
+                            vs),
+                      Server.Protocol.Check )
+              in
+              (* the steps change the manager behind the broker's back: an
+                 exclusive section moves its version, as the replica's
+                 applier does, so the response cache cannot answer *)
+              Server.Broker.exclusively broker ignore;
+              let resp = Server.Broker.handle broker ~client:7 request in
+              (* as sets: the order of answers follows each database's
+                 relation layout *)
+              if
+                List.sort compare resp.Server.Protocol.body
+                <> List.sort compare expected
+              then QCheck.Test.fail_report "read <> fresh materialization";
+              if inside && ees () <> Manager.Consistent then
+                QCheck.Test.fail_report "toggle after a read rejected"
           | New_constraint ->
               Datalog.Theory.add_constraint (Manager.theory m)
                 ~name:(Printf.sprintf "user$Unnamed%d" i)
@@ -817,7 +881,7 @@ let test_manager_query_text () =
           "DeclRefinement(D2, D1), not SubTypRel('tid_3', 'tid_2')"))
 
 let test_manager_query_under_maintained () =
-  let m = manager_with_cars_mode Manager.Maintained in
+  let m = manager_with_cars_read () in
   check_int "three decls" 3
     (List.length (Manager.query_text m "Decl(D, T, O, R)"))
 
@@ -986,7 +1050,7 @@ let test_persist_file_roundtrip () =
   let m = manager_with_cars () in
   let path = Filename.temp_file "gomsm" ".db" in
   Persist.save m ~path;
-  let m2 = Persist.load ~path () in
+  let m2 = Persist.load ~path in
   Sys.remove path;
   check_int "same fact count"
     (Datalog.Database.total (Manager.database m))

@@ -125,7 +125,7 @@ let test_parse_and_apply_record () =
   let dir = fresh_dir () in
   let b, j = journaled_broker dir in
   List.iteri (fun i s -> commit b (i + 1) s) scripts;
-  let m = Manager.create ~check_mode:Manager.Maintained () in
+  let m = Manager.create () in
   List.iter
     (fun (seq, text) ->
       let r = Journal.parse_record text in
@@ -141,7 +141,7 @@ let test_append_raw_resume () =
   let b, j1 = journaled_broker dir1 in
   commit b 1 zoo_frame;
   commit b 1 "add attribute name : string to Animal@Zoo;";
-  let r2 = Journal.recover ~check_mode:Manager.Maintained ~dir:dir2 () in
+  let r2 = Journal.recover ~dir:dir2 () in
   let j2 = r2.Journal.journal in
   List.iter
     (fun (seq, text) ->
@@ -160,7 +160,7 @@ let test_append_raw_resume () =
   Journal.close j1;
   Journal.close j2;
   (* a replica restart resumes from its own journal *)
-  let r3 = Journal.recover ~check_mode:Manager.Maintained ~dir:dir2 () in
+  let r3 = Journal.recover ~dir:dir2 () in
   check_int "resumes at 2" 2 (Journal.seq r3.Journal.journal);
   check_string "replayed replica state" (dump_of (Broker.manager b))
     (dump_of r3.Journal.manager);
@@ -176,13 +176,13 @@ let test_install_snapshot () =
     | Some s -> s
     | None -> Alcotest.fail "checkpointed journal has no snapshot"
   in
-  let r2 = Journal.recover ~check_mode:Manager.Maintained ~dir:dir2 () in
+  let r2 = Journal.recover ~dir:dir2 () in
   Journal.install_snapshot r2.Journal.journal ~seq:(Journal.seq j1)
     ~text:snapshot;
   check_int "seq adopted" 2 (Journal.seq r2.Journal.journal);
   check_int "base adopted" 2 (Journal.base r2.Journal.journal);
   Journal.close r2.Journal.journal;
-  let r3 = Journal.recover ~check_mode:Manager.Maintained ~dir:dir2 () in
+  let r3 = Journal.recover ~dir:dir2 () in
   check_bool "recovers from installed snapshot" true r3.Journal.from_snapshot;
   check_int "position kept" 2 (Journal.seq r3.Journal.journal);
   check_string "state matches primary" (dump_of (Broker.manager b))
@@ -193,6 +193,67 @@ let test_install_snapshot () =
 (* ------------------------------------------------------------------ *)
 (* Broker: bytes-cap checkpointing, read-only mode, rollback metrics   *)
 (* ------------------------------------------------------------------ *)
+
+(* A replica's read-after-apply: records arrive through the applier and a
+   cache-miss query follows each (the apply moved the version).  The first
+   query builds the whole maintained program; every later one reads it,
+   evaluating no rule, and answers what a fresh materialization of the
+   replica's state answers. *)
+let test_reads_after_applies_evaluate_nothing () =
+  let dir = fresh_dir () in
+  let b, j = journaled_broker dir in
+  List.iter (commit b 1)
+    (scripts
+    @ [
+        "delete attribute name from Animal@Zoo;";
+        "add attribute name : string to Animal@Zoo;";
+        "add type Visitor to Zoo supertype Keeper@Zoo;";
+      ]);
+  let replica =
+    Broker.create ~read_only:"primary:0" ~metrics:(Metrics.create ())
+      (Manager.create ())
+  in
+  let applier = Applier.create replica in
+  let text = "Attr_i(T, A, D), Type(T, N, S)" in
+  let fresh_body () =
+    let m = Broker.manager replica in
+    let answers =
+      Manager.query_text
+        ~materialized:
+          (Datalog.Checker.materialize (Manager.theory m) (Manager.database m))
+        m text
+    in
+    List.map
+      (fun bindings ->
+        "  "
+        ^ String.concat ", "
+            (List.map
+               (fun (v, c) ->
+                 Printf.sprintf "%s = %s" v (Datalog.Term.const_to_string c))
+               bindings))
+      answers
+    @ [ Printf.sprintf "%d answer(s)." (List.length answers) ]
+  in
+  List.iter
+    (fun (seq, record) ->
+      Applier.apply_record applier ~seq ~text:record;
+      let events = ref [] in
+      let resp =
+        Obs.Profile.with_scope ~collect:events (fun () ->
+            Broker.handle replica ~client:2 (Protocol.Query text))
+      in
+      let what = Printf.sprintf "record %d" seq in
+      expect_ok what resp;
+      let rule_rows =
+        List.filter (fun e -> e.Obs.Profile.ev_stratum >= 0) !events
+      in
+      if seq = 1 then check_bool "first read builds" true (rule_rows <> [])
+      else check_int (what ^ ": no rule evaluated") 0 (List.length rule_rows);
+      Alcotest.(check (list string)) (what ^ ": fresh answer") (fresh_body ())
+        resp.Protocol.body)
+    (Journal.records_from j ~from:0);
+  check_int "every record applied" (Journal.seq j) (Applier.position applier);
+  Journal.close j
 
 let test_bytes_cap_checkpoints () =
   let dir = fresh_dir () in
@@ -210,7 +271,7 @@ let test_read_only_refuses_writers () =
   let b =
     Broker.create ~read_only:"10.0.0.1:7643" ~acquire_timeout:0.05
       ~metrics:(Metrics.create ())
-      (Manager.create ~check_mode:Manager.Maintained ())
+      (Manager.create ())
   in
   List.iter
     (fun (what, req) ->
@@ -310,7 +371,7 @@ let test_promote_flips_writer () =
   let b0, j0 = journaled_broker dir in
   commit b0 1 zoo_frame;
   Journal.close j0;
-  let r = Journal.recover ~check_mode:Manager.Maintained ~dir () in
+  let r = Journal.recover ~dir () in
   let b =
     Broker.create ~journal:r.Journal.journal ~read_only:"old:1" ~metrics:(Metrics.create ())
       r.Journal.manager
@@ -338,7 +399,7 @@ let test_promote_flips_writer () =
 (* recover the directory afresh and dump what replays: the reference
    state an orphaned journal must still reproduce *)
 let fresh_manager_dump dir =
-  let r = Journal.recover ~check_mode:Manager.Maintained ~dir () in
+  let r = Journal.recover ~dir () in
   let s = dump_of r.Journal.manager in
   Journal.close r.Journal.journal;
   s
@@ -358,7 +419,7 @@ let test_orphan_suffix () =
   check_bool "journal no longer holds record 3" false
     (contains (read_file (Journal.journal_path ~dir)) "begin 3");
   (* the reloaded manager matches an independent replay to the seal *)
-  let m = Journal.reload ~check_mode:Manager.Maintained j in
+  let m = Journal.reload j in
   let expect = fresh_manager_dump dir in
   check_string "reloaded state = sealed state" expect (dump_of m);
   (* appends continue from the seal *)
@@ -618,6 +679,8 @@ let suite =
           test_read_only_refuses_writers;
         Alcotest.test_case "disconnect rollback counted" `Quick
           test_disconnect_rollback_metric;
+        Alcotest.test_case "reads after applies evaluate nothing" `Quick
+          test_reads_after_applies_evaluate_nothing;
       ] );
     ( "replica.failover",
       [

@@ -185,16 +185,19 @@ let test_script_line_rejects_markers () =
   check_bool "explains" true (contains r "bes/ees")
 
 (* ------------------------------------------------------------------ *)
-(* Version snapshot: one materialization per state version             *)
+(* Reads: one maintained derived state, built by the first read        *)
 (* ------------------------------------------------------------------ *)
 
-let snapshot_builds b = Metrics.counter (Broker.metrics b) "snapshot_builds"
-
-(* The response body the broker gives for [text], computed by a fresh
-   materialization of [m]: the reference every snapshot answer must
-   equal. *)
+(* The response body the broker gives for [text], computed from a fresh
+   materialization of [m]'s base: the independent reference every broker
+   answer must equal. *)
 let fresh_query_body m text =
-  let answers = Manager.query_text m text in
+  let answers =
+    Manager.query_text
+      ~materialized:
+        (Datalog.Checker.materialize (Manager.theory m) (Manager.database m))
+      m text
+  in
   List.map
     (fun bindings ->
       "  "
@@ -206,20 +209,39 @@ let fresh_query_body m text =
     answers
   @ [ Printf.sprintf "%d answer(s)." (List.length answers) ]
 
+(* The [check] response body, from a from-scratch [Checker.check]. *)
 let fresh_check_body m =
-  match Manager.check_now m with
+  match Datalog.Checker.check (Manager.theory m) (Manager.database m) with
   | [] -> [ "consistent." ]
-  | reports -> List.map (fun r -> "violation: " ^ r.Manager.description) reports
+  | violations ->
+      List.map
+        (fun v ->
+          Printf.sprintf "violation: constraint %s violated [%s]"
+            v.Datalog.Checker.constraint_name
+            (String.concat ", "
+               (List.map
+                  (fun (var, c) ->
+                    Printf.sprintf "%s = %s" var (Datalog.Term.const_to_string c))
+                  (Datalog.Checker.witness_bindings v))))
+        violations
 
 let query_body b ~client text =
   let resp = Broker.handle b ~client (Protocol.Query text) in
   expect_ok ("query " ^ text) resp;
   resp.Protocol.body
 
-let zoo_broker ?check_mode () =
+(* A broker request under a collector scope: its response and how many
+   rule evaluations (stratum >= 0 rows) it recorded. *)
+let with_rule_rows f =
+  let events = ref [] in
+  let resp = Obs.Profile.with_scope ~collect:events f in
+  let rules = List.filter (fun e -> e.Obs.Profile.ev_stratum >= 0) !events in
+  (resp, List.length rules, !events)
+
+let zoo_broker () =
   let b =
     Broker.create ~acquire_timeout:0.05 ~metrics:(Metrics.create ())
-      (Manager.create ?check_mode ())
+      (Manager.create ())
   in
   expect_ok "bes" (Broker.handle b ~client:1 Protocol.Bes);
   expect_ok "script" (Broker.handle b ~client:1 (Protocol.Script_line zoo_frame));
@@ -228,49 +250,45 @@ let zoo_broker ?check_mode () =
 
 let test_snapshot_shared_by_reads () =
   let b = zoo_broker () in
-  check_int "no read yet" 0 (snapshot_builds b);
-  let scoped text =
-    let events = ref [] in
-    let body =
-      Obs.Profile.with_scope ~collect:events (fun () ->
-          query_body b ~client:2 text)
-    in
-    (body, !events)
+  let body1, rows1, _ =
+    with_rule_rows (fun () -> query_body b ~client:2 "Attr_i(T, A, D)")
   in
-  let body1, ev1 = scoped "Attr_i(T, A, D)" in
-  check_int "first query builds" 1 (snapshot_builds b);
-  check_bool "the build evaluated rules" true
-    (List.exists (fun e -> e.Obs.Profile.ev_stratum >= 0) ev1);
-  let body2, ev2 = scoped "Type(T, N, S)" in
-  check_int "second query reuses it" 1 (snapshot_builds b);
+  check_bool "the first query builds the derived state" true (rows1 > 0);
+  let body2, rows2, ev2 =
+    with_rule_rows (fun () -> query_body b ~client:2 "Type(T, N, S)")
+  in
   check_bool "second query records its body" true (ev2 <> []);
-  check_bool "second query records only stratum -1 rows" true
-    (List.for_all (fun e -> e.Obs.Profile.ev_stratum = -1) ev2);
+  check_int "second query evaluates no rule" 0 rows2;
   let m = Broker.manager b in
   Alcotest.(check (list string))
     "first answer" (fresh_query_body m "Attr_i(T, A, D)") body1;
   Alcotest.(check (list string))
     "second answer" (fresh_query_body m "Type(T, N, S)") body2;
-  let resp = Broker.handle b ~client:2 Protocol.Check in
+  let resp, rows, _ =
+    with_rule_rows (fun () -> Broker.handle b ~client:2 Protocol.Check)
+  in
   expect_ok "check" resp;
-  check_int "check reads the same snapshot" 1 (snapshot_builds b);
+  check_int "check reads the same state" 0 rows;
   Alcotest.(check (list string)) "check answer" (fresh_check_body m)
     resp.Protocol.body
 
-(* Affected mode retains a constraint cone once two consecutive EES need
-   the same one: the first and second such EES evaluate rules (from
-   scratch, then in place), the third reads the maintained cone and
-   evaluates none.  An EES needing another cone evaluates again. *)
+(* With nothing read, a constraint cone is retained once two consecutive
+   EES need the same one: the first and second such EES evaluate rules
+   (from scratch, then in place), the third reads the maintained cone and
+   evaluates none.  An EES needing another cone evaluates again.  After a
+   read, EES reads the whole maintained state until an EES finds it
+   unread since the previous one: that EES drops it and the cones take
+   over again. *)
 let test_retained_cone_evaluates_nothing () =
   let b = zoo_broker () in
   let ees_rows line =
     expect_ok "bes" (Broker.handle b ~client:1 Protocol.Bes);
     expect_ok "script" (Broker.handle b ~client:1 (Protocol.Script_line line));
-    let events = ref [] in
-    Obs.Profile.with_scope ~collect:events (fun () ->
-        expect_ok "ees" (Broker.handle b ~client:1 Protocol.Ees));
-    List.length
-      (List.filter (fun e -> e.Obs.Profile.ev_stratum >= 0) !events)
+    let _, rows, _ =
+      with_rule_rows (fun () ->
+          expect_ok "ees" (Broker.handle b ~client:1 Protocol.Ees))
+    in
+    rows
   in
   let add = "add attribute tail : int to Animal@Zoo;"
   and del = "delete attribute tail from Animal@Zoo;" in
@@ -283,123 +301,133 @@ let test_retained_cone_evaluates_nothing () =
   let m = Broker.manager b in
   Alcotest.(check (list string))
     "verdicts still match a fresh check" (fresh_check_body m)
+    (Broker.handle b ~client:2 Protocol.Check).Protocol.body;
+  check_int "after a read, EES reads the whole state" 0 (ees_rows add);
+  check_bool "unread since the previous EES: the whole state is dropped" true
+    (ees_rows del > 0);
+  check_int "the cone is retained again" 0 (ees_rows add);
+  let _, rows, _ =
+    with_rule_rows (fun () -> query_body b ~client:2 "Attr_i(T, A, D)")
+  in
+  check_bool "a later read builds the whole state again" true (rows > 0);
+  Alcotest.(check (list string))
+    "verdicts still match a fresh check" (fresh_check_body m)
     (Broker.handle b ~client:2 Protocol.Check).Protocol.body
 
-(* After every kind of manager mutation the next read rebuilds, and
-   answers what a fresh materialization answers. *)
-let test_snapshot_rebuilt_after_every_mutation () =
+(* Once read, the derived state is maintained across every kind of
+   manager mutation: the next read evaluates no rule and answers what a
+   fresh materialization answers.  A replaced manager builds its own. *)
+let test_maintained_across_every_mutation () =
   let b = zoo_broker () in
   let text = "Attr_i(T, A, D)" in
-  let expect_rebuild what =
-    let before = snapshot_builds b in
-    let body = query_body b ~client:9 text in
-    check_int (what ^ ": one rebuild") (before + 1) (snapshot_builds b);
+  let expect_maintained what =
+    let body, rows, _ = with_rule_rows (fun () -> query_body b ~client:9 text) in
+    check_int (what ^ ": no rule evaluated") 0 rows;
     Alcotest.(check (list string))
       (what ^ ": fresh answer")
       (fresh_query_body (Broker.manager b) text)
-      body;
-    ignore (query_body b ~client:9 text);
-    check_int (what ^ ": reread reuses it") (before + 1) (snapshot_builds b)
+      body
   in
   let script client line =
     expect_ok line (Broker.handle b ~client (Protocol.Script_line line))
   in
-  expect_rebuild "committed base";
+  ignore (query_body b ~client:9 text);
+  expect_maintained "committed base";
   expect_ok "bes" (Broker.handle b ~client:1 Protocol.Bes);
-  expect_rebuild "bes";
+  expect_maintained "bes";
   script 1 "add attribute name : string to Animal@Zoo;";
-  expect_rebuild "script-line in a session";
+  expect_maintained "script-line in a session";
   expect_ok "ees" (Broker.handle b ~client:1 Protocol.Ees);
-  expect_rebuild "ees";
+  expect_maintained "ees";
   expect_ok "bes" (Broker.handle b ~client:1 Protocol.Bes);
   script 1 "add attribute age : int to Animal@Zoo;";
-  expect_rebuild "second script-line";
+  expect_maintained "second script-line";
   expect_ok "rollback" (Broker.handle b ~client:1 Protocol.Rollback);
-  expect_rebuild "rollback";
+  expect_maintained "rollback";
   expect_ok "bes" (Broker.handle b ~client:2 Protocol.Bes);
   script 2 "add attribute weight : int to Animal@Zoo;";
-  expect_rebuild "third script-line";
+  expect_maintained "third script-line";
   Broker.disconnect b ~client:2;
-  expect_rebuild "disconnect rollback";
+  expect_maintained "disconnect rollback";
   let other = Manager.create () in
   ignore
     (Manager.run_script other
        "bes; schema Farm is type Cow is [ horns : int; ] end type Cow; end \
         schema Farm; ees;");
   Broker.exclusively b (fun () -> Broker.replace_manager b other);
-  expect_rebuild "replace_manager";
+  let body, rows, _ = with_rule_rows (fun () -> query_body b ~client:9 text) in
+  check_bool "replace_manager: the new manager builds its own" true (rows > 0);
   check_bool "answers come from the new manager" true
-    (List.exists
-       (fun l -> contains l "horns")
-       (query_body b ~client:9 text))
+    (List.exists (fun l -> contains l "horns") body);
+  expect_maintained "replace_manager"
 
-(* Seeded random sessions, rollbacks, checks and queries in every check
-   mode: each broker answer equals the fresh-materialization answer. *)
+(* Seeded random sessions, rollbacks, checks and queries: each broker
+   answer equals the fresh-materialization answer, whether the session
+   checks before the first read ran off cones or, after it, off the whole
+   maintained state. *)
 let test_snapshot_answers_match_fresh () =
   let texts =
     [ "Attr_i(T, A, D)"; "Type(T, N, S)"; "Decl_i(X, T, O, R)";
       "Attr_i(T, A, D), Type(T, N, S)" ]
   in
-  List.iter
-    (fun (mode_name, check_mode) ->
-      let rng = Random.State.make [| 2 |] in
-      let b = zoo_broker ~check_mode () in
-      let m () = Broker.manager b in
-      (* which attributes f0..f2 exist now, and at the last commit; slot 3
-         is [bad], whose undefined domain makes the state inconsistent *)
-      let present = Array.make 4 false and committed = Array.make 4 false in
-      let session = ref false in
-      let step_label i what = Printf.sprintf "%s step %d %s" mode_name i what in
-      let ensure_session () =
-        if not !session then begin
-          expect_ok "bes" (Broker.handle b ~client:1 Protocol.Bes);
-          session := true
+  let rng = Random.State.make [| 2 |] in
+  let b = zoo_broker () in
+  let m () = Broker.manager b in
+  (* which attributes f0..f2 exist now, and at the last commit; slot 3
+     is [bad], whose undefined domain makes the state inconsistent *)
+  let present = Array.make 4 false and committed = Array.make 4 false in
+  let session = ref false in
+  let step_label i what = Printf.sprintf "step %d %s" i what in
+  let ensure_session () =
+    if not !session then begin
+      expect_ok "bes" (Broker.handle b ~client:1 Protocol.Bes);
+      session := true
+    end
+  in
+  for i = 1 to 360 do
+    (* reads start a third of the way in: the first EES run off cones *)
+    match Random.State.int rng 8 with
+    | 0 | 1 ->
+        (* toggle one attribute inside the (possibly new) session *)
+        ensure_session ();
+        let k = Random.State.int rng (Array.length present) in
+        let name, domain =
+          if k = 3 then ("bad", "Missing") else (Printf.sprintf "f%d" k, "int")
+        in
+        let line =
+          if present.(k) then Printf.sprintf "delete attribute %s from Animal@Zoo;" name
+          else Printf.sprintf "add attribute %s : %s to Animal@Zoo;" name domain
+        in
+        expect_ok (step_label i line)
+          (Broker.handle b ~client:1 (Protocol.Script_line line));
+        present.(k) <- not present.(k)
+    | 2 when !session ->
+        let resp = Broker.handle b ~client:1 Protocol.Ees in
+        if present.(3) then
+          (* rejected: the session stays open *)
+          ignore (expect_err (step_label i "inconsistent ees") resp)
+        else begin
+          expect_ok (step_label i "ees") resp;
+          session := false;
+          Array.blit present 0 committed 0 (Array.length present)
         end
-      in
-      for i = 1 to 120 do
-        match Random.State.int rng 8 with
-        | 0 | 1 ->
-            (* toggle one attribute inside the (possibly new) session *)
-            ensure_session ();
-            let k = Random.State.int rng (Array.length present) in
-            let name, domain =
-              if k = 3 then ("bad", "Missing") else (Printf.sprintf "f%d" k, "int")
-            in
-            let line =
-              if present.(k) then Printf.sprintf "delete attribute %s from Animal@Zoo;" name
-              else Printf.sprintf "add attribute %s : %s to Animal@Zoo;" name domain
-            in
-            expect_ok (step_label i line)
-              (Broker.handle b ~client:1 (Protocol.Script_line line));
-            present.(k) <- not present.(k)
-        | 2 when !session ->
-            let resp = Broker.handle b ~client:1 Protocol.Ees in
-            if present.(3) then
-              (* rejected: the session stays open *)
-              ignore (expect_err (step_label i "inconsistent ees") resp)
-            else begin
-              expect_ok (step_label i "ees") resp;
-              session := false;
-              Array.blit present 0 committed 0 (Array.length present)
-            end
-        | 3 when !session ->
-            expect_ok (step_label i "rollback")
-              (Broker.handle b ~client:1 Protocol.Rollback);
-            session := false;
-            Array.blit committed 0 present 0 (Array.length present)
-        | 4 | 5 ->
-            let resp = Broker.handle b ~client:2 Protocol.Check in
-            expect_ok (step_label i "check") resp;
-            Alcotest.(check (list string))
-              (step_label i "check") (fresh_check_body (m ())) resp.Protocol.body
-        | _ ->
-            let text = List.nth texts (Random.State.int rng (List.length texts)) in
-            Alcotest.(check (list string))
-              (step_label i text) (fresh_query_body (m ()) text)
-              (query_body b ~client:2 text)
-      done)
-    [ ("full", Manager.Full); ("cone", Manager.Affected);
-      ("dred", Manager.Maintained) ]
+    | 3 when !session ->
+        expect_ok (step_label i "rollback")
+          (Broker.handle b ~client:1 Protocol.Rollback);
+        session := false;
+        Array.blit committed 0 present 0 (Array.length present)
+    | (4 | 5) when i > 120 ->
+        let resp = Broker.handle b ~client:2 Protocol.Check in
+        expect_ok (step_label i "check") resp;
+        Alcotest.(check (list string))
+          (step_label i "check") (fresh_check_body (m ())) resp.Protocol.body
+    | _ when i > 120 ->
+        let text = List.nth texts (Random.State.int rng (List.length texts)) in
+        Alcotest.(check (list string))
+          (step_label i text) (fresh_query_body (m ()) text)
+          (query_body b ~client:2 text)
+    | _ -> ()
+  done
 
 (* ------------------------------------------------------------------ *)
 (* Journal: commit, crash, replay                                      *)
@@ -893,8 +921,8 @@ let suite =
       [
         Alcotest.test_case "one build serves every read" `Quick
           test_snapshot_shared_by_reads;
-        Alcotest.test_case "rebuilt after every mutation" `Quick
-          test_snapshot_rebuilt_after_every_mutation;
+        Alcotest.test_case "maintained across every mutation" `Quick
+          test_maintained_across_every_mutation;
         Alcotest.test_case "answers match fresh materialization" `Quick
           test_snapshot_answers_match_fresh;
       ] );
