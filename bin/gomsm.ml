@@ -515,7 +515,8 @@ let serve_cmd =
   in
   let checkpoint_bytes =
     Arg.(
-      value & opt int Server.Daemon.default_config.Server.Daemon.checkpoint_bytes
+      value
+      & opt int Tenant.Registry.default_config.Tenant.Registry.checkpoint_bytes
       & info [ "checkpoint-bytes" ] ~docv:"BYTES"
           ~doc:
             "Also snapshot whenever the journal file exceeds this many \
@@ -533,13 +534,12 @@ let serve_cmd =
       value & opt int 0
       & info [ "group-commit-ms" ] ~docv:"MS"
           ~doc:
-            "Batch concurrent commits into one fsync: a commit leader \
-             lingers this many milliseconds so other committers can join \
-             its batch, then a single write+fsync covers them all (each \
-             client is still only acknowledged after the fsync covering \
-             its record).  0 disables batching — every commit fsyncs \
-             itself, the best latency for a single connection.  Honored \
-             per-tenant and shown in db stat.")
+            "How long a commit batch leader lingers, in milliseconds, so \
+             other committers can join its batch before a single \
+             write+fsync covers them all (each client is still only \
+             acknowledged after the fsync covering its record).  0 = no \
+             linger; commits that arrive during an fsync share the next \
+             one.  Honored per-tenant and shown in db stat.")
   in
   let port_file =
     port_file_arg
@@ -610,11 +610,6 @@ let serve_cmd =
       {
         Server.Daemon.host;
         port;
-        data_dir = data;
-        checkpoint_every;
-        checkpoint_bytes;
-        acquire_timeout;
-        group_commit_ms;
         port_file;
         backlog;
         admin_port;

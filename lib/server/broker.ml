@@ -1,5 +1,5 @@
 (* Session broker: single-writer BES/EES across clients, concurrent reads
-   under a reader-writer lock, journaling (optionally group-committed) on
+   under a reader-writer lock, journaling through the batch writer on
    commit, rollback on disconnect, replication feeds. *)
 
 module Manager = Core.Manager
@@ -52,8 +52,8 @@ let set_profiling on = Obs.Profile.set_enabled on
 
    [rw] — sessions/commits and every other manager mutation hold it
    exclusively; check/query/dump/health/feed hold it shared, so the
-   daemon's per-connection threads overlap on reads (and, with group
-   commit, overlap with the fsync wait, which holds no lock at all).
+   daemon's per-connection threads overlap on reads (and overlap with a
+   commit's fsync wait, which holds no lock at all).
    [eval_mu] — serializes datalog evaluation among concurrent readers:
    the evaluator's caches (lazily built relation indexes, per-program
    plans) are mutable per-manager state, so two evals on the same manager
@@ -105,15 +105,14 @@ let create ?journal ?(checkpoint_every = 64)
       ~on_write_wait:(fun () -> Metrics.incr metrics "write_lock_waits")
       ()
   in
-  (match journal with
-  | Some j when group_commit_ms > 0 ->
+  Option.iter
+    (fun j ->
       Journal.set_group_commit j
         ~linger:(float_of_int group_commit_ms /. 1000.)
         ~on_flush:(fun n ->
           Metrics.incr metrics "group_commits";
-          Metrics.observe_count metrics "fsync_batch_size" n)
-        ()
-  | _ -> ());
+          Metrics.observe_count metrics "fsync_batch_size" n))
+    journal;
   let wake_r, wake_w = Unix.pipe ~cloexec:true () in
   Unix.set_nonblock wake_r;
   Unix.set_nonblock wake_w;
@@ -248,7 +247,7 @@ let digest_of_manager m =
   Crc32.to_hex (Crc32.finish acc)
 
 (* Call with the read lock held.  [None] while a session is open, while
-   group-committed records await their fsync, or once degraded: in every
+   committed records await their fsync, or once degraded: in every
    case the in-memory state does not describe a committed, durable
    position and the digest would trip false divergence alarms. *)
 let state_digest_rd t =
@@ -477,9 +476,8 @@ let do_bes t ~client =
 let violation_lines reports =
   List.map (fun r -> "violation: " ^ r.Manager.description) reports
 
-(* A journal append (or the fsync covering it, or the checkpoint after
-   it) failed after the in-memory commit: the shared error path for the
-   synchronous and the group-committed cases. *)
+(* A journal enqueue (or the fsync covering it, or the checkpoint after
+   it) failed after the in-memory commit. *)
 let journal_failure t e =
   Metrics.incr t.metrics "journal_errors";
   match e with
@@ -543,7 +541,7 @@ let do_ees t ~client =
                     | Some fp -> Failpoint.hit fp
                     | None -> ());
                     let seq =
-                      Journal.append j ~epoch:t.epoch
+                      Journal.enqueue j ~epoch:t.epoch
                         ~ids:(Manager.ids t.manager) ~code delta
                     in
                     Metrics.incr t.metrics "journal_records";
@@ -554,14 +552,12 @@ let do_ees t ~client =
                       Journal.since_checkpoint j >= t.checkpoint_every
                       || Journal.bytes j >= t.checkpoint_bytes
                     then begin
-                      (* the checkpoint drains any pending group-commit
-                         batch, so our record is durable under it *)
+                      (* the checkpoint drains the pending batch, so our
+                         record is durable under it *)
                       Journal.checkpoint j t.manager;
-                      Metrics.incr t.metrics "checkpoints";
-                      `Durable
-                    end
-                    else if Journal.grouped j then `Enqueued (j, seq)
-                    else `Durable
+                      Metrics.incr t.metrics "checkpoints"
+                    end;
+                    `Enqueued (j, seq)
                   with
                   | step -> step
                   | exception e -> `Failed e))
@@ -576,15 +572,14 @@ let do_ees t ~client =
   in
   match step with
   | `Resp r -> r
-  | `Durable -> ok [ "consistent; session ended." ]
   | `Failed e -> journal_failure t e
   | `Enqueued (j, seq) -> (
-      (* group commit: the record is enqueued but not yet durable.  The
-         writer slot and the exclusive lock are already released, so the
-         fsync wait below overlaps the next client's session work and
-         every concurrent read — that overlap is the whole point.  The
-         acknowledgment still only goes out after the fsync covering the
-         record (or reports its loss). *)
+      (* the record is enqueued but not yet durable.  The writer slot and
+         the exclusive lock are already released, so the fsync wait below
+         overlaps the next client's session work and every concurrent
+         read, and commits that arrive meanwhile share the next fsync.
+         The acknowledgment still only goes out after the fsync covering
+         the record (or reports its loss). *)
       match Journal.await j ~seq with
       | () -> ok [ "consistent; session ended." ]
       | exception e -> journal_failure t e)
@@ -903,7 +898,7 @@ let ping_interval = 2.0
    pings while idle.  Journal reads happen under the shared lock — many
    feeds (and queries) overlap, while checkpoints still exclude them — and
    the socket writes happen under no lock at all: a slow replica must not
-   stall the writer.  Group-commit batches being flushed are invisible here
+   stall the writer.  Batches being flushed are invisible here
    until their fsync completes ([Journal.seq] only advances then), so a
    feed can never ship an unacknowledged record.  Returns when the
    subscriber goes away or the feed cannot continue. *)
@@ -1084,7 +1079,7 @@ let handle t ~client (req : Protocol.request) : Protocol.response =
 
 (* Release the broker's on-disk resources: the registry's eviction/shutdown
    path.  No checkpoint is forced — every acknowledged record is already
-   fsynced ({!Journal.close} drains any pending group-commit batch first),
+   fsynced ({!Journal.close} drains any pending batch first),
    so an evict/reopen cycle leaves the journal bytes untouched and
    reopening replays them exactly like a restart (the crash-tested path).
    Never called with a writer active or records in flight (the registry

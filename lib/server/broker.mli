@@ -10,19 +10,19 @@
     writer's exclusive sections, so each sees an internally consistent
     state (including, as in the paper's single shared schema, the open
     session's intermediate state).  Reads that miss the response cache
-    share one materialized snapshot of the derived state per version:
-    the first builds it, the rest only evaluate their own query body,
-    and the next exclusive section drops it.  A client that disconnects
+    share the manager's one maintained derived state: the first builds
+    it, the rest only evaluate their own query body.  A client that disconnects
     mid-session is rolled back automatically — the paper's "undo
     session" repair.
 
     Committed sessions are appended to the write-ahead journal (fsync
-    before the acknowledgment) and periodically checkpointed.  With
-    [group_commit_ms > 0] concurrent commits are batched: each committer
-    enqueues its record and one leader fsyncs the whole batch, the
-    acknowledgment still following the fsync that covers the record —
-    and the fsync wait holds no lock, so reads and the next session
-    overlap it.
+    before the acknowledgment) and periodically checkpointed.  Every
+    commit goes through the journal's batch writer: the committer
+    enqueues its record under the exclusive lock, then awaits the fsync
+    after releasing it, and one leader fsyncs the whole batch.  The
+    acknowledgment follows the fsync that covers the record; the fsync
+    wait holds no lock, so reads and the next session overlap it, and
+    commits that arrive during an fsync share the next one.
 
     When a journal append or checkpoint fails with [EIO]/[ENOSPC] the
     broker enters {e degraded read-only mode}: every writer verb is
@@ -55,9 +55,9 @@ val create :
     [checkpoint_bytes] caps the journal file size between snapshots
     (default 4 MiB) so bursts of large sessions cannot grow it unboundedly;
     [acquire_timeout] seconds a [bes] waits for the writer slot
-    (default 5.0); [group_commit_ms] (default 0 = off) batches concurrent
-    commits into one fsync, the leader lingering that many milliseconds
-    for committers to pile on ({!Journal.set_group_commit} is called on
+    (default 5.0); [group_commit_ms] (default 0 = no linger) is how many
+    milliseconds a batch leader lingers before its fsync so more
+    committers can pile on ({!Journal.set_group_commit} is called on
     the journal).  With [read_only] (the primary's address, for the
     redirect message) every writer verb — bes/ees/rollback/script-line —
     is refused: the broker serves a replica.  With [label] (a tenant name)
@@ -65,7 +65,7 @@ val create :
     [broker.commit#<label>]. *)
 
 val group_commit_ms : t -> int
-(** The configured group-commit window (0 = per-commit fsync). *)
+(** The configured batch-leader linger (0 = none). *)
 
 val handle : t -> client:int -> Protocol.request -> Protocol.response
 (** Serve one request on behalf of client [client].  Never raises: internal

@@ -4,11 +4,6 @@
 type config = {
   host : string;  (* address to bind, e.g. "127.0.0.1" *)
   port : int;  (* 0 picks an ephemeral port *)
-  data_dir : string option;  (* journal + snapshots; None = in-memory only *)
-  checkpoint_every : int;
-  checkpoint_bytes : int;  (* journal size cap between checkpoints *)
-  acquire_timeout : float;  (* seconds a bes waits for the writer slot *)
-  group_commit_ms : int;  (* fsync batching window; 0 = per-commit fsync *)
   port_file : string option;  (* written (atomically) with the bound port *)
   backlog : int;  (* pending-connection queue passed to listen(2) *)
   admin_port : int option;  (* /metrics + /healthz listener; None = off *)
@@ -19,11 +14,6 @@ let default_config =
   {
     host = "127.0.0.1";
     port = 7643;
-    data_dir = None;
-    checkpoint_every = 64;
-    checkpoint_bytes = 4 * 1024 * 1024;
-    acquire_timeout = 5.0;
-    group_commit_ms = 0;
     port_file = None;
     backlog = 64;
     admin_port = None;
@@ -31,7 +21,6 @@ let default_config =
   }
 
 let log ?kvs level = Obs.Log.log ?kvs level ~comp:"daemon"
-let logf fmt = Printf.ksprintf (log Obs.Log.Info) fmt
 
 (* The release string: the CLI's --version and the gomsm_build_info series
    both read it from here so a scrape always matches the binary. *)
@@ -264,26 +253,6 @@ let write_port_file path port =
   close_out oc;
   Sys.rename tmp path
 
-(* Build the broker from the config: recover from the data directory when
-   one is given, else serve a fresh in-memory manager. *)
-let prepare config metrics =
-  match config.data_dir with
-  | None -> Broker.create ~acquire_timeout:config.acquire_timeout ~metrics
-              (Core.Manager.create ())
-  | Some dir ->
-      let r = Journal.recover ~dir () in
-      logf "data dir %s: %s, replayed %d record(s)%s" dir
-        (if r.Journal.from_snapshot then "loaded snapshot" else "no snapshot")
-        r.Journal.replayed
-        (if r.Journal.truncated_bytes > 0 then
-           Printf.sprintf ", truncated %d torn byte(s)" r.Journal.truncated_bytes
-         else "");
-      Broker.create ~journal:r.Journal.journal
-        ~checkpoint_every:config.checkpoint_every
-        ~checkpoint_bytes:config.checkpoint_bytes
-        ~acquire_timeout:config.acquire_timeout
-        ~group_commit_ms:config.group_commit_ms ~metrics r.Journal.manager
-
 let serve ?on_listen ?broker ?router (config : config) : unit =
   (* a client closing mid-response must not kill the server *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
@@ -295,7 +264,9 @@ let serve ?on_listen ?broker ?router (config : config) : unit =
         let broker =
           match broker with
           | Some b -> b
-          | None -> prepare config (Metrics.create ())
+          | None ->
+              Broker.create ~metrics:(Metrics.create ())
+                (Core.Manager.create ())
         in
         broker_router broker
   in

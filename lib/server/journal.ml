@@ -1,6 +1,6 @@
-(* Write-ahead journal: fsynced per-commit records in Core.Persist's textual
-   fact format, snapshot checkpoints, and replay-on-boot recovery with
-   torn-tail truncation. *)
+(* Write-ahead journal: one fsynced record per commit in Core.Persist's
+   textual fact format, written by one batch writer, snapshot checkpoints,
+   and replay-on-boot recovery with torn-tail truncation. *)
 
 module Manager = Core.Manager
 module Persist = Core.Persist
@@ -68,26 +68,33 @@ let base_of_header text =
 let journal_path ~dir = Filename.concat dir "journal.log"
 let snapshot_path ~dir = Filename.concat dir "snapshot.gomdb"
 
-(* Group-commit state: concurrent committers enqueue their record bytes
-   here and one leader performs a single write+fsync for the whole batch.
-   [g_assigned] is the last sequence number handed out at enqueue time;
-   [t.seq] stays the last DURABLE sequence number — the durability oracle,
-   the replication positions and the stats all keep reading it.  A failed
-   batch flush poisons the group ([g_error] is sticky): every waiter whose
-   record the failed fsync was meant to cover gets the error, and so does
-   every later enqueue — the broker turns that into degraded mode. *)
+(* The batch writer — the journal's only writer.  Every byte after the
+   header (commit records, a replica's raw records, epoch markers) is
+   enqueued here, and one leader performs a single write+fsync for the
+   whole batch.  [g_assigned] is the last sequence number handed out at
+   enqueue time; [t.seq] stays the last DURABLE sequence number — the
+   durability oracle, the replication positions and the stats all keep
+   reading it.  [t.seq] and [t.bytes] advance only in [run_flush], or on
+   a truncation ([reset_journal], [orphan_suffix]), which re-anchors
+   [g_assigned].  A failed batch flush poisons the group ([g_error] is
+   sticky): every waiter whose record the failed fsync was meant to cover
+   gets the error, and so does every later enqueue — the broker turns
+   that into degraded mode. *)
 type group = {
-  linger : float;  (* leader waits this long for committers to pile on *)
-  byte_cap : int;  (* pending bytes that force an immediate flush *)
+  mutable linger : float;  (* the leader waits this long before its fsync *)
   g_mu : Mutex.t;
   g_cond : Condition.t;
-  g_buf : Buffer.t;  (* pending record bytes, in sequence order *)
+  g_buf : Buffer.t;  (* pending bytes, in sequence order *)
   mutable g_records : int;  (* pending record count *)
   mutable g_assigned : int;  (* last enqueued (not necessarily durable) seq *)
   mutable g_flushing : bool;  (* a leader owns the current batch window *)
   mutable g_error : exn option;  (* sticky: the group died mid-flush *)
-  on_flush : int -> unit;  (* batch-size observer (metrics) *)
+  mutable on_flush : int -> unit;  (* batch-size observer (metrics) *)
 }
+
+(* pending bytes that force an immediate flush: a burst of large sessions
+   must not grow the batch unboundedly while the leader lingers *)
+let byte_cap = 1024 * 1024
 
 type t = {
   dir : string;
@@ -98,7 +105,7 @@ type t = {
   mutable bytes : int;  (* durable journal size *)
   mutable epoch : int;  (* promotion epoch: highest stamp seen or adopted *)
   mutable was_fenced : bool;  (* a fence marker is the latest epoch event *)
-  mutable group : group option;  (* group-commit mode, when enabled *)
+  group : group;
   (* tenant-labeled failpoint variants; None on single-tenant journals *)
   fp_write : Failpoint.site option;
   fp_fsync : Failpoint.site option;
@@ -112,28 +119,13 @@ let bytes t = t.bytes
 let epoch t = t.epoch
 let fenced t = t.was_fenced
 
-let set_group_commit t ~linger ?(byte_cap = 1024 * 1024) ~on_flush () =
-  t.group <-
-    Some
-      {
-        linger;
-        byte_cap;
-        g_mu = Mutex.create ();
-        g_cond = Condition.create ();
-        g_buf = Buffer.create 4096;
-        g_records = 0;
-        g_assigned = t.seq;
-        g_flushing = false;
-        g_error = None;
-        on_flush;
-      }
-
-let grouped t = t.group <> None
+let set_group_commit t ~linger ~on_flush =
+  t.group.linger <- linger;
+  t.group.on_flush <- on_flush
 
 let in_flight t =
-  match t.group with
-  | None -> false
-  | Some g -> g.g_records > 0 || g.g_flushing || g.g_assigned > t.seq
+  let g = t.group in
+  g.g_records > 0 || g.g_flushing || g.g_assigned > t.seq
 
 let rec mkdir_p dir =
   if not (Sys.file_exists dir) then begin
@@ -158,14 +150,13 @@ let read_file path =
 (* Append                                                              *)
 (* ------------------------------------------------------------------ *)
 
-(* Write some record bytes and fsync, with the failpoint sites armed-in
-   and — the hardening they forced — rollback on failure: whatever the
-   failed write left behind is truncated back to the last good (durable)
-   offset, so a half-appended record can never poison the file for later
-   appends or the next recovery.  In group-commit mode [s] is a whole
-   batch and the same failpoints fire once per batch (an injected partial
-   write or fsync error takes down every record in it). *)
-let append_protected ?(records = 1) t s =
+(* Write one batch and fsync, with the failpoint sites armed-in and — the
+   hardening they forced — rollback on failure: whatever the failed write
+   left behind is truncated back to the last good (durable) offset, so a
+   half-appended batch can never poison the file for the next recovery.
+   The failpoints fire once per batch (an injected partial write or fsync
+   error takes down every record in it). *)
+let append_protected ~records t s =
   try
     Obs.Trace.with_span "journal.append"
       ~kvs:
@@ -224,11 +215,12 @@ let record_bytes ~seq ~epoch ~(ids : Gom.Ids.gen) ~code (delta : Delta.t) :
    already claimed by the caller; returns with [g_mu] held, [g_flushing]
    cleared and every waiter woken.  The I/O itself runs unlocked so
    committers keep enqueuing (and readers keep reading) during the fsync;
-   [g_flushing] guarantees a single flusher, so [t.seq]/[t.bytes] are
-   only ever advanced here (or by the sync path, never concurrently). *)
+   [g_flushing] guarantees a single flusher. *)
 let run_flush t g =
   let s = Buffer.contents g.g_buf in
-  Buffer.clear g.g_buf;
+  (* reset, not clear: one large record (a whole base schema) must not
+     pin its buffer for the journal's lifetime *)
+  Buffer.reset g.g_buf;
   let n = g.g_records in
   g.g_records <- 0;
   let last = g.g_assigned in
@@ -249,9 +241,23 @@ let run_flush t g =
   g.g_flushing <- false;
   Condition.broadcast g.g_cond
 
-let with_g g f =
+let with_g t f =
+  let g = t.group in
   Mutex.lock g.g_mu;
-  Fun.protect ~finally:(fun () -> Mutex.unlock g.g_mu) f
+  Fun.protect ~finally:(fun () -> Mutex.unlock g.g_mu) (fun () -> f g)
+
+(* Add [s] — [records] whole records, or none for a marker line — to the
+   pending batch.  Call with [g_mu] held. *)
+let push t g ~records s =
+  (match g.g_error with Some e -> raise e | None -> ());
+  Buffer.add_string g.g_buf s;
+  g.g_records <- g.g_records + records;
+  g.g_assigned <- g.g_assigned + records;
+  t.since <- t.since + records;
+  if Buffer.length g.g_buf >= byte_cap && not g.g_flushing then begin
+    g.g_flushing <- true;
+    run_flush t g
+  end
 
 (* The writer's epoch gate: a committer stamped with an epoch below the
    journal's current one has been superseded by a promotion it has not
@@ -262,99 +268,72 @@ let check_epoch t e =
     raise (Fenced { record_epoch = e; journal_epoch = t.epoch })
   else if e > t.epoch then t.epoch <- e
 
-let append t ?epoch ~(ids : Gom.Ids.gen) ~code (delta : Delta.t) : int =
-  let e = match epoch with Some e -> e | None -> t.epoch in
-  if Delta.is_empty delta && code = [] then begin
-    check_epoch t e;
-    t.seq
-  end
-  else
-    match t.group with
-    | None ->
+let enqueue t ?epoch ~(ids : Gom.Ids.gen) ~code (delta : Delta.t) : int =
+  with_g t (fun g ->
+      let e = match epoch with Some e -> e | None -> t.epoch in
+      if Delta.is_empty delta && code = [] then begin
         check_epoch t e;
-        let n = t.seq + 1 in
-        let s = record_bytes ~seq:n ~epoch:e ~ids ~code delta in
-        append_protected t s;
-        t.seq <- n;
-        t.since <- t.since + 1;
-        t.bytes <- t.bytes + String.length s;
+        t.seq
+      end
+      else begin
+        check_epoch t e;
+        let n = g.g_assigned + 1 in
+        push t g ~records:1 (record_bytes ~seq:n ~epoch:e ~ids ~code delta);
         n
-    | Some g ->
-        (* enqueue only: the record is durable once a flush covering its
-           seq completes — callers must [await] before acknowledging *)
-        with_g g (fun () ->
-            (match g.g_error with Some e -> raise e | None -> ());
-            check_epoch t e;
-            let n = g.g_assigned + 1 in
-            Buffer.add_string g.g_buf (record_bytes ~seq:n ~epoch:e ~ids ~code delta);
-            g.g_records <- g.g_records + 1;
-            g.g_assigned <- n;
-            t.since <- t.since + 1;
-            (* safety valve: a burst of large sessions must not grow the
-               pending batch unboundedly while the leader lingers *)
-            if Buffer.length g.g_buf >= g.byte_cap && not g.g_flushing then begin
-              g.g_flushing <- true;
-              run_flush t g
-            end;
-            n)
+      end)
 
 (* Block until the record at [seq] is durable (or its flush failed).  The
    first waiter to find an unclaimed batch becomes the leader: it lingers
    for the configured window so concurrent committers can pile on, then
    writes and fsyncs the whole batch at once. *)
 let await t ~seq =
-  match t.group with
-  | None -> ()
-  | Some g ->
-      with_g g (fun () ->
-          let rec wait () =
-            if t.seq >= seq then ()
-            else
-              match g.g_error with
-              | Some e -> raise e
-              | None ->
-                  if g.g_flushing || g.g_records = 0 then begin
-                    Condition.wait g.g_cond g.g_mu;
-                    wait ()
-                  end
-                  else begin
-                    g.g_flushing <- true;
-                    if g.linger > 0. then begin
-                      Mutex.unlock g.g_mu;
-                      Thread.delay g.linger;
-                      Mutex.lock g.g_mu
-                    end;
-                    run_flush t g;
-                    wait ()
-                  end
-          in
-          wait ())
+  with_g t (fun g ->
+      let rec wait () =
+        if t.seq >= seq then ()
+        else
+          match g.g_error with
+          | Some e -> raise e
+          | None ->
+              if g.g_flushing || Buffer.length g.g_buf = 0 then begin
+                Condition.wait g.g_cond g.g_mu;
+                wait ()
+              end
+              else begin
+                g.g_flushing <- true;
+                if g.linger > 0. then begin
+                  Mutex.unlock g.g_mu;
+                  Thread.delay g.linger;
+                  Mutex.lock g.g_mu
+                end;
+                run_flush t g;
+                wait ()
+              end
+      in
+      wait ())
+
+let append t ?epoch ~ids ~code delta =
+  let seq = enqueue t ?epoch ~ids ~code delta in
+  await t ~seq;
+  seq
 
 (* Flush everything pending, without a linger, and wait for any in-flight
-   batch: the checkpoint/close path — a snapshot must cover a quiescent,
-   fully durable journal.  Raises the sticky group error if records were
-   lost to a failed flush. *)
+   batch: what a checkpoint, a truncation or a marker needs — a quiescent,
+   fully durable journal.  Raises the sticky group error. *)
 let drain t =
-  match t.group with
-  | None -> ()
-  | Some g ->
-      with_g g (fun () ->
-          let rec go () =
-            if g.g_flushing then begin
-              Condition.wait g.g_cond g.g_mu;
-              go ()
-            end
-            else if g.g_records > 0 then begin
-              g.g_flushing <- true;
-              run_flush t g;
-              go ()
-            end
-            else
-              match g.g_error with
-              | Some e when t.seq < g.g_assigned -> raise e
-              | _ -> ()
-          in
-          go ())
+  with_g t (fun g ->
+      let rec go () =
+        if g.g_flushing then begin
+          Condition.wait g.g_cond g.g_mu;
+          go ()
+        end
+        else if Buffer.length g.g_buf > 0 then begin
+          g.g_flushing <- true;
+          run_flush t g;
+          go ()
+        end
+        else match g.g_error with Some e -> raise e | None -> ()
+      in
+      go ())
 
 let close t =
   (try drain t with _ -> ());
@@ -365,13 +344,13 @@ let close t =
    sequence number [seq]; it is written verbatim so the replica's journal
    stays byte-identical to the primary's record stream. *)
 let append_raw t ?(epoch = 0) ~seq ~text () =
-  if seq <> t.seq + 1 then
-    invalid_arg
-      (Printf.sprintf "Journal.append_raw: seq %d after %d" seq t.seq);
-  append_protected t text;
-  t.seq <- seq;
-  t.since <- t.since + 1;
-  t.bytes <- t.bytes + String.length text;
+  with_g t (fun g ->
+      if seq <> g.g_assigned + 1 then
+        invalid_arg
+          (Printf.sprintf "Journal.append_raw: seq %d after %d" seq
+             g.g_assigned);
+      push t g ~records:1 text);
+  await t ~seq;
   (* historical records may carry any epoch <= the feed's current one, so
      unlike {!append} a low stamp is not an error here — the replica just
      adopts the highest epoch it has applied (the stamp inside the record
@@ -383,22 +362,22 @@ let append_raw t ?(epoch = 0) ~seq ~text () =
 
 (* Durably raise the journal's epoch with a standalone marker line —
    [epoch <e>] for a promotion/adoption, [fenced <e>] when this node was
-   fenced by a peer's higher epoch.  Markers live between records, are
-   fsynced like records, and are replayed on recovery so a restarted node
-   remembers both its epoch and whether it was fenced. *)
+   fenced by a peer's higher epoch.  Markers live between records, go
+   through the batch writer like records, and are replayed on recovery so
+   a restarted node remembers both its epoch and whether it was fenced.
+   The epoch moves when the marker is enqueued, so every record enqueued
+   after it is checked against the new epoch. *)
 let advance_epoch t ~epoch ~fenced =
-  if epoch < t.epoch || (epoch = t.epoch && t.was_fenced = fenced) then
-    invalid_arg
-      (Printf.sprintf "Journal.advance_epoch: epoch %d at %d" epoch t.epoch);
-  drain t;
-  let line =
-    Printf.sprintf "%s %d\n" (if fenced then "fenced" else "epoch") epoch
-  in
-  append_protected t line;
-  t.bytes <- t.bytes + String.length line;
-  t.epoch <- epoch;
-  t.was_fenced <- fenced;
-  match t.group with Some g -> g.g_assigned <- max g.g_assigned t.seq | None -> ()
+  with_g t (fun g ->
+      if epoch < t.epoch || (epoch = t.epoch && t.was_fenced = fenced) then
+        invalid_arg
+          (Printf.sprintf "Journal.advance_epoch: epoch %d at %d" epoch
+             t.epoch);
+      push t g ~records:0
+        (Printf.sprintf "%s %d\n" (if fenced then "fenced" else "epoch") epoch);
+      t.epoch <- epoch;
+      t.was_fenced <- fenced);
+  drain t
 
 (* ------------------------------------------------------------------ *)
 (* Checkpoint                                                          *)
@@ -434,13 +413,13 @@ let reset_journal t ~new_base =
   t.seq <- new_base;
   t.since <- 0;
   t.bytes <- String.length h;
-  (* callers drain the group before resetting, so assigned = durable here;
-     re-anchor it in case the numbering base just moved *)
-  match t.group with Some g -> g.g_assigned <- new_base | None -> ()
+  (* nothing is pending here, so assigned = durable; re-anchor it in case
+     the numbering base just moved *)
+  t.group.g_assigned <- new_base
 
 let checkpoint t (m : Manager.t) : unit =
-  (* a snapshot must cover a quiescent, fully durable journal: flush any
-     pending group-commit batch first (raises if records were lost) *)
+  (* a snapshot must cover a quiescent, fully durable journal: flush the
+     pending batch first (raises if a flush ever failed) *)
   drain t;
   let buf = Persist.save_to_buffer m in
   write_snapshot_file t (Buffer.contents buf);
@@ -487,64 +466,70 @@ let complete_lines text =
     text;
   List.rev !out
 
+(* A line as the scanner sees it: brackets, markers and comments are told
+   apart by their verb alone; every other line is payload, left undecoded
+   for {!parse_record}. *)
 type line =
   | L_comment
   | L_begin of int
   | L_epoch of int  (* record stamp, or a standalone adoption marker *)
   | L_fenced of int  (* standalone marker only: this node was fenced *)
-  | L_ids of int array
-  | L_add of Fact.t
-  | L_del of Fact.t
-  | L_code of string * (string list * Analyzer.Ast.stmt)
-  | L_crc of int32
   | L_commit of int
+  | L_payload of string * string  (* verb, argument *)
 
-let parse_line (s : string) : line =
-  let s = String.trim s in
+let line_of (l : string) : line =
+  let s = String.trim l in
   if s = "" || s.[0] = '#' then L_comment
   else
     let verb, rest =
       match String.index_opt s ' ' with
       | None -> (s, "")
-      | Some i -> (String.sub s 0 i, String.sub s (i + 1) (String.length s - i - 1))
+      | Some i ->
+          (String.sub s 0 i, String.sub s (i + 1) (String.length s - i - 1))
     in
-    let int_of r = match int_of_string_opt (String.trim r) with
-      | Some n -> n
-      | None -> raise (Corrupt ("bad number in journal line: " ^ s))
-    in
-    match verb with
-    | "begin" -> L_begin (int_of rest)
-    | "epoch" -> L_epoch (int_of rest)
-    | "fenced" -> L_fenced (int_of rest)
-    | "commit" -> L_commit (int_of rest)
-    | "crc" -> (
-        match Crc32.of_decimal rest with
-        | Some c -> L_crc c
-        | None -> raise (Corrupt ("bad crc in journal line: " ^ s)))
-    | "ids" ->
-        let parts =
-          String.split_on_char ' ' rest |> List.filter (fun p -> p <> "")
-        in
-        if List.length parts <> 6 then raise (Corrupt ("bad ids line: " ^ s));
-        L_ids (Array.of_list (List.map int_of parts))
-    | "add" | "del" -> (
-        (* journal fact lines are emitted by [encode_fact], so a strict
-           round-trip must reproduce the input exactly; [decode_fact]
-           alone would silently ignore trailing bytes, and a corrupted
-           newline could fuse a payload line with the crc line and smuggle
-           the record through the legacy crc-less path *)
-        try
-          let f = Persist.decode_fact rest in
-          if Persist.encode_fact f <> rest then
-            raise (Corrupt ("trailing bytes in fact line: " ^ s));
-          if verb = "add" then L_add f else L_del f
-        with Persist.Corrupt e -> raise (Corrupt e))
-    | "code" -> (
-        try
-          let cid, params, body = Persist.decode_code rest in
-          L_code (cid, (params, body))
-        with Persist.Corrupt e -> raise (Corrupt e))
-    | _ -> raise (Corrupt ("unknown journal line: " ^ s))
+    match (verb, int_of_string_opt (String.trim rest)) with
+    | "begin", Some n -> L_begin n
+    | "epoch", Some n -> L_epoch n
+    | "fenced", Some n -> L_fenced n
+    | "commit", Some n -> L_commit n
+    | _ -> L_payload (verb, rest)
+
+(* What lies between (and is) records in journal text. *)
+type item =
+  | Comment
+  | Marker of { m_epoch : int; m_fenced : bool }
+  | Record of int * string  (* seq, exact bytes from begin to commit *)
+
+(* Split journal text into items, each with the offset just past it, in
+   file order.  Only the bracket is inspected — [begin n] opens a record,
+   the first [commit n] closes it — so scanning costs no fact decoding.
+   Stops at the first line that fits neither a record nor the gap between
+   records: a stray line, a nested or mismatched bracket, or a record
+   that never closes (the torn tail). *)
+let scan text : (item * int) list =
+  let rec between acc = function
+    | [] -> List.rev acc
+    | (l, stop) :: rest -> (
+        match line_of l with
+        | L_comment -> between ((Comment, stop) :: acc) rest
+        | L_epoch e -> marker acc e false stop rest
+        | L_fenced e -> marker acc e true stop rest
+        | L_begin n -> inside acc n (stop - String.length l - 1) rest
+        | L_commit _ | L_payload _ -> List.rev acc)
+  and marker acc m_epoch m_fenced stop rest =
+    between ((Marker { m_epoch; m_fenced }, stop) :: acc) rest
+  and inside acc n start = function
+    | [] -> List.rev acc
+    | (l, stop) :: rest -> (
+        match line_of l with
+        | L_commit m when m = n ->
+            let r = Record (n, String.sub text start (stop - start)) in
+            between ((r, stop) :: acc) rest
+        | L_begin _ | L_commit _ -> List.rev acc
+        | L_comment | L_epoch _ | L_fenced _ | L_payload _ ->
+            inside acc n start rest)
+  in
+  between [] (complete_lines text)
 
 (* One parsed record, in file order. *)
 type parsed_record = {
@@ -555,58 +540,89 @@ type parsed_record = {
   r_code : (string * (string list * Analyzer.Ast.stmt)) list;
 }
 
-(* Parse one complete record's raw text (as shipped over a replication
-   feed) back into its delta/code/ids. *)
+(* Decode and check one record's text — the only place record lines are
+   decoded, for recovery and for a replica alike.  The record is whole
+   lines from [begin n] to [commit n]; the [crc] line covers every byte
+   before it, and only the matching [commit] may follow it; comments and
+   fence markers never appear inside a record; nothing follows [commit].
+   Records written before the checksum existed have no [crc] line. *)
 let parse_record text : parsed_record =
-  let seq = ref None
-  and repoch = ref 0
-  and ids = ref None
-  and delta = ref Delta.empty
-  and code = ref []
-  and commit = ref None
-  and acc = ref Crc32.init in
-  List.iter
-    (fun l ->
-      match parse_line l with
-      | L_crc c ->
-          (* the crc covers every record byte before its own line *)
-          if Crc32.finish !acc <> c then raise (Corrupt "record: crc mismatch")
-      | parsed ->
-          (match parsed with
-          | L_comment ->
-              (* only the empty tail of the final newline is tolerated:
-                 the appender writes no comments inside records, and a
-                 damaged "crc" line can masquerade as one *)
-              if l <> "" then raise (Corrupt "record: comment inside record")
-          | L_begin n -> (
-              match !seq with
-              | None -> seq := Some n
-              | Some _ -> raise (Corrupt "record: nested begin"))
-          | L_epoch e -> repoch := e
-          | L_fenced _ -> raise (Corrupt "record: fence marker inside record")
-          | L_ids a -> ids := Some a
-          | L_add f -> delta := Delta.add f !delta
-          | L_del f -> delta := Delta.del f !delta
-          | L_code (cid, c) -> code := (cid, c) :: !code
-          | L_crc _ -> ()
-          | L_commit n -> commit := Some n);
-          if !commit = None then acc := Crc32.update_string !acc (l ^ "\n"))
-    (String.split_on_char '\n' text);
-  match (!seq, !commit) with
-  | Some n, Some n' when n = n' ->
-      {
-        r_seq = n;
-        r_epoch = !repoch;
-        r_ids = !ids;
-        r_delta = !delta;
-        r_code = List.rev !code;
-      }
-  | _ -> raise (Corrupt "record: missing or mismatched begin/commit")
+  let bad what = raise (Corrupt ("record: " ^ what)) in
+  let lines = complete_lines text in
+  (match List.rev lines with
+  | (_, stop) :: _ when stop = String.length text -> ()
+  | _ -> bad "not whole lines");
+  let fact arg =
+    (* fact lines are emitted by [encode_fact], so a strict round-trip must
+       reproduce the input exactly; [decode_fact] alone would silently
+       ignore trailing bytes, and a corrupted newline could fuse a payload
+       line with the crc line *)
+    match Persist.decode_fact arg with
+    | f when Persist.encode_fact f = arg -> f
+    | _ -> bad ("trailing bytes in fact line: " ^ arg)
+    | exception Persist.Corrupt e -> bad e
+  in
+  let rec go r = function
+    | [] -> bad "missing commit"
+    | (l, stop) :: rest -> (
+        match line_of l with
+        | L_commit n when n = r.r_seq ->
+            (* a legacy crc-less record *)
+            if rest <> [] then bad "line after commit";
+            r
+        | L_epoch e -> go { r with r_epoch = e } rest
+        | L_payload ("crc", c) -> (
+            let covered = String.sub text 0 (stop - String.length l - 1) in
+            if Crc32.of_decimal c <> Some (Crc32.string covered) then
+              bad "crc mismatch";
+            match rest with
+            | [ (l', _) ] when line_of l' = L_commit r.r_seq -> r
+            | _ -> bad "only the matching commit may follow crc")
+        | L_payload ("ids", a) -> (
+            let ns = String.split_on_char ' ' a |> List.filter (( <> ) "") in
+            match List.map int_of_string_opt ns with
+            | [ Some _; Some _; Some _; Some _; Some _; Some _ ] as ids ->
+                let ids = Array.of_list (List.map Option.get ids) in
+                go { r with r_ids = Some ids } rest
+            | _ -> bad ("bad ids line: " ^ l))
+        | L_payload ("add", f) ->
+            go { r with r_delta = Delta.add (fact f) r.r_delta } rest
+        | L_payload ("del", f) ->
+            go { r with r_delta = Delta.del (fact f) r.r_delta } rest
+        | L_payload ("code", c) -> (
+            match Persist.decode_code c with
+            | cid, params, body ->
+                go { r with r_code = (cid, (params, body)) :: r.r_code } rest
+            | exception Persist.Corrupt e -> bad e)
+        | L_payload _ -> bad ("unknown journal line: " ^ l)
+        | L_comment -> bad "comment inside record"
+        | L_begin _ -> bad "nested begin"
+        | L_fenced _ -> bad "fence marker inside record"
+        | L_commit _ -> bad "mismatched commit")
+  in
+  match lines with
+  | (l, _) :: rest -> (
+      match line_of l with
+      | L_begin n ->
+          let r0 =
+            {
+              r_seq = n;
+              r_epoch = 0;
+              r_ids = None;
+              r_delta = Delta.empty;
+              r_code = [];
+            }
+          in
+          let r = go r0 rest in
+          { r with r_code = List.rev r.r_code }
+      | _ -> bad "missing begin")
+  | [] -> bad "empty"
 
-(* Replay one record through a session.  Any failure — exception or an
+(* Apply one record through a session, so whatever derived state the
+   manager keeps is maintained by DRed.  Any failure — exception or an
    inconsistent result — rolls the session back and reports the record as
    bad, which recovery treats as the start of the torn tail. *)
-let replay_record (m : Manager.t) (r : parsed_record) : bool =
+let apply_record (m : Manager.t) (r : parsed_record) : bool =
   Manager.begin_session m;
   match
     Manager.propose m r.r_delta;
@@ -634,151 +650,39 @@ let replay_record (m : Manager.t) (r : parsed_record) : bool =
       if Manager.in_session m then Manager.rollback m;
       false
 
-let apply_record = replay_record
-
-(* Raw complete records in journal text, in file order: [(seq, text)] where
-   [text] is the record's exact bytes (begin..commit inclusive).  Only the
-   begin/commit bracket is inspected — interior lines were validated when
-   the record was first replayed or received — so streaming a record to a
-   replica costs no fact decoding. *)
-let verb_int prefix line =
-  let pl = String.length prefix in
-  if String.length line > pl && String.sub line 0 pl = prefix then
-    int_of_string_opt (String.trim (String.sub line pl (String.length line - pl)))
-  else None
-
-(* [(seq, start offset, record text)] for every complete record. *)
-let scan_raw_offsets text : (int * int * string) list =
-  let out = ref [] in
-  let line_start = ref 0 in
-  let cur = ref None in
-  List.iter
-    (fun (line, end_off) ->
-      let s = String.trim line in
-      (match (verb_int "begin " s, verb_int "commit " s) with
-      | Some n, _ -> cur := Some (n, !line_start)
-      | _, Some n -> (
-          match !cur with
-          | Some (n', start) when n = n' ->
-              out := (n, start, String.sub text start (end_off - start)) :: !out;
-              cur := None
-          | _ -> cur := None)
-      | None, None -> ());
-      line_start := end_off)
-    (complete_lines text);
-  List.rev !out
-
-let scan_raw text : (int * string) list =
-  List.map (fun (n, _, s) -> (n, s)) (scan_raw_offsets text)
-
 let records_from t ~from : (int * string) list =
-  let text = read_file (journal_path ~dir:t.dir) in
-  List.filter (fun (s, _) -> s > from && s <= t.seq) (scan_raw text)
+  List.filter_map
+    (function
+      | Record (n, text), _ when n > from && n <= t.seq -> Some (n, text)
+      | _ -> None)
+    (scan (read_file (journal_path ~dir:t.dir)))
 
-(* Scan the journal text: replay every complete, in-sequence record and
-   return (last good offset, #replayed, last seq, epoch, fenced).  [epoch]
-   starts at the header's value and is raised by record stamps and by
-   standalone [epoch]/[fenced] markers; [fenced] tracks whether the most
-   recent epoch event was a fence (a later record or promotion marker
-   clears it — the node has since acted in the newer epoch). *)
-let scan_and_replay (m : Manager.t) ~base ?(epoch0 = 0) ?(fenced0 = false)
-    (text : string) : int * int * int * int * bool =
-  let lines = ref (complete_lines text) in
-  let good = ref 0 in
-  let replayed = ref 0 in
-  let last_seq = ref base in
-  let epoch = ref epoch0 in
-  let fenced = ref fenced0 in
-  let next () =
-    match !lines with
-    | [] -> None
-    | l :: rest ->
-        lines := rest;
-        Some l
+(* Replay journal text onto [m] — every in-sequence record that parses
+   and applies, and the epoch markers between them — and return (offset
+   just past the last item kept, #replayed, last seq, epoch, fenced).
+   [epoch] starts at the header's value and is raised by record stamps and
+   by markers; [fenced] tracks whether the most recent epoch event was a
+   fence (a later record or promotion marker clears it — the node has
+   since acted in the newer epoch).  Replay stops at the first item that
+   breaks these rules: everything from there on is the torn tail. *)
+let replay (m : Manager.t) text =
+  let base, epoch0, fenced0 = base_of_header text in
+  let rec go good n last epoch fenced = function
+    | (Comment, stop) :: rest -> go stop n last epoch fenced rest
+    | (Marker { m_epoch = e; m_fenced }, stop) :: rest when e >= epoch ->
+        go stop n last e m_fenced rest
+    | (Record (seq, text), stop) :: rest when seq = last + 1 -> (
+        match parse_record text with
+        | r when apply_record m r ->
+            let fenced = fenced && r.r_epoch <= epoch in
+            go stop (n + 1) seq (max epoch r.r_epoch) fenced rest
+        | _ | (exception Corrupt _) -> (good, n, last, epoch, fenced))
+    | _ -> (good, n, last, epoch, fenced)
   in
-  let rec between () =
-    (* between records: blanks, comments and epoch markers advance the
-       good offset *)
-    match next () with
-    | None -> ()
-    | Some (line, off) -> (
-        match parse_line line with
-        | L_comment ->
-            good := off;
-            between ()
-        | L_epoch e when e >= !epoch ->
-            epoch := e;
-            fenced := false;
-            good := off;
-            between ()
-        | L_fenced e when e >= !epoch ->
-            epoch := e;
-            fenced := true;
-            good := off;
-            between ()
-        | L_begin n when n = !last_seq + 1 ->
-            in_record n 0 None Delta.empty []
-              (Crc32.update_string Crc32.init (line ^ "\n"))
-        | _ -> (* out-of-sequence or stray line: torn tail *) ())
-  and in_record n repoch ids delta code acc =
-    (* [acc] checksums the raw bytes of the record so far; a [crc] line
-       must match it or the whole record is bit-rot (treated as torn). *)
-    let finish off =
-      let r =
-        {
-          r_seq = n;
-          r_epoch = repoch;
-          r_ids = ids;
-          r_delta = delta;
-          r_code = List.rev code;
-        }
-      in
-      if replay_record m r then begin
-        good := off;
-        replayed := !replayed + 1;
-        last_seq := n;
-        if repoch > !epoch then begin
-          epoch := repoch;
-          fenced := false
-        end;
-        between ()
-      end
-    in
-    match next () with
-    | None -> () (* EOF mid-record: torn *)
-    | Some (line, off) -> (
-        let acc' () = Crc32.update_string acc (line ^ "\n") in
-        match parse_line line with
-        | L_epoch e -> in_record n e ids delta code (acc' ())
-        | L_ids a -> in_record n repoch (Some a) delta code (acc' ())
-        | L_add f -> in_record n repoch ids (Delta.add f delta) code (acc' ())
-        | L_del f -> in_record n repoch ids (Delta.del f delta) code (acc' ())
-        | L_code (cid, c) ->
-            in_record n repoch ids delta ((cid, c) :: code) (acc' ())
-        | L_crc c ->
-            if Crc32.finish acc <> c then () (* corrupt record: torn *)
-            else (
-              (* after a verified crc the only acceptable next line is the
-                 matching commit — anything else is uncovered by the
-                 checksum and must not be replayed *)
-              match next () with
-              | None -> ()
-              | Some (line2, off2) -> (
-                  match parse_line line2 with
-                  | L_commit n' when n' = n -> finish off2
-                  | _ -> ()))
-        | L_commit n' when n' = n -> finish off (* legacy crc-less record *)
-        (* the appender never writes comments inside a record, so one here
-           is damage — e.g. a single-bit flip turning "crc" into "#rc",
-           which would otherwise demote the record to the crc-less path *)
-        | L_comment | L_begin _ | L_commit _ | L_fenced _ ->
-            () (* malformed: torn *))
-  in
-  (try between () with Corrupt _ -> ());
-  (!good, !replayed, !last_seq, !epoch, !fenced)
+  (base, go 0 0 base epoch0 fenced0 (scan text))
 
-let recover ?label ~dir () : recovery =
-  mkdir_p dir;
+(* The snapshot, if any, with the journal text replayed on top of it. *)
+let rebuild ~dir text =
   let snap = snapshot_path ~dir in
   let from_snapshot = Sys.file_exists snap in
   let manager =
@@ -787,24 +691,26 @@ let recover ?label ~dir () : recovery =
       with Persist.Corrupt e -> raise (Corrupt ("snapshot: " ^ e))
     else Manager.create ()
   in
+  (manager, from_snapshot, replay manager text)
+
+let recover ?label ~dir () : recovery =
+  mkdir_p dir;
   let jpath = journal_path ~dir in
   let existed = Sys.file_exists jpath in
+  let text = if existed then read_file jpath else "" in
+  let manager, from_snapshot, (base, (good, replayed, last_seq, ep, fen)) =
+    rebuild ~dir text
+  in
   let fd = Unix.openfile jpath [ Unix.O_RDWR; Unix.O_CREAT ] 0o644 in
-  let base, replayed, last_seq, truncated, size, ep, fen =
+  let size, truncated_bytes =
     if existed then begin
-      let text = read_file jpath in
-      let base, epoch0, fenced0 = base_of_header text in
-      let good, replayed, last_seq, ep, fen =
-        scan_and_replay manager ~base ~epoch0 ~fenced0 text
-      in
-      let len = String.length text in
-      if good < len then Unix.ftruncate fd good;
-      (base, replayed, last_seq, len - good, good, ep, fen)
+      if good < String.length text then Unix.ftruncate fd good;
+      (good, String.length text - good)
     end
     else begin
       write_all fd header;
       Unix.fsync fd;
-      (0, 0, 0, 0, String.length header, 0, false)
+      (String.length header, 0)
     end
   in
   ignore (Unix.lseek fd 0 Unix.SEEK_END);
@@ -818,13 +724,24 @@ let recover ?label ~dir () : recovery =
       bytes = size;
       epoch = ep;
       was_fenced = fen;
-      group = None;
+      group =
+        {
+          linger = 0.;
+          g_mu = Mutex.create ();
+          g_cond = Condition.create ();
+          g_buf = Buffer.create 4096;
+          g_records = 0;
+          g_assigned = last_seq;
+          g_flushing = false;
+          g_error = None;
+          on_flush = ignore;
+        };
       fp_write = labeled_site "journal.append.write" label;
       fp_fsync = labeled_site "journal.append.fsync" label;
       fp_ckpt = labeled_site "journal.checkpoint.snapshot" label;
     }
   in
-  { manager; journal; from_snapshot; replayed; truncated_bytes = truncated }
+  { manager; journal; from_snapshot; replayed; truncated_bytes }
 
 (* ------------------------------------------------------------------ *)
 (* Failover resync                                                     *)
@@ -846,19 +763,21 @@ let orphan_suffix t ~seal =
       (Printf.sprintf "Journal.orphan_suffix: seal %d below base %d" seal
          t.base);
   drain t;
-  let text = read_file (journal_path ~dir:t.dir) in
   let suffix =
-    List.filter (fun (n, _, _) -> n > seal) (scan_raw_offsets text)
+    List.filter_map
+      (function
+        | Record (n, text), stop when n > seal -> Some (text, stop)
+        | _ -> None)
+      (scan (read_file (journal_path ~dir:t.dir)))
   in
-  match suffix with
-  | [] ->
-      if t.seq > seal then t.seq <- seal;
-      0
-  | (_, cut, _) :: _ ->
+  (match suffix with
+  | [] -> ()
+  | (first, stop) :: _ ->
+      let cut = stop - String.length first in
       let buf = Buffer.create 1024 in
       Printf.bprintf buf "# orphaned %d record(s) past seal %d at epoch %d\n"
         (List.length suffix) seal t.epoch;
-      List.iter (fun (_, _, s) -> Buffer.add_string buf s) suffix;
+      List.iter (fun (text, _) -> Buffer.add_string buf text) suffix;
       let ofd =
         Unix.openfile (orphaned_path ~dir:t.dir)
           [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_APPEND ]
@@ -872,24 +791,17 @@ let orphan_suffix t ~seal =
       Unix.ftruncate t.fd cut;
       ignore (Unix.lseek t.fd 0 Unix.SEEK_END);
       Unix.fsync t.fd;
-      t.seq <- seal;
       t.bytes <- cut;
-      t.since <- min t.since (seal - t.base);
-      List.length suffix
+      t.since <- min t.since (seal - t.base));
+  if t.seq > seal then t.seq <- seal;
+  (* the batch writer numbers the next record after the seal *)
+  t.group.g_assigned <- t.seq;
+  List.length suffix
 
 (* Rebuild a fresh manager from the on-disk snapshot + (possibly just
    truncated) journal, without disturbing the journal handle: the resync
    path's way to roll its in-memory state back to what the file now
    holds. *)
 let reload t : Manager.t =
-  let snap = snapshot_path ~dir:t.dir in
-  let manager =
-    if Sys.file_exists snap then
-      try Persist.load ~path:snap
-      with Persist.Corrupt e -> raise (Corrupt ("snapshot: " ^ e))
-    else Manager.create ()
-  in
-  let text = read_file (journal_path ~dir:t.dir) in
-  let base, epoch0, fenced0 = base_of_header text in
-  ignore (scan_and_replay manager ~base ~epoch0 ~fenced0 text);
-  manager
+  let m, _, _ = rebuild ~dir:t.dir (read_file (journal_path ~dir:t.dir)) in
+  m

@@ -9,7 +9,8 @@
 
     On boot, {!recover} loads the snapshot (if any), replays the journal
     record by record, and truncates a torn tail — a record without its
-    matching [commit] line, with a sequence gap, or whose replay fails —
+    matching [commit] line, with a sequence gap, that {!parse_record}
+    refuses, or whose replay fails —
     so a [kill -9] between EES-ack and checkpoint loses nothing that was
     acknowledged and nothing half-written survives.
 
@@ -86,59 +87,68 @@ val append :
   code:(string * (string list * Analyzer.Ast.stmt)) list ->
   Datalog.Delta.t ->
   int
-(** Append one committed-session record; returns the record's sequence
-    number.  Empty records (no facts, no code) are skipped and return the
-    current sequence number.
+(** Append one committed-session record and return its sequence number
+    once it is durable: {!enqueue} followed by {!await}.  Empty records
+    (no facts, no code) are skipped and return the current sequence
+    number.
 
     [epoch] (default: the journal's current epoch) is the committer's
     promotion epoch: the record is stamped with it, and an [epoch] below
     the journal's current one raises {!Fenced} {e before any byte is
     written} — the append-side half of split-brain fencing.
 
-    Without group commit the record is written and fsynced before [append]
-    returns; if the write or fsync fails, the file is truncated back to
-    its pre-append size before the exception propagates, so a half-appended
-    record never survives.
+    If the write or fsync fails, the file is truncated back to its last
+    durable size before the exception propagates, so a half-appended
+    record never survives, and the journal refuses every later write
+    (see {!enqueue}). *)
 
-    With group commit ({!set_group_commit}) the record is only {e enqueued}
-    — [append] returns its assigned sequence number immediately and the
-    caller must {!await} it before acknowledging the commit.  Concurrent
-    enqueues are safe; on this path {!seq} keeps reporting the last
-    {e durable} record, which the assigned number may run ahead of. *)
+(** {2 The batch writer}
 
-(** {2 Group commit} *)
+    Every byte a journal writes after its header — commit records, a
+    replica's raw records, epoch markers — goes through one batch writer.
+    Writers enqueue bytes; the first {!await}er becomes the batch leader,
+    lingers (see {!set_group_commit}; no linger by default), then performs
+    one write+fsync for the whole batch.  So commits that arrive during an
+    fsync share the next one. *)
 
-val set_group_commit :
-  t -> linger:float -> ?byte_cap:int -> on_flush:(int -> unit) -> unit -> unit
-(** Switch {!append} into batched mode: committers enqueue record bytes
-    and the first {!await}er becomes the batch leader — it lingers for
-    [linger] seconds so concurrent committers can pile on, then performs
-    one write+fsync for the whole batch.  [byte_cap] (default 1 MiB)
-    bounds the pending batch: an enqueue that crosses it flushes
-    immediately.  [on_flush] observes each batch's record count (under
-    the group lock — keep it cheap).  A failed batch flush truncates the
-    file back to the last durable byte and poisons the group: every
-    affected {!await} and every later {!append} raises the original
-    exception.  Call once, before the journal is shared across threads. *)
+val enqueue :
+  t ->
+  ?epoch:int ->
+  ids:Gom.Ids.gen ->
+  code:(string * (string list * Analyzer.Ast.stmt)) list ->
+  Datalog.Delta.t ->
+  int
+(** The first half of {!append}: enqueue the record and return its
+    assigned sequence number at once.  The record is not durable until
+    {!await} returns for it — a committer must await before
+    acknowledging.  Concurrent enqueues are safe; {!seq} keeps reporting
+    the last {e durable} record, which the assigned number may run ahead
+    of.  A pending batch that reaches 1 MiB is flushed at once.  After a
+    failed flush the journal is poisoned: every later enqueue raises the
+    flush's exception. *)
 
-val grouped : t -> bool
-(** Whether group-commit mode is enabled. *)
+val await : t -> seq:int -> unit
+(** The second half of {!append}: block until the record at [seq] is
+    durable.  Raises the flush's exception if the batch covering [seq]
+    failed (the record was lost and the file truncated).  Returns at once
+    when [seq] is already durable. *)
+
+val set_group_commit : t -> linger:float -> on_flush:(int -> unit) -> unit
+(** Set how long a batch leader lingers, in seconds, before its
+    write+fsync so concurrent committers can pile on (default 0: no
+    linger), and the observer of each batch's record count ([on_flush]
+    runs under the batch lock — keep it cheap).  Call before the journal
+    is shared across threads. *)
 
 val in_flight : t -> bool
 (** Records enqueued (or mid-flush) but not yet durable.  The in-memory
     manager state is ahead of the durable journal exactly while this is
     true — state digests and eviction must wait it out. *)
 
-val await : t -> seq:int -> unit
-(** Block until the record at [seq] is durable.  Raises the flush's
-    exception if the batch covering [seq] failed (the record was lost and
-    the file truncated).  No-op without group commit, or when [seq] is
-    already durable. *)
-
 val drain : t -> unit
 (** Flush everything pending without lingering and wait out any in-flight
-    batch; raises the sticky group error if records were lost.  No-op
-    without group commit.  {!checkpoint} and {!close} drain implicitly. *)
+    batch; raises the sticky error if a flush ever failed.  {!checkpoint},
+    {!advance_epoch}, {!orphan_suffix} and {!close} drain implicitly. *)
 
 (** {2 Checkpoints and positions} *)
 
@@ -175,7 +185,7 @@ val fenced : t -> bool
 val advance_epoch : t -> epoch:int -> fenced:bool -> unit
 (** Durably raise the epoch with a standalone marker line ([epoch <e>]
     for a promotion or adoption, [fenced <e>] when fenced by a peer) —
-    drains any pending batch first, then appends and fsyncs the marker.
+    the marker goes through the batch writer and is durable on return.
     @raise Invalid_argument unless the marker changes state ([epoch]
     above the current one, or equal with a different fenced verdict). *)
 
@@ -198,20 +208,28 @@ val records_from : t -> from:int -> (int * string) list
 (** Committed records with sequence numbers in [(from, seq t]], each as its
     exact journal bytes (newline-terminated), oldest first.  Empty when the
     subscriber is caught up; a subscriber whose [from] predates {!base}
-    must bootstrap from the snapshot instead. *)
+    must bootstrap from the snapshot instead.  Only the [begin]/[commit]
+    bracket is read, so no fact is decoded. *)
 
 val parse_record : string -> parsed_record
-(** Parse one record's raw text (as returned by {!records_from} or shipped
-    over a feed). @raise Corrupt on malformed input. *)
+(** Decode and check one record's text (as returned by {!records_from} or
+    shipped over a feed) — the one record reader, which recovery uses too.
+    Its rules: the text is whole lines from [begin n] to [commit n]; the
+    [crc] line covers every byte before it, and only the matching [commit]
+    may follow it; no comment or [fenced] line appears inside a record;
+    nothing follows [commit].  Records written before the checksum
+    existed carry no [crc] line and still parse.
+    @raise Corrupt on anything else. *)
 
 val apply_record : Core.Manager.t -> parsed_record -> bool
 (** Apply one record through a BES..EES session, so whatever derived state
     the manager keeps is maintained by DRed, not re-derived; [false] —
     with the session rolled back — if the record does not commit
-    cleanly. *)
+    cleanly.  Recovery replays every record through it. *)
 
 val append_raw : t -> ?epoch:int -> seq:int -> text:string -> unit -> unit
-(** Append one record's exact bytes (the replica's write path) and fsync.
+(** Append one record's exact bytes (the replica's write path); durable
+    on return, like {!append}.
     [epoch] is the record's stamp: unlike {!append} a low stamp is fine
     (historical records predate promotions), but a stamp above the current
     epoch is adopted — the record bytes make the adoption durable.

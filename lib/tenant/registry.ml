@@ -19,7 +19,7 @@ type config = {
   checkpoint_every : int;
   checkpoint_bytes : int;
   acquire_timeout : float;
-  group_commit_ms : int;  (* fsync batching window, honored per-tenant *)
+  group_commit_ms : int;  (* batch leader's linger, honored per-tenant *)
   log : string -> unit;
 }
 
@@ -167,7 +167,7 @@ let evict_for_room_locked t =
     let continue_ = ref true in
     while !continue_ && Hashtbl.length t.open_tbl >= t.cfg.max_open do
       let in_flight e =
-        (* a group-commit batch awaiting its fsync: the committer already
+        (* a journal batch awaiting its fsync: the committer already
            released the writer slot, but closing the journal under the
            flush would lose acknowledgment-pending records *)
         match Broker.journal e.e_broker with

@@ -32,9 +32,10 @@ type config = {
   checkpoint_bytes : int;
   acquire_timeout : float;
   group_commit_ms : int;
-      (** fsync batching window in milliseconds, honored per-tenant
-          (each database's journal batches its own commits); 0 = every
-          commit fsyncs itself *)
+      (** how long a journal batch leader lingers, in milliseconds,
+          honored per-tenant (each database's journal batches its own
+          commits); 0 = no linger: commits that arrive during an fsync
+          share the next one *)
   log : string -> unit;  (** open/evict/drop notices *)
 }
 

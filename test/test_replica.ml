@@ -166,6 +166,60 @@ let test_append_raw_resume () =
     (dump_of r3.Journal.manager);
   Journal.close r3.Journal.journal
 
+(* A shipped record must pass the same checks recovery applies: a line
+   the CRC does not cover — between [crc] and [commit], or after
+   [commit] — is refused by the parser and by the replica's applier, and
+   the replica's position, state and journal bytes stay where they were.
+   A replica that applied such a record would append it verbatim and cut
+   it off again at its own next restart. *)
+let test_uncovered_lines_refused () =
+  let pdir = fresh_dir () and rdir = fresh_dir () in
+  let b, j = journaled_broker pdir in
+  commit b 1 zoo_frame;
+  commit b 1 "add attribute name : string to Animal@Zoo;";
+  let records = Journal.records_from j ~from:0 in
+  let r = Journal.recover ~dir:rdir () in
+  check_int "a fresh journal truncates nothing" 0 r.Journal.truncated_bytes;
+  let replica =
+    Broker.create ~journal:r.Journal.journal ~read_only:"primary:0"
+      ~metrics:(Metrics.create ()) r.Journal.manager
+  in
+  let applier = Applier.create replica in
+  Applier.apply_record applier ~seq:1 ~text:(List.assoc 1 records);
+  let good = List.assoc 2 records in
+  let smuggled = "add Type(\"tid_999\", \"Smuggled\", \"sid_1\")\n" in
+  let commit_at = String.length good - String.length "commit 2\n" in
+  let bad =
+    [
+      ( "line between crc and commit",
+        String.sub good 0 commit_at ^ smuggled ^ "commit 2\n" );
+      ("line after commit", good ^ smuggled);
+    ]
+  in
+  let rpath = Journal.journal_path ~dir:rdir in
+  let bytes0 = read_file rpath and digest0 = Broker.state_digest replica in
+  check_bool "replica has a digest" true (digest0 <> None);
+  List.iter
+    (fun (what, text) ->
+      (match Journal.parse_record text with
+      | exception Journal.Corrupt _ -> ()
+      | _ -> Alcotest.failf "parse_record accepted a %s" what);
+      (match Applier.apply_record applier ~seq:2 ~text with
+      | exception _ -> ()
+      | () -> Alcotest.failf "the applier accepted a %s" what);
+      check_int (what ^ ": position") 1 (Applier.position applier);
+      check_bool (what ^ ": state") true
+        (Broker.state_digest replica = digest0);
+      check_string (what ^ ": journal bytes") bytes0 (read_file rpath))
+    bad;
+  (* the genuine record still applies *)
+  Applier.apply_record applier ~seq:2 ~text:good;
+  check_int "genuine record applied" 2 (Applier.position applier);
+  check_bool "converged" true
+    (Broker.state_digest replica = Broker.state_digest b);
+  Journal.close j;
+  Journal.close r.Journal.journal
+
 let test_install_snapshot () =
   let dir1 = fresh_dir () and dir2 = fresh_dir () in
   let b, j1 = journaled_broker ~checkpoint_every:1 dir1 in
@@ -433,6 +487,11 @@ let test_orphan_suffix () =
 (* ------------------------------------------------------------------ *)
 
 let start_primary dir =
+  let r = Journal.recover ~dir () in
+  let broker =
+    Broker.create ~journal:r.Journal.journal ~acquire_timeout:0.5
+      ~metrics:(Metrics.create ()) r.Journal.manager
+  in
   let port = ref 0 in
   let ready = Mutex.create () and cond = Condition.create () in
   ignore
@@ -444,12 +503,7 @@ let start_primary dir =
              port := p;
              Condition.signal cond;
              Mutex.unlock ready)
-           {
-             Daemon.default_config with
-             Daemon.port = 0;
-             data_dir = Some dir;
-             acquire_timeout = 0.5;
-           })
+           ~broker { Daemon.default_config with Daemon.port = 0 })
        ());
   Mutex.lock ready;
   while !port = 0 do
@@ -668,6 +722,8 @@ let suite =
           test_parse_and_apply_record;
         Alcotest.test_case "append_raw mirrors and resumes" `Quick
           test_append_raw_resume;
+        Alcotest.test_case "uncovered record lines refused" `Quick
+          test_uncovered_lines_refused;
         Alcotest.test_case "install_snapshot bootstraps" `Quick
           test_install_snapshot;
       ] );

@@ -564,6 +564,15 @@ let test_bit_flip_detected_at_every_byte () =
         (dump_of r.Journal.manager);
       check_bool ("flip detected at " ^ where) true
         (r.Journal.truncated_bytes > 0);
+      (* the flipped record, as a feed would ship it, gets the same verdict *)
+      let first, stop =
+        if off < end1 then (header_end, end1) else (end1, len)
+      in
+      (match
+         Journal.parse_record (Bytes.sub_string flipped first (stop - first))
+       with
+      | exception Journal.Corrupt _ -> ()
+      | _ -> Alcotest.failf "parse_record accepted the flip at %s" where);
       Journal.close r.Journal.journal
     done
   done
@@ -677,8 +686,10 @@ let ensure_daemon =
                  daemon_port := p;
                  Condition.signal cond;
                  Mutex.unlock ready)
-               { Daemon.default_config with Daemon.port = 0;
-                 acquire_timeout = 0.5 })
+               ~broker:
+                 (Broker.create ~acquire_timeout:0.5
+                    ~metrics:(Metrics.create ()) (Manager.create ()))
+               { Daemon.default_config with Daemon.port = 0 })
            ());
       Mutex.lock ready;
       while !daemon_port = 0 do Condition.wait cond ready done;
