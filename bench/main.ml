@@ -654,11 +654,13 @@ let bench_replica_traffic () =
       (Filename.get_temp_dir_name ())
       (Printf.sprintf "gomsm-bench-feed-%d" (Unix.getpid ()))
   in
-  let r = Server.Journal.recover ~dir () in
+  let r =
+    Server.Journal.recover ~checkpoint_every:max_int ~checkpoint_bytes:max_int
+      ~dir ()
+  in
   let j = r.Server.Journal.journal in
   let primary =
-    Server.Broker.create ~journal:j ~checkpoint_every:max_int
-      ~checkpoint_bytes:max_int ~metrics:(Server.Metrics.create ())
+    Server.Broker.create ~journal:j ~metrics:(Server.Metrics.create ())
       r.Server.Journal.manager
   in
   commit_on primary (Workload.schema_text ~types);
@@ -977,7 +979,6 @@ let bench_tenants () =
           checkpoint_every = 100000;
           checkpoint_bytes = max_int;
           acquire_timeout = 60.0;
-          group_commit_ms = 0;
           log = ignore;
         }
     in
@@ -1320,18 +1321,16 @@ let bench_profile () =
    this container's single core, client and server work always add up to
    one saturated CPU and every client count yields the same number.)
 
-   Commits: the linger ablation.  W writer threads commit small
-   attribute-add sessions through one journaled broker, whose batch
-   writer either flushes at once (no linger) or lets the batch leader
-   linger 1 ms.  Either way a commit releases the writer slot before its
-   fsync wait, so the next session overlaps it and commits that arrive
-   during an fsync share the next one; the linger only widens that
-   window. *)
+   Commits: W writer threads commit small attribute-add sessions through
+   one journaled broker.  A commit releases the writer slot before its
+   fsync wait, so the next session overlaps it, and the journal's batch
+   writer puts every commit that arrives during an fsync into the next
+   one. *)
 let bench_scaling () =
   banner "B12"
     "Scaling with client count: queries/sec for N closed-loop clients \
      (200 us think time), repeated and distinct texts; commits/sec for N \
-     writers, no linger vs a 1 ms linger";
+     writers sharing the journal's fsyncs";
   (* --- reads: an in-process daemon, closed-loop socket clients --- *)
   let m = Manager.create () in
   Manager.begin_session m;
@@ -1409,7 +1408,7 @@ let bench_scaling () =
       [ 1; 2; 4 ]
   in
   table [ "closed-loop clients, distinct texts"; "throughput" ] miss_rows;
-  (* --- commits: the linger ablation on a journaled broker --- *)
+  (* --- commits: N writers on one journaled broker --- *)
   let ok what (resp : Server.Protocol.response) =
     match resp.Server.Protocol.status with
     | Server.Protocol.Ok -> ()
@@ -1417,20 +1416,21 @@ let bench_scaling () =
   in
   let per_writer = sizes 40 2 in
   let leg = ref 0 in
-  let commits_per_sec ~writers ~grouped =
+  let commits_per_sec writers =
     incr leg;
     let dir =
       Filename.concat
         (Filename.get_temp_dir_name ())
         (Printf.sprintf "gomsm-bench-b12-%d-%d" (Unix.getpid ()) !leg)
     in
-    let r = Server.Journal.recover ~dir () in
+    let r =
+      Server.Journal.recover ~checkpoint_every:max_int
+        ~checkpoint_bytes:max_int ~dir ()
+    in
     let b =
       Server.Broker.create ~journal:r.Server.Journal.journal
-        ~checkpoint_every:max_int ~checkpoint_bytes:max_int
-        ~acquire_timeout:60.0
-        ~group_commit_ms:(if grouped then 1 else 0)
-        ~metrics:(Server.Metrics.create ()) r.Server.Journal.manager
+        ~acquire_timeout:60.0 ~metrics:(Server.Metrics.create ())
+        r.Server.Journal.manager
     in
     (* per-writer base schema, committed before the clock starts: the
        timed sessions are then one attribute-add each, small enough that
@@ -1469,25 +1469,14 @@ let bench_scaling () =
   let commit_rows =
     List.map
       (fun writers ->
-        let per_commit = commits_per_sec ~writers ~grouped:false in
-        let grouped = commits_per_sec ~writers ~grouped:true in
+        let cps = commits_per_sec writers in
         record
           (Printf.sprintf "server/commit-%dwriters/percommit" writers)
-          (1e9 /. per_commit);
-        record
-          (Printf.sprintf "server/commit-%dwriters/grouped" writers)
-          (1e9 /. grouped);
-        [
-          Printf.sprintf "%d" writers;
-          Printf.sprintf "%.0f commit/s" per_commit;
-          Printf.sprintf "%.0f commit/s" grouped;
-          Printf.sprintf "%.2fx" (grouped /. per_commit);
-        ])
+          (1e9 /. cps);
+        [ Printf.sprintf "%d" writers; Printf.sprintf "%.0f commit/s" cps ])
       [ 1; 4; 16 ]
   in
-  table
-    [ "writers"; "no linger"; "group commit (1ms)"; "speedup" ]
-    commit_rows;
+  table [ "writers"; "throughput" ] commit_rows;
   print_endline
     "expected shape: one closed-loop client is think-time-bound, so read\n\
      throughput climbs nearly linearly with client count and flattens\n\
@@ -1496,10 +1485,9 @@ let bench_scaling () =
      earlier; distinct texts miss the response cache but read the\n\
      manager's one maintained derived state, so they track the cached rows\n\
      where re-deriving the base for every miss flattened them by 4\n\
-     clients; with no linger, commits that arrive during an fsync\n\
-     already share the next one, so commit throughput holds up as\n\
-     writers are added; the 1 ms linger delays every ack and only pays\n\
-     when enough writers arrive within it."
+     clients; commits that arrive during an fsync share the next one,\n\
+     so commit throughput holds up as writers are added instead of\n\
+     dividing one fsync rate among them."
 
 (* ------------------------------------------------------------------ *)
 

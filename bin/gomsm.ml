@@ -419,6 +419,45 @@ let host_arg =
 let port_file_arg doc =
   Arg.(value & opt (some string) None & info [ "port-file" ] ~docv:"PATH" ~doc)
 
+(* --- journal and admin flags shared by serve/replica ------------------ *)
+
+let caps_doc =
+  "  Both checkpoint caps belong to the data directory's journal: they \
+   govern it in either role, and a promoted replica keeps them."
+
+let checkpoint_every_arg =
+  Arg.(
+    value
+    & opt int Server.Journal.default_checkpoint_every
+    & info [ "checkpoint-every" ] ~docv:"N"
+        ~doc:("Snapshot and reset the journal every N records." ^ caps_doc))
+
+let checkpoint_bytes_arg =
+  Arg.(
+    value
+    & opt int Server.Journal.default_checkpoint_bytes
+    & info [ "checkpoint-bytes" ] ~docv:"BYTES"
+        ~doc:
+          ("Also snapshot whenever the journal file exceeds this many bytes, \
+            so bursts of large sessions cannot grow it unboundedly."
+          ^ caps_doc))
+
+let admin_port_arg =
+  Arg.(
+    value
+    & opt (some int) None
+    & info [ "admin-port" ] ~docv:"PORT"
+        ~doc:
+          "Serve GET /metrics (Prometheus text format) and GET /healthz on a \
+           second socket at this port; 0 picks an ephemeral one.")
+
+let admin_port_file_arg =
+  Arg.(
+    value
+    & opt (some string) None
+    & info [ "admin-port-file" ] ~docv:"PATH"
+        ~doc:"Write the bound admin port here, like --port-file.")
+
 (* --- observability flags shared by serve/replica/client --------------- *)
 
 let log_level_arg =
@@ -507,39 +546,12 @@ let serve_cmd =
              replayed (a torn tail is truncated).  Without it the server is \
              in-memory only.")
   in
-  let checkpoint_every =
-    Arg.(
-      value & opt int 64
-      & info [ "checkpoint-every" ] ~docv:"N"
-          ~doc:"Snapshot and reset the journal every N committed sessions.")
-  in
-  let checkpoint_bytes =
-    Arg.(
-      value
-      & opt int Tenant.Registry.default_config.Tenant.Registry.checkpoint_bytes
-      & info [ "checkpoint-bytes" ] ~docv:"BYTES"
-          ~doc:
-            "Also snapshot whenever the journal file exceeds this many \
-             bytes, so bursts of large sessions cannot grow it unboundedly.")
-  in
   let acquire_timeout =
     Arg.(
       value & opt float 5.0
       & info [ "acquire-timeout" ] ~docv:"SECONDS"
           ~doc:
             "How long a bes waits for the single writer slot before failing.")
-  in
-  let group_commit_ms =
-    Arg.(
-      value & opt int 0
-      & info [ "group-commit-ms" ] ~docv:"MS"
-          ~doc:
-            "How long a commit batch leader lingers, in milliseconds, so \
-             other committers can join its batch before a single \
-             write+fsync covers them all (each client is still only \
-             acknowledged after the fsync covering its record).  0 = no \
-             linger; commits that arrive during an fsync share the next \
-             one.  Honored per-tenant and shown in db stat.")
   in
   let port_file =
     port_file_arg
@@ -562,25 +574,9 @@ let serve_cmd =
              state) at once; beyond it the least-recently-used idle \
              database is evicted and reopened from disk on its next use.")
   in
-  let admin_port =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "admin-port" ] ~docv:"PORT"
-          ~doc:
-            "Serve GET /metrics (Prometheus text format) and GET /healthz \
-             on a second socket at this port; 0 picks an ephemeral one.")
-  in
-  let admin_port_file =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "admin-port-file" ] ~docv:"PATH"
-          ~doc:"Write the bound admin port here, like --port-file.")
-  in
   let run host port data checkpoint_every checkpoint_bytes acquire_timeout
-      group_commit_ms port_file backlog max_open_dbs admin_port admin_port_file
-      log_level slow_ms slow_query_ms trace =
+      port_file backlog max_open_dbs admin_port admin_port_file log_level
+      slow_ms slow_query_ms trace =
     setup_obs ~slow_ms ~slow_query_ms ~trace log_level;
     load_failpoints "gomsm-server";
     (* every serve is registry-backed: [default] is the data root itself,
@@ -594,7 +590,6 @@ let serve_cmd =
           checkpoint_every;
           checkpoint_bytes;
           acquire_timeout;
-          group_commit_ms;
           log = (fun s -> Obs.Log.infof ~comp:"tenant" "%s" s);
         }
     in
@@ -623,12 +618,12 @@ let serve_cmd =
          "Run the schema manager as a durable multi-client daemon (line \
           protocol over TCP), hosting one or many named databases")
     Term.(
-      const (fun h p d c cb a gc pf bl mo ap apf ll sm sq tr ->
-          Stdlib.exit (run h p d c cb a gc pf bl mo ap apf ll sm sq tr))
-      $ host_arg $ port $ data $ checkpoint_every $ checkpoint_bytes
-      $ acquire_timeout $ group_commit_ms $ port_file $ backlog $ max_open_dbs
-      $ admin_port $ admin_port_file $ log_level_arg $ slow_ms_arg
-      $ slow_query_ms_arg $ trace_all_arg)
+      const (fun h p d c cb a pf bl mo ap apf ll sm sq tr ->
+          Stdlib.exit (run h p d c cb a pf bl mo ap apf ll sm sq tr))
+      $ host_arg $ port $ data $ checkpoint_every_arg $ checkpoint_bytes_arg
+      $ acquire_timeout $ port_file $ backlog $ max_open_dbs $ admin_port_arg
+      $ admin_port_file_arg $ log_level_arg $ slow_ms_arg $ slow_query_ms_arg
+      $ trace_all_arg)
 
 let replica_cmd =
   let primary =
@@ -654,18 +649,6 @@ let replica_cmd =
              re-bootstrapping.  Without it the replica is in-memory and \
              re-syncs from scratch on every start.")
   in
-  let checkpoint_every =
-    Arg.(
-      value & opt int 64
-      & info [ "checkpoint-every" ] ~docv:"N"
-          ~doc:"Snapshot the local journal every N applied records.")
-  in
-  let checkpoint_bytes =
-    Arg.(
-      value & opt int Replica.default_config.Replica.checkpoint_bytes
-      & info [ "checkpoint-bytes" ] ~docv:"BYTES"
-          ~doc:"Also snapshot when the local journal exceeds this size.")
-  in
   let port_file =
     port_file_arg
       "Write the bound port here (atomically) once listening; handy with \
@@ -676,22 +659,6 @@ let replica_cmd =
       value & opt string "default"
       & info [ "db" ] ~docv:"NAME"
           ~doc:"Which of the primary's databases to mirror.")
-  in
-  let admin_port =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "admin-port" ] ~docv:"PORT"
-          ~doc:
-            "Serve GET /metrics and GET /healthz on a second socket at this \
-             port; 0 picks an ephemeral one.")
-  in
-  let admin_port_file =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "admin-port-file" ] ~docv:"PATH"
-          ~doc:"Write the bound admin port here, like --port-file.")
   in
   let run host primary port data checkpoint_every checkpoint_bytes port_file
       db admin_port admin_port_file log_level slow_ms trace =
@@ -736,9 +703,9 @@ let replica_cmd =
     Term.(
       const (fun h pr p d c cb pf db ap apf ll sm tr ->
           Stdlib.exit (run h pr p d c cb pf db ap apf ll sm tr))
-      $ host_arg $ primary $ port $ data $ checkpoint_every $ checkpoint_bytes
-      $ port_file $ db $ admin_port $ admin_port_file $ log_level_arg
-      $ slow_ms_arg $ trace_all_arg)
+      $ host_arg $ primary $ port $ data $ checkpoint_every_arg
+      $ checkpoint_bytes_arg $ port_file $ db $ admin_port_arg
+      $ admin_port_file_arg $ log_level_arg $ slow_ms_arg $ trace_all_arg)
 
 let client_cmd =
   let port =

@@ -23,14 +23,11 @@ let fp_apply = Failpoint.define "replica.apply"
 type t = {
   broker : Broker.t;
   metrics : Metrics.t;
-  checkpoint_every : int;
-  checkpoint_bytes : int;
   mutable last_applied : int;  (* position: last record in the local state *)
   mutable primary_seq : int;  (* primary's position, from frames *)
 }
 
-let create ?(checkpoint_every = 64) ?(checkpoint_bytes = 4 * 1024 * 1024)
-    broker : t =
+let create broker : t =
   let last_applied =
     match Broker.journal broker with
     | Some j -> Journal.seq j
@@ -39,8 +36,6 @@ let create ?(checkpoint_every = 64) ?(checkpoint_bytes = 4 * 1024 * 1024)
   {
     broker;
     metrics = Broker.metrics broker;
-    checkpoint_every;
-    checkpoint_bytes;
     last_applied;
     primary_seq = last_applied;
   }
@@ -57,15 +52,6 @@ let gauges t =
 let note_primary t seq =
   if seq > t.primary_seq then t.primary_seq <- seq;
   gauges t
-
-let maybe_checkpoint t j m =
-  if
-    Journal.since_checkpoint j >= t.checkpoint_every
-    || Journal.bytes j >= t.checkpoint_bytes
-  then begin
-    Journal.checkpoint j m;
-    Metrics.incr t.metrics "checkpoints"
-  end
 
 let install_snapshot t ~seq ~text =
   Obs.Trace.with_span "replica.snapshot"
@@ -103,7 +89,8 @@ let apply_record t ~seq ~text =
             (match Broker.journal t.broker with
             | Some j ->
                 Journal.append_raw j ~epoch:r.Journal.r_epoch ~seq ~text ();
-                maybe_checkpoint t j m
+                if Journal.maybe_checkpoint j m then
+                  Metrics.incr t.metrics "checkpoints"
             | None -> ());
             t.last_applied <- seq));
     if r.Journal.r_epoch > Broker.epoch t.broker then

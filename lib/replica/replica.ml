@@ -22,6 +22,8 @@ type config = {
   host : string;  (* address the replica itself binds *)
   port : int;  (* 0 picks an ephemeral port *)
   data_dir : string option;  (* local journal + snapshots; None = in-memory *)
+  (* the data dir's journal caps ({!Journal.recover}): they stay in force
+     after a promotion, since the journal itself applies them *)
   checkpoint_every : int;
   checkpoint_bytes : int;
   port_file : string option;
@@ -37,8 +39,8 @@ let default_config =
     host = "127.0.0.1";
     port = 7644;
     data_dir = None;
-    checkpoint_every = 64;
-    checkpoint_bytes = 4 * 1024 * 1024;
+    checkpoint_every = Journal.default_checkpoint_every;
+    checkpoint_bytes = Journal.default_checkpoint_bytes;
     port_file = None;
     db = "default";
     admin_port = None;
@@ -69,7 +71,10 @@ let prepare config metrics : Broker.t =
   | None ->
       Broker.create ~read_only ~metrics (Manager.create ())
   | Some dir ->
-      let r = Journal.recover ~dir () in
+      let r =
+        Journal.recover ~checkpoint_every:config.checkpoint_every
+          ~checkpoint_bytes:config.checkpoint_bytes ~dir ()
+      in
       logf "data dir %s: %s, replayed %d record(s), resuming from seq %d" dir
         (if r.Journal.from_snapshot then "loaded snapshot" else "no snapshot")
         r.Journal.replayed
@@ -80,10 +85,7 @@ let prepare config metrics : Broker.t =
 let make config : t =
   let metrics = Metrics.create () in
   let broker = prepare config metrics in
-  let applier =
-    Applier.create ~checkpoint_every:config.checkpoint_every
-      ~checkpoint_bytes:config.checkpoint_bytes broker
-  in
+  let applier = Applier.create broker in
   (* the whole feed runs under one trace id: the subscribe line carries it
      to the primary, and every apply span and feed log line here wears it *)
   let feed_trace = Obs.Trace.new_id () in

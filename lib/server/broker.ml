@@ -8,9 +8,7 @@ module Failpoint = Fault.Failpoint
 module Crc32 = Fault.Crc32
 
 (* Fires between the in-memory commit and the journal append: the window
-   the degraded-mode machinery exists for.  Brokers created with [~label]
-   (one tenant among many) additionally hit a [broker.commit#<label>]
-   variant, so faults can be aimed at a single tenant. *)
+   the degraded-mode machinery exists for. *)
 let fp_broker_commit = Failpoint.define "broker.commit"
 
 (* The evaluator's observation seam, translated once here (broker.ml is
@@ -80,10 +78,7 @@ type t = {
      manager state: the "published snapshot" concurrent readers serve
      from without evaluating (or locking) anything *)
   mutable read_cache : (int * (string, Protocol.response) Hashtbl.t) option;
-  checkpoint_every : int;
-  checkpoint_bytes : int;
   acquire_timeout : float;
-  group_commit_ms : int;
   (* primary address to redirect writers to; cleared by a promotion *)
   mutable read_only : string option;
   mutable degraded : string option;  (* read-only after a storage failure *)
@@ -92,13 +87,10 @@ type t = {
   mutable fenced : string option;
   mutable digest_cache : (int * string) option;  (* seq -> state digest *)
   subscribers : (int, int ref) Hashtbl.t;  (* feed client -> last sent seq *)
-  fp_commit : Failpoint.site option;  (* tenant-labeled broker.commit *)
   profile : Obs.Profile.t;  (* this database's query-profile tables *)
 }
 
-let create ?journal ?(checkpoint_every = 64)
-    ?(checkpoint_bytes = 4 * 1024 * 1024) ?(acquire_timeout = 5.0)
-    ?(group_commit_ms = 0) ?read_only ?label ~metrics manager =
+let create ?journal ?(acquire_timeout = 5.0) ?read_only ~metrics manager =
   let rw =
     Rwlock.create
       ~on_read_wait:(fun () -> Metrics.incr metrics "read_lock_waits")
@@ -107,9 +99,7 @@ let create ?journal ?(checkpoint_every = 64)
   in
   Option.iter
     (fun j ->
-      Journal.set_group_commit j
-        ~linger:(float_of_int group_commit_ms /. 1000.)
-        ~on_flush:(fun n ->
+      Journal.set_flush_observer j (fun n ->
           Metrics.incr metrics "group_commits";
           Metrics.observe_count metrics "fsync_batch_size" n))
     journal;
@@ -128,10 +118,7 @@ let create ?journal ?(checkpoint_every = 64)
     wake_w;
     version = 0;
     read_cache = None;
-    checkpoint_every;
-    checkpoint_bytes;
     acquire_timeout;
-    group_commit_ms;
     read_only;
     degraded = None;
     epoch = (match journal with Some j -> Journal.epoch j | None -> 0);
@@ -148,8 +135,6 @@ let create ?journal ?(checkpoint_every = 64)
       | _ -> None);
     digest_cache = None;
     subscribers = Hashtbl.create 4;
-    fp_commit =
-      Option.map (fun l -> Failpoint.define ("broker.commit#" ^ l)) label;
     profile = Obs.Profile.create ();
   }
 
@@ -157,7 +142,6 @@ let manager t = t.manager
 let metrics t = t.metrics
 let profile t = t.profile
 let journal t = t.journal
-let group_commit_ms t = t.group_commit_ms
 
 let with_lock t f =
   Mutex.lock t.mu;
@@ -537,26 +521,13 @@ let do_ees t ~client =
               | Some j -> (
                   match
                     Failpoint.hit fp_broker_commit;
-                    (match t.fp_commit with
-                    | Some fp -> Failpoint.hit fp
-                    | None -> ());
                     let seq =
                       Journal.enqueue j ~epoch:t.epoch
                         ~ids:(Manager.ids t.manager) ~code delta
                     in
                     Metrics.incr t.metrics "journal_records";
-                    (* snapshot on either cap: a count of sessions, or the
-                       journal growing past the byte budget (a burst of
-                       large sessions must not grow the file unboundedly) *)
-                    if
-                      Journal.since_checkpoint j >= t.checkpoint_every
-                      || Journal.bytes j >= t.checkpoint_bytes
-                    then begin
-                      (* the checkpoint drains the pending batch, so our
-                         record is durable under it *)
-                      Journal.checkpoint j t.manager;
-                      Metrics.incr t.metrics "checkpoints"
-                    end;
+                    if Journal.maybe_checkpoint j t.manager then
+                      Metrics.incr t.metrics "checkpoints";
                     `Enqueued (j, seq)
                   with
                   | step -> step
@@ -819,7 +790,6 @@ let do_health t =
 let do_stats t =
   Metrics.set t.metrics "degraded" (if t.degraded = None then 0 else 1);
   Metrics.set t.metrics "epoch" t.epoch;
-  Metrics.set t.metrics "group_commit_ms" t.group_commit_ms;
   (* refresh the replication gauges so lag is visible exactly when asked *)
   (match t.journal with
   | None -> ()

@@ -16,7 +16,8 @@
     session" repair.
 
     Committed sessions are appended to the write-ahead journal (fsync
-    before the acknowledgment) and periodically checkpointed.  Every
+    before the acknowledgment) and checkpointed when the journal's caps
+    say so.  Every
     commit goes through the journal's batch writer: the committer
     enqueues its record under the exclusive lock, then awaits the fsync
     after releasing it, and one leader fsyncs the whole batch.  The
@@ -42,30 +43,17 @@ type t
 
 val create :
   ?journal:Journal.t ->
-  ?checkpoint_every:int ->
-  ?checkpoint_bytes:int ->
   ?acquire_timeout:float ->
-  ?group_commit_ms:int ->
   ?read_only:string ->
-  ?label:string ->
   metrics:Metrics.t ->
   Core.Manager.t ->
   t
-(** [checkpoint_every] commits between snapshots (default 64);
-    [checkpoint_bytes] caps the journal file size between snapshots
-    (default 4 MiB) so bursts of large sessions cannot grow it unboundedly;
-    [acquire_timeout] seconds a [bes] waits for the writer slot
-    (default 5.0); [group_commit_ms] (default 0 = no linger) is how many
-    milliseconds a batch leader lingers before its fsync so more
-    committers can pile on ({!Journal.set_group_commit} is called on
-    the journal).  With [read_only] (the primary's address, for the
+(** [acquire_timeout] seconds a [bes] waits for the writer slot
+    (default 5.0).  With [read_only] (the primary's address, for the
     redirect message) every writer verb — bes/ees/rollback/script-line —
-    is refused: the broker serves a replica.  With [label] (a tenant name)
-    the commit failpoint is additionally consulted as
-    [broker.commit#<label>]. *)
-
-val group_commit_ms : t -> int
-(** The configured batch-leader linger (0 = none). *)
+    is refused: the broker serves a replica.  When to checkpoint is the
+    [journal]'s decision ({!Journal.maybe_checkpoint}), from the caps it
+    was recovered with. *)
 
 val handle : t -> client:int -> Protocol.request -> Protocol.response
 (** Serve one request on behalf of client [client].  Never raises: internal

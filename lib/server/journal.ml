@@ -81,7 +81,6 @@ let snapshot_path ~dir = Filename.concat dir "snapshot.gomdb"
    gets the error, and so does every later enqueue — the broker turns
    that into degraded mode. *)
 type group = {
-  mutable linger : float;  (* the leader waits this long before its fsync *)
   g_mu : Mutex.t;
   g_cond : Condition.t;
   g_buf : Buffer.t;  (* pending bytes, in sequence order *)
@@ -92,9 +91,8 @@ type group = {
   mutable on_flush : int -> unit;  (* batch-size observer (metrics) *)
 }
 
-(* pending bytes that force an immediate flush: a burst of large sessions
-   must not grow the batch unboundedly while the leader lingers *)
-let byte_cap = 1024 * 1024
+let default_checkpoint_every = 64
+let default_checkpoint_bytes = 4 * 1024 * 1024
 
 type t = {
   dir : string;
@@ -105,6 +103,8 @@ type t = {
   mutable bytes : int;  (* durable journal size *)
   mutable epoch : int;  (* promotion epoch: highest stamp seen or adopted *)
   mutable was_fenced : bool;  (* a fence marker is the latest epoch event *)
+  checkpoint_every : int;  (* checkpoint after this many records ... *)
+  checkpoint_bytes : int;  (* ... or once the file reaches this size *)
   group : group;
   (* tenant-labeled failpoint variants; None on single-tenant journals *)
   fp_write : Failpoint.site option;
@@ -119,9 +119,7 @@ let bytes t = t.bytes
 let epoch t = t.epoch
 let fenced t = t.was_fenced
 
-let set_group_commit t ~linger ~on_flush =
-  t.group.linger <- linger;
-  t.group.on_flush <- on_flush
+let set_flush_observer t f = t.group.on_flush <- f
 
 let in_flight t =
   let g = t.group in
@@ -253,11 +251,7 @@ let push t g ~records s =
   Buffer.add_string g.g_buf s;
   g.g_records <- g.g_records + records;
   g.g_assigned <- g.g_assigned + records;
-  t.since <- t.since + records;
-  if Buffer.length g.g_buf >= byte_cap && not g.g_flushing then begin
-    g.g_flushing <- true;
-    run_flush t g
-  end
+  t.since <- t.since + records
 
 (* The writer's epoch gate: a committer stamped with an epoch below the
    journal's current one has been superseded by a promotion it has not
@@ -283,9 +277,9 @@ let enqueue t ?epoch ~(ids : Gom.Ids.gen) ~code (delta : Delta.t) : int =
       end)
 
 (* Block until the record at [seq] is durable (or its flush failed).  The
-   first waiter to find an unclaimed batch becomes the leader: it lingers
-   for the configured window so concurrent committers can pile on, then
-   writes and fsyncs the whole batch at once. *)
+   first waiter to find an unclaimed batch becomes the leader and writes
+   and fsyncs the whole batch at once; whatever is enqueued during that
+   fsync is the next leader's batch. *)
 let await t ~seq =
   with_g t (fun g ->
       let rec wait () =
@@ -300,11 +294,6 @@ let await t ~seq =
               end
               else begin
                 g.g_flushing <- true;
-                if g.linger > 0. then begin
-                  Mutex.unlock g.g_mu;
-                  Thread.delay g.linger;
-                  Mutex.lock g.g_mu
-                end;
                 run_flush t g;
                 wait ()
               end
@@ -316,9 +305,9 @@ let append t ?epoch ~ids ~code delta =
   await t ~seq;
   seq
 
-(* Flush everything pending, without a linger, and wait for any in-flight
-   batch: what a checkpoint, a truncation or a marker needs — a quiescent,
-   fully durable journal.  Raises the sticky group error. *)
+(* Flush everything pending and wait for any in-flight batch: what a
+   checkpoint, a truncation or a marker needs — a quiescent, fully
+   durable journal.  Raises the sticky group error. *)
 let drain t =
   with_g t (fun g ->
       let rec go () =
@@ -424,6 +413,16 @@ let checkpoint t (m : Manager.t) : unit =
   let buf = Persist.save_to_buffer m in
   write_snapshot_file t (Buffer.contents buf);
   reset_journal t ~new_base:t.seq
+
+(* The journal's one checkpoint rule: snapshot on either cap — a count of
+   records, or the file growing past the byte budget (a burst of large
+   sessions must not grow it unboundedly).  Whoever appends calls this
+   after each record, so the caps a data directory was recovered with
+   hold whichever role the node plays. *)
+let maybe_checkpoint t m =
+  let due = t.since >= t.checkpoint_every || t.bytes >= t.checkpoint_bytes in
+  if due then checkpoint t m;
+  due
 
 let install_snapshot t ~seq ~text =
   write_snapshot_file t text;
@@ -693,7 +692,8 @@ let rebuild ~dir text =
   in
   (manager, from_snapshot, replay manager text)
 
-let recover ?label ~dir () : recovery =
+let recover ?label ?(checkpoint_every = default_checkpoint_every)
+    ?(checkpoint_bytes = default_checkpoint_bytes) ~dir () : recovery =
   mkdir_p dir;
   let jpath = journal_path ~dir in
   let existed = Sys.file_exists jpath in
@@ -724,9 +724,10 @@ let recover ?label ~dir () : recovery =
       bytes = size;
       epoch = ep;
       was_fenced = fen;
+      checkpoint_every;
+      checkpoint_bytes;
       group =
         {
-          linger = 0.;
           g_mu = Mutex.create ();
           g_cond = Condition.create ();
           g_buf = Buffer.create 4096;

@@ -5,7 +5,8 @@
     counters, in {!Core.Persist}'s textual format — and the record is
     fsynced before the client is acknowledged.  Periodically the whole
     manager state is checkpointed to a snapshot ({!Core.Persist.save}
-    format) and the journal is reset.
+    format) and the journal is reset; the journal alone decides when
+    ({!maybe_checkpoint}), from the caps it was recovered with.
 
     On boot, {!recover} loads the snapshot (if any), replays the journal
     record by record, and truncates a torn tail — a record without its
@@ -65,8 +66,16 @@ type recovery = {
   truncated_bytes : int;  (** torn/corrupt tail bytes dropped *)
 }
 
+val default_checkpoint_every : int
+(** 64 records. *)
+
+val default_checkpoint_bytes : int
+(** 4 MiB. *)
+
 val recover :
   ?label:string ->
+  ?checkpoint_every:int ->
+  ?checkpoint_bytes:int ->
   dir:string ->
   unit ->
   recovery
@@ -75,6 +84,10 @@ val recover :
     journal is positioned for appending.  With [label] (a tenant name) the
     durability failpoint sites are additionally consulted under
     [<site>#<label>] names, so fault injection can target one tenant.
+    [checkpoint_every] (default {!default_checkpoint_every}) and
+    [checkpoint_bytes] (default {!default_checkpoint_bytes}) are the caps
+    {!maybe_checkpoint} applies: they govern this data directory whether
+    a primary or a replica appends to it.
     @raise Corrupt if the {e snapshot} is unreadable, or if the journal
     header's base sequence number no longer parses (defaulting it would
     silently renumber the log); other journal damage is repaired by
@@ -106,10 +119,9 @@ val append :
 
     Every byte a journal writes after its header — commit records, a
     replica's raw records, epoch markers — goes through one batch writer.
-    Writers enqueue bytes; the first {!await}er becomes the batch leader,
-    lingers (see {!set_group_commit}; no linger by default), then performs
-    one write+fsync for the whole batch.  So commits that arrive during an
-    fsync share the next one. *)
+    Writers enqueue bytes; the first {!await}er becomes the batch leader
+    and performs one write+fsync for the whole batch.  So commits that
+    arrive during an fsync share the next one. *)
 
 val enqueue :
   t ->
@@ -123,9 +135,8 @@ val enqueue :
     {!await} returns for it — a committer must await before
     acknowledging.  Concurrent enqueues are safe; {!seq} keeps reporting
     the last {e durable} record, which the assigned number may run ahead
-    of.  A pending batch that reaches 1 MiB is flushed at once.  After a
-    failed flush the journal is poisoned: every later enqueue raises the
-    flush's exception. *)
+    of.  After a failed flush the journal is poisoned: every later enqueue
+    raises the flush's exception. *)
 
 val await : t -> seq:int -> unit
 (** The second half of {!append}: block until the record at [seq] is
@@ -133,12 +144,10 @@ val await : t -> seq:int -> unit
     failed (the record was lost and the file truncated).  Returns at once
     when [seq] is already durable. *)
 
-val set_group_commit : t -> linger:float -> on_flush:(int -> unit) -> unit
-(** Set how long a batch leader lingers, in seconds, before its
-    write+fsync so concurrent committers can pile on (default 0: no
-    linger), and the observer of each batch's record count ([on_flush]
-    runs under the batch lock — keep it cheap).  Call before the journal
-    is shared across threads. *)
+val set_flush_observer : t -> (int -> unit) -> unit
+(** Observe each flushed batch's record count (the observer runs under the
+    batch lock — keep it cheap).  Call before the journal is shared across
+    threads. *)
 
 val in_flight : t -> bool
 (** Records enqueued (or mid-flush) but not yet durable.  The in-memory
@@ -146,8 +155,7 @@ val in_flight : t -> bool
     true — state digests and eviction must wait it out. *)
 
 val drain : t -> unit
-(** Flush everything pending without lingering and wait out any in-flight
-    batch; raises the sticky error if a flush ever failed.  {!checkpoint},
+(** Flush everything pending and wait out any in-flight batch; raises the sticky error if a flush ever failed.  {!checkpoint},
     {!advance_epoch}, {!orphan_suffix} and {!close} drain implicitly. *)
 
 (** {2 Checkpoints and positions} *)
@@ -158,6 +166,14 @@ val checkpoint : t -> Core.Manager.t -> unit
     journal header records the covered sequence number, so {!seq} is
     unchanged and {!base} advances to it.
     @raise Invalid_argument if an evolution session is open. *)
+
+val maybe_checkpoint : t -> Core.Manager.t -> bool
+(** The one checkpoint rule: {!checkpoint} when either cap given to
+    {!recover} is reached — {!since_checkpoint} at [checkpoint_every]
+    records, or {!bytes} at [checkpoint_bytes] — and say whether it did.
+    Every appender (the broker's commit, the replica's applier) calls it
+    after each record; the checkpoint drains the pending batch, so the
+    record just enqueued is durable under it. *)
 
 val seq : t -> int
 (** Global sequence number of the last committed record (0 on a fresh

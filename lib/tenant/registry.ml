@@ -19,7 +19,6 @@ type config = {
   checkpoint_every : int;
   checkpoint_bytes : int;
   acquire_timeout : float;
-  group_commit_ms : int;  (* batch leader's linger, honored per-tenant *)
   log : string -> unit;
 }
 
@@ -27,10 +26,9 @@ let default_config =
   {
     data_dir = None;
     max_open = 64;
-    checkpoint_every = 64;
-    checkpoint_bytes = 4 * 1024 * 1024;
+    checkpoint_every = Journal.default_checkpoint_every;
+    checkpoint_bytes = Journal.default_checkpoint_bytes;
     acquire_timeout = 5.0;
-    group_commit_ms = 0;
     log = ignore;
   }
 
@@ -206,10 +204,13 @@ let open_entry_locked t name =
   let broker =
     match dir_of t name with
     | None ->
-        Broker.create ~label:name ~acquire_timeout:t.cfg.acquire_timeout
-          ~metrics (Manager.create ())
+        Broker.create ~acquire_timeout:t.cfg.acquire_timeout ~metrics
+          (Manager.create ())
     | Some dir ->
-        let r = Journal.recover ~label:name ~dir () in
+        let r =
+          Journal.recover ~label:name ~checkpoint_every:t.cfg.checkpoint_every
+            ~checkpoint_bytes:t.cfg.checkpoint_bytes ~dir ()
+        in
         t.cfg.log
           (Printf.sprintf "db %s: data dir %s: %s, replayed %d record(s)%s"
              name dir
@@ -220,11 +221,8 @@ let open_entry_locked t name =
                 Printf.sprintf ", truncated %d torn byte(s)"
                   r.Journal.truncated_bytes
               else ""));
-        Broker.create ~label:name ~journal:r.Journal.journal
-          ~checkpoint_every:t.cfg.checkpoint_every
-          ~checkpoint_bytes:t.cfg.checkpoint_bytes
-          ~acquire_timeout:t.cfg.acquire_timeout
-          ~group_commit_ms:t.cfg.group_commit_ms ~metrics r.Journal.manager
+        Broker.create ~journal:r.Journal.journal
+          ~acquire_timeout:t.cfg.acquire_timeout ~metrics r.Journal.manager
   in
   let e =
     { e_name = name; e_broker = broker; e_pins = 0; e_stamp = next_tick t }
@@ -422,8 +420,6 @@ let stat t name =
                       (match Broker.writer b with
                       | Some c -> Printf.sprintf "writer client %d" c
                       | None -> "writer none");
-                      Printf.sprintf "group_commit_ms %d"
-                        (Broker.group_commit_ms b);
                     ]
                   @ (* this tenant's own plan-cache traffic (the global
                        roll-up lives in [stats]) and its profile tables *)

@@ -30,12 +30,11 @@ type config = {
   max_open : int;  (** open-database cap (at least 1) *)
   checkpoint_every : int;
   checkpoint_bytes : int;
+      (** the journal caps each database is recovered with
+          ({!Server.Journal.recover}; defaults
+          {!Server.Journal.default_checkpoint_every} records and
+          {!Server.Journal.default_checkpoint_bytes}) *)
   acquire_timeout : float;
-  group_commit_ms : int;
-      (** how long a journal batch leader lingers, in milliseconds,
-          honored per-tenant (each database's journal batches its own
-          commits); 0 = no linger: commits that arrive during an fsync
-          share the next one *)
   log : string -> unit;  (** open/evict/drop notices *)
 }
 

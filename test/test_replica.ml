@@ -61,11 +61,10 @@ let commit b client script =
   expect_ok "ees" (Broker.handle b ~client Protocol.Ees)
 
 let journaled_broker ?(checkpoint_every = 1000) ?checkpoint_bytes dir =
-  let r = Journal.recover ~dir () in
+  let r = Journal.recover ~checkpoint_every ?checkpoint_bytes ~dir () in
   let b =
-    Broker.create ~journal:r.Journal.journal ~checkpoint_every ?checkpoint_bytes
-      ~acquire_timeout:0.05 ~metrics:(Metrics.create ())
-      r.Journal.manager
+    Broker.create ~journal:r.Journal.journal ~acquire_timeout:0.05
+      ~metrics:(Metrics.create ()) r.Journal.manager
   in
   (b, r.Journal.journal)
 
@@ -594,6 +593,37 @@ let test_live_replication () =
   check_bool "redirect names primary" true
     (contains reason (Printf.sprintf "127.0.0.1:%d" port))
 
+(* The checkpoint caps belong to the data directory's journal, not to the
+   node's role: a replica started with [checkpoint_every = 2] keeps
+   checkpointing every two records once it is promoted to the writer. *)
+let test_promoted_replica_keeps_caps () =
+  let port = start_primary (fresh_dir ()) in
+  commit_over port zoo_frame;
+  let r =
+    Replica.start
+      {
+        Replica.default_config with
+        Replica.primary_port = port;
+        port = 0;
+        data_dir = Some (fresh_dir ());
+        checkpoint_every = 2;
+      }
+  in
+  wait_until "catch-up" (fun () -> Applier.position (Replica.applier r) = 1);
+  (match Replica.promote r with
+  | Ok _ -> ()
+  | Error reason -> Alcotest.failf "promote refused: %s" reason);
+  let rb = Replica.broker r in
+  commit rb 1 "add attribute name : string to Animal@Zoo;";
+  commit rb 1 "add type Keeper to Zoo;";
+  let j = Option.get (Broker.journal rb) in
+  check_int "both commits journaled" 3 (Journal.seq j);
+  check_bool
+    (Printf.sprintf "promoted writer checkpoints at the replica's cap (base %d)"
+       (Journal.base j))
+    true
+    (Journal.base j >= 2)
+
 (* ------------------------------------------------------------------ *)
 (* Evaluation-strategy equivalence (the replica's correctness bedrock) *)
 (* ------------------------------------------------------------------ *)
@@ -750,7 +780,12 @@ let suite =
           `Quick test_orphan_suffix;
       ] );
     ( "replica.live",
-      [ Alcotest.test_case "primary feeds a replica" `Quick test_live_replication ] );
+      [
+        Alcotest.test_case "primary feeds a replica" `Quick
+          test_live_replication;
+        Alcotest.test_case "promoted replica keeps its data dir's caps"
+          `Quick test_promoted_replica_keeps_caps;
+      ] );
     ( "replica.eval",
       [ QCheck_alcotest.to_alcotest prop_three_strategies_agree ] );
   ]

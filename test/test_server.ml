@@ -9,6 +9,7 @@ module Broker = Server.Broker
 module Journal = Server.Journal
 module Metrics = Server.Metrics
 module Daemon = Server.Daemon
+module Failpoint = Fault.Failpoint
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -438,11 +439,10 @@ let test_snapshot_answers_match_fresh () =
    The journal is deliberately not closed or checkpointed: from the file's
    point of view this *is* the kill -9 between EES-ack and checkpoint. *)
 let run_scenario ?(checkpoint_every = 1000) dir =
-  let r = Journal.recover ~dir () in
+  let r = Journal.recover ~checkpoint_every ~dir () in
   let b =
-    Broker.create ~journal:r.Journal.journal ~checkpoint_every
-      ~acquire_timeout:0.05 ~metrics:(Metrics.create ())
-      r.Journal.manager
+    Broker.create ~journal:r.Journal.journal ~acquire_timeout:0.05
+      ~metrics:(Metrics.create ()) r.Journal.manager
   in
   expect_ok "bes" (Broker.handle b ~client:1 Protocol.Bes);
   expect_ok "script" (Broker.handle b ~client:1 (Protocol.Script_line zoo_frame));
@@ -782,14 +782,17 @@ let test_bes_wakeup_and_acquire_waits () =
 
 (* N readers race one writer through a stream of commits; every digest a
    reader observes must be one the writer committed (never a torn or
-   in-flight state).  The tiny group-commit window keeps the in-flight
+   in-flight state).  A 2 ms stall on every fsync keeps the in-flight
    [None] path exercised too. *)
 let test_readers_observe_only_committed_states () =
+  Failpoint.clear ();
+  Fun.protect ~finally:Failpoint.clear @@ fun () ->
+  Failpoint.configure "journal.append.fsync=delay:0.002";
   let dir = fresh_dir () in
   let r = Journal.recover ~dir () in
   let b =
-    Broker.create ~journal:r.Journal.journal ~group_commit_ms:2
-      ~acquire_timeout:5.0 ~metrics:(Metrics.create ()) r.Journal.manager
+    Broker.create ~journal:r.Journal.journal ~acquire_timeout:5.0
+      ~metrics:(Metrics.create ()) r.Journal.manager
   in
   let mu = Mutex.create () in
   let committed = Hashtbl.create 16 in
@@ -833,6 +836,19 @@ let test_readers_observe_only_committed_states () =
   for i = 1 to 7 do
     commit i (Printf.sprintf "add attribute a%d : int to Animal@Zoo;" i)
   done;
+  (* the last state is committed and durable: if the scheduler parked
+     every reader through the commits, give them up to 5 s to observe it
+     before stopping, so the check below is never vacuous by timing *)
+  let deadline = Unix.gettimeofday () +. 5.0 in
+  let none_observed () =
+    Mutex.lock mu;
+    let none = !observed = [] in
+    Mutex.unlock mu;
+    none
+  in
+  while none_observed () && Unix.gettimeofday () < deadline do
+    Thread.delay 0.01
+  done;
   Atomic.set stop true;
   List.iter Thread.join readers;
   check_bool "readers saw some states" true (!observed <> []);
@@ -844,16 +860,20 @@ let test_readers_observe_only_committed_states () =
   check_bool "writer advanced the state" true (Hashtbl.length committed >= 8);
   Broker.close b
 
-(* Four committers under a generous linger window must share fsyncs — and
+(* Four committers behind one slow fsync must share the next one — and
    every record must still be durable: a fresh recovery replays all of
-   them. *)
+   them.  The first fsync stalls 150 ms, so the other commits enqueue
+   while it runs. *)
 let test_group_commit_batches_and_recovers () =
+  Failpoint.clear ();
+  Fun.protect ~finally:Failpoint.clear @@ fun () ->
+  Failpoint.configure "journal.append.fsync=delay:0.15@nth:1";
   let dir = fresh_dir () in
   let r = Journal.recover ~dir () in
   let m = Metrics.create () in
   let b =
-    Broker.create ~journal:r.Journal.journal ~group_commit_ms:150
-      ~acquire_timeout:10.0 ~metrics:m r.Journal.manager
+    Broker.create ~journal:r.Journal.journal ~acquire_timeout:10.0 ~metrics:m
+      r.Journal.manager
   in
   let frame i =
     Printf.sprintf

@@ -58,7 +58,6 @@ let config ?(max_open = 8) dir =
     checkpoint_every = 1000;
     checkpoint_bytes = max_int;
     acquire_timeout = 0.05;
-    group_commit_ms = 0;
     log = ignore;
   }
 
@@ -417,11 +416,10 @@ let test_sixteen_tenants_cap_four () =
 let test_single_tenant_dir_opens_as_default () =
   let dir = fresh_dir () in
   (* a journal written by the pre-registry single-tenant server *)
-  let r = Journal.recover ~dir () in
+  let r = Journal.recover ~checkpoint_every:1000 ~dir () in
   let b0 =
-    Broker.create ~journal:r.Journal.journal ~checkpoint_every:1000
-      ~acquire_timeout:0.05 ~metrics:(Metrics.create ())
-      r.Journal.manager
+    Broker.create ~journal:r.Journal.journal ~acquire_timeout:0.05
+      ~metrics:(Metrics.create ()) r.Journal.manager
   in
   expect_ok "bes" (Broker.handle b0 ~client:1 Protocol.Bes);
   expect_ok "script" (Broker.handle b0 ~client:1 (Protocol.Script_line zoo_frame));

@@ -120,12 +120,12 @@ let scenario_a () =
         | _ -> fail "spec %S is not a single item" spec
       in
       let dir = fresh_dir () in
-      let r = Journal.recover ~dir () in
+      let r = Journal.recover ~checkpoint_every:3 ~dir () in
       let j = r.Journal.journal in
       let metrics = Metrics.create () in
       let b =
-        Broker.create ~journal:j ~checkpoint_every:3 ~acquire_timeout:0.1
-          ~metrics r.Journal.manager
+        Broker.create ~journal:j ~acquire_timeout:0.1 ~metrics
+          r.Journal.manager
       in
       let expected = ref [] in
       for i = 0 to 7 do
@@ -207,9 +207,9 @@ let start_daemon ?data () =
     | None ->
         Broker.create ~acquire_timeout:0.5 ~metrics (Manager.create ())
     | Some dir ->
-        let r = Journal.recover ~dir () in
-        Broker.create ~journal:r.Journal.journal ~checkpoint_every:4
-          ~acquire_timeout:0.5 ~metrics r.Journal.manager
+        let r = Journal.recover ~checkpoint_every:4 ~dir () in
+        Broker.create ~journal:r.Journal.journal ~acquire_timeout:0.5 ~metrics
+          r.Journal.manager
   in
   let port = ref 0 in
   let mu = Mutex.create () and cond = Condition.create () in
@@ -453,7 +453,6 @@ let e_registry root ~max_open =
         checkpoint_every = 1000;
         checkpoint_bytes = max_int;
         acquire_timeout = 0.1;
-        group_commit_ms = 0;
         log = ignore;
       }
   in
@@ -620,12 +619,12 @@ let f_frame i =
     Printf.sprintf "schema %s" s )
 
 let scenario_f () =
-  (* Leg 1: the scenario-A storage matrix with the journal in grouped
-     mode.  Commits are sequential, so every batch carries one record and
-     the per-commit durability oracle (did the sequence number advance
-     while the commit ran?) stays exact; what changes is the code path —
-     enqueue, linger, leader flush, truncate-on-failure — and that the
-     append failpoints now fire once per batch. *)
+  (* Leg 1: the scenario-A storage matrix through the batch writer.
+     Commits are sequential, so every batch carries one record and the
+     per-commit durability oracle (did the sequence number advance while
+     the commit ran?) stays exact; what is exercised is the code path —
+     enqueue, leader flush, truncate-on-failure — and that the append
+     failpoints fire once per batch. *)
   let specs =
     [
       "journal.append.write=eio@nth:2";
@@ -646,12 +645,12 @@ let scenario_f () =
         | _ -> fail "F: spec %S is not a single item" spec
       in
       let dir = fresh_dir () in
-      let r = Journal.recover ~dir () in
+      let r = Journal.recover ~checkpoint_every:3 ~dir () in
       let j = r.Journal.journal in
       let metrics = Metrics.create () in
       let b =
-        Broker.create ~journal:j ~checkpoint_every:3 ~group_commit_ms:5
-          ~acquire_timeout:0.1 ~metrics r.Journal.manager
+        Broker.create ~journal:j ~acquire_timeout:0.1 ~metrics
+          r.Journal.manager
       in
       let expected = ref [] in
       for i = 0 to 7 do
@@ -698,14 +697,16 @@ let scenario_f () =
   (* Leg 2: concurrent committers, no fault.  All must be acked, the
      fsyncs must actually batch, and a kill -9 (the broker and its open
      journal fd are simply abandoned) followed by recovery must replay
-     every record. *)
+     every record.  The first fsync stalls 50 ms, so the commits that
+     arrive meanwhile share the next one. *)
   Failpoint.clear ();
+  Failpoint.configure "journal.append.fsync=delay:0.05@nth:1";
   let dir = fresh_dir () in
   let r = Journal.recover ~dir () in
   let metrics = Metrics.create () in
   let b =
-    Broker.create ~journal:r.Journal.journal ~group_commit_ms:50
-      ~acquire_timeout:10.0 ~metrics r.Journal.manager
+    Broker.create ~journal:r.Journal.journal ~acquire_timeout:10.0 ~metrics
+      r.Journal.manager
   in
   let n = 8 in
   let outcomes = Array.make n (`Refused "never ran") in
@@ -732,6 +733,7 @@ let scenario_f () =
   check
     (batches >= 1 && batches < n)
     "F: fsyncs not batched (%d batches for %d commits)" batches n;
+  Failpoint.clear ();
   let r2 = Journal.recover ~dir () in
   check
     (r2.Journal.replayed = n)
@@ -747,19 +749,21 @@ let scenario_f () =
      A failed batch is truncated back out of the file and every waiter it
      covered gets the error, so after recovery: acked => visible,
      anything else => invisible — with no per-commit oracle needed even
-     under concurrency, because the frames are self-contained. *)
+     under concurrency, because the frames are self-contained.  The first
+     concurrent batch's write stalls 50 ms, so the other commits pile up
+     behind it and the failing fsync covers all of them. *)
   Failpoint.clear ();
-  Failpoint.configure "journal.append.fsync=eio@nth:2";
+  Failpoint.configure
+    "journal.append.write=delay:0.05@nth:2;journal.append.fsync=eio@nth:3";
   let dir = fresh_dir () in
   let r = Journal.recover ~dir () in
   let metrics = Metrics.create () in
   let b =
-    Broker.create ~journal:r.Journal.journal ~group_commit_ms:10
-      ~acquire_timeout:5.0 ~metrics r.Journal.manager
+    Broker.create ~journal:r.Journal.journal ~acquire_timeout:5.0 ~metrics
+      r.Journal.manager
   in
-  (* warm-up: a lone sequential commit consumes fsync #1, so the armed
-     nth:2 deterministically hits the concurrent batch below even if all
-     its records share one fsync *)
+  (* warm-up: a lone sequential commit consumes write and fsync #1, so
+     the stall and the fault land on the concurrent batches below *)
   let warm_line, warm_needle = f_frame 99 in
   (match try_commit b ~client:99 [ warm_line ] with
   | `Acked -> ()
@@ -798,9 +802,14 @@ let scenario_f () =
   let acked =
     Array.fold_left (fun a o -> if o = `Acked then a + 1 else a) 0 outcomes
   in
-  note "F: batch fsync fault: %d/%d acked, no acked loss, no unacked \
-        visibility"
-    acked n
+  (* every record enqueued but not acked (the warm-up aside) was taken
+     down by the one failed fsync; the stall piles the concurrent commits
+     into its batch, so there must be more than one *)
+  let lost = Metrics.counter metrics "journal_records" - 1 - acked in
+  check (lost > 1) "F: the failed fsync took down %d enqueued record(s)" lost;
+  note "F: batch fsync fault: %d/%d acked, a %d-record batch failed, no \
+        acked loss, no unacked visibility"
+    acked n lost
 
 (* ------------------------------------------------------------------ *)
 (* Scenario G: epoch-fenced failover.  kill -9 the primary mid-commit
@@ -919,7 +928,7 @@ let g_leg ~variant ~failpoints ~durable () =
     g_spawn ~failpoints ~log:(path "p1.log")
       [
         "serve"; "--port"; "0"; "--data"; path "pdata"; "--port-file";
-        path "pport"; "--group-commit-ms"; "20";
+        path "pport";
       ]
   in
   let pport = g_wait_port (path "pport") in
