@@ -427,6 +427,12 @@ let render_top rows =
            r.fp)
        rows
 
+let page rows =
+  String.concat "\n"
+    (Printf.sprintf "profiling %s" (if enabled () then "on" else "off")
+    :: render_top rows)
+  ^ "\n"
+
 let render_rules rows =
   Printf.sprintf "%-8s %-8s %-9s %-10s %-11s %-12s %s" "stratum" "evals"
     "derived" "total_ms" "plan_hit" "plan_miss" "rule"

@@ -115,6 +115,10 @@ val render_top : query_row list -> string list
 (** The table shown by both [profile top] and [GET /profile] — one
     renderer so the two surfaces cannot disagree. *)
 
+val page : query_row list -> string
+(** The [GET /profile] body: [profiling on|off], then {!render_top} of
+    [rows] — a broker's top 20, or the registry's merged table. *)
+
 val render_rules : rule_row list -> string list
 
 val merge_top : query_row list list -> k:int -> query_row list

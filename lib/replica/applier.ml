@@ -27,31 +27,34 @@ type t = {
   mutable primary_seq : int;  (* primary's position, from frames *)
 }
 
+let position t = t.last_applied
+let primary_seq t = t.primary_seq
+let lag t = max 0 (t.primary_seq - t.last_applied)
+
 let create broker : t =
   let last_applied =
     match Broker.journal broker with
     | Some j -> Journal.seq j
     | None -> 0
   in
-  {
-    broker;
-    metrics = Broker.metrics broker;
-    last_applied;
-    primary_seq = last_applied;
-  }
+  let t =
+    {
+      broker;
+      metrics = Broker.metrics broker;
+      last_applied;
+      primary_seq = last_applied;
+    }
+  in
+  List.iter
+    (fun (name, read) -> Metrics.gauge t.metrics name read)
+    [
+      ("replica_last_applied_seq", fun () -> position t);
+      ("replica_primary_seq", fun () -> primary_seq t);
+      ("replica_lag_records", fun () -> lag t);
+    ];
+  t
 
-let position t = t.last_applied
-let primary_seq t = t.primary_seq
-let lag t = max 0 (t.primary_seq - t.last_applied)
-
-let gauges t =
-  Metrics.set t.metrics "replica_last_applied_seq" t.last_applied;
-  Metrics.set t.metrics "replica_primary_seq" t.primary_seq;
-  Metrics.set t.metrics "replica_lag_records" (lag t)
-
-let note_primary t seq =
-  if seq > t.primary_seq then t.primary_seq <- seq;
-  gauges t
+let note_primary t seq = if seq > t.primary_seq then t.primary_seq <- seq
 
 let install_snapshot t ~seq ~text =
   Obs.Trace.with_span "replica.snapshot"
@@ -115,8 +118,7 @@ let reset t =
       | None -> ());
       t.last_applied <- 0);
   t.primary_seq <- 0;
-  Metrics.incr t.metrics "replica_resyncs";
-  gauges t
+  Metrics.incr t.metrics "replica_resyncs"
 
 (* A ping carrying the primary's state digest, received while caught up
    (same position), must match our own digest: both sides fingerprint the
@@ -174,8 +176,7 @@ let resync_to_seal t ~seal =
          orphan file"
         n seal;
       Metrics.incr t.metrics "replica_resyncs";
-      t.primary_seq <- seal;
-      gauges t
+      t.primary_seq <- seal
   | None -> reset t
 
 (* The subscribe ack's body: "feed from <from> at <seq>", then — from an

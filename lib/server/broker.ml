@@ -48,6 +48,10 @@ let set_profiling on = Obs.Profile.set_enabled on
 
      Registry.mu  >  rw (read or write)  >  eval_mu  >  mu  >  metrics/journal
 
+   Metrics calls its gauge readers after releasing its own mutex, so the
+   [feed_subscribers]/[replication_lag_records] readers may take [mu] even
+   though [enter_degraded] calls into Metrics with [mu] held.
+
    [rw] — sessions/commits and every other manager mutation hold it
    exclusively; check/query/dump/health/feed hold it shared, so the
    daemon's per-connection threads overlap on reads (and overlap with a
@@ -90,6 +94,36 @@ type t = {
   profile : Obs.Profile.t;  (* this database's query-profile tables *)
 }
 
+let with_lock t f =
+  Mutex.lock t.mu;
+  Fun.protect ~finally:(fun () -> Mutex.unlock t.mu) f
+
+(* The gauges this broker reports, read live by [stats] and /metrics:
+   registered by [create], removed by [close]. *)
+let gauges t =
+  let flag = function None -> 0 | Some _ -> 1 in
+  [
+    ("degraded", fun () -> flag t.degraded);
+    ("epoch", fun () -> t.epoch);
+    ("fenced", fun () -> flag t.fenced);
+  ]
+  @
+  match t.journal with
+  | None -> []
+  | Some j ->
+      let lags () =
+        with_lock t (fun () ->
+            Hashtbl.fold (fun _ sent acc -> (Journal.seq j - !sent) :: acc)
+              t.subscribers [])
+      in
+      [
+        ("journal_seq", fun () -> Journal.seq j);
+        ("journal_base", fun () -> Journal.base j);
+        ("journal_bytes", fun () -> Journal.bytes j);
+        ("feed_subscribers", fun () -> List.length (lags ()));
+        ("replication_lag_records", fun () -> List.fold_left max 0 (lags ()));
+      ]
+
 let create ?journal ?(acquire_timeout = 5.0) ?read_only ~metrics manager =
   let rw =
     Rwlock.create
@@ -106,46 +140,46 @@ let create ?journal ?(acquire_timeout = 5.0) ?read_only ~metrics manager =
   let wake_r, wake_w = Unix.pipe ~cloexec:true () in
   Unix.set_nonblock wake_r;
   Unix.set_nonblock wake_w;
-  {
-    manager;
-    journal;
-    metrics;
-    rw;
-    eval_mu = Mutex.create ();
-    mu = Mutex.create ();
-    writer = None;
-    wake_r;
-    wake_w;
-    version = 0;
-    read_cache = None;
-    acquire_timeout;
-    read_only;
-    degraded = None;
-    epoch = (match journal with Some j -> Journal.epoch j | None -> 0);
-    fenced =
-      (match journal with
-      | Some j when Journal.fenced j && read_only = None ->
-          (* the journal remembers the fence across restarts: a stale
-             ex-primary must not boot back into accepting writes.  A node
-             restarted explicitly as a replica has taken its demotion —
-             the plain replica role covers it. *)
-          Some
-            (Printf.sprintf "superseded by a primary at epoch %d"
-               (Journal.epoch j))
-      | _ -> None);
-    digest_cache = None;
-    subscribers = Hashtbl.create 4;
-    profile = Obs.Profile.create ();
-  }
+  let t =
+    {
+      manager;
+      journal;
+      metrics;
+      rw;
+      eval_mu = Mutex.create ();
+      mu = Mutex.create ();
+      writer = None;
+      wake_r;
+      wake_w;
+      version = 0;
+      read_cache = None;
+      acquire_timeout;
+      read_only;
+      degraded = None;
+      epoch = (match journal with Some j -> Journal.epoch j | None -> 0);
+      fenced =
+        (match journal with
+        | Some j when Journal.fenced j && read_only = None ->
+            (* the journal remembers the fence across restarts: a stale
+               ex-primary must not boot back into accepting writes.  A node
+               restarted explicitly as a replica has taken its demotion —
+               the plain replica role covers it. *)
+            Some
+              (Printf.sprintf "superseded by a primary at epoch %d"
+                 (Journal.epoch j))
+        | _ -> None);
+      digest_cache = None;
+      subscribers = Hashtbl.create 4;
+      profile = Obs.Profile.create ();
+    }
+  in
+  List.iter (fun (name, read) -> Metrics.gauge metrics name read) (gauges t);
+  t
 
 let manager t = t.manager
 let metrics t = t.metrics
 let profile t = t.profile
 let journal t = t.journal
-
-let with_lock t f =
-  Mutex.lock t.mu;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.mu) f
 
 let with_read t f = Rwlock.read t.rw f
 
@@ -263,7 +297,6 @@ let enter_degraded t reason =
       if t.degraded = None then begin
         t.degraded <- Some reason;
         t.digest_cache <- None;
-        Metrics.set t.metrics "degraded" 1;
         Metrics.incr t.metrics "degraded_entries"
       end)
 
@@ -299,7 +332,6 @@ let fence t ~epoch ~source =
             t.fenced <- Some reason;
             t.digest_cache <- None);
         Metrics.incr t.metrics "fencings";
-        Metrics.set t.metrics "epoch" t.epoch;
         Obs.Log.warnf ~comp:"broker"
           ~kvs:[ ("epoch", string_of_int epoch); ("source", source) ]
           "fenced: refusing all further writes";
@@ -325,7 +357,6 @@ let promote t =
             t.epoch <- epoch;
             t.read_only <- None;
             Metrics.incr t.metrics "promotions";
-            Metrics.set t.metrics "epoch" t.epoch;
             let seq =
               match t.journal with Some j -> Journal.seq j | None -> 0
             in
@@ -347,8 +378,7 @@ let note_feed_epoch t ~epoch =
     | Some j when Journal.epoch j < epoch ->
         Journal.advance_epoch j ~epoch ~fenced:false
     | _ -> ());
-    t.epoch <- epoch;
-    Metrics.set t.metrics "epoch" t.epoch
+    t.epoch <- epoch
   end
 
 (* ------------------------------------------------------------------ *)
@@ -787,75 +817,41 @@ let do_health t =
     @ [ Printf.sprintf "epoch %d" t.epoch; Printf.sprintf "seq %d" seq ]
     @ (match digest with None -> [] | Some d -> [ "digest " ^ d ]))
 
-let do_stats t =
-  Metrics.set t.metrics "degraded" (if t.degraded = None then 0 else 1);
-  Metrics.set t.metrics "epoch" t.epoch;
-  (* refresh the replication gauges so lag is visible exactly when asked *)
-  (match t.journal with
-  | None -> ()
-  | Some j ->
-      let subs, max_lag =
-        with_lock t (fun () ->
-            Hashtbl.fold
-              (fun _ sent (n, lag) ->
-                (n + 1, max lag (Journal.seq j - !sent)))
-              t.subscribers (0, 0))
-      in
-      Metrics.set t.metrics "feed_subscribers" subs;
-      Metrics.set t.metrics "replication_lag_records" max_lag);
-  (* evaluator gauges: plan-cache traffic and intern-table size *)
-  Metrics.set t.metrics "plan_cache_hits" (Datalog.Plan.hits ());
-  Metrics.set t.metrics "plan_cache_misses" (Datalog.Plan.misses ());
-  Metrics.set t.metrics "interned_symbols" (Datalog.Term.interned_count ());
-  let journal_lines =
-    match t.journal with
-    | None -> []
+let do_stats t = ok (Metrics.render t.metrics)
+
+(* The [db stat] body of an open database: the tenant registry appends the
+   data directory's path, a bare broker's router serves it as is. *)
+let stat_lines ~name t =
+  [
+    "name " ^ name;
+    "state open";
+    Printf.sprintf "epoch %d" t.epoch;
+    "role " ^ role t;
+  ]
+  @ (match t.journal with
     | Some j ->
         [
-          Printf.sprintf "counter journal_base %d" (Journal.base j);
-          Printf.sprintf "counter journal_bytes %d" (Journal.bytes j);
-          Printf.sprintf "counter journal_seq %d" (Journal.seq j);
+          Printf.sprintf "seq %d" (Journal.seq j);
+          Printf.sprintf "journal_bytes %d" (Journal.bytes j);
         ]
-  in
-  ok (Metrics.render t.metrics @ journal_lines)
-
-(* The journal position/size lines do_stats appends as pseudo-counters,
-   as proper exporter gauges (position and size move down on checkpoint),
-   plus the degraded flag — refreshed here, like do_stats does, so a
-   scrape is as current as a stats request. *)
-let journal_metrics ?(labels = []) t : Obs.Export.metric list =
-  Obs.Export.Gauge
-    ("gomsm_degraded", labels, if degraded t = None then 0. else 1.)
-  :: Obs.Export.Gauge ("gomsm_epoch", labels, float_of_int t.epoch)
-  :: Obs.Export.Gauge
-       ("gomsm_fenced", labels, if t.fenced = None then 0. else 1.)
-  ::
-  (match t.journal with
-  | None -> []
-  | Some j ->
-      [
-        Obs.Export.Gauge
-          ("gomsm_journal_seq", labels, float_of_int (Journal.seq j));
-        Obs.Export.Gauge
-          ("gomsm_journal_base", labels, float_of_int (Journal.base j));
-        Obs.Export.Gauge
-          ("gomsm_journal_bytes", labels, float_of_int (Journal.bytes j));
-      ])
-
-(* The stats verb snapshots "degraded"/"epoch" gauges into the metrics
-   registry; journal_metrics reports the same facts live.  Drop the
-   snapshots so the scrape never carries a series twice. *)
-let drop_degraded ms =
-  List.filter
-    (function
-      | Obs.Export.Gauge (("gomsm_degraded" | "gomsm_epoch"), _, _) -> false
-      | _ -> true)
-    ms
+    | None -> [])
+  @ [
+      (match writer t with
+      | Some c -> Printf.sprintf "writer client %d" c
+      | None -> "writer none");
+      (* this database's own plan-cache traffic (the process-wide
+         roll-up lives in [stats]) and its profile tables *)
+      Printf.sprintf "plan_cache_hits %d"
+        (Metrics.counter t.metrics "plan.hits");
+      Printf.sprintf "plan_cache_misses %d"
+        (Metrics.counter t.metrics "plan.misses");
+      Printf.sprintf "profile_fingerprints %d"
+        (Obs.Profile.fingerprints t.profile);
+      Printf.sprintf "profile_rules %d" (Obs.Profile.rule_count t.profile);
+    ]
 
 let export ?labels t =
-  drop_degraded (Metrics.export ?labels t.metrics)
-  @ journal_metrics ?labels t
-  @ Obs.Profile.export ?labels t.profile
+  Metrics.export ?labels t.metrics @ Obs.Profile.export ?labels t.profile
 
 (* ------------------------------------------------------------------ *)
 (* Replication feed (the primary's side of [subscribe])                *)
@@ -1055,6 +1051,7 @@ let handle t ~client (req : Protocol.request) : Protocol.response =
    Never called with a writer active or records in flight (the registry
    refuses to evict then). *)
 let close t =
+  List.iter (fun (name, _) -> Metrics.remove_gauge t.metrics name) (gauges t);
   with_lock t (fun () ->
       (match t.journal with
       | None -> ()

@@ -27,7 +27,7 @@
 
     When a journal append or checkpoint fails with [EIO]/[ENOSPC] the
     broker enters {e degraded read-only mode}: every writer verb is
-    refused (reads keep working), the [degraded] metrics gauge goes to 1,
+    refused (reads keep working), the [degraded] metrics gauge reads 1,
     and the [health] verb reports the reason.  The mode is one-way —
     restarting the server re-runs recovery and clears it.
 
@@ -53,7 +53,13 @@ val create :
     redirect message) every writer verb — bes/ees/rollback/script-line —
     is refused: the broker serves a replica.  When to checkpoint is the
     [journal]'s decision ({!Journal.maybe_checkpoint}), from the caps it
-    was recovered with. *)
+    was recovered with.
+
+    The broker registers its gauges on [metrics] as live readers
+    ({!Metrics.gauge}): [degraded], [epoch] and [fenced]; with a journal
+    also [journal_seq], [journal_base], [journal_bytes],
+    [feed_subscribers] and [replication_lag_records].  {!close} removes
+    them. *)
 
 val handle : t -> client:int -> Protocol.request -> Protocol.response
 (** Serve one request on behalf of client [client].  Never raises: internal
@@ -76,9 +82,9 @@ val disconnect : t -> client:int -> unit
 (** The client went away: roll back its open session, if any. *)
 
 val close : t -> unit
-(** Close the broker's journal file descriptor (no-op without a
-    journal): the tenant registry's
-    eviction/shutdown path.  No checkpoint is forced
+(** Remove the broker's gauges from its metrics registry (which may
+    outlive it) and close its journal file descriptor: the tenant
+    registry's eviction/shutdown path.  No checkpoint is forced
     — every record is already fsynced, so reopening the data directory
     replays the journal exactly like a restart.  The broker must not be
     used afterwards; callers guarantee no writer or feed is active. *)
@@ -105,19 +111,15 @@ val set_profiling : bool -> unit
     While on, each request runs in a profile scope; nothing else arms the
     evaluator's observer. *)
 
-val journal_metrics :
-  ?labels:(string * string) list -> t -> Obs.Export.metric list
-(** Journal position/size and the degraded flag as exporter gauges. *)
-
-val drop_degraded : Obs.Export.metric list -> Obs.Export.metric list
-(** Remove the [gomsm_degraded] gauge a {!Metrics.export} snapshot may
-    carry (the stats verb records one): callers pairing a registry export
-    with {!journal_metrics} — which reports the flag live — use this to
-    keep the series out of the scrape twice. *)
-
 val export : ?labels:(string * string) list -> t -> Obs.Export.metric list
-(** Everything the admin endpoint scrapes for this broker:
-    {!Metrics.export} of its registry plus {!journal_metrics}. *)
+(** Everything the admin endpoint scrapes for a bare broker:
+    {!Metrics.export} of its registry — the broker's own gauges included —
+    plus its profile's series. *)
+
+val stat_lines : name:string -> t -> string list
+(** The [db stat] body of this broker served as database [name]: name,
+    state, epoch, role, journal position and size, writer, and this
+    database's plan-cache traffic and profile table sizes. *)
 
 val writer : t -> int option
 

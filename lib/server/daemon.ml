@@ -70,7 +70,8 @@ type router = {
   admin : Protocol.request -> Protocol.response option;
   disconnect_db : string -> client:int -> unit;
   stats_extra : unit -> string list;  (* appended to a tenant's stats body *)
-  server_metrics : Metrics.t;  (* connection-level counters live here *)
+  server_metrics : Metrics.t;
+      (* connection-level counters and the process-wide gauges live here *)
   export_metrics : unit -> Obs.Export.metric list;
       (* everything GET /metrics renders — per-tenant series carry db= *)
   profile_text : unit -> string;
@@ -97,19 +98,7 @@ let broker_router ?(name = "default") (broker : Broker.t) : router =
       (function
       | Protocol.Db_list -> Some (Protocol.ok [ name ^ " open" ])
       | Protocol.Db_stat n ->
-          if n = name then
-            Some
-              (Protocol.ok
-                 ([
-                    "name " ^ name;
-                    "state open";
-                    Printf.sprintf "epoch %d" (Broker.epoch broker);
-                    "role " ^ Broker.role broker;
-                  ]
-                 @
-                 match Broker.journal broker with
-                 | Some j -> [ Printf.sprintf "seq %d" (Journal.seq j) ]
-                 | None -> []))
+          if n = name then Some (Protocol.ok (Broker.stat_lines ~name broker))
           else Some (unknown n)
       | Protocol.Db_create _ | Protocol.Db_drop _ ->
           Some
@@ -123,12 +112,7 @@ let broker_router ?(name = "default") (broker : Broker.t) : router =
     export_metrics = (fun () -> Broker.export ~labels:[ ("db", name) ] broker);
     profile_text =
       (fun () ->
-        let p = Broker.profile broker in
-        String.concat "\n"
-          (Printf.sprintf "profiling %s"
-             (if Obs.Profile.enabled () then "on" else "off")
-          :: Obs.Profile.render_top (Obs.Profile.top p ~k:20))
-        ^ "\n");
+        Obs.Profile.page (Obs.Profile.top (Broker.profile broker) ~k:20));
   }
 
 (* Serve one connection until quit/EOF; the current database's broker rolls
@@ -271,6 +255,16 @@ let serve ?on_listen ?broker ?router (config : config) : unit =
         broker_router broker
   in
   let metrics = router.server_metrics in
+  let active = Atomic.make 0 in
+  List.iter
+    (fun (name, read) -> Metrics.gauge metrics name read)
+    [
+      ("active_connections", fun () -> Atomic.get active);
+      (* process-wide evaluator state: reported once, by the daemon *)
+      ("plan_cache_hits", Datalog.Plan.hits);
+      ("plan_cache_misses", Datalog.Plan.misses);
+      ("interned_symbols", Datalog.Term.interned_count);
+    ];
   let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   Unix.setsockopt sock Unix.SO_REUSEADDR true;
   Unix.bind sock
@@ -340,15 +334,14 @@ let serve ?on_listen ?broker ?router (config : config) : unit =
         (try Unix.close fd with Unix.Unix_error _ -> ())
     | () ->
         Metrics.incr metrics "connections";
-        Metrics.add_gauge metrics "active_connections";
+        Atomic.incr active;
         next_client := !next_client + 1;
         let client = !next_client in
         ignore
           (Thread.create
              (fun () ->
                Fun.protect
-                 ~finally:(fun () ->
-                   Metrics.add_gauge ~by:(-1) metrics "active_connections")
+                 ~finally:(fun () -> Atomic.decr active)
                  (fun () ->
                    try client_loop router ~client fd
                    with e ->

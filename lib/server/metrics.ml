@@ -1,6 +1,9 @@
-(* Counter/histogram registry.  One global mutex is plenty: every record is
-   a few loads and stores, and the registry is consulted far less often than
-   the broker's own lock. *)
+(* Counter/histogram registry plus gauge readers.  One global mutex is
+   plenty: every record is a few loads and stores, and the registry is
+   consulted far less often than the broker's own lock.  Gauges hold no
+   value here — each is a reader its owner registered, called by [render]
+   and [export] after the mutex is released, so a reader may take its
+   owner's lock without inverting the lock order. *)
 
 (* Histograms come in two kinds: [Seconds] (latencies — the exporter adds
    a _seconds suffix and [render] prints microseconds) and [Count] (plain
@@ -37,7 +40,7 @@ let count_label = [| "le_1"; "le_2"; "le_4"; "le_8"; "le_16"; "le_32"; "inf" |]
 type t = {
   mu : Mutex.t;
   counters : (string, int ref) Hashtbl.t;
-  gauges : (string, int ref) Hashtbl.t;
+  gauges : (string, unit -> int) Hashtbl.t;
   hists : (string, hist) Hashtbl.t;
 }
 
@@ -68,21 +71,17 @@ let counters t =
       Hashtbl.fold (fun name r acc -> (name, !r) :: acc) t.counters []
       |> List.sort compare)
 
-let set t name v =
-  with_lock t (fun () ->
-      match Hashtbl.find_opt t.gauges name with
-      | Some r -> r := v
-      | None -> Hashtbl.replace t.gauges name (ref v))
+let gauge t name read =
+  with_lock t (fun () -> Hashtbl.replace t.gauges name read)
 
-let gauge t name =
-  with_lock t (fun () ->
-      match Hashtbl.find_opt t.gauges name with Some r -> !r | None -> 0)
+let remove_gauge t name = with_lock t (fun () -> Hashtbl.remove t.gauges name)
 
-let add_gauge ?(by = 1) t name =
+(* Copy the readers under the mutex, call them outside it. *)
+let read_gauges t =
   with_lock t (fun () ->
-      match Hashtbl.find_opt t.gauges name with
-      | Some r -> r := !r + by
-      | None -> Hashtbl.replace t.gauges name (ref by))
+      Hashtbl.fold (fun n r acc -> (n, r) :: acc) t.gauges [])
+  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+  |> List.map (fun (name, read) -> (name, read ()))
 
 let observe_kind t name kind v =
   with_lock t (fun () ->
@@ -123,6 +122,12 @@ let prom_name s =
   "gomsm_" ^ String.map (fun c -> if c = '.' || c = '-' then '_' else c) s
 
 let export ?(labels = []) t : Obs.Export.metric list =
+  let gauges =
+    List.map
+      (fun (name, v) ->
+        Obs.Export.Gauge (prom_name name, labels, float_of_int v))
+      (read_gauges t)
+  in
   with_lock t (fun () ->
       let sorted tbl =
         Hashtbl.fold (fun name v acc -> (name, v) :: acc) tbl []
@@ -133,12 +138,6 @@ let export ?(labels = []) t : Obs.Export.metric list =
           (fun (name, r) ->
             Obs.Export.Counter (prom_name name, labels, float_of_int !r))
           (sorted t.counters)
-      in
-      let gauges =
-        List.map
-          (fun (name, r) ->
-            Obs.Export.Gauge (prom_name name, labels, float_of_int !r))
-          (sorted t.gauges)
       in
       let hists =
         List.map
@@ -173,17 +172,16 @@ let export ?(labels = []) t : Obs.Export.metric list =
       counters @ gauges @ hists)
 
 let render t =
+  let gauges =
+    List.map
+      (fun (name, v) -> Printf.sprintf "gauge %s %d" name v)
+      (read_gauges t)
+  in
   with_lock t (fun () ->
       let counters =
         Hashtbl.fold
           (fun name r acc -> Printf.sprintf "counter %s %d" name !r :: acc)
           t.counters []
-        |> List.sort compare
-      in
-      let gauges =
-        Hashtbl.fold
-          (fun name r acc -> Printf.sprintf "gauge %s %d" name !r :: acc)
-          t.gauges []
         |> List.sort compare
       in
       let hists =

@@ -1,7 +1,17 @@
-(** A small thread-safe counter/histogram registry for the schema service:
-    sessions opened/committed/rolled back, violations found, request
-    latencies, journal bytes — surfaced by the [stats] request and the
-    server log. *)
+(** A small thread-safe registry for the schema service: counters
+    (sessions opened/committed/rolled back, violations found), latency
+    histograms, and gauges — surfaced by the [stats] request and the
+    admin endpoint's /metrics.
+
+    A gauge is not a stored value but a reader: the module that owns the
+    fact (the broker's epoch, a journal's position, the open-database
+    count) registers it once, and {!render} and {!export} call it each
+    time they run, so [stats] and /metrics read the same live value.
+    Readers are called {e after} the registry's mutex is released: a
+    reader may take its owner's leaf lock (even one held elsewhere while
+    that thread calls into this registry) and may bump this registry's
+    counters.  It must not take a lock that the caller of [render] or
+    [export] may hold (the tenant registry's mutex). *)
 
 type t
 
@@ -17,16 +27,13 @@ val counters : t -> (string * int) list
 (** Every counter with its value, sorted by name — the registry's way of
     aggregating per-tenant totals into the daemon-wide [stats]. *)
 
-val set : t -> string -> int -> unit
-(** Set a gauge — a value that can move both ways (replication lag, feed
-    subscribers, last applied sequence number). *)
+val gauge : t -> string -> (unit -> int) -> unit
+(** Register the reader of a gauge, replacing any reader of the same
+    name. *)
 
-val gauge : t -> string -> int
-(** Current gauge value (0 if never set). *)
-
-val add_gauge : ?by:int -> t -> string -> unit
-(** Move a gauge by a delta (default +1) — connection counts and other
-    up/down values maintained from several threads. *)
+val remove_gauge : t -> string -> unit
+(** Forget a gauge's reader (no-op if none): an owner that goes away
+    before the registry does removes what it registered. *)
 
 val observe : t -> string -> float -> unit
 (** Record one observation, in seconds, into a latency histogram. *)

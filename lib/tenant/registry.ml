@@ -119,12 +119,15 @@ let create cfg =
       Array.iter
         (fun e -> if is_tombstone e then rm_rf (Filename.concat root e))
         (try Sys.readdir root with Sys_error _ -> [||]));
+  let open_tbl = Hashtbl.create 8 and server_metrics = Metrics.create () in
+  (* no lock: readers must not take [mu], which the renderers hold *)
+  Metrics.gauge server_metrics "open_dbs" (fun () -> Hashtbl.length open_tbl);
   {
     cfg;
     mu = Mutex.create ();
-    open_tbl = Hashtbl.create 8;
+    open_tbl;
     tenant_metrics = Hashtbl.create 8;
-    server_metrics = Metrics.create ();
+    server_metrics;
     tick = 0;
   }
 
@@ -151,9 +154,6 @@ let metrics_for_locked t name =
       let m = Metrics.create () in
       Hashtbl.replace t.tenant_metrics name m;
       m
-
-let set_open_gauge_locked t =
-  Metrics.set t.server_metrics "open_dbs" (Hashtbl.length t.open_tbl)
 
 (* Call with the lock held.  Evictable = nothing pinning it and no open
    evolution session; feeds pin for their whole lifetime, so a tenant with
@@ -228,7 +228,6 @@ let open_entry_locked t name =
     { e_name = name; e_broker = broker; e_pins = 0; e_stamp = next_tick t }
   in
   Hashtbl.replace t.open_tbl name e;
-  set_open_gauge_locked t;
   e
 
 let find_or_open_locked t name =
@@ -357,7 +356,6 @@ let drop_db t name =
                   with
                   | () ->
                       Metrics.incr t.server_metrics "db_drops";
-                      set_open_gauge_locked t;
                       t.cfg.log (Printf.sprintf "db %s: dropped" name);
                       Ok ()
                   | exception Unix.Unix_error (ec, _, _) ->
@@ -399,41 +397,8 @@ let stat t name =
           else
             match Hashtbl.find_opt t.open_tbl name with
             | Some e ->
-                let b = e.e_broker in
                 Ok
-                  ([
-                     "name " ^ name;
-                     "state open";
-                     (* promotion epochs are per tenant: each database's
-                        journal carries its own counter *)
-                     Printf.sprintf "epoch %d" (Broker.epoch b);
-                     "role " ^ Broker.role b;
-                   ]
-                  @ (match Broker.journal b with
-                    | Some j ->
-                        [
-                          Printf.sprintf "seq %d" (Journal.seq j);
-                          Printf.sprintf "journal_bytes %d" (Journal.bytes j);
-                        ]
-                    | None -> [])
-                  @ [
-                      (match Broker.writer b with
-                      | Some c -> Printf.sprintf "writer client %d" c
-                      | None -> "writer none");
-                    ]
-                  @ (* this tenant's own plan-cache traffic (the global
-                       roll-up lives in [stats]) and its profile tables *)
-                  (let m = Broker.metrics b in
-                   [
-                     Printf.sprintf "plan_cache_hits %d"
-                       (Metrics.counter m "plan.hits");
-                     Printf.sprintf "plan_cache_misses %d"
-                       (Metrics.counter m "plan.misses");
-                     Printf.sprintf "profile_fingerprints %d"
-                       (Obs.Profile.fingerprints (Broker.profile b));
-                     Printf.sprintf "profile_rules %d"
-                       (Obs.Profile.rule_count (Broker.profile b));
-                   ])
+                  (Broker.stat_lines ~name e.e_broker
                   @
                   match dir_of t name with
                   | Some dir -> [ "path " ^ dir ]
@@ -471,7 +436,6 @@ let server_metrics t = t.server_metrics
 
 let stats_lines t =
   with_lock t (fun () ->
-      set_open_gauge_locked t;
       let totals = Hashtbl.create 16 in
       Hashtbl.iter
         (fun _ m ->
@@ -490,38 +454,30 @@ let stats_lines t =
       Metrics.render t.server_metrics @ total_lines)
 
 (* The /metrics scrape body: the daemon-wide registry unlabeled, every
-   tenant's registry (evicted ones included — their metrics outlive the
-   broker) under a db= label, and the open brokers' journal gauges.  The
-   registry lock is the outer lock here and the metrics mutexes are
-   leaves, the same order every other path uses. *)
+   tenant's registry (evicted ones included — their counters outlive the
+   broker; the gauges left with it) and the open brokers' profiles under a
+   db= label.  The registry lock is the outer lock here and the metrics
+   mutexes are leaves, the same order every other path uses. *)
 let export_metrics t =
   with_lock t (fun () ->
-      set_open_gauge_locked t;
-      let tenants =
-        Hashtbl.fold (fun n m acc -> (n, m) :: acc) t.tenant_metrics []
-        |> List.sort compare
+      let sorted tbl =
+        Hashtbl.fold (fun n v acc -> (n, v) :: acc) tbl []
+        |> List.sort (fun (a, _) (b, _) -> String.compare a b)
       in
       Metrics.export t.server_metrics
       @ List.concat_map
-          (fun (name, m) ->
-            let ms = Metrics.export ~labels:[ ("db", name) ] m in
-            (* open brokers re-report the degraded flag live below; evicted
-               tenants keep their last snapshot since nothing else will *)
-            if Hashtbl.mem t.open_tbl name then Broker.drop_degraded ms
-            else ms)
-          tenants
-      @ (Hashtbl.fold (fun n e acc -> (n, e) :: acc) t.open_tbl []
-        |> List.sort compare
-        |> List.concat_map (fun (name, e) ->
-               let labels = [ ("db", name) ] in
-               Broker.journal_metrics ~labels e.e_broker
-               @ Obs.Profile.export ~labels (Broker.profile e.e_broker))))
+          (fun (name, m) -> Metrics.export ~labels:[ ("db", name) ] m)
+          (sorted t.tenant_metrics)
+      @ List.concat_map
+          (fun (name, e) ->
+            Obs.Profile.export ~labels:[ ("db", name) ]
+              (Broker.profile e.e_broker))
+          (sorted t.open_tbl))
 
 let shutdown t =
   with_lock t (fun () ->
       Hashtbl.iter (fun _ e -> Broker.close e.e_broker) t.open_tbl;
-      Hashtbl.reset t.open_tbl;
-      set_open_gauge_locked t)
+      Hashtbl.reset t.open_tbl)
 
 (* ------------------------------------------------------------------ *)
 (* The daemon router                                                   *)
@@ -607,14 +563,9 @@ let router t : Daemon.router =
           with_lock t (fun () ->
               Hashtbl.fold (fun _ e acc -> e.e_broker :: acc) t.open_tbl [])
         in
-        let tables =
-          List.map
-            (fun b -> Obs.Profile.top (Broker.profile b) ~k:max_int)
-            brokers
-        in
-        String.concat "\n"
-          (Printf.sprintf "profiling %s"
-             (if Obs.Profile.enabled () then "on" else "off")
-          :: Obs.Profile.render_top (Obs.Profile.merge_top tables ~k:20))
-        ^ "\n");
+        Obs.Profile.page
+          (Obs.Profile.merge_top ~k:20
+             (List.map
+                (fun b -> Obs.Profile.top (Broker.profile b) ~k:max_int)
+                brokers)));
   }

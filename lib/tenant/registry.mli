@@ -84,13 +84,14 @@ val open_count : t -> int
 (** Databases currently held open. *)
 
 val server_metrics : t -> Server.Metrics.t
-(** The registry-level registry: [open_dbs]/[evictions] gauges, connection
-    counters (maintained by the daemon), [db_creates]/[db_drops]. *)
+(** The registry-level registry: the [open_dbs] gauge, the
+    [evictions]/[db_creates]/[db_drops] counters, and what the daemon
+    keeps there — connection counters and the process-wide gauges. *)
 
 val export_metrics : t -> Obs.Export.metric list
 (** The admin endpoint's /metrics body: daemon-wide series unlabeled, each
-    tenant's series (evicted ones included) under a [db=] label, plus the
-    open brokers' journal gauges. *)
+    tenant's series under a [db=] label — counters of evicted tenants
+    included, gauges and profile series only while the tenant is open. *)
 
 val stats_lines : t -> string list
 (** Daemon-wide lines appended to a tenant's [stats] body: the server

@@ -237,13 +237,31 @@ let test_bucket_boundaries () =
     (Array.to_list buckets);
   check Alcotest.int "count" 4 count
 
+(* Gauge readers run after the registry's mutex is released: a reader that
+   bumps a counter of its own registry neither deadlocks nor trips the
+   mutex's self-lock check, and a removed reader is gone. *)
+let test_reader_outside_lock () =
+  let m = Metrics.create () in
+  Metrics.gauge m "reads" (fun () ->
+      Metrics.incr m "reader_calls";
+      Metrics.counter m "reader_calls");
+  checkb "render reads the gauge" true
+    (List.mem "gauge reads 1" (Metrics.render m));
+  checkb "export reads the gauge" true
+    (contains (Export.render (Metrics.export m)) "gomsm_reads 2\n");
+  Metrics.remove_gauge m "reads";
+  checkb "removed" false
+    (List.exists (fun l -> contains l "gauge reads") (Metrics.render m));
+  checkb "counter kept" true
+    (List.mem "counter reader_calls 2" (Metrics.render m))
+
 let test_render_cumulative () =
   let m = Metrics.create () in
   Metrics.observe m "latency.check" 1e-4;
   Metrics.observe m "latency.check" 1e-3;
   Metrics.observe m "latency.check" 5.0;
   Metrics.incr m "requests_total" ~by:7;
-  Metrics.set m "degraded" 0;
+  Metrics.gauge m "degraded" (fun () -> 0);
   let body = Export.render (Metrics.export ~labels:[ ("db", "zoo") ] m) in
   checkb "counter line" true
     (contains body "gomsm_requests_total{db=\"zoo\"} 7");
@@ -342,9 +360,8 @@ let test_admin_roundtrip () =
   let status, _ = Obs.Admin.get ~host:"127.0.0.1" ~port ~path:"/nope" in
   check Alcotest.int "404" 404 status
 
-(* The stats verb snapshots a "degraded" gauge into the broker's metrics
-   registry while journal_metrics reports the flag live — the scrape must
-   still carry the series exactly once. *)
+(* The "degraded" gauge is one reader the broker registered: a stats
+   request before the scrape must not leave a second copy of the series. *)
 let test_no_duplicate_degraded () =
   let m = Core.Manager.create () in
   let broker = Server.Broker.create ~metrics:(Metrics.create ()) m in
@@ -850,6 +867,8 @@ let () =
           Alcotest.test_case "bucket boundaries" `Quick test_bucket_boundaries;
           Alcotest.test_case "cumulative rendering" `Quick
             test_render_cumulative;
+          Alcotest.test_case "gauge readers run outside the lock" `Quick
+            test_reader_outside_lock;
           Alcotest.test_case "label escaping" `Quick test_label_escaping;
           Alcotest.test_case "lint accepts a good body" `Quick
             test_lint_accepts_good;

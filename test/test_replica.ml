@@ -485,31 +485,40 @@ let test_orphan_suffix () =
 (* A live primary + replica pair                                       *)
 (* ------------------------------------------------------------------ *)
 
-let start_primary dir =
-  let r = Journal.recover ~dir () in
-  let broker =
-    Broker.create ~journal:r.Journal.journal ~acquire_timeout:0.5
-      ~metrics:(Metrics.create ()) r.Journal.manager
-  in
+(* Run [spawn ~on_listen] and wait for the listener it starts to report
+   its port. *)
+let await_port spawn =
   let port = ref 0 in
   let ready = Mutex.create () and cond = Condition.create () in
-  ignore
-    (Thread.create
-       (fun () ->
-         Daemon.serve
-           ~on_listen:(fun p ->
-             Mutex.lock ready;
-             port := p;
-             Condition.signal cond;
-             Mutex.unlock ready)
-           ~broker { Daemon.default_config with Daemon.port = 0 })
-       ());
+  spawn ~on_listen:(fun p ->
+      Mutex.lock ready;
+      port := p;
+      Condition.signal cond;
+      Mutex.unlock ready);
   Mutex.lock ready;
   while !port = 0 do
     Condition.wait cond ready
   done;
   Mutex.unlock ready;
   !port
+
+let serve_router router =
+  await_port (fun ~on_listen ->
+      ignore
+        (Thread.create
+           (fun () ->
+             Daemon.serve ~on_listen ~router
+               { Daemon.default_config with Daemon.port = 0 })
+           ()))
+
+(* A journaled primary broker behind a daemon: the broker and its port. *)
+let start_primary dir =
+  let r = Journal.recover ~dir () in
+  let broker =
+    Broker.create ~journal:r.Journal.journal ~acquire_timeout:0.5
+      ~metrics:(Metrics.create ()) r.Journal.manager
+  in
+  (broker, serve_router (Daemon.broker_router broker))
 
 let open_conn port =
   let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
@@ -547,7 +556,7 @@ let wait_until ?(timeout = 10.0) what pred =
 
 let test_live_replication () =
   let pdir = fresh_dir () in
-  let port = start_primary pdir in
+  let _, port = start_primary pdir in
   (* two commits before the replica exists: it must catch up from the log *)
   commit_over port zoo_frame;
   commit_over port "add attribute name : string to Animal@Zoo;";
@@ -597,7 +606,7 @@ let test_live_replication () =
    node's role: a replica started with [checkpoint_every = 2] keeps
    checkpointing every two records once it is promoted to the writer. *)
 let test_promoted_replica_keeps_caps () =
-  let port = start_primary (fresh_dir ()) in
+  let _, port = start_primary (fresh_dir ()) in
   commit_over port zoo_frame;
   let r =
     Replica.start
@@ -623,6 +632,72 @@ let test_promoted_replica_keeps_caps () =
        (Journal.base j))
     true
     (Journal.base j >= 2)
+
+let replica_of ?on_listen ?data_dir port =
+  Replica.start ?on_listen
+    {
+      Replica.default_config with
+      Replica.primary_port = port;
+      port = 0;
+      data_dir;
+    }
+
+(* The primary's scrape reads the subscriber table live: the replication
+   gauges are there with no [stats] request, and a feed that went away is
+   gone from the next scrape. *)
+let test_scrape_reads_live_gauges () =
+  let broker, port = start_primary (fresh_dir ()) in
+  commit_over port zoo_frame;
+  let r = replica_of port in
+  wait_until "catch-up" (fun () -> Applier.position (Replica.applier r) = 1);
+  let scraped series =
+    contains
+      (Obs.Export.render (Broker.export ~labels:[ ("db", "default") ] broker))
+      (series ^ "\n")
+  in
+  wait_until "subscriber and lag scraped" (fun () ->
+      scraped "gomsm_feed_subscribers{db=\"default\"} 1"
+      && scraped "gomsm_replication_lag_records{db=\"default\"} 0");
+  (* promotion stops the replica's feed *)
+  (match Replica.promote r with
+  | Ok _ -> ()
+  | Error reason -> Alcotest.failf "promote refused: %s" reason);
+  wait_until "subscriber gone from the scrape" (fun () ->
+      scraped "gomsm_feed_subscribers{db=\"default\"} 0")
+
+(* [db stat] has one body: a replica lists the same keys as the registry
+   primary it mirrors, which only adds its data directory's [path]. *)
+let test_db_stat_same_keys () =
+  let reg =
+    Tenant.Registry.create
+      { Tenant.Registry.default_config with data_dir = Some (fresh_dir ()) }
+  in
+  let port = serve_router (Tenant.Registry.router reg) in
+  commit_over port zoo_frame;
+  let r = ref None in
+  let rport =
+    await_port (fun ~on_listen ->
+        r := Some (replica_of ~on_listen ~data_dir:(fresh_dir ()) port))
+  in
+  wait_until "catch-up" (fun () ->
+      Applier.position (Replica.applier (Option.get !r)) = 1);
+  let keys port =
+    let c = open_conn port in
+    let resp = rpc c "db stat default" in
+    expect_ok "db stat" resp;
+    expect_ok "quit" (rpc c "quit");
+    Unix.close (let _, _, s = c in s);
+    List.filter_map
+      (fun l ->
+        match String.split_on_char ' ' l with
+        | "path" :: _ -> None
+        | k :: _ -> Some k
+        | [] -> None)
+      resp.Protocol.body
+    |> List.sort String.compare
+  in
+  Alcotest.(check (list string))
+    "replica db stat keys = primary's" (keys port) (keys rport)
 
 (* ------------------------------------------------------------------ *)
 (* Evaluation-strategy equivalence (the replica's correctness bedrock) *)
@@ -785,6 +860,10 @@ let suite =
           test_live_replication;
         Alcotest.test_case "promoted replica keeps its data dir's caps"
           `Quick test_promoted_replica_keeps_caps;
+        Alcotest.test_case "scrape reads live replication gauges" `Quick
+          test_scrape_reads_live_gauges;
+        Alcotest.test_case "replica db stat keys match the primary's" `Quick
+          test_db_stat_same_keys;
       ] );
     ( "replica.eval",
       [ QCheck_alcotest.to_alcotest prop_three_strategies_agree ] );

@@ -238,6 +238,38 @@ let test_eviction_reopen_byte_identical () =
         (read_file (path churn_dir)))
     [ "x"; "y" ]
 
+(* An evicted tenant keeps its counters in the scrape, but its broker's
+   gauges leave with the broker; reopening the tenant brings them back. *)
+let test_evicted_tenant_scrape () =
+  let reg = Registry.create (config ~max_open:1 (fresh_dir ())) in
+  reg_ok "create x" (Registry.create_db reg "x");
+  reg_ok "create y" (Registry.create_db reg "y");
+  commit reg "x" ~client:1 [ zoo_frame ];
+  commit reg "y" ~client:1 [ zoo_frame ];
+  let scrape () =
+    let body = Obs.Export.render (Registry.export_metrics reg) in
+    (match Obs.Export.lint body with
+    | Ok _ -> ()
+    | Error es ->
+        Alcotest.failf "scrape fails lint: %s" (String.concat "; " es));
+    body
+  in
+  let body = scrape () in
+  check_bool "x evicted" true (List.mem "x closed" (Registry.list reg));
+  check_bool "counters kept" true
+    (contains body "gomsm_sessions_committed{db=\"x\"} 1\n");
+  check_bool "journal gauge gone" false
+    (contains body "gomsm_journal_seq{db=\"x\"}");
+  check_bool "degraded gauge gone" false
+    (contains body "gomsm_degraded{db=\"x\"}");
+  check_int "x reopened" 1 (seq_db reg "x");
+  let body = scrape () in
+  check_bool "journal gauge back" true
+    (contains body "gomsm_journal_seq{db=\"x\"} 1\n");
+  check_bool "degraded gauge back" true
+    (contains body "gomsm_degraded{db=\"x\"} 0\n");
+  Registry.shutdown reg
+
 (* An open evolution session pins the writer; the tenant must never be
    evicted mid-session even under cache pressure. *)
 let test_writer_blocks_eviction () =
@@ -497,6 +529,8 @@ let suite =
           test_eviction_reopen_byte_identical;
         Alcotest.test_case "open session blocks eviction" `Quick
           test_writer_blocks_eviction;
+        Alcotest.test_case "evicted tenant's gauges leave the scrape" `Quick
+          test_evicted_tenant_scrape;
       ] );
     ( "tenant.concurrency",
       [
