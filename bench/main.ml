@@ -1490,6 +1490,79 @@ let bench_scaling () =
      dividing one fsync rate among them."
 
 (* ------------------------------------------------------------------ *)
+(* B14: checkpoint cost follows the base                               *)
+(* ------------------------------------------------------------------ *)
+
+(* A manager holding the [types]-type Generated base, committed. *)
+let generated_base ~types =
+  let m = Manager.create () in
+  Manager.begin_session m;
+  Manager.run_commands m (Workload.schema_text ~types);
+  (match Manager.end_session m with
+  | Manager.Consistent -> ()
+  | Manager.Inconsistent _ -> failwith "generated base inconsistent");
+  m
+
+(* Snapshot serialization and load at 48 and 480 types, and the time a
+   due [maybe_checkpoint] holds its caller (the broker's exclusive
+   section): drain, serialize, segment switch.  The snapshot write that
+   follows runs on the checkpoint's own thread and is settled outside the
+   timed region. *)
+let bench_checkpoint () =
+  banner "B14"
+    "Checkpoint cost vs base size: snapshot save and load, and the part of \
+     a checkpoint that holds the committer";
+  let small = generated_base ~types:48 in
+  let large = generated_base ~types:(sizes 480 48) in
+  let large_text = Buffer.contents (Core.Persist.save_to_buffer large) in
+  let save m () = ignore (Core.Persist.save_to_buffer m) in
+  let save48 =
+    run_group ~name:"persist-48"
+      [ Test.make ~name:"save" (Staged.stage (save small)) ]
+  in
+  let l480 =
+    run_group ~name:"persist-480"
+      [
+        Test.make ~name:"save" (Staged.stage (save large));
+        Test.make ~name:"load"
+          (Staged.stage (fun () ->
+               ignore (Core.Persist.load_from_string large_text)));
+      ]
+  in
+  let dir =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "gomsm-bench-ckpt-%d" (Unix.getpid ()))
+  in
+  (* a zero record cap: every call is due *)
+  let j =
+    (Server.Journal.recover ~checkpoint_every:0 ~dir ()).Server.Journal.journal
+  in
+  let rounds = sizes 200 2 in
+  let held = ref 0 in
+  for _ = 1 to rounds do
+    Server.Journal.settle j;
+    let t0 = Obs.Mtime.now_ns () in
+    ignore (Server.Journal.maybe_checkpoint j small);
+    held := !held + Obs.Mtime.elapsed_ns t0
+  done;
+  Server.Journal.close j;
+  let locked = float_of_int !held /. float_of_int rounds in
+  record "checkpoint-48/locked" locked;
+  table
+    [ "series"; "48 types"; "480 types" ]
+    [
+      [ "snapshot save"; pretty_ns (save48 "save"); pretty_ns (l480 "save") ];
+      [ "snapshot load"; "-"; pretty_ns (l480 "load") ];
+      [ "checkpoint, caller held"; pretty_ns locked; "-" ];
+    ];
+  print_endline
+    "expected shape: save and load grow linearly with the base (the\n\
+     built-in facts are one set per save, not a rebuilt list per fact);\n\
+     the caller of a checkpoint waits for the serialization and a\n\
+     segment switch, not for the snapshot write and its fsyncs."
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   let args = Array.to_list Sys.argv in
@@ -1514,6 +1587,7 @@ let () =
     bench_obs ();
     bench_profile ();
     bench_scaling ();
+    bench_checkpoint ();
     if not !smoke then emit_json "BENCH_results.json"
   end;
   Printf.printf "\n%s\nAll artifacts regenerated.\n" (String.make 72 '=')

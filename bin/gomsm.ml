@@ -430,7 +430,9 @@ let checkpoint_every_arg =
     value
     & opt int Server.Journal.default_checkpoint_every
     & info [ "checkpoint-every" ] ~docv:"N"
-        ~doc:("Snapshot and reset the journal every N records." ^ caps_doc))
+        ~doc:
+          ("Snapshot the state and start a fresh journal segment every N \
+            records." ^ caps_doc))
 
 let checkpoint_bytes_arg =
   Arg.(

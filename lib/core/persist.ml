@@ -196,6 +196,8 @@ let decode_code (s : string) : string * string list * Analyzer.Ast.stmt =
 (* Save                                                                *)
 (* ------------------------------------------------------------------ *)
 
+module Fact_set = Set.Make (Fact)
+
 let save_to_buffer (m : Manager.t) : Buffer.t =
   if Manager.in_session m then
     invalid_arg "Persist.save: close the evolution session first";
@@ -206,10 +208,11 @@ let save_to_buffer (m : Manager.t) : Buffer.t =
     g.Gom.Ids.decls g.Gom.Ids.codes g.Gom.Ids.phreps g.Gom.Ids.objects;
   let db = Manager.database m in
   let facts = List.sort Fact.compare (Database.all_facts db) in
+  (* built-ins are reseeded on load; one set per save keeps it linear *)
+  let builtins = Fact_set.of_list (Gom.Builtin.facts ()) in
   List.iter
     (fun (f : Fact.t) ->
-      (* built-ins are reseeded on load *)
-      if not (List.mem f (Gom.Builtin.facts ())) then
+      if not (Fact_set.mem f builtins) then
         Printf.bprintf buf "fact %s\n" (encode_fact f))
     facts;
   (* registered code: cids are recoverable from the Code/Fashion facts *)

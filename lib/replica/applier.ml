@@ -89,13 +89,16 @@ let apply_record t ~seq ~text =
             let m = Broker.manager t.broker in
             if not (Journal.apply_record m r) then
               failwith (Printf.sprintf "record %d did not apply cleanly" seq);
-            (match Broker.journal t.broker with
+            match Broker.journal t.broker with
             | Some j ->
                 Journal.append_raw j ~epoch:r.Journal.r_epoch ~seq ~text ();
+                (* the record is durable: a checkpoint that fails after
+                   it must not have it re-shipped onto a state that
+                   already holds it *)
+                t.last_applied <- seq;
                 if Journal.maybe_checkpoint j m then
                   Metrics.incr t.metrics "checkpoints"
-            | None -> ());
-            t.last_applied <- seq));
+            | None -> t.last_applied <- seq));
     if r.Journal.r_epoch > Broker.epoch t.broker then
       Broker.note_feed_epoch t.broker ~epoch:r.Journal.r_epoch;
     Metrics.observe t.metrics "latency.replica_apply"

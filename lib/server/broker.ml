@@ -490,8 +490,8 @@ let do_bes t ~client =
 let violation_lines reports =
   List.map (fun r -> "violation: " ^ r.Manager.description) reports
 
-(* A journal enqueue (or the fsync covering it, or the checkpoint after
-   it) failed after the in-memory commit. *)
+(* A journal enqueue (or the fsync covering it) failed after the in-memory
+   commit, so the record is not durable. *)
 let journal_failure t e =
   Metrics.incr t.metrics "journal_errors";
   match e with
@@ -529,6 +529,17 @@ let journal_failure t e =
         ("committed in memory but the journal write failed: "
         ^ Printexc.to_string e)
 
+(* A checkpoint failed behind a durable record. *)
+let checkpoint_failure t e =
+  Metrics.incr t.metrics "journal_errors";
+  match e with
+  | Unix.Unix_error ((Unix.EIO | Unix.ENOSPC) as ec, _, _) ->
+      enter_degraded t
+        (Printf.sprintf "checkpoint failed: %s" (Unix.error_message ec))
+  | e ->
+      Obs.Log.warnf ~comp:"journal" "checkpoint failed: %s"
+        (Printexc.to_string e)
+
 let do_ees t ~client =
   let step =
     with_write t (fun () ->
@@ -551,17 +562,21 @@ let do_ees t ~client =
               | Some j -> (
                   match
                     Failpoint.hit fp_broker_commit;
-                    let seq =
-                      Journal.enqueue j ~epoch:t.epoch
-                        ~ids:(Manager.ids t.manager) ~code delta
-                    in
-                    Metrics.incr t.metrics "journal_records";
-                    if Journal.maybe_checkpoint j t.manager then
-                      Metrics.incr t.metrics "checkpoints";
-                    `Enqueued (j, seq)
+                    Journal.enqueue j ~epoch:t.epoch
+                      ~ids:(Manager.ids t.manager) ~code delta
                   with
-                  | step -> step
-                  | exception e -> `Failed e))
+                  | exception e -> `Failed e
+                  | seq ->
+                      Metrics.incr t.metrics "journal_records";
+                      let ckpt =
+                        match Journal.maybe_checkpoint j t.manager with
+                        | true ->
+                            Metrics.incr t.metrics "checkpoints";
+                            None
+                        | false -> None
+                        | exception e -> Some e
+                      in
+                      `Enqueued (j, seq, ckpt)))
           | Manager.Inconsistent reports ->
               (* the session stays open: fix it, or rollback *)
               Metrics.incr ~by:(List.length reports) t.metrics
@@ -574,7 +589,7 @@ let do_ees t ~client =
   match step with
   | `Resp r -> r
   | `Failed e -> journal_failure t e
-  | `Enqueued (j, seq) -> (
+  | `Enqueued (j, seq, ckpt) -> (
       (* the record is enqueued but not yet durable.  The writer slot and
          the exclusive lock are already released, so the fsync wait below
          overlaps the next client's session work and every concurrent
@@ -582,8 +597,13 @@ let do_ees t ~client =
          The acknowledgment still only goes out after the fsync covering
          the record (or reports its loss). *)
       match Journal.await j ~seq with
-      | () -> ok [ "consistent; session ended." ]
-      | exception e -> journal_failure t e)
+      | exception e -> journal_failure t e
+      | () ->
+          (* a checkpoint that failed after draining this record leaves it
+             durable: acknowledge it, and let the poisoned journal refuse
+             the next commit *)
+          Option.iter (checkpoint_failure t) ckpt;
+          ok [ "consistent; session ended." ])
 
 let do_rollback t ~client =
   with_write t (fun () ->

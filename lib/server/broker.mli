@@ -17,7 +17,9 @@
 
     Committed sessions are appended to the write-ahead journal (fsync
     before the acknowledgment) and checkpointed when the journal's caps
-    say so.  Every
+    say so.  A checkpoint holds the [ees] that triggers it only for the
+    drain, the serialization and a segment switch; the snapshot write
+    runs on the journal's own thread, which takes no broker lock.  Every
     commit goes through the journal's batch writer: the committer
     enqueues its record under the exclusive lock, then awaits the fsync
     after releasing it, and one leader fsyncs the whole batch.  The
@@ -28,8 +30,11 @@
     When a journal append or checkpoint fails with [EIO]/[ENOSPC] the
     broker enters {e degraded read-only mode}: every writer verb is
     refused (reads keep working), the [degraded] metrics gauge reads 1,
-    and the [health] verb reports the reason.  The mode is one-way —
-    restarting the server re-runs recovery and clears it.
+    and the [health] verb reports the reason.  A checkpoint fails after
+    the record of the commit that triggered it is durable, so that commit
+    is acknowledged; the failure poisons the journal, and the next commit
+    is the one refused.  The mode is one-way — restarting the server
+    re-runs recovery and clears it.
 
     Each broker also carries a {e promotion epoch} (mirroring its
     journal's).  {!promote} flips a replica broker into the writer at
@@ -53,7 +58,9 @@ val create :
     redirect message) every writer verb — bes/ees/rollback/script-line —
     is refused: the broker serves a replica.  When to checkpoint is the
     [journal]'s decision ({!Journal.maybe_checkpoint}), from the caps it
-    was recovered with.
+    was recovered with; the [ees] that reaches a cap returns once the
+    journal has switched segments, with the snapshot still being
+    written.
 
     The broker registers its gauges on [metrics] as live readers
     ({!Metrics.gauge}): [degraded], [epoch] and [fenced]; with a journal

@@ -1,6 +1,7 @@
 (* Write-ahead journal: one fsynced record per commit in Core.Persist's
-   textual fact format, written by one batch writer, snapshot checkpoints,
-   and replay-on-boot recovery with torn-tail truncation. *)
+   textual fact format, written by one batch writer, snapshot checkpoints
+   whose file I/O runs behind a segment switch, and replay-on-boot
+   recovery with torn-tail truncation. *)
 
 module Manager = Core.Manager
 module Persist = Core.Persist
@@ -18,6 +19,7 @@ module Crc32 = Fault.Crc32
 let fp_append_write = Failpoint.define "journal.append.write"
 let fp_append_fsync = Failpoint.define "journal.append.fsync"
 let fp_checkpoint = Failpoint.define "journal.checkpoint.snapshot"
+let fp_retire = Failpoint.define "journal.checkpoint.retire"
 
 let labeled_site site label =
   Option.map (fun l -> Failpoint.define (site ^ "#" ^ l)) label
@@ -66,7 +68,38 @@ let base_of_header text =
       | _ -> (0, 0, false))
 
 let journal_path ~dir = Filename.concat dir "journal.log"
+let retiring_path ~dir = Filename.concat dir "journal.retiring"
 let snapshot_path ~dir = Filename.concat dir "snapshot.gomdb"
+
+(* The snapshot's first line names the sequence number it covers, the
+   epoch at that point and a CRC-32 over the Persist text that follows
+   (which skips the line as a comment). *)
+let snapshot_prefix = "# gomsm snapshot v1 "
+
+let snapshot_header ~seq ~epoch body =
+  Printf.sprintf "%sseq %d epoch %d crc %s\n" snapshot_prefix seq epoch
+    (Crc32.to_hex (Crc32.string body))
+
+(* ((covered seq, epoch) option, Persist text).  A legacy snapshot has no
+   header line: it covers its journal header's base. *)
+let parse_snapshot text =
+  let bad what = raise (Corrupt ("snapshot: " ^ what)) in
+  if not (String.starts_with ~prefix:snapshot_prefix text) then (None, text)
+  else
+    match String.index_opt text '\n' with
+    | None -> bad "header line not terminated"
+    | Some i -> (
+        let body = String.sub text (i + 1) (String.length text - i - 1) in
+        match String.split_on_char ' ' (String.sub text 0 i) with
+        | [ "#"; "gomsm"; "snapshot"; "v1"; "seq"; s; "epoch"; e; "crc"; c ]
+          -> (
+            match (int_of_string_opt s, int_of_string_opt e) with
+            | Some s, Some e ->
+                if Crc32.to_hex (Crc32.string body) <> c then
+                  bad "crc mismatch";
+                (Some (s, e), body)
+            | _ -> bad "malformed header")
+        | _ -> bad "malformed header")
 
 (* The batch writer — the journal's only writer.  Every byte after the
    header (commit records, a replica's raw records, epoch markers) is
@@ -75,11 +108,19 @@ let snapshot_path ~dir = Filename.concat dir "snapshot.gomdb"
    enqueue time; [t.seq] stays the last DURABLE sequence number — the
    durability oracle, the replication positions and the stats all keep
    reading it.  [t.seq] and [t.bytes] advance only in [run_flush], or on
-   a truncation ([reset_journal], [orphan_suffix]), which re-anchors
-   [g_assigned].  A failed batch flush poisons the group ([g_error] is
-   sticky): every waiter whose record the failed fsync was meant to cover
-   gets the error, and so does every later enqueue — the broker turns
-   that into degraded mode. *)
+   a segment switch or truncation ([switch], [orphan_suffix]), which
+   re-anchors [g_assigned].  A failed batch flush poisons the group
+   ([g_error] is sticky): every waiter whose record the failed fsync was
+   meant to cover gets the error, and so does every later enqueue — the
+   broker turns that into degraded mode.  A poisoned journal writes
+   nothing more.
+
+   [g_ckpt] is the second half of a checkpoint — the snapshot write and
+   the retirement of the old segment — which runs on its own thread.  At
+   most one is in flight; a failed one is kept, poisons the group the
+   same way, and is raised by every later {!settle}. *)
+type ckpt = Idle | Running | Failed of exn
+
 type group = {
   g_mu : Mutex.t;
   g_cond : Condition.t;
@@ -88,6 +129,7 @@ type group = {
   mutable g_assigned : int;  (* last enqueued (not necessarily durable) seq *)
   mutable g_flushing : bool;  (* a leader owns the current batch window *)
   mutable g_error : exn option;  (* sticky: the group died mid-flush *)
+  mutable g_ckpt : ckpt;
   mutable on_flush : int -> unit;  (* batch-size observer (metrics) *)
 }
 
@@ -96,7 +138,7 @@ let default_checkpoint_bytes = 4 * 1024 * 1024
 
 type t = {
   dir : string;
-  fd : Unix.file_descr;
+  mutable fd : Unix.file_descr;  (* the live segment, journal.log *)
   mutable base : int;  (* global seq the snapshot (journal start) covers *)
   mutable seq : int;  (* global seq of the last durable record *)
   mutable since : int;  (* records appended since the last checkpoint *)
@@ -110,6 +152,7 @@ type t = {
   fp_write : Failpoint.site option;
   fp_fsync : Failpoint.site option;
   fp_ckpt : Failpoint.site option;
+  fp_retire : Failpoint.site option;
 }
 
 let base t = t.base
@@ -124,6 +167,7 @@ let set_flush_observer t f = t.group.on_flush <- f
 let in_flight t =
   let g = t.group in
   g.g_records > 0 || g.g_flushing || g.g_assigned > t.seq
+  || match g.g_ckpt with Running -> true | Idle | Failed _ -> false
 
 let rec mkdir_p dir =
   if not (Sys.file_exists dir) then begin
@@ -307,7 +351,9 @@ let append t ?epoch ~ids ~code delta =
 
 (* Flush everything pending and wait for any in-flight batch: what a
    checkpoint, a truncation or a marker needs — a quiescent, fully
-   durable journal.  Raises the sticky group error. *)
+   durable journal.  Raises the sticky group error, and then flushes
+   nothing: records left pending behind a failed flush stay unwritten, as
+   their committers were told. *)
 let drain t =
   with_g t (fun g ->
       let rec go () =
@@ -315,16 +361,36 @@ let drain t =
           Condition.wait g.g_cond g.g_mu;
           go ()
         end
-        else if Buffer.length g.g_buf > 0 then begin
-          g.g_flushing <- true;
-          run_flush t g;
-          go ()
-        end
-        else match g.g_error with Some e -> raise e | None -> ()
+        else
+          match g.g_error with
+          | Some e -> raise e
+          | None ->
+              if Buffer.length g.g_buf > 0 then begin
+                g.g_flushing <- true;
+                run_flush t g;
+                go ()
+              end
+      in
+      go ())
+
+(* Wait out the checkpoint in flight, if any; raise the kept error of one
+   that failed.  Every operation that reads or rewrites the journal's
+   files calls this first, so it sees the snapshot {!base} names.  The
+   checkpoint thread takes no broker lock, so waiting under one is safe. *)
+let settle t =
+  with_g t (fun g ->
+      let rec go () =
+        match g.g_ckpt with
+        | Idle -> ()
+        | Failed e -> raise e
+        | Running ->
+            Condition.wait g.g_cond g.g_mu;
+            go ()
       in
       go ())
 
 let close t =
+  (try settle t with _ -> ());
   (try drain t with _ -> ());
   Unix.close t.fd
 
@@ -380,39 +446,112 @@ let fsync_dir dir =
       (try Unix.fsync dfd with Unix.Unix_error _ -> ());
       Unix.close dfd
 
-let write_snapshot_file t text =
+(* Write [snapshot.tmp]: the header line, then [body]; fsynced. *)
+let write_snapshot_tmp ~dir ~seq ~epoch body =
+  let tmp = Filename.concat dir "snapshot.tmp" in
+  let fd =
+    Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644
+  in
+  Fun.protect
+    ~finally:(fun () -> Unix.close fd)
+    (fun () ->
+      write_all fd (snapshot_header ~seq ~epoch body);
+      write_all fd body;
+      Unix.fsync fd);
+  tmp
+
+let publish_snapshot ~dir tmp =
+  Unix.rename tmp (snapshot_path ~dir);
+  fsync_dir dir
+
+(* Make [journal.log] a fresh segment holding only the header [h]: the
+   live file, if there is one, becomes [journal.retiring].  Returns the
+   new segment's fd, positioned for appending. *)
+let fresh_segment ~dir h =
+  let live = journal_path ~dir in
+  if Sys.file_exists live then Unix.rename live (retiring_path ~dir);
+  let fd =
+    Unix.openfile live [ Unix.O_RDWR; Unix.O_CREAT; Unix.O_TRUNC ] 0o644
+  in
+  (try write_all fd h
+   with e ->
+     Unix.close fd;
+     raise e);
+  fd
+
+(* A failure that leaves the files out of step with [base] poisons the
+   journal: it writes nothing more, and {!settle} raises the error. *)
+let keep_failure g e =
+  g.g_ckpt <- Failed e;
+  if Option.is_none g.g_error then g.g_error <- Some e
+
+(* The locked half of a checkpoint: switch to a fresh segment covering
+   [base] and re-anchor the counters.  Call with the journal drained.  The
+   directory is fsynced here, so the new segment's entry is durable before
+   any record in it can be acknowledged; its header bytes become durable
+   with the first record's fsync, or in [retire] before the old segment
+   goes. *)
+let switch t ~base =
+  let h = header_for ~epoch:t.epoch ~fenced:t.was_fenced base in
+  with_g t (fun g ->
+      match fresh_segment ~dir:t.dir h with
+      | exception e ->
+          keep_failure g e;
+          raise e
+      | fd ->
+          fsync_dir t.dir;
+          Unix.close t.fd;
+          t.fd <- fd;
+          t.base <- base;
+          t.seq <- base;
+          t.since <- 0;
+          t.bytes <- String.length h;
+          (* nothing is pending here, so assigned = durable *)
+          g.g_assigned <- base)
+
+(* The unlocked half: make the new segment's header and the snapshot
+   covering [seq] durable, then drop the segment they replace. *)
+let retire t ~seq ~epoch body =
+  let dir = t.dir in
+  Unix.fsync t.fd;
+  let tmp = write_snapshot_tmp ~dir ~seq ~epoch body in
   Failpoint.hit fp_checkpoint;
   hit_opt t.fp_ckpt;
-  let tmp = Filename.concat t.dir "snapshot.tmp" in
-  let fd = Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
-  write_all fd text;
-  Unix.fsync fd;
-  Unix.close fd;
-  Unix.rename tmp (snapshot_path ~dir:t.dir);
-  fsync_dir t.dir
+  publish_snapshot ~dir tmp;
+  Failpoint.hit fp_retire;
+  hit_opt t.fp_retire;
+  Unix.unlink (retiring_path ~dir)
 
-(* the snapshot now covers everything up to [base]: reset the journal *)
-let reset_journal t ~new_base =
-  Unix.ftruncate t.fd 0;
-  ignore (Unix.lseek t.fd 0 Unix.SEEK_SET);
-  let h = header_for ~epoch:t.epoch ~fenced:t.was_fenced new_base in
-  write_all t.fd h;
-  Unix.fsync t.fd;
-  t.base <- new_base;
-  t.seq <- new_base;
-  t.since <- 0;
-  t.bytes <- String.length h;
-  (* nothing is pending here, so assigned = durable; re-anchor it in case
-     the numbering base just moved *)
-  t.group.g_assigned <- new_base
+(* Run [retire], keeping its failure; returns it too. *)
+let retire_kept t ~seq ~epoch body =
+  let r =
+    match retire t ~seq ~epoch body with
+    | () -> None
+    | exception e -> Some e
+  in
+  with_g t (fun g ->
+      (match r with None -> g.g_ckpt <- Idle | Some e -> keep_failure g e);
+      Condition.broadcast g.g_cond);
+  r
 
-let checkpoint t (m : Manager.t) : unit =
-  (* a snapshot must cover a quiescent, fully durable journal: flush the
-     pending batch first (raises if a flush ever failed) *)
+(* Everything a checkpoint does under the caller's exclusive section:
+   drain, serialize, switch.  The snapshot write and the retirement of the
+   old segment then run on a thread of their own, which takes no lock but
+   the batch writer's. *)
+let begin_checkpoint t (m : Manager.t) =
+  settle t;
   drain t;
-  let buf = Persist.save_to_buffer m in
-  write_snapshot_file t (Buffer.contents buf);
-  reset_journal t ~new_base:t.seq
+  let body = Buffer.contents (Persist.save_to_buffer m) in
+  let seq = t.seq and epoch = t.epoch in
+  with_g t (fun g -> g.g_ckpt <- Running);
+  switch t ~base:seq;
+  let finish () = ignore (retire_kept t ~seq ~epoch body) in
+  (* without a thread to spare, finish here *)
+  try ignore (Thread.create finish ()) with _ -> finish ()
+
+let checkpoint t m =
+  begin_checkpoint t m;
+  settle t
 
 (* The journal's one checkpoint rule: snapshot on either cap — a count of
    records, or the file growing past the byte budget (a burst of large
@@ -421,21 +560,22 @@ let checkpoint t (m : Manager.t) : unit =
    hold whichever role the node plays. *)
 let maybe_checkpoint t m =
   let due = t.since >= t.checkpoint_every || t.bytes >= t.checkpoint_bytes in
-  if due then checkpoint t m;
+  if due then begin_checkpoint t m;
   due
 
+(* The same switch, with the snapshot written before returning. *)
 let install_snapshot t ~seq ~text =
-  write_snapshot_file t text;
-  reset_journal t ~new_base:seq
+  settle t;
+  drain t;
+  switch t ~base:seq;
+  match retire_kept t ~seq ~epoch:t.epoch text with
+  | None -> ()
+  | Some e -> raise e
 
 let read_snapshot t =
+  settle t;
   let path = snapshot_path ~dir:t.dir in
-  if Sys.file_exists path then begin
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> Some (really_input_string ic (in_channel_length ic)))
-  end
+  if Sys.file_exists path then Some (snd (parse_snapshot (read_file path)))
   else None
 
 (* ------------------------------------------------------------------ *)
@@ -650,80 +790,163 @@ let apply_record (m : Manager.t) (r : parsed_record) : bool =
       false
 
 let records_from t ~from : (int * string) list =
+  settle t;
   List.filter_map
     (function
       | Record (n, text), _ when n > from && n <= t.seq -> Some (n, text)
       | _ -> None)
     (scan (read_file (journal_path ~dir:t.dir)))
 
-(* Replay journal text onto [m] — every in-sequence record that parses
-   and applies, and the epoch markers between them — and return (offset
-   just past the last item kept, #replayed, last seq, epoch, fenced).
-   [epoch] starts at the header's value and is raised by record stamps and
-   by markers; [fenced] tracks whether the most recent epoch event was a
-   fence (a later record or promotion marker clears it — the node has
-   since acted in the newer epoch).  Replay stops at the first item that
-   breaks these rules: everything from there on is the torn tail. *)
-let replay (m : Manager.t) text =
-  let base, epoch0, fenced0 = base_of_header text in
-  let rec go good n last epoch fenced = function
-    | (Comment, stop) :: rest -> go stop n last epoch fenced rest
-    | (Marker { m_epoch = e; m_fenced }, stop) :: rest when e >= epoch ->
-        go stop n last e m_fenced rest
-    | (Record (seq, text), stop) :: rest when seq = last + 1 -> (
+(* Where replay stands.  [covered] is the sequence number the snapshot
+   covers: records up to it are skipped, not replayed over a later state. *)
+type cursor = {
+  covered : int;
+  n : int;  (* records replayed *)
+  last : int;  (* seq of the last record in the state *)
+  epoch : int;
+  fenced : bool;
+}
+
+(* Replay one segment's text onto [m] — every in-sequence record that
+   parses and applies, and the epoch markers between them — and return
+   the offset just past the last item kept, with the cursor after it.  A
+   segment's header carries the epoch state as of its switch.  [epoch] is
+   raised by record stamps and by markers; [fenced] tracks whether the
+   most recent epoch event was a fence (a later record or promotion marker
+   clears it — the node has since acted in the newer epoch).  Replay stops
+   at the first item that breaks these rules: everything from there on is
+   the torn tail. *)
+let replay_segment (m : Manager.t) c text =
+  let _, h_epoch, h_fenced = base_of_header text in
+  let c =
+    if h_epoch >= c.epoch then { c with epoch = h_epoch; fenced = h_fenced }
+    else c
+  in
+  let rec go good c = function
+    | (Comment, stop) :: rest -> go stop c rest
+    | (Marker { m_epoch = e; m_fenced }, stop) :: rest when e >= c.epoch ->
+        go stop { c with epoch = e; fenced = m_fenced } rest
+    | (Record (seq, _), stop) :: rest
+      when seq <= c.covered && c.last = c.covered ->
+        go stop c rest
+    | (Record (seq, text), stop) :: rest when seq = c.last + 1 -> (
         match parse_record text with
         | r when apply_record m r ->
-            let fenced = fenced && r.r_epoch <= epoch in
-            go stop (n + 1) seq (max epoch r.r_epoch) fenced rest
-        | _ | (exception Corrupt _) -> (good, n, last, epoch, fenced))
-    | _ -> (good, n, last, epoch, fenced)
+            go stop
+              {
+                c with
+                n = c.n + 1;
+                last = seq;
+                epoch = max c.epoch r.r_epoch;
+                fenced = c.fenced && r.r_epoch <= c.epoch;
+              }
+              rest
+        | _ | (exception Corrupt _) -> (good, c))
+    | _ -> (good, c)
   in
-  (base, go 0 0 base epoch0 fenced0 (scan text))
+  go 0 c (scan text)
 
-(* The snapshot, if any, with the journal text replayed on top of it. *)
-let rebuild ~dir text =
-  let snap = snapshot_path ~dir in
-  let from_snapshot = Sys.file_exists snap in
-  let manager =
-    if from_snapshot then
-      try Persist.load ~path:snap
-      with Persist.Corrupt e -> raise (Corrupt ("snapshot: " ^ e))
-    else Manager.create ()
+let read_if_present path =
+  match read_file path with
+  | text -> Some text
+  | exception Sys_error _ when not (Sys.file_exists path) -> None
+
+type rebuilt = {
+  b_manager : Manager.t;
+  b_from_snapshot : bool;
+  b_retiring : (string * int) option;  (* text, offset past what was kept *)
+  b_live : (string * int) option;
+  b_cursor : cursor;
+}
+
+(* The snapshot, if any, with [journal.retiring] and then [journal.log]
+   replayed on top of it.  The retiring segment is read before the
+   snapshot that replaces it, so a checkpoint finishing meanwhile cannot
+   hide records from both. *)
+let rebuild ~dir =
+  let retiring = read_if_present (retiring_path ~dir) in
+  let live = read_if_present (journal_path ~dir) in
+  let snap = read_if_present (snapshot_path ~dir) in
+  let manager, header =
+    match snap with
+    | None -> (Manager.create (), None)
+    | Some text -> (
+        let header, body = parse_snapshot text in
+        try (Persist.load_from_string body, header)
+        with Persist.Corrupt e -> raise (Corrupt ("snapshot: " ^ e)))
   in
-  (manager, from_snapshot, replay manager text)
+  let covered, snap_epoch =
+    match (header, retiring, live) with
+    | Some (s, e), _, _ -> (s, e)
+    | None, Some first, _ | None, None, Some first ->
+        let b, _, _ = base_of_header first in
+        (b, 0)
+    | None, None, None -> (0, 0)
+  in
+  let replay c = function
+    | None -> (None, c)
+    | Some text ->
+        let good, c = replay_segment manager c text in
+        (Some (text, good), c)
+  in
+  let c = { covered; n = 0; last = covered; epoch = 0; fenced = false } in
+  let b_retiring, c = replay c retiring in
+  let b_live, c = replay c live in
+  let c =
+    if snap_epoch > c.epoch then { c with epoch = snap_epoch; fenced = false }
+    else c
+  in
+  {
+    b_manager = manager;
+    b_from_snapshot = snap <> None;
+    b_retiring;
+    b_live;
+    b_cursor = c;
+  }
 
 let recover ?label ?(checkpoint_every = default_checkpoint_every)
     ?(checkpoint_bytes = default_checkpoint_bytes) ~dir () : recovery =
   mkdir_p dir;
-  let jpath = journal_path ~dir in
-  let existed = Sys.file_exists jpath in
-  let text = if existed then read_file jpath else "" in
-  let manager, from_snapshot, (base, (good, replayed, last_seq, ep, fen)) =
-    rebuild ~dir text
-  in
-  let fd = Unix.openfile jpath [ Unix.O_RDWR; Unix.O_CREAT ] 0o644 in
-  let size, truncated_bytes =
-    if existed then begin
-      if good < String.length text then Unix.ftruncate fd good;
-      (good, String.length text - good)
-    end
-    else begin
-      write_all fd header;
-      Unix.fsync fd;
-      (String.length header, 0)
-    end
+  let b = rebuild ~dir in
+  let c = b.b_cursor in
+  let fd, size, base, since =
+    match (b.b_retiring, b.b_live) with
+    | None, Some (text, good) ->
+        let fd = Unix.openfile (journal_path ~dir) [ Unix.O_RDWR ] 0o644 in
+        if good < String.length text then Unix.ftruncate fd good;
+        (fd, good, c.covered, c.n)
+    | retiring, _ ->
+        (* a fresh directory, or a checkpoint that was interrupted: finish
+           it.  The snapshot goes first — until it is durable,
+           journal.retiring holds records nothing else does — and a fresh
+           segment then replaces both journal files. *)
+        let interrupted = Option.is_some retiring in
+        if interrupted then
+          publish_snapshot ~dir
+            (write_snapshot_tmp ~dir ~seq:c.last ~epoch:c.epoch
+               (Buffer.contents (Persist.save_to_buffer b.b_manager)));
+        let h = header_for ~epoch:c.epoch ~fenced:c.fenced c.last in
+        let fd = fresh_segment ~dir h in
+        Unix.fsync fd;
+        fsync_dir dir;
+        if interrupted then Unix.unlink (retiring_path ~dir);
+        (fd, String.length h, c.last, 0)
   in
   ignore (Unix.lseek fd 0 Unix.SEEK_END);
+  let torn = function
+    | Some (text, good) -> String.length text - good
+    | None -> 0
+  in
   let journal =
     {
       dir;
       fd;
       base;
-      seq = last_seq;
-      since = replayed;
+      seq = c.last;
+      since;
       bytes = size;
-      epoch = ep;
-      was_fenced = fen;
+      epoch = c.epoch;
+      was_fenced = c.fenced;
       checkpoint_every;
       checkpoint_bytes;
       group =
@@ -732,17 +955,25 @@ let recover ?label ?(checkpoint_every = default_checkpoint_every)
           g_cond = Condition.create ();
           g_buf = Buffer.create 4096;
           g_records = 0;
-          g_assigned = last_seq;
+          g_assigned = c.last;
           g_flushing = false;
           g_error = None;
+          g_ckpt = Idle;
           on_flush = ignore;
         };
       fp_write = labeled_site "journal.append.write" label;
       fp_fsync = labeled_site "journal.append.fsync" label;
       fp_ckpt = labeled_site "journal.checkpoint.snapshot" label;
+      fp_retire = labeled_site "journal.checkpoint.retire" label;
     }
   in
-  { manager; journal; from_snapshot; replayed; truncated_bytes }
+  {
+    manager = b.b_manager;
+    journal;
+    from_snapshot = b.b_from_snapshot;
+    replayed = c.n;
+    truncated_bytes = torn b.b_retiring + torn b.b_live;
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Failover resync                                                     *)
@@ -763,6 +994,7 @@ let orphan_suffix t ~seal =
     invalid_arg
       (Printf.sprintf "Journal.orphan_suffix: seal %d below base %d" seal
          t.base);
+  settle t;
   drain t;
   let suffix =
     List.filter_map
@@ -804,5 +1036,5 @@ let orphan_suffix t ~seal =
    path's way to roll its in-memory state back to what the file now
    holds. *)
 let reload t : Manager.t =
-  let m, _, _ = rebuild ~dir:t.dir (read_file (journal_path ~dir:t.dir)) in
-  m
+  settle t;
+  (rebuild ~dir:t.dir).b_manager

@@ -4,16 +4,27 @@
     base-fact delta plus its code registrations and the identifier
     counters, in {!Core.Persist}'s textual format — and the record is
     fsynced before the client is acknowledged.  Periodically the whole
-    manager state is checkpointed to a snapshot ({!Core.Persist.save}
-    format) and the journal is reset; the journal alone decides when
-    ({!maybe_checkpoint}), from the caps it was recovered with.
+    manager state is checkpointed to a snapshot and the journal starts a
+    fresh segment; the journal alone decides when ({!maybe_checkpoint}),
+    from the caps it was recovered with.
 
-    On boot, {!recover} loads the snapshot (if any), replays the journal
-    record by record, and truncates a torn tail — a record without its
-    matching [commit] line, with a sequence gap, that {!parse_record}
-    refuses, or whose replay fails —
-    so a [kill -9] between EES-ack and checkpoint loses nothing that was
-    acknowledged and nothing half-written survives.
+    A data directory holds [snapshot.gomdb], the live segment
+    [journal.log], and — only while a checkpoint is in flight, or after
+    one was interrupted — the segment it replaces, [journal.retiring].
+    The snapshot's first line names what it covers:
+    {v
+    # gomsm snapshot v1 seq <S> epoch <E> crc <hex>
+    v}
+    followed by the {!Core.Persist.save} text, which the CRC-32 covers.  A
+    legacy snapshot without that line covers its journal header's [base].
+
+    On boot, {!recover} loads the snapshot (if any), replays
+    [journal.retiring] and then [journal.log] record by record — skipping
+    records the snapshot covers, so a sequence number is never reused —
+    and truncates a torn tail — a record without its matching [commit]
+    line, with a sequence gap, that {!parse_record} refuses, or whose
+    replay fails — so a [kill -9] between EES-ack and checkpoint loses
+    nothing that was acknowledged and nothing half-written survives.
 
     Record format (one record per committed session):
     {v
@@ -80,7 +91,11 @@ val recover :
   unit ->
   recovery
 (** Open (creating if needed) the data directory and rebuild the manager:
-    snapshot, then journal replay, then tail truncation.  The returned
+    snapshot, then journal replay, then tail truncation.  If
+    [journal.retiring] is still there, a checkpoint was interrupted:
+    recovery finishes it — a snapshot of the recovered state, then one
+    fresh [journal.log] — so the directory again holds one journal file.
+    The returned
     journal is positioned for appending.  With [label] (a tenant name) the
     durability failpoint sites are additionally consulted under
     [<site>#<label>] names, so fault injection can target one tenant.
@@ -88,10 +103,10 @@ val recover :
     [checkpoint_bytes] (default {!default_checkpoint_bytes}) are the caps
     {!maybe_checkpoint} applies: they govern this data directory whether
     a primary or a replica appends to it.
-    @raise Corrupt if the {e snapshot} is unreadable, or if the journal
-    header's base sequence number no longer parses (defaulting it would
-    silently renumber the log); other journal damage is repaired by
-    truncation, never fatal. *)
+    @raise Corrupt if the {e snapshot} is unreadable or fails its CRC, or
+    if the journal header's base sequence number no longer parses
+    (defaulting it would silently renumber the log); other journal damage
+    is repaired by truncation, never fatal. *)
 
 val append :
   t ->
@@ -150,30 +165,53 @@ val set_flush_observer : t -> (int -> unit) -> unit
     threads. *)
 
 val in_flight : t -> bool
-(** Records enqueued (or mid-flush) but not yet durable.  The in-memory
-    manager state is ahead of the durable journal exactly while this is
-    true — state digests and eviction must wait it out. *)
+(** Records enqueued (or mid-flush) but not yet durable, or a checkpoint
+    whose snapshot is still being written.  State digests and eviction
+    wait it out. *)
 
 val drain : t -> unit
-(** Flush everything pending and wait out any in-flight batch; raises the sticky error if a flush ever failed.  {!checkpoint},
-    {!advance_epoch}, {!orphan_suffix} and {!close} drain implicitly. *)
+(** Flush everything pending and wait out any in-flight batch; raises the
+    sticky error if a flush ever failed, and then writes nothing more.
+    {!checkpoint}, {!advance_epoch}, {!orphan_suffix} and {!close} drain
+    implicitly. *)
 
-(** {2 Checkpoints and positions} *)
+(** {2 Checkpoints and positions}
+
+    A checkpoint has two halves.  Under the caller's exclusive section it
+    drains the batch writer, serializes the manager, renames [journal.log]
+    to [journal.retiring] and opens a fresh [journal.log] whose header
+    carries the covered sequence number and the epoch state; {!base} moves
+    to {!seq}.  Then a thread of its own, holding no broker lock, writes
+    the snapshot ([snapshot.tmp], fsynced, renamed, directory fsynced)
+    and unlinks [journal.retiring].  At most one checkpoint is in flight.
+
+    {b The settle rule.}  Every operation that reads or rewrites the
+    journal's files — {!checkpoint}, {!records_from}, {!read_snapshot},
+    {!orphan_suffix}, {!reload}, {!install_snapshot}, {!close} — first
+    waits for the checkpoint in flight ({!settle}), so none of them sees a
+    {!base} newer than the snapshot on disk.  If the background half
+    fails, the error is kept: the journal writes nothing more, the next
+    {!enqueue} or {!append_raw} raises it, and so does every {!settle}. *)
 
 val checkpoint : t -> Core.Manager.t -> unit
-(** Snapshot the manager ([snapshot.gomdb], written atomically via a
-    temporary file and rename, fsynced) and reset the journal; the new
-    journal header records the covered sequence number, so {!seq} is
-    unchanged and {!base} advances to it.
+(** {!maybe_checkpoint}'s path, unconditionally, followed by {!settle}:
+    the snapshot is durable when it returns.  {!seq} is unchanged and
+    {!base} advances to it.
     @raise Invalid_argument if an evolution session is open. *)
 
 val maybe_checkpoint : t -> Core.Manager.t -> bool
-(** The one checkpoint rule: {!checkpoint} when either cap given to
+(** The one checkpoint rule: start a checkpoint when either cap given to
     {!recover} is reached — {!since_checkpoint} at [checkpoint_every]
     records, or {!bytes} at [checkpoint_bytes] — and say whether it did.
-    Every appender (the broker's commit, the replica's applier) calls it
-    after each record; the checkpoint drains the pending batch, so the
-    record just enqueued is durable under it. *)
+    Returns after the segment switch, leaving the snapshot write in
+    flight.  Every appender (the broker's commit, the replica's applier)
+    calls it after each record; the switch drains the pending batch, so
+    the record just enqueued is durable when it returns, even if it then
+    raises. *)
+
+val settle : t -> unit
+(** Wait for the checkpoint in flight, if any.  Raises the kept error of
+    a checkpoint whose background half failed. *)
 
 val seq : t -> int
 (** Global sequence number of the last committed record (0 on a fresh
@@ -222,7 +260,8 @@ type parsed_record = {
 
 val records_from : t -> from:int -> (int * string) list
 (** Committed records with sequence numbers in [(from, seq t]], each as its
-    exact journal bytes (newline-terminated), oldest first.  Empty when the
+    exact journal bytes (newline-terminated), oldest first, read from
+    [journal.log].  Empty when the
     subscriber is caught up; a subscriber whose [from] predates {!base}
     must bootstrap from the snapshot instead.  Only the [begin]/[commit]
     bracket is read, so no fact is decoded. *)
@@ -269,11 +308,16 @@ val reload : t -> Core.Manager.t
 val orphaned_path : dir:string -> string
 
 val install_snapshot : t -> seq:int -> text:string -> unit
-(** Replace the snapshot with [text] (atomically, fsynced) and reset the
-    journal to cover sequence number [seq]: the replica's bootstrap. *)
+(** The replica's bootstrap: the checkpoint's segment switch to a fresh
+    journal covering sequence number [seq], then its snapshot write with
+    [text] (the {!Core.Persist.save} text) under a header naming [seq] —
+    both before returning. *)
 
 val read_snapshot : t -> string option
-(** The current snapshot file's contents, if a checkpoint exists. *)
+(** The current snapshot's {!Core.Persist.save} text — without its header
+    line — if a checkpoint exists.
+    @raise Corrupt if the snapshot fails its CRC. *)
 
 val journal_path : dir:string -> string
+val retiring_path : dir:string -> string
 val snapshot_path : dir:string -> string

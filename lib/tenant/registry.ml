@@ -167,7 +167,9 @@ let evict_for_room_locked t =
       let in_flight e =
         (* a journal batch awaiting its fsync: the committer already
            released the writer slot, but closing the journal under the
-           flush would lose acknowledgment-pending records *)
+           flush would lose acknowledgment-pending records; or a
+           checkpoint still writing its snapshot, which closing would
+           wait out under the registry lock *)
         match Broker.journal e.e_broker with
         | Some j -> Journal.in_flight j
         | None -> false

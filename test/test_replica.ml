@@ -315,6 +315,8 @@ let test_bytes_cap_checkpoints () =
   commit b 1 zoo_frame;
   check_int "checkpointed by size" 1
     (Metrics.counter (Broker.metrics b) "checkpoints");
+  (* the snapshot is written behind the commit *)
+  Journal.settle j;
   check_bool "snapshot written" true
     (Sys.file_exists (Journal.snapshot_path ~dir));
   check_int "journal reset" 0 (Journal.since_checkpoint j);

@@ -93,6 +93,17 @@ let commit b ~client lines =
 
 let fired_of site = Failpoint.fired (Failpoint.define site)
 
+(* The snapshot write fails on the checkpoint's own thread, after the
+   switch drained the triggering commit's record: that commit is durable
+   and must be acked; the poisoned journal refuses the next one. *)
+let started_failing_checkpoint ~site ~metrics checkpoints_before =
+  site = "journal.checkpoint.snapshot"
+  && Metrics.counter metrics "checkpoints" > checkpoints_before
+
+(* An in-process crash: the abandoned journal's checkpoint thread would
+   live on, unlike a killed process's, so let it end first. *)
+let crash j = try Journal.settle j with _ -> ()
+
 (* ------------------------------------------------------------------ *)
 (* Scenario A: storage failpoints x workload x crash-and-recover       *)
 (* ------------------------------------------------------------------ *)
@@ -136,6 +147,7 @@ let scenario_a () =
               Printf.sprintf "fld%d" i )
         in
         let before = Journal.seq j in
+        let checkpoints = Metrics.counter metrics "checkpoints" in
         let outcome = commit b ~client:(i + 1) [ line ] in
         let durable = Journal.seq j > before in
         (match outcome with
@@ -143,6 +155,13 @@ let scenario_a () =
             check durable "[%s] commit %d acked without a journal record" spec
               i
         | `Failed _ | `Refused _ -> ());
+        check
+          (not
+             (started_failing_checkpoint ~site ~metrics checkpoints
+             && outcome <> `Acked))
+          "[%s] commit %d started the checkpoint with its record durable, \
+           but was not acked"
+          spec i;
         expected := (i, needle, durable, outcome) :: !expected
       done;
       check (fired_of site > 0) "[%s] the failpoint never fired" spec;
@@ -173,6 +192,7 @@ let scenario_a () =
               fail "[%s] reads refused while degraded: %s" spec reason));
       Failpoint.clear ();
       (* crash: recover the directory into a fresh manager *)
+      crash j;
       let r2 = Journal.recover ~dir () in
       let d = dump_of r2.Journal.manager in
       List.iter
@@ -656,6 +676,7 @@ let scenario_f () =
       for i = 0 to 7 do
         let line, needle = f_frame i in
         let before = Journal.seq j in
+        let checkpoints = Metrics.counter metrics "checkpoints" in
         let outcome = try_commit b ~client:(i + 1) [ line ] in
         let durable = Journal.seq j > before in
         (match outcome with
@@ -663,6 +684,13 @@ let scenario_f () =
             check durable "F: [%s] commit %d acked without a durable record"
               spec i
         | `Failed _ | `Refused _ -> ());
+        check
+          (not
+             (started_failing_checkpoint ~site ~metrics checkpoints
+             && outcome <> `Acked))
+          "F: [%s] commit %d started the checkpoint with its record \
+           durable, but was not acked"
+          spec i;
         expected := (i, needle, durable, outcome) :: !expected
       done;
       check (fired_of site > 0) "F: [%s] the failpoint never fired" spec;
@@ -671,6 +699,7 @@ let scenario_f () =
         "F: [%s] broker not degraded after a storage failure" spec;
       Failpoint.clear ();
       (* crash: recover the directory into a fresh manager *)
+      crash j;
       let r2 = Journal.recover ~dir () in
       let d = dump_of r2.Journal.manager in
       List.iter
@@ -1046,6 +1075,218 @@ let scenario_g () =
     ~durable:false ()
 
 (* ------------------------------------------------------------------ *)
+(* Scenario H: checkpoints off the commit path.  A checkpoint's
+   background half is crashed at both ends — before the snapshot rename,
+   and between that rename and the unlink of journal.retiring — and then
+   a daemon is killed -9 while concurrent committers run across a
+   checkpoint held in flight.  After each crash: no acked loss, no unacked
+   visibility, [seq] never regresses, and a replica that resubscribes
+   converges on the primary's digest. *)
+(* ------------------------------------------------------------------ *)
+
+(* In process: the failpoint stops the checkpoint thread where a crash
+   would, so the files are left as the crash leaves them. *)
+let h_crash_leg spec =
+  Failpoint.clear ();
+  Failpoint.configure spec;
+  let site =
+    match Failpoint.parse_config spec with
+    | [ (s, _, _) ] -> s
+    | _ -> fail "H: spec %S is not a single item" spec
+  in
+  let dir = fresh_dir () in
+  let r = Journal.recover ~checkpoint_every:3 ~dir () in
+  let j = r.Journal.journal in
+  let b =
+    Broker.create ~journal:j ~acquire_timeout:0.1 ~metrics:(Metrics.create ())
+      r.Journal.manager
+  in
+  let outcomes =
+    List.init 6 (fun i ->
+        let line, needle = f_frame (200 + i) in
+        let before = Journal.seq j in
+        let outcome = try_commit b ~client:(i + 1) [ line ] in
+        let durable = Journal.seq j > before in
+        if outcome = `Acked then
+          check durable "H: [%s] commit %d acked without a durable record"
+            spec i;
+        (i, needle, durable))
+  in
+  let position = Journal.seq j in
+  crash j;
+  check (fired_of site > 0) "H: [%s] the failpoint never fired" spec;
+  check
+    (Sys.file_exists (Journal.retiring_path ~dir))
+    "H: [%s] the interrupted checkpoint left no journal.retiring" spec;
+  Failpoint.clear ();
+  let r2 = Journal.recover ~dir () in
+  let j2 = r2.Journal.journal in
+  check
+    (not (Sys.file_exists (Journal.retiring_path ~dir)))
+    "H: [%s] recovery did not finish the interrupted checkpoint" spec;
+  check
+    (Journal.seq j2 = position)
+    "H: [%s] recovered seq %d, the crashed journal was at %d" spec
+    (Journal.seq j2) position;
+  let d = dump_of r2.Journal.manager in
+  List.iter
+    (fun (i, needle, durable) ->
+      if durable && not (contains d needle) then
+        fail "H: [%s] durable commit %d lost after recovery" spec i
+      else if (not durable) && contains d needle then
+        fail "H: [%s] commit %d visible without a durable record" spec i)
+    outcomes;
+  (* numbering continues where it stopped, across one more restart *)
+  let b2 =
+    Broker.create ~journal:j2 ~acquire_timeout:0.1 ~metrics:(Metrics.create ())
+      r2.Journal.manager
+  in
+  let line, needle = f_frame 299 in
+  check
+    (try_commit b2 ~client:1 [ line ] = `Acked)
+    "H: [%s] commit after recovery" spec;
+  check
+    (Journal.seq j2 = position + 1)
+    "H: [%s] next commit numbered %d, not %d" spec (Journal.seq j2)
+    (position + 1);
+  Journal.close j2;
+  let r3 = Journal.recover ~dir () in
+  check
+    (Journal.seq r3.Journal.journal = position + 1
+    && contains (dump_of r3.Journal.manager) needle)
+    "H: [%s] second restart lost the post-recovery commit" spec;
+  Journal.close r3.Journal.journal;
+  note "H [%s]: crashed at seq %d, %d/6 durable, recovered and renumbered \
+        nothing"
+    spec position
+    (List.length (List.filter (fun (_, _, d) -> d) outcomes))
+
+(* One commit over its own connection; a connection the kill cut is an
+   unknown outcome. *)
+let h_commit port line =
+  match open_conn port with
+  | exception Unix.Unix_error _ -> `Unknown
+  | c ->
+      Fun.protect
+        ~finally:(fun () -> try Unix.close (let _, _, s = c in s) with _ -> ())
+        (fun () ->
+          try
+            match (rpc c "bes").Protocol.status with
+            | Protocol.Err reason -> `Refused reason
+            | Protocol.Ok -> (
+                match (rpc c ("script-line " ^ line)).Protocol.status with
+                | Protocol.Err reason -> `Refused reason
+                | Protocol.Ok -> (
+                    match (rpc c "ees").Protocol.status with
+                    | Protocol.Ok -> `Acked
+                    | Protocol.Err reason -> `Failed reason))
+          with _ -> `Unknown)
+
+(* Against real processes: kill -9 must take the checkpoint thread too. *)
+let h_kill_leg () =
+  let root = fresh_dir () in
+  Unix.mkdir root 0o755;
+  let path f = Filename.concat root f in
+  let pdata = path "pdata" in
+  let serve ~log extra =
+    g_spawn ~failpoints:"journal.checkpoint.snapshot=delay:0.05" ~log
+      ([
+         "serve"; "--data"; pdata; "--port-file"; path "pport";
+         "--checkpoint-every"; "4"; "--acquire-timeout"; "10";
+       ]
+      @ extra)
+  in
+  let ppid = serve ~log:(path "p1.log") [ "--port"; "0" ] in
+  let pport = g_wait_port (path "pport") in
+  let rpid =
+    g_spawn ~log:(path "r.log")
+      [
+        "replica"; "--primary"; Printf.sprintf "127.0.0.1:%d" pport; "--port";
+        "0"; "--data"; path "rdata"; "--port-file"; path "rport";
+      ]
+  in
+  let rport = g_wait_port (path "rport") in
+  let committers = 3 and per = 12 in
+  let outcomes = Array.make (committers * per) `Unknown in
+  let acked = Atomic.make 0 in
+  let workers =
+    List.init committers (fun w ->
+        Thread.create
+          (fun () ->
+            for k = 0 to per - 1 do
+              let i = (w * per) + k in
+              let line, _ = f_frame (300 + i) in
+              let o = h_commit pport line in
+              outcomes.(i) <- o;
+              if o = `Acked then Atomic.incr acked
+            done)
+          ())
+  in
+  (* kill while a checkpoint is in flight: its old segment is on disk *)
+  let retiring = Journal.retiring_path ~dir:pdata in
+  wait_until "H: a checkpoint in flight after 12 acks" (fun () ->
+      Atomic.get acked >= 12 && Sys.file_exists retiring);
+  Unix.kill ppid Sys.sigkill;
+  ignore (Unix.waitpid [] ppid);
+  let in_flight = Sys.file_exists retiring in
+  List.iter Thread.join workers;
+  let replica_seq = g_health_int rport "seq" in
+  let r = Journal.recover ~dir:pdata () in
+  let position = Journal.seq r.Journal.journal in
+  let n_acked = Atomic.get acked in
+  check (position >= n_acked) "H: recovered seq %d below %d acked commits"
+    position n_acked;
+  check (position >= replica_seq)
+    "H: recovered seq %d regressed below the replica's %d" position
+    replica_seq;
+  let d = dump_of r.Journal.manager in
+  Array.iteri
+    (fun i o ->
+      let _, needle = f_frame (300 + i) in
+      match o with
+      | `Acked -> check (contains d needle) "H: acked commit %d lost" i
+      | `Failed reason | `Refused reason ->
+          check (not (contains d needle))
+            "H: commit %d visible after an error reply (%s)" i reason
+      | `Unknown -> ())
+    outcomes;
+  Journal.close r.Journal.journal;
+  (* the primary comes back on its port; the replica resubscribes *)
+  let ppid2 =
+    serve ~log:(path "p2.log") [ "--port"; string_of_int pport ]
+  in
+  wait_until "H: primary back" (fun () ->
+      match g_health pport with _ -> true | exception _ -> false);
+  let line, needle = f_frame 399 in
+  check (h_commit pport line = `Acked) "H: commit after the restart";
+  let converged () =
+    let hp = g_health pport and hr = g_health rport in
+    List.assoc_opt "seq" hp = List.assoc_opt "seq" hr
+    && List.assoc_opt "digest" hp <> None
+    && List.assoc_opt "digest" hp = List.assoc_opt "digest" hr
+  in
+  wait_until "H: replica converged on the restarted primary" converged;
+  check
+    (g_health_int pport "seq" = position + 1)
+    "H: the restarted primary numbered its first commit %d, not %d"
+    (g_health_int pport "seq") (position + 1);
+  check (contains (g_dump rport) needle) "H: replica missing the new commit";
+  Unix.kill ppid2 Sys.sigkill;
+  Unix.kill rpid Sys.sigkill;
+  ignore (Unix.waitpid [] ppid2);
+  ignore (Unix.waitpid [] rpid);
+  note "H: kill -9 at seq %d (%d acked, checkpoint %s), recovered, replica \
+        converged at seq %d"
+    position n_acked
+    (if in_flight then "in flight" else "already finished")
+    (position + 1)
+
+let scenario_h () =
+  h_crash_leg "journal.checkpoint.snapshot=eio@nth:1";
+  h_crash_leg "journal.checkpoint.retire=eio@nth:1";
+  h_kill_leg ()
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   let seed = ref 1234 in
@@ -1055,15 +1296,18 @@ let () =
       ("--seed", Arg.Set_int seed, "N  seed for probabilistic failpoints");
       ( "--scenario",
         Arg.Set_string scenario,
-        "S  run one scenario (a|b|c|d|e|f|g) instead of all" );
+        "S  run one scenario (a|b|c|d|e|f|g|h) instead of all" );
     ]
     (fun a -> fail "unexpected argument %S" a)
-    "torture [--seed N] [--scenario a|b|c|d|e|f|g]";
+    "torture [--seed N] [--scenario a|b|c|d|e|f|g|h]";
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
    with Invalid_argument _ -> ());
   note "seed %d" !seed;
   let want s = !scenario = "all" || !scenario = s in
-  if not (List.mem !scenario [ "all"; "a"; "b"; "c"; "d"; "e"; "f"; "g" ]) then
+  if
+    not
+      (List.mem !scenario [ "all"; "a"; "b"; "c"; "d"; "e"; "f"; "g"; "h" ])
+  then
     fail "unknown scenario %S" !scenario;
   if want "a" then scenario_a ();
   if want "b" then scenario_b ~seed:!seed ();
@@ -1072,5 +1316,6 @@ let () =
   if want "e" then scenario_e ();
   if want "f" then scenario_f ();
   if want "g" then scenario_g ();
+  if want "h" then scenario_h ();
   note "all invariants held";
   exit 0
