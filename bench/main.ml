@@ -1563,6 +1563,77 @@ let bench_checkpoint () =
      segment switch, not for the snapshot write and its fsyncs."
 
 (* ------------------------------------------------------------------ *)
+(* B15: the CPU of one cache-miss read and of one command's analysis    *)
+(* ------------------------------------------------------------------ *)
+
+(* [Broker.handle] on a query the response cache cannot answer, at 48
+   types: every text is new within the cache's capacity, so each run
+   parses, evaluates over the maintained state and renders the answers.
+   And [Analyzer.analyze_parsed] on one [add attribute] at 48 and 480
+   types: the schema-base lookups a command's translation makes. *)
+let bench_request_cpu () =
+  banner "B15"
+    "Per-request CPU: a cache-miss query through the broker, and one \
+     command's analysis vs base size";
+  let types = 48 in
+  let m = generated_base ~types in
+  let broker = Server.Broker.create ~metrics:(Server.Metrics.create ()) m in
+  (* 4 * types^2 distinct texts, far beyond the cache's 256 entries *)
+  let keys = 4 * types * types and k = ref 0 in
+  let miss_query () =
+    incr k;
+    let i = !k mod keys in
+    Server.Protocol.Query
+      (Printf.sprintf "%s, Type(T1, \"T%d\", S), Type(T2, \"T%d\", S2)"
+         (if i mod 2 = 0 then "Attr_i(T1, A, D)" else "Decl_i(X, T1, O, R)")
+         (i / 2 mod types)
+         (i / 2 / types))
+  in
+  expect_ok "query" (Server.Broker.handle broker ~client:1 (miss_query ()));
+  let miss =
+    run_group ~name:"query-miss"
+      [
+        Test.make ~name:"handle"
+          (Staged.stage (fun () ->
+               ignore (Server.Broker.handle broker ~client:1 (miss_query ()))));
+      ]
+  in
+  Server.Broker.close broker;
+  let command =
+    Analyzer.parse_commands "add attribute f9 : int to T7@Generated;"
+  in
+  let analyze m () =
+    let r =
+      Analyzer.analyze_parsed (Manager.database m) (Manager.ids m) command
+    in
+    if r.Analyzer.diagnostics <> [] then failwith "add attribute diagnosed"
+  in
+  let large = generated_base ~types:(sizes 480 48) in
+  let a48 =
+    run_group ~name:"analyze-48"
+      [ Test.make ~name:"add-attribute" (Staged.stage (analyze m)) ]
+  in
+  let a480 =
+    run_group ~name:"analyze-480"
+      [ Test.make ~name:"add-attribute" (Staged.stage (analyze large)) ]
+  in
+  table
+    [ "series"; "48 types"; "480 types" ]
+    [
+      [ "query miss, Broker.handle"; pretty_ns (miss "handle"); "-" ];
+      [
+        "add attribute, analyze_parsed";
+        pretty_ns (a48 "add-attribute");
+        pretty_ns (a480 "add-attribute");
+      ];
+    ];
+  print_endline
+    "expected shape: a miss costs its parse, evaluation and answer\n\
+     rendering, with no Format buffer per constant; analysis still grows\n\
+     with the base (Translate.create copies the database, and the\n\
+     schema-base lookups scan) but interns no name per scanned tuple."
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   let args = Array.to_list Sys.argv in
@@ -1588,6 +1659,7 @@ let () =
     bench_profile ();
     bench_scaling ();
     bench_checkpoint ();
+    bench_request_cpu ();
     if not !smoke then emit_json "BENCH_results.json"
   end;
   Printf.printf "\n%s\nAll artifacts regenerated.\n" (String.make 72 '=')

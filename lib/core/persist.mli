@@ -14,6 +14,9 @@ exception Corrupt of string
 val encode_fact : Datalog.Fact.t -> string
 (** e.g. [Attr(tid_1, "x", tid_2)] — one fact, no trailing newline. *)
 
+val add_fact : Buffer.t -> Datalog.Fact.t -> unit
+(** {!encode_fact}, appended to a buffer. *)
+
 val decode_fact : string -> Datalog.Fact.t
 (** Inverse of {!encode_fact}. @raise Corrupt on malformed input. *)
 

@@ -51,11 +51,24 @@ let is_alpha c = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_'
 let is_digit c = c >= '0' && c <= '9'
 let is_ident c = is_alpha c || is_digit c || c = '$' || c = '\''
 
+(* [word] (a lower-case keyword) spelled in any case at [src.[start..]] *)
+let keyword_ci src start len word =
+  len = String.length word
+  &&
+  let rec go k =
+    k >= len || (Char.lowercase_ascii src.[start + k] = word.[k] && go (k + 1))
+  in
+  go 0
+
+(* Punctuation is matched on the characters in place; a word, number or
+   quoted symbol costs one [String.sub]. *)
 let tokenize (src : string) : token list =
   let n = String.length src in
   let toks = ref [] in
   let push t = toks := t :: !toks in
   let i = ref 0 in
+  (* no operator contains NUL, so it stands in for "past the end" *)
+  let ahead k = if !i + k < n then src.[!i + k] else '\000' in
   while !i < n do
     let c = src.[!i] in
     if c = ' ' || c = '\t' || c = '\n' || c = '\r' then incr i
@@ -77,96 +90,54 @@ let tokenize (src : string) : token list =
       while !i < n && is_ident src.[!i] do
         incr i
       done;
-      let word = String.sub src start (!i - start) in
-      match String.lowercase_ascii word with
-      | "forall" -> push TForall
-      | "exists" -> push TExists
-      | "and" when word = "and" -> push TAnd
-      | "or" when word = "or" -> push TOr
-      | "not" when word = "not" -> push TNot
-      | "true" when word = "true" -> push TTrue
-      | "false" when word = "false" -> push TFalse
-      | _ ->
-          if c >= 'A' && c <= 'Z' || c = '_' then push (TVar word)
-          else push (TIdent word)
+      let len = !i - start in
+      (* the quantifiers in any case; the connectives only in lower case *)
+      if keyword_ci src start len "forall" then push TForall
+      else if keyword_ci src start len "exists" then push TExists
+      else
+        let word = String.sub src start len in
+        match word with
+        | "and" -> push TAnd
+        | "or" -> push TOr
+        | "not" -> push TNot
+        | "true" -> push TTrue
+        | "false" -> push TFalse
+        | _ ->
+            if (c >= 'A' && c <= 'Z') || c = '_' then push (TVar word)
+            else push (TIdent word)
     end
     else if c = '\'' || c = '"' then begin
-      let quote = c in
-      incr i;
-      let buf = Buffer.create 8 in
-      while !i < n && src.[!i] <> quote do
-        Buffer.add_char buf src.[!i];
-        incr i
-      done;
-      if !i >= n then raise (Error "unterminated quoted symbol");
-      incr i;
-      push (TQuoted (Buffer.contents buf))
+      match String.index_from_opt src (!i + 1) c with
+      | None -> raise (Error "unterminated quoted symbol")
+      | Some j ->
+          push (TQuoted (String.sub src (!i + 1) (j - !i - 1)));
+          i := j + 1
     end
     else begin
-      let two = if !i + 1 < n then String.sub src !i 2 else "" in
-      let three = if !i + 2 < n then String.sub src !i 3 else "" in
-      if three = "<->" || three = "<=>" then begin
-        push TIff;
-        i := !i + 3
-      end
-      else if two = ":-" then begin
-        push TTurnstile;
-        i := !i + 2
-      end
-      else if two = "->" || two = "=>" then begin
-        push TArrow;
-        i := !i + 2
-      end
-      else if two = "/\\" then begin
-        push TAnd;
-        i := !i + 2
-      end
-      else if two = "\\/" then begin
-        push TOr;
-        i := !i + 2
-      end
-      else if two = "!=" || two = "<>" then begin
-        push (TCmp Rule.Ne);
-        i := !i + 2
-      end
-      else if two = "<=" then begin
-        push (TCmp Rule.Le);
-        i := !i + 2
-      end
-      else if two = ">=" then begin
-        push (TCmp Rule.Ge);
-        i := !i + 2
-      end
-      else
-        match c with
-        | '(' ->
-            push TLparen;
-            incr i
-        | ')' ->
-            push TRparen;
-            incr i
-        | ',' ->
-            push TComma;
-            incr i
-        | '.' ->
-            push TDot;
-            incr i
-        | '?' ->
-            push TQuestion;
-            incr i
-        | '~' ->
-            push TNot;
-            incr i
-        | '=' ->
-            push (TCmp Rule.Eq);
-            incr i
-        | '<' ->
-            push (TCmp Rule.Lt);
-            incr i
-        | '>' ->
-            push (TCmp Rule.Gt);
-            incr i
+      (* longest operator first: [<=>] before [<=], [<>] and [<] *)
+      let tok, len =
+        match c, ahead 1, ahead 2 with
+        | '<', ('-' | '='), '>' -> (TIff, 3)
+        | ':', '-', _ -> (TTurnstile, 2)
+        | ('-' | '='), '>', _ -> (TArrow, 2)
+        | '/', '\\', _ -> (TAnd, 2)
+        | '\\', '/', _ -> (TOr, 2)
+        | '!', '=', _ | '<', '>', _ -> (TCmp Rule.Ne, 2)
+        | '<', '=', _ -> (TCmp Rule.Le, 2)
+        | '>', '=', _ -> (TCmp Rule.Ge, 2)
+        | '(', _, _ -> (TLparen, 1)
+        | ')', _, _ -> (TRparen, 1)
+        | ',', _, _ -> (TComma, 1)
+        | '.', _, _ -> (TDot, 1)
+        | '?', _, _ -> (TQuestion, 1)
+        | '~', _, _ -> (TNot, 1)
+        | '=', _, _ -> (TCmp Rule.Eq, 1)
+        | '<', _, _ -> (TCmp Rule.Lt, 1)
+        | '>', _, _ -> (TCmp Rule.Gt, 1)
         | _ -> raise (Error (Printf.sprintf "unexpected character %C" c))
+      in
+      push tok;
+      i := !i + len
     end
   done;
   List.rev (TEOF :: !toks)

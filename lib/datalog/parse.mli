@@ -12,6 +12,38 @@
 
 exception Error of string
 
+(** {2 Tokens}
+
+    Exposed so the tokenizer can be tested on its own. *)
+
+type token =
+  | TIdent of string  (** lower-case word: predicate or symbol *)
+  | TVar of string  (** capitalized or ['_']-initial word *)
+  | TQuoted of string  (** contents of ['...'] or ["..."], unescaped *)
+  | TInt of int
+  | TLparen
+  | TRparen
+  | TComma
+  | TDot
+  | TTurnstile  (** [:-] *)
+  | TArrow  (** [->] or [=>] *)
+  | TIff  (** [<->] or [<=>] *)
+  | TAnd  (** [/\] or [and] *)
+  | TOr  (** [\/] or [or] *)
+  | TNot  (** [~] or [not] *)
+  | TForall  (** [forall], any case *)
+  | TExists  (** [exists], any case *)
+  | TTrue
+  | TFalse
+  | TCmp of Rule.cmp
+  | TQuestion
+  | TEOF
+
+val tokenize : string -> token list
+(** The token stream, ending in [TEOF].  [%] starts a comment to the end of
+    the line.
+    @raise Error on an unexpected character or an unterminated quote. *)
+
 val formula : string -> Formula.t
 (** @raise Error on syntax errors. *)
 

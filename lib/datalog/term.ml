@@ -107,14 +107,13 @@ let equal a b = compare a b = 0
 
 let is_var = function Var _ -> true | Const _ -> false
 
-let pp_const ppf = function
-  | Sym s -> Fmt.string ppf s.name
-  | Int i -> Fmt.int ppf i
-  | Fresh s -> Fmt.pf ppf "?%s" s
+(* Printed directly, not through a Format buffer: every bound constant of
+   every query answer passes through here. *)
+let const_to_string = function
+  | Sym s -> s.name
+  | Int i -> string_of_int i
+  | Fresh s -> "?" ^ s
 
-let pp ppf = function
-  | Var v -> Fmt.pf ppf "%s" v
-  | Const c -> pp_const ppf c
-
-let const_to_string c = Fmt.str "%a" pp_const c
-let to_string t = Fmt.str "%a" pp t
+let to_string = function Var v -> v | Const c -> const_to_string c
+let pp_const ppf c = Fmt.string ppf (const_to_string c)
+let pp ppf t = Fmt.string ppf (to_string t)

@@ -16,23 +16,28 @@ let collect db pred f =
       match f tuple with None -> () | Some x -> acc := x :: !acc);
   List.rev !acc
 
-let sym_of = function
-  | Term.Sym s -> s.Term.name
-  | Term.Int i -> string_of_int i
-  | Term.Fresh s -> "?" ^ s
+(* [c] is the symbol spelled [name].  Symbols are interned, so this equals
+   [Term.equal_const c (Term.symc name)] without an intern-table lookup per
+   scanned tuple. *)
+let is_sym name (c : Term.const) =
+  match c with
+  | Term.Sym s -> String.equal s.Term.name name
+  | Term.Int _ | Term.Fresh _ -> false
+
+let sym_of = Term.const_to_string
 
 (* --- Schemas --- *)
 
 let find_schema db ~name =
   let result = ref None in
   scan db Preds.schema_ (fun t ->
-      if Term.equal_const t.(1) (Term.symc name) then result := Some (sym_of t.(0)));
+      if is_sym name t.(1) then result := Some (sym_of t.(0)));
   !result
 
 let schema_name db ~sid =
   let result = ref None in
   scan db Preds.schema_ (fun t ->
-      if Term.equal_const t.(0) (Term.symc sid) then result := Some (sym_of t.(1)));
+      if is_sym sid t.(0) then result := Some (sym_of t.(1)));
   !result
 
 let schemas db = collect db Preds.schema_ (fun t -> Some (sym_of t.(0), sym_of t.(1)))
@@ -42,8 +47,8 @@ let schemas db = collect db Preds.schema_ (fun t -> Some (sym_of t.(0), sym_of t
 let find_type db ~sid ~name =
   let result = ref None in
   scan db Preds.type_ (fun t ->
-      if Term.equal_const t.(1) (Term.symc name) && Term.equal_const t.(2) (Term.symc sid)
-      then result := Some (sym_of t.(0)));
+      if is_sym name t.(1) && is_sym sid t.(2) then
+        result := Some (sym_of t.(0)));
   !result
 
 (* Resolve the paper's @-notation: TypeName@SchemaName. *)
@@ -55,7 +60,7 @@ let find_type_at db ~type_name ~schema_name =
 let type_info db ~tid =
   let result = ref None in
   scan db Preds.type_ (fun t ->
-      if Term.equal_const t.(0) (Term.symc tid) then
+      if is_sym tid t.(0) then
         result := Some (sym_of t.(1), sym_of t.(2)));
   !result
 
@@ -64,18 +69,18 @@ let schema_of_type db ~tid = Option.map snd (type_info db ~tid)
 
 let types_of_schema db ~sid =
   collect db Preds.type_ (fun t ->
-      if Term.equal_const t.(2) (Term.symc sid) then Some (sym_of t.(0), sym_of t.(1))
+      if is_sym sid t.(2) then Some (sym_of t.(0), sym_of t.(1))
       else None)
 
 (* --- Subtyping --- *)
 
 let direct_supertypes db ~tid =
   collect db Preds.subtyprel (fun t ->
-      if Term.equal_const t.(0) (Term.symc tid) then Some (sym_of t.(1)) else None)
+      if is_sym tid t.(0) then Some (sym_of t.(1)) else None)
 
 let direct_subtypes db ~tid =
   collect db Preds.subtyprel (fun t ->
-      if Term.equal_const t.(1) (Term.symc tid) then Some (sym_of t.(0)) else None)
+      if is_sym tid t.(1) then Some (sym_of t.(0)) else None)
 
 (* Supertypes in breadth-first order (nearest first), excluding [tid];
    cycle-safe even on inconsistent schemas. *)
@@ -101,7 +106,7 @@ let is_subtype db ~sub ~super =
 
 let direct_attrs db ~tid =
   collect db Preds.attr (fun t ->
-      if Term.equal_const t.(0) (Term.symc tid) then Some (sym_of t.(1), sym_of t.(2))
+      if is_sym tid t.(0) then Some (sym_of t.(1), sym_of t.(2))
       else None)
 
 (* All attributes including inherited ones (the extension of Attr_i for this
@@ -133,7 +138,7 @@ type decl_info = {
 let decl_by_id db ~did =
   let result = ref None in
   scan db Preds.decl (fun t ->
-      if Term.equal_const t.(0) (Term.symc did) then
+      if is_sym did t.(0) then
         result :=
           Some
             {
@@ -146,7 +151,7 @@ let decl_by_id db ~did =
 
 let direct_decls db ~tid =
   collect db Preds.decl (fun t ->
-      if Term.equal_const t.(1) (Term.symc tid) then
+      if is_sym tid t.(1) then
         Some
           {
             did = sym_of t.(0);
@@ -166,7 +171,7 @@ let resolve_decl db ~tid ~name =
 
 let args_of_decl db ~did =
   collect db Preds.argdecl (fun t ->
-      if Term.equal_const t.(0) (Term.symc did) then
+      if is_sym did t.(0) then
         match t.(1) with
         | Term.Int n -> Some (n, sym_of t.(2))
         | Term.Sym _ | Term.Fresh _ -> None
@@ -176,69 +181,68 @@ let args_of_decl db ~did =
 let code_of_decl db ~did =
   let result = ref None in
   scan db Preds.code (fun t ->
-      if Term.equal_const t.(2) (Term.symc did) then
+      if is_sym did t.(2) then
         result := Some (sym_of t.(0), sym_of t.(1)));
   !result
 
 let refinements_of db ~did =
   collect db Preds.declrefinement (fun t ->
-      if Term.equal_const t.(1) (Term.symc did) then Some (sym_of t.(0)) else None)
+      if is_sym did t.(1) then Some (sym_of t.(0)) else None)
 
 (* --- Physical representations --- *)
 
 let phrep_of_type db ~tid =
   let result = ref None in
   scan db Preds.phrep (fun t ->
-      if Term.equal_const t.(1) (Term.symc tid) then result := Some (sym_of t.(0)));
+      if is_sym tid t.(1) then result := Some (sym_of t.(0)));
   !result
 
 let type_of_phrep db ~clid =
   let result = ref None in
   scan db Preds.phrep (fun t ->
-      if Term.equal_const t.(0) (Term.symc clid) then result := Some (sym_of t.(1)));
+      if is_sym clid t.(0) then result := Some (sym_of t.(1)));
   !result
 
 let slots_of_phrep db ~clid =
   collect db Preds.slot (fun t ->
-      if Term.equal_const t.(0) (Term.symc clid) then Some (sym_of t.(1), sym_of t.(2))
+      if is_sym clid t.(0) then Some (sym_of t.(1), sym_of t.(2))
       else None)
 
 (* --- Versioning --- *)
 
 let evolutions_of_type db ~tid =
   collect db Preds.evolves_to_t (fun t ->
-      if Term.equal_const t.(0) (Term.symc tid) then Some (sym_of t.(1)) else None)
+      if is_sym tid t.(0) then Some (sym_of t.(1)) else None)
 
 let predecessors_of_type db ~tid =
   collect db Preds.evolves_to_t (fun t ->
-      if Term.equal_const t.(1) (Term.symc tid) then Some (sym_of t.(0)) else None)
+      if is_sym tid t.(1) then Some (sym_of t.(0)) else None)
 
 (* --- Fashion --- *)
 
 (* FashionType(X, Y): instances of X are substitutable for instances of Y. *)
 let fashion_targets db ~tid =
   collect db Preds.fashiontype (fun t ->
-      if Term.equal_const t.(0) (Term.symc tid) then Some (sym_of t.(1)) else None)
+      if is_sym tid t.(0) then Some (sym_of t.(1)) else None)
 
 let fashion_sources db ~tid =
   collect db Preds.fashiontype (fun t ->
-      if Term.equal_const t.(1) (Term.symc tid) then Some (sym_of t.(0)) else None)
+      if is_sym tid t.(1) then Some (sym_of t.(0)) else None)
 
 let fashion_attr db ~owner_tid ~attr_name ~masked_tid =
   let result = ref None in
   scan db Preds.fashionattr (fun t ->
       if
-        Term.equal_const t.(0) (Term.symc owner_tid)
-        && Term.equal_const t.(1) (Term.symc attr_name)
-        && Term.equal_const t.(2) (Term.symc masked_tid)
+        is_sym owner_tid t.(0) && is_sym attr_name t.(1)
+        && is_sym masked_tid t.(2)
       then result := Some (sym_of t.(3), sym_of t.(4)));
   !result
 
 let fashion_decl db ~did ~masked_tid =
   let result = ref None in
   scan db Preds.fashiondecl (fun t ->
-      if Term.equal_const t.(0) (Term.symc did) && Term.equal_const t.(1) (Term.symc masked_tid)
-      then result := Some (sym_of t.(2)));
+      if is_sym did t.(0) && is_sym masked_tid t.(1) then
+        result := Some (sym_of t.(2)));
   !result
 
 (* --- Subschemas (appendix A) --- *)
@@ -246,21 +250,21 @@ let fashion_decl db ~did ~masked_tid =
 let parent_schema db ~sid =
   let result = ref None in
   scan db Preds.subschemarel (fun t ->
-      if Term.equal_const t.(0) (Term.symc sid) then result := Some (sym_of t.(1)));
+      if is_sym sid t.(0) then result := Some (sym_of t.(1)));
   !result
 
 let child_schemas db ~sid =
   collect db Preds.subschemarel (fun t ->
-      if Term.equal_const t.(1) (Term.symc sid) then Some (sym_of t.(0)) else None)
+      if is_sym sid t.(1) then Some (sym_of t.(0)) else None)
 
 let imports_of db ~sid =
   collect db Preds.imports (fun t ->
-      if Term.equal_const t.(0) (Term.symc sid) then Some (sym_of t.(1)) else None)
+      if is_sym sid t.(0) then Some (sym_of t.(1)) else None)
 
 (* Renamings in force within a schema: (kind, new name, source sid, old name). *)
 let renames_in db ~sid =
   collect db Preds.renamed (fun t ->
-      if Term.equal_const t.(0) (Term.symc sid) then
+      if is_sym sid t.(0) then
         Some (sym_of t.(1), sym_of t.(2), sym_of t.(3), sym_of t.(4))
       else None)
 
@@ -272,5 +276,5 @@ let renamed_away db ~sid ~kind ~source_sid ~old_name =
 
 let public_comps db ~sid =
   collect db Preds.public_comp (fun t ->
-      if Term.equal_const t.(0) (Term.symc sid) then Some (sym_of t.(1), sym_of t.(2))
+      if is_sym sid t.(0) then Some (sym_of t.(1), sym_of t.(2))
       else None)

@@ -627,23 +627,32 @@ let do_check t =
           Metrics.incr ~by:(List.length reports) t.metrics "violations_found";
           ok (violation_lines reports))
 
+(* One line per answer, ["  X = a, Y = b"], then the count.  A cache miss
+   renders every binding, so the lines are built in one reused buffer. *)
+let answer_lines answers =
+  let buf = Buffer.create 128 in
+  let line bindings =
+    Buffer.clear buf;
+    Buffer.add_string buf "  ";
+    List.iteri
+      (fun i (v, c) ->
+        if i > 0 then Buffer.add_string buf ", ";
+        Buffer.add_string buf v;
+        Buffer.add_string buf " = ";
+        Buffer.add_string buf (Datalog.Term.const_to_string c))
+      bindings;
+    Buffer.contents buf
+  in
+  let rec go n acc = function
+    | [] -> List.rev ((string_of_int n ^ " answer(s).") :: acc)
+    | b :: rest -> go (n + 1) (line b :: acc) rest
+  in
+  go 0 [] answers
+
 let do_query_uninstrumented t text =
   cached t ("query:" ^ text) (fun () ->
       match Manager.query_text t.manager text with
-      | answers ->
-          let lines =
-            List.map
-              (fun bindings ->
-                "  "
-                ^ String.concat ", "
-                    (List.map
-                       (fun (v, c) ->
-                         Printf.sprintf "%s = %s" v
-                           (Datalog.Term.const_to_string c))
-                       bindings))
-              answers
-          in
-          ok (lines @ [ Printf.sprintf "%d answer(s)." (List.length answers) ])
+      | answers -> ok (answer_lines answers)
       | exception Datalog.Parse.Error e -> err ("syntax error: " ^ e)
       | exception Datalog.Rule.Unsafe e -> err ("unsafe query: " ^ e))
 

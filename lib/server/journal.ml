@@ -236,12 +236,13 @@ let record_bytes ~seq ~epoch ~(ids : Gom.Ids.gen) ~code (delta : Delta.t) :
   Printf.bprintf buf "ids %d %d %d %d %d %d\n" ids.Gom.Ids.schemas
     ids.Gom.Ids.types ids.Gom.Ids.decls ids.Gom.Ids.codes ids.Gom.Ids.phreps
     ids.Gom.Ids.objects;
-  List.iter
-    (fun f -> Printf.bprintf buf "del %s\n" (Persist.encode_fact f))
-    delta.Delta.deletions;
-  List.iter
-    (fun f -> Printf.bprintf buf "add %s\n" (Persist.encode_fact f))
-    delta.Delta.additions;
+  let fact_line verb f =
+    Buffer.add_string buf verb;
+    Persist.add_fact buf f;
+    Buffer.add_char buf '\n'
+  in
+  List.iter (fact_line "del ") delta.Delta.deletions;
+  List.iter (fact_line "add ") delta.Delta.additions;
   List.iter
     (fun (cid, (params, body)) ->
       Printf.bprintf buf "code %s\n" (Persist.encode_code ~cid ~params ~body))

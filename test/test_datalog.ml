@@ -1116,6 +1116,189 @@ let prop_formula_print_parse =
       | exception Parse.Error _ -> false)
 
 (* ------------------------------------------------------------------ *)
+(* Fast paths against the code they replaced                           *)
+(* ------------------------------------------------------------------ *)
+
+(* Strings a constant may spell: empty, quotes, backslashes, control
+   characters, NUL, non-ASCII bytes, and runs longer than Format's
+   margin. *)
+let nasty_string_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (1, return "");
+        ( 4,
+          string_size
+            ~gen:
+              (oneofl
+                 [ 'a'; 'Z'; '0'; ' '; '"'; '\\'; '\n'; '\t'; '\r'; '\'';
+                   '%'; '?'; '@'; '\000'; '\x7f'; '\xc3'; '\xa9'; '\xff' ])
+            (int_range 0 12) );
+        (2, string_size ~gen:printable (int_range 0 40));
+        (1, string_size ~gen:char (int_range 80 300));
+        ( 1,
+          oneofl
+            [ "caf\xc3\xa9"; "\xe2\x88\x80x"; "line\nbreak"; "q\"uote";
+              "back\\slash"; String.make 200 'x' ] );
+      ])
+
+let const_gen =
+  QCheck.Gen.(
+    oneof
+      [
+        map Term.symc nasty_string_gen;
+        map (fun i -> Term.Int i) int;
+        map (fun s -> Term.Fresh s) nasty_string_gen;
+      ])
+
+(* The constant printer as it was: every call through a Format buffer. *)
+let fmt_pp_const ppf = function
+  | Term.Sym s -> Fmt.string ppf s.Term.name
+  | Term.Int i -> Fmt.int ppf i
+  | Term.Fresh s -> Fmt.pf ppf "?%s" s
+
+let prop_const_to_string_matches_fmt =
+  QCheck.Test.make ~count:500 ~long_factor:20
+    ~name:"const_to_string = the Format printer"
+    QCheck.(
+      make
+        ~print:(fun (a, b) ->
+          Printf.sprintf "%S, %S"
+            (Fmt.str "%a" fmt_pp_const a)
+            (Fmt.str "%a" fmt_pp_const b))
+        (Gen.pair const_gen const_gen))
+    (fun (a, b) ->
+      let boxed pp = Fmt.str "@[<hov 2>p(%a,@ %a)@]" pp a pp b in
+      Term.const_to_string a = Fmt.str "%a" fmt_pp_const a
+      && Fmt.str "%a" Term.pp_const a = Fmt.str "%a" fmt_pp_const a
+      && boxed Term.pp_const = boxed fmt_pp_const)
+
+(* The tokenizer as it was: a [String.sub] per punctuation character, a
+   [String.lowercase_ascii] per word, a buffer per quoted symbol. *)
+let reference_tokenize (src : string) : Parse.token list =
+  let open Parse in
+  let is_alpha c = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_' in
+  let is_digit c = c >= '0' && c <= '9' in
+  let is_ident c = is_alpha c || is_digit c || c = '$' || c = '\'' in
+  let n = String.length src in
+  let toks = ref [] in
+  let push t = toks := t :: !toks in
+  let i = ref 0 in
+  while !i < n do
+    let c = src.[!i] in
+    if c = ' ' || c = '\t' || c = '\n' || c = '\r' then incr i
+    else if c = '%' then begin
+      while !i < n && src.[!i] <> '\n' do
+        incr i
+      done
+    end
+    else if is_digit c then begin
+      let start = !i in
+      while !i < n && is_digit src.[!i] do
+        incr i
+      done;
+      push (TInt (int_of_string (String.sub src start (!i - start))))
+    end
+    else if is_alpha c then begin
+      let start = !i in
+      while !i < n && is_ident src.[!i] do
+        incr i
+      done;
+      let word = String.sub src start (!i - start) in
+      match String.lowercase_ascii word with
+      | "forall" -> push TForall
+      | "exists" -> push TExists
+      | "and" when word = "and" -> push TAnd
+      | "or" when word = "or" -> push TOr
+      | "not" when word = "not" -> push TNot
+      | "true" when word = "true" -> push TTrue
+      | "false" when word = "false" -> push TFalse
+      | _ ->
+          if (c >= 'A' && c <= 'Z') || c = '_' then push (TVar word)
+          else push (TIdent word)
+    end
+    else if c = '\'' || c = '"' then begin
+      let quote = c in
+      incr i;
+      let buf = Buffer.create 8 in
+      while !i < n && src.[!i] <> quote do
+        Buffer.add_char buf src.[!i];
+        incr i
+      done;
+      if !i >= n then raise (Error "unterminated quoted symbol");
+      incr i;
+      push (TQuoted (Buffer.contents buf))
+    end
+    else begin
+      let two = if !i + 1 < n then String.sub src !i 2 else "" in
+      let three = if !i + 2 < n then String.sub src !i 3 else "" in
+      let op t k =
+        push t;
+        i := !i + k
+      in
+      if three = "<->" || three = "<=>" then op TIff 3
+      else if two = ":-" then op TTurnstile 2
+      else if two = "->" || two = "=>" then op TArrow 2
+      else if two = "/\\" then op TAnd 2
+      else if two = "\\/" then op TOr 2
+      else if two = "!=" || two = "<>" then op (TCmp Rule.Ne) 2
+      else if two = "<=" then op (TCmp Rule.Le) 2
+      else if two = ">=" then op (TCmp Rule.Ge) 2
+      else
+        match c with
+        | '(' -> op TLparen 1
+        | ')' -> op TRparen 1
+        | ',' -> op TComma 1
+        | '.' -> op TDot 1
+        | '?' -> op TQuestion 1
+        | '~' -> op TNot 1
+        | '=' -> op (TCmp Rule.Eq) 1
+        | '<' -> op (TCmp Rule.Lt) 1
+        | '>' -> op (TCmp Rule.Gt) 1
+        | _ -> raise (Error (Printf.sprintf "unexpected character %C" c))
+    end
+  done;
+  List.rev (TEOF :: !toks)
+
+(* Query-like texts: keywords in mixed case, every operator and its
+   prefixes, quoted symbols (closed and not), comments, digits past the
+   int range, and stray bytes. *)
+let query_text_gen =
+  let piece =
+    QCheck.Gen.(
+      frequency
+        [
+          ( 6,
+            oneofl
+              [ "forall"; "FORALL"; "Exists"; "exists"; "and"; "And"; "or";
+                "OR"; "not"; "Not"; "true"; "True"; "false"; "FALSE";
+                "forallx"; "x"; "tid_1"; "Abc"; "_v"; "a$'b"; "Type";
+                "Attr_i"; "0"; "42"; "007"; "99999999999999999999";
+                "'quoted sym'"; "\"T12\""; "''"; "'open"; "\"open"; "(";
+                ")"; ","; "."; "?"; "~"; "="; "<"; ">"; "<="; ">="; "<>";
+                "!="; "<->"; "<=>"; "<-"; "->"; "=>"; ":-"; "/\\"; "\\/";
+                "-"; ":"; "!"; "/"; "\\"; " "; "\t"; "\n"; "\r";
+                "% a comment\n"; "%"; "@"; "\000"; "\xc3\xa9" ] );
+          (1, map (String.make 1) printable);
+          (1, map (String.make 1) char);
+        ])
+  in
+  QCheck.Gen.(
+    oneof
+      [
+        map (String.concat "") (list_size (int_range 0 25) piece);
+        map (String.concat " ") (list_size (int_range 0 25) piece);
+        string_size ~gen:printable (int_range 0 40);
+      ])
+
+let prop_tokenize_matches_reference =
+  let run f src = try Ok (f src) with e -> Error (Printexc.to_string e) in
+  QCheck.Test.make ~count:1000 ~long_factor:20
+    ~name:"tokenizer = the reference tokenizer"
+    (QCheck.make ~print:(Printf.sprintf "%S") query_text_gen)
+    (fun src -> run Parse.tokenize src = run reference_tokenize src)
+
+(* ------------------------------------------------------------------ *)
 (* Pretty printing                                                      *)
 (* ------------------------------------------------------------------ *)
 
@@ -1147,6 +1330,7 @@ let suite =
         Alcotest.test_case "fact groundness" `Quick test_fact_ground;
         Alcotest.test_case "atom to fact" `Quick test_atom_to_fact;
         Alcotest.test_case "symbol interning" `Quick test_interning;
+        qcheck prop_const_to_string_matches_fmt;
       ] );
     ( "datalog.database",
       [
@@ -1239,6 +1423,7 @@ let suite =
         Alcotest.test_case "quoted symbols" `Quick test_parse_quoted_symbols;
         Alcotest.test_case "errors" `Quick test_parse_errors;
         qcheck prop_formula_print_parse;
+        qcheck prop_tokenize_matches_reference;
       ] );
     ( "datalog.repair",
       [
