@@ -1566,11 +1566,31 @@ let bench_checkpoint () =
 (* B15: the CPU of one cache-miss read and of one command's analysis    *)
 (* ------------------------------------------------------------------ *)
 
+(* Minor and promoted words per call of [f], over [n] calls that start
+   from an empty minor heap and end with one collection: what the calls
+   allocate, and what of it outlives them.  Allocation is deterministic,
+   so the minor count repeats exactly from run to run, and the promoted
+   count to within a fraction of a word. *)
+let words_per ~n f =
+  Gc.minor ();
+  let g0 = Gc.quick_stat () in
+  for _ = 1 to n do
+    f ()
+  done;
+  Gc.minor ();
+  let g1 = Gc.quick_stat () in
+  ( (g1.Gc.minor_words -. g0.Gc.minor_words) /. float_of_int n,
+    (g1.Gc.promoted_words -. g0.Gc.promoted_words) /. float_of_int n )
+
 (* [Broker.handle] on a query the response cache cannot answer, at 48
-   types: every text is new within the cache's capacity, so each run
-   parses, evaluates over the maintained state and renders the answers.
-   And [Analyzer.analyze_parsed] on one [add attribute] at 48 and 480
-   types: the schema-base lookups a command's translation makes. *)
+   types: texts of two shapes whose constants cycle through far more keys
+   than the response cache's doorkeeper remembers, so each run tokenizes,
+   evaluates its prepared shape over the maintained state, renders the
+   answers, and stores nothing.  [new-shape] is the prepared-shape table's worst case:
+   every text has a variable named afresh, so each is parsed, normalized
+   and planned.  And [Analyzer.analyze_parsed] on one [add attribute] at
+   48 and 480 types: the schema-base lookups a command's translation
+   makes. *)
 let bench_request_cpu () =
   banner "B15"
     "Per-request CPU: a cache-miss query through the broker, and one \
@@ -1578,7 +1598,7 @@ let bench_request_cpu () =
   let types = 48 in
   let m = generated_base ~types in
   let broker = Server.Broker.create ~metrics:(Server.Metrics.create ()) m in
-  (* 4 * types^2 distinct texts, far beyond the cache's 256 entries *)
+  (* 4 * types^2 distinct texts, far beyond the doorkeeper's 1024 *)
   let keys = 4 * types * types and k = ref 0 in
   let miss_query () =
     incr k;
@@ -1589,13 +1609,25 @@ let bench_request_cpu () =
          (i / 2 mod types)
          (i / 2 / types))
   in
+  let shapes = ref 0 in
+  let new_shape_query () =
+    incr shapes;
+    Server.Protocol.Query
+      (Printf.sprintf "Attr_i(T1, A, D), Type(T1, \"T%d\", S%d)"
+         (!shapes mod types) !shapes)
+  in
+  let handle q () = ignore (Server.Broker.handle broker ~client:1 (q ())) in
   expect_ok "query" (Server.Broker.handle broker ~client:1 (miss_query ()));
+  expect_ok "new shape"
+    (Server.Broker.handle broker ~client:1 (new_shape_query ()));
+  let n = sizes 2000 50 in
+  let miss_minor, miss_promoted = words_per ~n (handle miss_query) in
+  let shape_minor, shape_promoted = words_per ~n (handle new_shape_query) in
   let miss =
     run_group ~name:"query-miss"
       [
-        Test.make ~name:"handle"
-          (Staged.stage (fun () ->
-               ignore (Server.Broker.handle broker ~client:1 (miss_query ()))));
+        Test.make ~name:"handle" (Staged.stage (handle miss_query));
+        Test.make ~name:"new-shape" (Staged.stage (handle new_shape_query));
       ]
   in
   Server.Broker.close broker;
@@ -1618,9 +1650,24 @@ let bench_request_cpu () =
       [ Test.make ~name:"add-attribute" (Staged.stage (analyze large)) ]
   in
   table
+    [ "query miss, Broker.handle"; "48 types"; "minor words"; "promoted words" ]
+    [
+      [
+        "two shapes";
+        pretty_ns (miss "handle");
+        Printf.sprintf "%.0f" miss_minor;
+        Printf.sprintf "%.1f" miss_promoted;
+      ];
+      [
+        "a new shape each";
+        pretty_ns (miss "new-shape");
+        Printf.sprintf "%.0f" shape_minor;
+        Printf.sprintf "%.1f" shape_promoted;
+      ];
+    ];
+  table
     [ "series"; "48 types"; "480 types" ]
     [
-      [ "query miss, Broker.handle"; pretty_ns (miss "handle"); "-" ];
       [
         "add attribute, analyze_parsed";
         pretty_ns (a48 "add-attribute");
@@ -1628,10 +1675,12 @@ let bench_request_cpu () =
       ];
     ];
   print_endline
-    "expected shape: a miss costs its parse, evaluation and answer\n\
-     rendering, with no Format buffer per constant; analysis still grows\n\
-     with the base (Translate.create copies the database, and the\n\
-     schema-base lookups scan) but interns no name per scanned tuple."
+    "expected shape: a miss of a known shape costs its tokens, evaluation\n\
+     and answer rendering, and promotes next to nothing (no response is\n\
+     stored for a key seen once); a new shape adds its parse, normalize\n\
+     and plan, and a table entry.  Analysis still grows with the base\n\
+     (Translate.create copies the database, and the schema-base lookups\n\
+     scan) but interns no name per scanned tuple."
 
 (* ------------------------------------------------------------------ *)
 

@@ -46,6 +46,8 @@ type t = {
       (* the key the previous session check needed *)
   mutable read : bool;
       (* derived state was read since the previous session check *)
+  shapes : (string, Eval.query) Hashtbl.t;
+      (* prepared query bodies by shape key, at most [max_query_shapes] *)
 }
 
 (* What a session check evaluates: the theory revision and the sorted
@@ -138,6 +140,7 @@ let create ?(versioning = true) ?(fashion = true) ?(subschemas = true)
       derived = None;
       last_key = None;
       read = false;
+      shapes = Hashtbl.create 16;
     }
   in
   install_extensions t ~versioning ~fashion ~subschemas ~sorts;
@@ -513,15 +516,32 @@ let end_session_with t
 (* Answer a deductive query (textual or pre-parsed literals) against the
    given materialization of the current state, or the maintained one;
    each answer is the witness bindings. *)
-let query ?materialized:db t (lits : Rule.literal list) :
-    (string * Term.const) list list =
+let answers ?materialized:db t q ?consts () : (string * Term.const) list list =
   let db = match db with Some db -> db | None -> materialized t in
   let out = ref [] in
-  Eval.query db lits (fun s -> out := Subst.bindings s :: !out);
+  Eval.run_query db q ?consts (fun s -> out := Eval.answer q s :: !out);
   List.rev !out
 
+let query ?materialized t (lits : Rule.literal list) =
+  answers ?materialized t (Eval.prepare_query lits) ()
+
+(* A text whose shape was prepared before reuses that preparation with its
+   own constants; a new shape is parsed, normalized and planned once, then
+   kept (the table is flushed wholesale when full, like the broker's
+   response cache).  Texts that fail to parse or order are never kept. *)
+let max_query_shapes = 256
+
 let query_text ?materialized t (src : string) =
-  query ?materialized t (Parse.query src)
+  let toks = Parse.tokenize src in
+  let key, consts = Parse.query_shape toks in
+  match Hashtbl.find_opt t.shapes key with
+  | Some q -> answers ?materialized t q ~consts ()
+  | None ->
+      let q = Eval.prepare_query (Parse.query_tokens toks) in
+      if Hashtbl.length t.shapes >= max_query_shapes then
+        Hashtbl.reset t.shapes;
+      Hashtbl.replace t.shapes key q;
+      answers ?materialized t q ()
 
 (* Run a command script containing bes/ees markers (step 1-5 driver). *)
 let run_script t (src : string) : outcome =

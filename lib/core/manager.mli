@@ -169,7 +169,13 @@ val query_text :
   string ->
   (string * Datalog.Term.const) list list
 (** Same, from text (see {!Datalog.Parse}): e.g.
-    [query_text m "Attr_i(T, A, D), not Slot(C, A, V)"].
+    [query_text m "Attr_i(T, A, D), not Slot(C, A, V)"].  The manager
+    keeps a bounded table of prepared query shapes
+    ({!Datalog.Parse.query_shape}): a text of a shape seen before skips
+    parsing, normalizing and planning and reuses its shape's body, answer
+    variables and plan for the database's size class.  The table is
+    mutable state like the relation indexes, so the same serialization
+    applies.
     @raise Datalog.Parse.Error on syntax errors. *)
 
 (** {2 Protocol drivers} *)

@@ -60,36 +60,29 @@ let skip_ws c =
 
 let fail_at c msg = raise (Corrupt (Printf.sprintf "%s in %S" msg c.line))
 
+(* The inverse of [add_quoted]: up to the closing unescaped quote, then
+   [Scanf.unescaped], the stdlib's inverse of [String.escaped].  A string
+   with no backslash is its own decoding. *)
 let read_quoted c =
   skip_ws c;
-  if c.pos >= String.length c.line || c.line.[c.pos] <> '"' then
-    fail_at c "expected quoted string";
-  let buf = Buffer.create 16 in
-  let i = ref (c.pos + 1) in
   let n = String.length c.line in
-  let rec go () =
-    if !i >= n then fail_at c "unterminated string"
+  if c.pos >= n || c.line.[c.pos] <> '"' then
+    fail_at c "expected quoted string";
+  let start = c.pos + 1 in
+  let rec close i escaped =
+    if i >= n then fail_at c "unterminated string"
     else
-      match c.line.[!i] with
-      | '"' -> incr i
-      | '\\' ->
-          if !i + 1 >= n then fail_at c "bad escape";
-          (match c.line.[!i + 1] with
-          | 'n' -> Buffer.add_char buf '\n'
-          | 't' -> Buffer.add_char buf '\t'
-          | '\\' -> Buffer.add_char buf '\\'
-          | '"' -> Buffer.add_char buf '"'
-          | ch -> Buffer.add_char buf ch);
-          i := !i + 2;
-          go ()
-      | ch ->
-          Buffer.add_char buf ch;
-          incr i;
-          go ()
+      match c.line.[i] with
+      | '"' -> (i, escaped)
+      | '\\' -> close (i + 2) true
+      | _ -> close (i + 1) escaped
   in
-  go ();
-  c.pos <- !i;
-  Buffer.contents buf
+  let stop, escaped = close start false in
+  let raw = String.sub c.line start (stop - start) in
+  c.pos <- stop + 1;
+  if not escaped then raw
+  else
+    try Scanf.unescaped raw with Scanf.Scan_failure _ -> fail_at c "bad escape"
 
 let read_word c =
   skip_ws c;

@@ -58,6 +58,17 @@ let observe ev f = !observer.observe ev f
 
 let query_head = "$query"
 
+(* A query body prints with [?] for each constant: every constant of a
+   query is a slot of its shape, which the pseudo-rule stands for. *)
+let masked_literal ppf (lit : Rule.literal) =
+  let mask (t : Term.t) = match t with Term.Const _ -> Term.var "?" | _ -> t in
+  let atom (a : Atom.t) = { a with args = Array.map mask a.args } in
+  Rule.pp_literal ppf
+    (match lit with
+    | Rule.Pos a -> Rule.Pos (atom a)
+    | Rule.Neg a -> Rule.Neg (atom a)
+    | Rule.Cmp (op, x, y) -> Rule.Cmp (op, mask x, mask y))
+
 let rule_label pr =
   match pr.label with
   | Some l -> l
@@ -66,7 +77,7 @@ let rule_label pr =
       let l =
         if r.Rule.head.Atom.pred = query_head then
           Fmt.str "%s :- %a" query_head
-            Fmt.(list ~sep:(any ", ") Rule.pp_literal)
+            Fmt.(list ~sep:(any ", ") masked_literal)
             r.Rule.body
         else Rule.to_string r
       in
@@ -350,31 +361,111 @@ let run_naive t db =
       done)
     t.planned
 
-(* Answer a query (a body) against a materialized database.  The body is
-   observed as a pseudo-rule of stratum -1, so an [explain] sees the
-   query's own join order and time, not only the rules that materialized
-   its input. *)
-let query db lits k =
-  (* Order literals for evaluability via a throwaway rule, then plan. *)
-  let r = Rule.normalize (Rule.make (Atom.make query_head []) lits) in
-  let plan =
-    if !Plan.use_planner then Some (Plan.make db r.body) else None
+(* ------------------------------------------------------------------ *)
+(* Queries                                                             *)
+(* ------------------------------------------------------------------ *)
+
+(* A query body prepared once for every text of its shape: normalized,
+   with each literal's constants numbered as slots in text order (the
+   order {!Parse.query_shape} lists them in), and its answer variables
+   sorted.  The pseudo-rule [$query :- body] holds the normalized body,
+   with the preparing text's constants, and the plans per size class,
+   keyed like a rule's own; it prints its slots as [?] ({!rule_label}). *)
+type query = {
+  shape : planned_rule;
+  slots : int array list;
+      (* aligned with the body: per term, its slot or -1; [no_slots] when
+         the literal has no constant *)
+  vars : string list;  (* every body variable, sorted, de-duplicated *)
+}
+
+let no_slots = [||]
+
+(* The prepared body with [consts] in its slots. *)
+let instantiate q consts =
+  let term slots j t =
+    if slots.(j) < 0 then t else Term.Const consts.(slots.(j))
   in
+  let atom slots (a : Atom.t) =
+    { a with args = Array.mapi (term slots) a.args }
+  in
+  List.map2
+    (fun lit slots ->
+      if slots == no_slots then lit
+      else
+        match lit with
+        | Rule.Pos a -> Rule.Pos (atom slots a)
+        | Rule.Neg a -> Rule.Neg (atom slots a)
+        | Rule.Cmp (op, x, y) -> Rule.Cmp (op, term slots 0 x, term slots 1 y))
+    q.shape.rule.Rule.body q.slots
+
+let query_rule lits = Rule.normalize (Rule.make (Atom.make query_head []) lits)
+
+let prepare_query lits =
+  let n = ref 0 in
+  let number (t : Term.t) =
+    match t with
+    | Term.Const _ ->
+        incr n;
+        !n - 1
+    | Term.Var _ -> -1
+  in
+  let numbered =
+    List.map
+      (fun lit ->
+        let slots =
+          match lit with
+          | Rule.Pos a | Rule.Neg a -> Array.map number a.Atom.args
+          | Rule.Cmp (_, x, y) ->
+              let sx = number x in
+              [| sx; number y |]
+        in
+        (lit, if Array.for_all (fun s -> s < 0) slots then no_slots else slots))
+      lits
+  in
+  let r = query_rule lits in
+  (* [Rule.normalize] reorders the literals without copying them *)
+  let slots = List.map (fun lit -> List.assq lit numbered) r.Rule.body in
+  {
+    shape = { rule = r; plans = []; label = None };
+    slots;
+    vars =
+      List.sort_uniq String.compare (List.concat_map Rule.literal_vars lits);
+  }
+
+(* Answer a query body, an instance of the pseudo-rule [shape], against a
+   materialized database.  The body is observed as a pseudo-rule of
+   stratum -1, so an [explain] sees the query's own join order, plan-cache
+   outcome and time, not only the rules that materialized its input. *)
+let answer_body db shape body k =
+  let plan, cache = cached_plan db shape ~variant:(-1) body in
   ignore
     (observe
-       (Rule
-          {
-            stratum = -1;
-            rule = { rule = r; plans = []; label = None };
-            plan;
-            cache = `Unplanned;
-          })
+       (Rule { stratum = -1; rule = shape; plan; cache })
        (fun () ->
          let n = ref 0 in
-         eval_lits db ?plan r.body Subst.empty (fun s ->
+         eval_lits db ?plan body Subst.empty (fun s ->
              incr n;
              k s);
          !n))
+
+(* A prepared query with [consts] in its slots (the preparing text's own
+   when absent). *)
+let run_query db q ?consts k =
+  answer_body db q.shape
+    (match consts with
+    | Some c -> instantiate q c
+    | None -> q.shape.rule.Rule.body)
+    k
+
+(* An answer's bindings, in variable order: what [Subst.bindings] gives,
+   without sorting per answer. *)
+let answer q s = List.map (fun v -> Subst.binding v s) q.vars
+
+(* A body used once needs no slots or answer variables. *)
+let query db lits k =
+  let r = query_rule lits in
+  answer_body db { rule = r; plans = []; label = None } r.Rule.body k
 
 let query_once db lits =
   let result = ref None in

@@ -59,15 +59,16 @@ val variant_plan :
     lookup counts a hit or a miss in {!Plan}. *)
 
 val rule_label : planned_rule -> string
-(** The printed rule, rendered once and memoized; an ad-hoc query body
-    prints as [$query :- body]. *)
+(** The printed rule, rendered once and memoized; a query body prints as
+    [$query :- body] with [?] for each constant, so every text of one
+    query shape shares the label. *)
 
 val plan_label : Plan.t option -> string
 (** A chosen join order as printed, ["-"] when unplanned. *)
 
 (** What the evaluator reports: a stratum's fixpoint (run by {!run} and
     by {!Incremental.apply}), or one rule-body evaluation (by {!run},
-    {!run_naive} and {!query}).  The type index is what the observed thunk
+    {!run_naive} and {!run_query}).  The type index is what the observed thunk
     returns: nothing for a stratum, the number of facts derived (answers,
     for a query body) for a rule. *)
 type _ event =
@@ -101,9 +102,34 @@ val run_naive : prepared -> Database.t -> unit
 (** Naive fixpoint (re-evaluate everything until no change); kept for the
     evaluation-strategy ablation bench. *)
 
+type query
+(** A query body prepared for every text of its shape: normalized, its
+    constants numbered as slots in text order, its answer variables sorted,
+    and its join plans cached per database size class like a rule's. *)
+
+val prepare_query : Rule.literal list -> query
+(** Normalize a query body and number its constants: the [k]-th constant
+    term in text order (literals in order, arguments left to right) is
+    slot [k], the order {!Parse.query_shape} lists a text's constants in.
+    @raise Rule.Unsafe if the body cannot be ordered. *)
+
+val run_query :
+  Database.t -> query -> ?consts:Term.const array -> (Subst.t -> unit) -> unit
+(** Answer a prepared query against a materialized database, with [consts]
+    (one per slot) in place of the preparing body's constants, or with that
+    body as it is.  The join plan is the cached one for the database's size
+    class, made from the first body evaluated in that class; the plan
+    orders the join, so answers come in that plan's order.  The evaluation
+    is reported as a [Rule] event of stratum -1, with its plan-cache
+    outcome. *)
+
+val answer : query -> Subst.t -> (string * Term.const) list
+(** An answer's bindings for every body variable, sorted by name: equal to
+    {!Subst.bindings} of the answer substitution. *)
+
 val query : Database.t -> Rule.literal list -> (Subst.t -> unit) -> unit
-(** Answer a query body against a materialized database.  The body is
-    reordered for evaluability first.
+(** Answer a query body used once: {!run_query} without the slots, so the
+    body is normalized and planned afresh (a plan-cache miss).
     @raise Rule.Unsafe if the body cannot be ordered. *)
 
 val query_once : Database.t -> Rule.literal list -> Subst.t option

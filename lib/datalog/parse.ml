@@ -60,8 +60,12 @@ let keyword_ci src start len word =
   in
   go 0
 
-(* Punctuation is matched on the characters in place; a word, number or
-   quoted symbol costs one [String.sub]. *)
+let rec digits_end src j =
+  if j < String.length src && is_digit src.[j] then digits_end src (j + 1)
+  else j
+
+(* Punctuation and numbers are read in place; a word or quoted symbol
+   costs one [String.sub]. *)
 let tokenize (src : string) : token list =
   let n = String.length src in
   let toks = ref [] in
@@ -79,11 +83,18 @@ let tokenize (src : string) : token list =
       done
     end
     else if is_digit c then begin
-      let start = !i in
-      while !i < n && is_digit src.[!i] do
-        incr i
+      (* accumulated in place: a run past [max_int] is a syntax error *)
+      let stop = digits_end src !i in
+      let v = ref 0 in
+      for j = !i to stop - 1 do
+        let d = Char.code src.[j] - Char.code '0' in
+        if !v > (max_int - d) / 10 then
+          raise
+            (Error ("integer out of range: " ^ String.sub src !i (stop - !i)));
+        v := (!v * 10) + d
       done;
-      push (TInt (int_of_string (String.sub src start (!i - start))))
+      push (TInt !v);
+      i := stop
     end
     else if is_alpha c then begin
       let start = !i in
@@ -356,11 +367,78 @@ let rule (src : string) : Rule.t =
   if peek st <> TEOF then raise (Error "trailing input after rule");
   Rule.make head body
 
-let query (src : string) : Rule.literal list =
-  let st = { toks = tokenize src } in
+let query_tokens toks : Rule.literal list =
+  let st = { toks } in
   let body = parse_body st in
   (match peek st with
   | TDot | TQuestion -> advance st
   | _ -> ());
   if peek st <> TEOF then raise (Error "trailing input after query");
   body
+
+let query (src : string) : Rule.literal list = query_tokens (tokenize src)
+
+(* A query's shape: its token stream with every constant that a parse
+   makes a term replaced by a slot.  A constant directly before '(' is
+   kept (a lower-case word there names a predicate), so texts of one shape
+   parse alike and differ only in their terms' constants.  Each token is
+   written as a distinct tag byte plus, for a word, its text ended by NUL
+   (which no word contains) or, for a kept quoted symbol, its length and
+   text: no two token streams share a key. *)
+let query_shape (toks : token list) : string * Term.const array =
+  let key = Buffer.create 64 in
+  let consts = ref [] in
+  let add_word tag w =
+    Buffer.add_char key tag;
+    Buffer.add_string key w;
+    Buffer.add_char key '\000'
+  in
+  let slot c =
+    Buffer.add_char key '\001';
+    consts := c :: !consts
+  in
+  let rec go = function
+    | [] -> ()
+    | t :: rest ->
+        let before_paren = match rest with TLparen :: _ -> true | _ -> false in
+        (match t with
+        | (TIdent w | TQuoted w) when not before_paren -> slot (Term.symc w)
+        | TInt i when not before_paren -> slot (Term.Int i)
+        | TIdent w -> add_word 'i' w
+        | TQuoted q ->
+            Buffer.add_char key 'q';
+            Buffer.add_string key (string_of_int (String.length q));
+            Buffer.add_char key ':';
+            Buffer.add_string key q
+        | TInt i -> add_word 'n' (string_of_int i)
+        | TVar v -> add_word 'v' v
+        | TLparen -> Buffer.add_char key '('
+        | TRparen -> Buffer.add_char key ')'
+        | TComma -> Buffer.add_char key ','
+        | TDot -> Buffer.add_char key '.'
+        | TTurnstile -> Buffer.add_char key 'T'
+        | TArrow -> Buffer.add_char key '>'
+        | TIff -> Buffer.add_char key '='
+        | TAnd -> Buffer.add_char key '&'
+        | TOr -> Buffer.add_char key '|'
+        | TNot -> Buffer.add_char key '~'
+        | TForall -> Buffer.add_char key 'A'
+        | TExists -> Buffer.add_char key 'E'
+        | TTrue -> Buffer.add_char key 't'
+        | TFalse -> Buffer.add_char key 'f'
+        | TCmp op ->
+            Buffer.add_char key 'c';
+            Buffer.add_char key
+              (match op with
+              | Rule.Eq -> '0'
+              | Rule.Ne -> '1'
+              | Rule.Lt -> '2'
+              | Rule.Le -> '3'
+              | Rule.Gt -> '4'
+              | Rule.Ge -> '5')
+        | TQuestion -> Buffer.add_char key '?'
+        | TEOF -> ());
+        go rest
+  in
+  go toks;
+  (Buffer.contents key, Array.of_list (List.rev !consts))

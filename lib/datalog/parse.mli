@@ -42,10 +42,23 @@ type token =
 val tokenize : string -> token list
 (** The token stream, ending in [TEOF].  [%] starts a comment to the end of
     the line.
-    @raise Error on an unexpected character or an unterminated quote. *)
+    @raise Error on an unexpected character, an unterminated quote or an
+    integer beyond [max_int]; nothing else. *)
 
 val formula : string -> Formula.t
 (** @raise Error on syntax errors. *)
 
 val rule : string -> Rule.t
 val query : string -> Rule.literal list
+(** @raise Error on syntax errors. *)
+
+val query_tokens : token list -> Rule.literal list
+(** {!query} of an already tokenized text. *)
+
+val query_shape : token list -> string * Term.const array
+(** A query's shape key and its constants: the token stream with every
+    constant a parse makes a term (any constant not directly before ['('])
+    replaced by a slot, and those constants in text order.  Texts with
+    equal keys parse to the same literals up to the constants of their
+    slots, so a query prepared for one text serves every text of its
+    shape; a text that does not parse gets a key like any other. *)

@@ -18,6 +18,12 @@ let rec find v (s : t) =
   | (v', c) :: rest ->
       if v' == v || String.equal v' v then Some c else find v rest
 
+let rec binding v (s : t) =
+  match s with
+  | [] -> raise Not_found
+  | ((v', _) as b) :: rest ->
+      if v' == v || String.equal v' v then b else binding v rest
+
 let bind v c (s : t) : t = (v, c) :: s
 let mem v (s : t) = find v s <> None
 

@@ -4,6 +4,10 @@ type t
 
 val empty : t
 val find : string -> t -> Term.const option
+val binding : string -> t -> string * Term.const
+(** The binding of a variable, as held (no copy).
+    @raise Not_found if it is unbound. *)
+
 val bind : string -> Term.const -> t -> t
 val mem : string -> t -> bool
 val bindings : t -> (string * Term.const) list

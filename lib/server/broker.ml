@@ -62,8 +62,9 @@ let set_profiling on = Obs.Profile.set_enabled on
    must not interleave.  It also guards the manager's derived-state slot,
    which a cache-miss read fills with the whole maintained program.  Readers
    that hit the response cache skip it.
-   [mu] — a leaf protecting the quick mutable fields: the writer slot,
-   the response/digest caches, the degraded flag, the subscriber table. *)
+   [mu] — a leaf protecting the quick mutable fields: the writer slot and
+   its waiter count, the response/digest caches and the response cache's
+   doorkeeper, the degraded flag, the subscriber table. *)
 type t = {
   mutable manager : Manager.t;  (* swapped only by a replica's bootstrap *)
   journal : Journal.t option;
@@ -72,16 +73,21 @@ type t = {
   eval_mu : Mutex.t;
   mu : Mutex.t;
   mutable writer : int option;  (* client holding the BES..EES section *)
-  (* a self-pipe: releasing the writer slot writes a byte, blocked [bes]
-     acquirers select on it with their remaining deadline — a timed wait
-     the stdlib Condition cannot express *)
+  (* a self-pipe: releasing the writer slot writes a byte when a [bes]
+     acquirer is blocked, and blocked acquirers select on it with their
+     remaining deadline — a timed wait the stdlib Condition cannot
+     express *)
   wake_r : Unix.file_descr;
   wake_w : Unix.file_descr;
+  mutable waiters : int;  (* [bes] acquirers blocked on the writer slot *)
   mutable version : int;  (* bumped by every exclusive section *)
   (* responses to read-only verbs, valid for exactly one version of the
      manager state: the "published snapshot" concurrent readers serve
      from without evaluating (or locking) anything *)
   mutable read_cache : (int * (string, Protocol.response) Hashtbl.t) option;
+  seen : int array;
+      (* the response cache's doorkeeper: hashes of recently missed keys,
+         in [admission_sets] sets of [admission_ways], newest first *)
   acquire_timeout : float;
   (* primary address to redirect writers to; cleared by a promotion *)
   mutable read_only : string option;
@@ -124,6 +130,13 @@ let gauges t =
         ("replication_lag_records", fun () -> List.fold_left max 0 (lags ()));
       ]
 
+(* The doorkeeper's geometry: 4 ways per set, so a handful of hot keys
+   that share a set do not keep pushing one another out, and 1024 hashes
+   in all — a key seen again within about that many distinct misses is
+   admitted. *)
+let admission_ways = 4
+let admission_sets = 256
+
 let create ?journal ?(acquire_timeout = 5.0) ?read_only ~metrics manager =
   let rw =
     Rwlock.create
@@ -151,8 +164,10 @@ let create ?journal ?(acquire_timeout = 5.0) ?read_only ~metrics manager =
       writer = None;
       wake_r;
       wake_w;
+      waiters = 0;
       version = 0;
       read_cache = None;
+      seen = Array.make (admission_sets * admission_ways) (-1);
       acquire_timeout;
       read_only;
       degraded = None;
@@ -224,15 +239,25 @@ let role t =
 (* Writer slot (the BES..EES exclusivity)                              *)
 (* ------------------------------------------------------------------ *)
 
+let wake_byte = Bytes.make 1 'w'
+
 (* Call with [mu] held.  The byte is a wakeup edge, not a token: every
    blocked acquirer wakes, one wins the slot, the rest go back to their
-   select.  A full pipe means wakeups are already pending — dropping the
-   write is fine. *)
+   select.  With no acquirer blocked nothing is written: an acquirer
+   counts itself in [waiters] in the same critical section that finds the
+   slot taken, so a release after that finds it counted.  A full pipe
+   means wakeups are already pending — dropping the write is fine. *)
 let release_slot_locked t =
   t.writer <- None;
-  try ignore (Unix.write t.wake_w (Bytes.make 1 'w') 0 1)
-  with Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EPIPE), _, _) ->
-    ()
+  if t.waiters > 0 then
+    try ignore (Unix.write t.wake_w wake_byte 0 1)
+    with Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EPIPE), _, _)
+    -> ()
+
+let wake_pending t =
+  match Unix.select [ t.wake_r ] [] [] 0. with
+  | [], _, _ -> false
+  | _ -> true
 
 let drain_wakeups fd =
   let buf = Bytes.create 64 in
@@ -393,18 +418,41 @@ let cache_probe t key =
       | Some (v, tbl) when v = t.version -> Hashtbl.find_opt tbl key
       | _ -> None)
 
+(* Call with [mu] held.  Whether [key] was missed recently: its hash is in
+   its set of the doorkeeper.  If not, it is remembered there (the set's
+   oldest hash makes room), and the answer is not worth storing — most
+   misses are never asked again, and storing each one into the
+   long-lived table costs a promotion per miss.  The doorkeeper survives
+   a version move, so a key asked before a commit is stored at its first
+   evaluation after it. *)
+let admit_locked t key =
+  let h = Hashtbl.hash key in
+  let base = (h land (admission_sets - 1)) * admission_ways in
+  let rec known w =
+    w < admission_ways && (t.seen.(base + w) = h || known (w + 1))
+  in
+  known 0
+  || begin
+       Array.blit t.seen base t.seen (base + 1) (admission_ways - 1);
+       t.seen.(base) <- h;
+       false
+     end
+
+(* Publish [resp] for [key] at version [v], on the key's second sighting. *)
 let cache_store t v key resp =
   with_lock t (fun () ->
-      let tbl =
-        match t.read_cache with
-        | Some (v', tbl) when v' = v -> tbl
-        | _ ->
-            let tbl = Hashtbl.create 32 in
-            t.read_cache <- Some (v, tbl);
-            tbl
-      in
-      if Hashtbl.length tbl >= max_cache_entries then Hashtbl.reset tbl;
-      Hashtbl.replace tbl key resp)
+      if admit_locked t key then begin
+        let tbl =
+          match t.read_cache with
+          | Some (v', tbl) when v' = v -> tbl
+          | _ ->
+              let tbl = Hashtbl.create 32 in
+              t.read_cache <- Some (v, tbl);
+              tbl
+        in
+        if Hashtbl.length tbl >= max_cache_entries then Hashtbl.reset tbl;
+        Hashtbl.replace tbl key resp
+      end)
 
 (* Serve a read-only verb: from the response cache when the state hasn't
    moved since the answer was computed, else evaluate under the shared
@@ -447,6 +495,11 @@ let do_bes t ~client =
   @@ fun () ->
   let deadline = Unix.gettimeofday () +. t.acquire_timeout in
   let waited = ref false in
+  (* counted among [waiters] from the first [Busy] until this call ends *)
+  let counted = ref false in
+  Fun.protect ~finally:(fun () ->
+      if !counted then with_lock t (fun () -> t.waiters <- t.waiters - 1))
+  @@ fun () ->
   let rec attempt () =
     let r =
       with_lock t (fun () ->
@@ -455,7 +508,12 @@ let do_bes t ~client =
               t.writer <- Some client;
               `Acquired
           | Some c when c = client -> `Own
-          | Some c -> `Busy c)
+          | Some c ->
+              if not !counted then begin
+                counted := true;
+                t.waiters <- t.waiters + 1
+              end;
+              `Busy c)
     in
     match r with
     | `Acquired -> (

@@ -9,11 +9,15 @@
     cache published per state version — and are only excluded by the
     writer's exclusive sections, so each sees an internally consistent
     state (including, as in the paper's single shared schema, the open
-    session's intermediate state).  Reads that miss the response cache
-    share the manager's one maintained derived state: the first builds
-    it, the rest only evaluate their own query body.  A client that disconnects
-    mid-session is rolled back automatically — the paper's "undo
-    session" repair.
+    session's intermediate state).  The response cache admits an answer
+    on its key's second sighting only: a doorkeeper of recently missed
+    key hashes, which survives a version move, keeps texts asked once
+    from filling the long-lived table.  Reads that miss the response
+    cache share the manager's one maintained derived state: the first
+    builds it, the rest only evaluate their own query body, prepared
+    once per query shape ({!Core.Manager.query_text}).  A client that
+    disconnects mid-session is rolled back automatically — the paper's
+    "undo session" repair.
 
     Committed sessions are appended to the write-ahead journal (fsync
     before the acknowledgment) and checkpointed when the journal's caps
@@ -129,6 +133,11 @@ val stat_lines : name:string -> t -> string list
     database's plan-cache traffic and profile table sizes. *)
 
 val writer : t -> int option
+
+val wake_pending : t -> bool
+(** Whether a wakeup byte waits in the writer slot's wake pipe.  Releasing
+    the slot writes one only while a [bes] is blocked on it, and a woken
+    acquirer drains the pipe. *)
 
 val degraded : t -> string option
 (** The reason the broker is in degraded read-only mode, if it is. *)

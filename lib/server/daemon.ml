@@ -34,26 +34,29 @@ module Failpoint = Fault.Failpoint
 let fp_accept = Failpoint.define "daemon.accept"
 let fp_handler = Failpoint.define "daemon.handler"
 
-let request_kind : Protocol.request -> string = function
-  | Protocol.Bes -> "bes"
-  | Protocol.Ees -> "ees"
-  | Protocol.Rollback -> "rollback"
-  | Protocol.Check -> "check"
-  | Protocol.Query _ -> "query"
-  | Protocol.Explain _ -> "explain"
-  | Protocol.Profile _ -> "profile"
-  | Protocol.Script_line _ -> "script-line"
-  | Protocol.Dump -> "dump"
-  | Protocol.Stats -> "stats"
-  | Protocol.Health -> "health"
-  | Protocol.Use _ -> "use"
+(* A request's span name and latency metric name, per verb.  Constant
+   strings: building them per request would allocate on every line
+   served. *)
+let request_names : Protocol.request -> string * string = function
+  | Protocol.Bes -> ("verb.bes", "latency.bes")
+  | Protocol.Ees -> ("verb.ees", "latency.ees")
+  | Protocol.Rollback -> ("verb.rollback", "latency.rollback")
+  | Protocol.Check -> ("verb.check", "latency.check")
+  | Protocol.Query _ -> ("verb.query", "latency.query")
+  | Protocol.Explain _ -> ("verb.explain", "latency.explain")
+  | Protocol.Profile _ -> ("verb.profile", "latency.profile")
+  | Protocol.Script_line _ -> ("verb.script-line", "latency.script-line")
+  | Protocol.Dump -> ("verb.dump", "latency.dump")
+  | Protocol.Stats -> ("verb.stats", "latency.stats")
+  | Protocol.Health -> ("verb.health", "latency.health")
+  | Protocol.Use _ -> ("verb.use", "latency.use")
   | Protocol.Db_create _ | Protocol.Db_drop _ | Protocol.Db_list
   | Protocol.Db_stat _ ->
-      "db"
-  | Protocol.Subscribe _ -> "subscribe"
-  | Protocol.Promote -> "promote"
-  | Protocol.Fence _ -> "fence"
-  | Protocol.Quit -> "quit"
+      ("verb.db", "latency.db")
+  | Protocol.Subscribe _ -> ("verb.subscribe", "latency.subscribe")
+  | Protocol.Promote -> ("verb.promote", "latency.promote")
+  | Protocol.Fence _ -> ("verb.fence", "latency.fence")
+  | Protocol.Quit -> ("verb.quit", "latency.quit")
 
 (* How the daemon reaches the database(s) it serves.  A single-broker
    router (below) wraps one Broker.t — the historical shape, still used by
@@ -135,6 +138,9 @@ let client_loop (router : router) ~client fd =
         if String.trim line = "" then loop ()
         else begin
           let trace_id, line = Protocol.split_trace line in
+          (* spans are recorded under a trace id, the request's own or,
+             with tracing armed, the connection's *)
+          let traced = trace_id <> None || Obs.Trace.armed () in
           let serve () =
             match Protocol.parse_request line with
             | Error reason ->
@@ -187,14 +193,17 @@ let client_loop (router : router) ~client fd =
                         true
                     | () ->
                         let t0 = Obs.Mtime.now_ns () in
+                        let span, latency = request_names req in
                         let resp =
-                          Obs.Trace.with_span
-                            ("verb." ^ request_kind req)
-                            ~kvs:
-                              [
-                                ("db", !current);
-                                ("client", string_of_int client);
-                              ]
+                          Obs.Trace.with_span span
+                            ?kvs:
+                              (if traced then
+                                 Some
+                                   [
+                                     ("db", !current);
+                                     ("client", string_of_int client);
+                                   ]
+                               else None)
                             (fun () -> router.with_db !current ~client req)
                         in
                         let resp =
@@ -209,8 +218,7 @@ let client_loop (router : router) ~client fd =
                               }
                           | _ -> resp
                         in
-                        Metrics.observe metrics
-                          ("latency." ^ request_kind req)
+                        Metrics.observe metrics latency
                           (Obs.Mtime.ns_to_s (Obs.Mtime.elapsed_ns t0));
                         Protocol.write_response oc resp;
                         false))
@@ -219,7 +227,7 @@ let client_loop (router : router) ~client fd =
             match trace_id with
             | Some id -> Obs.Trace.with_context id serve
             | None ->
-                if Obs.Trace.armed () then
+                if traced then
                   Obs.Trace.with_context (Lazy.force conn_trace) serve
                 else serve ()
           in

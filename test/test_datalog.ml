@@ -1174,7 +1174,9 @@ let prop_const_to_string_matches_fmt =
       && boxed Term.pp_const = boxed fmt_pp_const)
 
 (* The tokenizer as it was: a [String.sub] per punctuation character, a
-   [String.lowercase_ascii] per word, a buffer per quoted symbol. *)
+   [String.lowercase_ascii] per word, a buffer per quoted symbol, an
+   [int_of_string] per number — except that a number past [max_int] is a
+   syntax error, where it used to escape as [Failure "int_of_string"]. *)
 let reference_tokenize (src : string) : Parse.token list =
   let open Parse in
   let is_alpha c = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_' in
@@ -1197,7 +1199,10 @@ let reference_tokenize (src : string) : Parse.token list =
       while !i < n && is_digit src.[!i] do
         incr i
       done;
-      push (TInt (int_of_string (String.sub src start (!i - start))))
+      let digits = String.sub src start (!i - start) in
+      match int_of_string_opt digits with
+      | Some v -> push (TInt v)
+      | None -> raise (Error ("integer out of range: " ^ digits))
     end
     else if is_alpha c then begin
       let start = !i in
@@ -1297,6 +1302,39 @@ let prop_tokenize_matches_reference =
     ~name:"tokenizer = the reference tokenizer"
     (QCheck.make ~print:(Printf.sprintf "%S") query_text_gen)
     (fun src -> run Parse.tokenize src = run reference_tokenize src)
+
+(* Whatever the bytes, the tokenizer answers tokens or [Parse.Error]. *)
+let prop_tokenize_raises_only_error =
+  QCheck.Test.make ~count:1000 ~long_factor:20
+    ~name:"tokenizer raises nothing but Parse.Error"
+    QCheck.(
+      make ~print:(Printf.sprintf "%S")
+        Gen.(oneof [ string; query_text_gen; string_size ~gen:numeral nat ]))
+    (fun src ->
+      match Parse.tokenize src with
+      | _ -> true
+      | exception Parse.Error _ -> true)
+
+(* A shape key ignores layout and constants (each slot's constant comes
+   back in text order) and keeps everything else: variable names,
+   predicates, operators, and a constant directly before '('. *)
+let test_query_shape () =
+  let shape src = Parse.query_shape (Parse.tokenize src) in
+  let key src = fst (shape src) in
+  let consts src = Array.to_list (snd (shape src)) in
+  check_bool "layout and constants ignored" true
+    (key "Type(T, 'a', S), X = 3" = key "Type( T ,\"b b\",S ),X=tid_1");
+  check_bool "constants in text order" true
+    (consts "Type(T, 'a', S), X = 3"
+    = [ Term.symc "a"; Term.Int 3 ]);
+  check_bool "variable names kept" false
+    (key "Type(T, 'a', S)" = key "Type(T, 'a', S2)");
+  check_bool "predicates kept" false (key "p(X, a)" = key "q(X, a)");
+  check_bool "operators kept" false (key "X = 3" = key "X < 3");
+  check_bool "negation kept" false (key "not p(X, a)" = key "p(X, a)");
+  check_bool "a constant before '(' kept" false (key "'p'(X)" = key "'q'(X)");
+  check_bool "terminators kept" false (key "p(X)." = key "p(X)?");
+  check_int "no slot before '('" 0 (List.length (consts "p(X), 'q'(Y)"))
 
 (* ------------------------------------------------------------------ *)
 (* Pretty printing                                                      *)
@@ -1424,6 +1462,8 @@ let suite =
         Alcotest.test_case "errors" `Quick test_parse_errors;
         qcheck prop_formula_print_parse;
         qcheck prop_tokenize_matches_reference;
+        qcheck prop_tokenize_raises_only_error;
+        Alcotest.test_case "query shapes" `Quick test_query_shape;
       ] );
     ( "datalog.repair",
       [

@@ -467,6 +467,32 @@ let test_recovery_replays_acknowledged_sessions () =
   check_int "nothing truncated" 0 r.Journal.truncated_bytes;
   check_string "exact pre-kill state" dump2 (dump_of r.Journal.manager)
 
+(* A committed fact spelled with a carriage return, a tab and non-ASCII
+   bytes replays as it was written. *)
+let test_recovery_replays_any_bytes () =
+  let dir = fresh_dir () in
+  let r = Journal.recover ~dir () in
+  let b =
+    Broker.create ~journal:r.Journal.journal ~metrics:(Metrics.create ())
+      r.Journal.manager
+  in
+  let fact =
+    Datalog.Fact.make "Schema"
+      [ Datalog.Term.symc "sid_bytes"; Datalog.Term.symc "a\rb\tcaf\xc3\xa9\001" ]
+  in
+  expect_ok "bes" (Broker.handle b ~client:1 Protocol.Bes);
+  Manager.propose (Broker.manager b)
+    (Datalog.Delta.of_lists ~deletions:[] ~additions:[ fact ]);
+  expect_ok "ees" (Broker.handle b ~client:1 Protocol.Ees);
+  let before = dump_of (Broker.manager b) in
+  Broker.close b;
+  let r = Journal.recover ~dir () in
+  check_int "the record replayed" 1 r.Journal.replayed;
+  check_bool "the fact is back, byte for byte" true
+    (Datalog.Database.mem (Manager.database r.Journal.manager) fact);
+  check_string "same state" before (dump_of r.Journal.manager);
+  Journal.close r.Journal.journal
+
 let test_recovery_truncates_torn_tail_every_byte () =
   let dir = fresh_dir () in
   let _, dump1, dump2 = run_scenario dir in
@@ -874,7 +900,27 @@ let test_bes_wakeup_and_acquire_waits () =
   check_bool "woken well before the timeout" true (elapsed < 2.0);
   check_bool "wait counted" true (Metrics.counter m "acquire_waits" >= 1);
   check_bool "writer is 2" true (Broker.writer b = Some 2);
+  check_bool "the woken waiter drained the pipe" false (Broker.wake_pending b);
   expect_ok "rollback 2" (Broker.handle b ~client:2 Protocol.Rollback)
+
+(* Releasing the slot writes a wakeup byte only for a blocked [bes]: not
+   on a rollback or an ees nobody waits for, nor after a waiter gave up. *)
+let test_release_wakes_only_waiters () =
+  let b =
+    Broker.create ~acquire_timeout:0.05 ~metrics:(Metrics.create ())
+      (Manager.create ())
+  in
+  expect_ok "bes" (Broker.handle b ~client:1 Protocol.Bes);
+  expect_ok "rollback" (Broker.handle b ~client:1 Protocol.Rollback);
+  check_bool "no wakeup after a rollback" false (Broker.wake_pending b);
+  expect_ok "bes" (Broker.handle b ~client:1 Protocol.Bes);
+  expect_ok "ees" (Broker.handle b ~client:1 Protocol.Ees);
+  check_bool "no wakeup after an ees" false (Broker.wake_pending b);
+  expect_ok "bes" (Broker.handle b ~client:1 Protocol.Bes);
+  ignore (expect_err "bes 2 times out" (Broker.handle b ~client:2 Protocol.Bes));
+  expect_ok "rollback" (Broker.handle b ~client:1 Protocol.Rollback);
+  check_bool "no wakeup once the waiter gave up" false (Broker.wake_pending b);
+  Broker.close b
 
 (* N readers race one writer through a stream of commits; every digest a
    reader observes must be one the writer committed (never a torn or
@@ -1029,13 +1075,12 @@ let test_daemon_rejects_garbage () =
 module Term = Datalog.Term
 module Fact = Datalog.Fact
 
-(* Strings a constant may spell.  With [decodable] they keep to what the
-   dump reader decodes back: printable ASCII, quotes, backslashes, newlines
-   and tabs.  Without, control characters, NUL and non-ASCII bytes too. *)
-let spelling_gen ~decodable =
+(* Strings a constant may spell: printable ASCII, quotes, backslashes,
+   control characters, NUL and non-ASCII bytes. *)
+let spelling_gen =
   let chars =
-    [ 'a'; 'Z'; '0'; ' '; '"'; '\\'; '\n'; '\t'; '\''; '%'; '?'; ','; '(' ]
-    @ if decodable then [] else [ '\r'; '\000'; '\x7f'; '\xc3'; '\xa9'; '\xff' ]
+    [ 'a'; 'Z'; '0'; ' '; '"'; '\\'; '\n'; '\t'; '\''; '%'; '?'; ','; '(';
+      '\r'; '\000'; '\x7f'; '\xc3'; '\xa9'; '\xff' ]
   in
   QCheck.Gen.(
     frequency
@@ -1046,18 +1091,17 @@ let spelling_gen ~decodable =
         (1, string_size ~gen:(oneofl chars) (int_range 80 200));
       ])
 
-(* Facts the journal reader decodes back. *)
+(* Facts over arbitrary spellings. *)
 let fact_gen =
-  let spelling = spelling_gen ~decodable:true in
   QCheck.Gen.(
     map2 Fact.make
       (oneofl [ "Attr"; "Schema"; "P" ])
       (list_size (int_range 0 4)
          (oneof
             [
-              map Term.symc spelling;
+              map Term.symc spelling_gen;
               map (fun i -> Term.Int i) int;
-              map (fun s -> Term.Fresh s) spelling;
+              map (fun s -> Term.Fresh s) spelling_gen;
             ])))
 
 (* The answer rendering as it was: a [sprintf] per binding, a
@@ -1086,7 +1130,7 @@ let prop_query_answers_match_sprintf =
         ~print:Print.(pair (list string) int)
         Gen.(
           pair
-            (list_size (int_range 0 6) (spelling_gen ~decodable:false))
+            (list_size (int_range 0 6) spelling_gen)
             (int_bound 100_000)))
     (fun (names, k) ->
       let names = List.sort_uniq String.compare names in
@@ -1116,6 +1160,198 @@ let prop_query_answers_match_sprintf =
           resp.Protocol.status = Protocol.Ok
           && resp.Protocol.body
              = sprintf_answer_lines (Manager.query_text m text))
+
+(* A query answered the way every query was before query shapes were
+   prepared: parse, normalize, plan against [db], evaluate, and sort each
+   answer's bindings — rendered as the broker renders a response. *)
+let fresh_response db text =
+  match
+    let lits = Datalog.Parse.query text in
+    let r =
+      Datalog.Rule.normalize
+        (Datalog.Rule.make (Datalog.Atom.make "$query" []) lits)
+    in
+    let body = r.Datalog.Rule.body in
+    let plan = Datalog.Plan.make db body in
+    let out = ref [] in
+    Datalog.Eval.eval_lits db ~plan body Datalog.Subst.empty (fun s ->
+        out := Datalog.Subst.bindings s :: !out);
+    List.rev !out
+  with
+  | answers -> Protocol.ok (sprintf_answer_lines answers)
+  | exception Datalog.Parse.Error e -> Protocol.err ("syntax error: " ^ e)
+  | exception Datalog.Rule.Unsafe e -> Protocol.err ("unsafe query: " ^ e)
+
+(* A prepared query reuses the plan its shape got first, so answers may
+   come in another order than a fresh plan's: compare them as sets, the
+   count line last either way. *)
+let same_answers (a : Protocol.response) (b : Protocol.response) =
+  a.Protocol.status = b.Protocol.status
+  && List.sort compare a.Protocol.body = List.sort compare b.Protocol.body
+
+(* Query texts over the zoo: atoms, negations and comparisons over a few
+   variables (repeated ones too) and constants — symbols lower-case and
+   quoted, integers, some naming nothing — in varying layout, so shapes
+   recur with other constants; some texts do not parse, some cannot be
+   ordered. *)
+let prepared_text_gen =
+  let open QCheck.Gen in
+  let var = oneofl [ "T"; "N"; "S"; "A"; "D" ] in
+  let const =
+    oneofl
+      [ "tid_1"; "sid_1"; "'Animal'"; "\"Zoo\""; "\"legs\""; "tid_int"; "3";
+        "0"; "nope"; "'Ghost'"; "99999" ]
+  in
+  let term = frequency [ (3, var); (2, const) ] in
+  let atom =
+    oneof
+      [
+        map3 (Printf.sprintf "Type(%s, %s, %s)") term term term;
+        map3 (Printf.sprintf "Attr_i(%s,%s, %s)") term term term;
+        map2 (Printf.sprintf "Schema(%s,  %s)") term term;
+      ]
+  in
+  let lit =
+    frequency
+      [
+        (6, atom);
+        (1, map (fun a -> "not " ^ a) atom);
+        ( 2,
+          map3 (Printf.sprintf "%s %s %s") term
+            (oneofl [ "="; "!="; "<"; ">=" ])
+            term );
+        ( 1,
+          oneofl
+            [ "Type(T, N"; "Type(T,, N)"; "Type(T, N, 99999999999999999999)";
+              "'Ghost'(T)"; "Type(T, N, S) junk"; "X <" ] );
+      ]
+  in
+  map2
+    (fun lits stop ->
+      String.concat (if String.length stop = 1 then ", " else ",") lits ^ stop)
+    (list_size (int_range 1 3) lit)
+    (oneofl [ ""; "."; "?"; "  " ])
+
+(* Grow the base past the next database size class, as one commit: a
+   query shape planned before now plans again. *)
+let grow_base b =
+  Broker.exclusively b (fun () ->
+      let m = Broker.manager b in
+      let n = Datalog.Database.total (Manager.materialized m) in
+      Manager.begin_session m;
+      Manager.propose m
+        (Datalog.Delta.of_lists ~deletions:[]
+           ~additions:
+             (List.init (n + 1) (fun i ->
+                  Fact.make "Schema"
+                    [
+                      Term.symc (Printf.sprintf "sid_bulk%d" i);
+                      Term.symc (Printf.sprintf "Bulk%d" i);
+                    ])));
+      match Manager.end_session m with
+      | Manager.Consistent -> ()
+      | Manager.Inconsistent _ -> Alcotest.fail "bulk schemas inconsistent")
+
+(* The response cache stores an answer on its key's second sighting, so
+   the third is the first hit; a key seen before a commit is stored at its
+   first evaluation after it.  An evaluation looks up its query's plan, a
+   hit evaluates nothing. *)
+let test_cache_admission () =
+  let metrics = Metrics.create () in
+  let b = Broker.create ~metrics (Manager.create ()) in
+  let hits () = Metrics.counter metrics "read_cache_hits" in
+  let lookups () =
+    Metrics.counter metrics "plan.hits" + Metrics.counter metrics "plan.misses"
+  in
+  let ask text =
+    let l0 = lookups () and h0 = hits () in
+    expect_ok text (Broker.handle b ~client:1 (Protocol.Query text));
+    match (lookups () - l0, hits () - h0) with
+    | 0, 1 -> `Hit
+    | n, 0 when n > 0 -> `Evaluated
+    | _ -> Alcotest.failf "%s: neither a hit nor an evaluation" text
+  in
+  let outcome =
+    Alcotest.testable
+      (fun ppf o ->
+        Format.pp_print_string ppf
+          (match o with `Hit -> "hit" | `Evaluated -> "evaluated"))
+      ( = )
+  in
+  let seq = Alcotest.(check (list outcome)) in
+  let q = "Type(T, N, S)" in
+  seq "1st and 2nd sightings evaluate, the 3rd hits"
+    [ `Evaluated; `Evaluated; `Hit; `Hit ]
+    (List.init 4 (fun _ -> ask q));
+  expect_ok "bes" (Broker.handle b ~client:1 Protocol.Bes);
+  expect_ok "script" (Broker.handle b ~client:1 (Protocol.Script_line zoo_frame));
+  expect_ok "ees" (Broker.handle b ~client:1 Protocol.Ees);
+  seq "after a commit a seen key is stored at its first evaluation"
+    [ `Evaluated; `Hit ]
+    (List.init 2 (fun _ -> ask q));
+  seq "a new key after the commit waits for its second sighting"
+    [ `Evaluated; `Evaluated; `Hit ]
+    (List.init 3 (fun _ -> ask "Type(T, N, sid_1)"));
+  (* check and dump go through the same cache *)
+  let dump () =
+    let h0 = hits () in
+    expect_ok "dump" (Broker.handle b ~client:1 Protocol.Dump);
+    hits () - h0
+  in
+  Alcotest.(check (list int))
+    "dump hits on its third sighting" [ 0; 0; 1 ]
+    (List.init 3 (fun _ -> dump ()));
+  Broker.close b
+
+(* A number past [max_int] is a syntax error, not an internal one. *)
+let test_oversized_integer () =
+  let b = mem_broker () in
+  let reason =
+    expect_err "oversized integer"
+      (Broker.handle b ~client:1
+         (Protocol.Query "Type(T, N, 99999999999999999999)"))
+  in
+  check_string "syntax error"
+    "syntax error: integer out of range: 99999999999999999999" reason;
+  expect_ok "max_int still reads"
+    (Broker.handle b ~client:1
+       (Protocol.Query (Printf.sprintf "Type(T, N, %d)" max_int)));
+  Broker.close b
+
+(* Every text three times through [Broker.handle]: the first two sightings
+   evaluate, the third is served from the response cache; all three equal
+   the fresh answer (error texts byte for byte), before and after a commit
+   that moves the database to another size class. *)
+let prop_prepared_answers_match_fresh =
+  QCheck.Test.make ~count:15 ~long_factor:10
+    ~name:"prepared answers = fresh answers, across a size class"
+    QCheck.(
+      make
+        ~print:Print.(pair (list string) (list string))
+        Gen.(
+          pair
+            (list_size (int_range 1 20) prepared_text_gen)
+            (list_size (int_range 1 20) prepared_text_gen)))
+    (fun (before, after) ->
+      let b = zoo_broker () in
+      let agree texts =
+        let m = Broker.manager b in
+        let db =
+          Datalog.Checker.materialize (Manager.theory m) (Manager.database m)
+        in
+        List.for_all
+          (fun text ->
+            let ask () = Broker.handle b ~client:2 (Protocol.Query text) in
+            let first = ask () in
+            let second = ask () in
+            let third = ask () in
+            first = second && second = third
+            && same_answers first (fresh_response db text))
+          texts
+      in
+      let ok = agree before && (grow_base b; agree after) in
+      Broker.close b;
+      ok)
 
 (* A journal record's bytes as they were written: [bprintf] lines around
    the fact encoding (checked against its sprintf original in the core
@@ -1194,6 +1430,14 @@ let suite =
         Alcotest.test_case "script-line rejects bes/ees" `Quick
           test_script_line_rejects_markers;
         qcheck prop_query_answers_match_sprintf;
+        Alcotest.test_case "oversized integer is a syntax error" `Quick
+          test_oversized_integer;
+      ] );
+    ( "server.prepared",
+      [
+        Alcotest.test_case "response cache admits on a second sighting"
+          `Quick test_cache_admission;
+        qcheck prop_prepared_answers_match_fresh;
       ] );
     ( "server.snapshot",
       [
@@ -1213,6 +1457,8 @@ let suite =
       [
         Alcotest.test_case "replay restores acknowledged sessions" `Quick
           test_recovery_replays_acknowledged_sessions;
+        Alcotest.test_case "replay keeps every byte of a fact" `Quick
+          test_recovery_replays_any_bytes;
         Alcotest.test_case "torn tail truncated at every byte" `Slow
           test_recovery_truncates_torn_tail_every_byte;
         Alcotest.test_case "every single-bit flip detected" `Slow
@@ -1243,6 +1489,8 @@ let suite =
       [
         Alcotest.test_case "bes woken on release" `Quick
           test_bes_wakeup_and_acquire_waits;
+        Alcotest.test_case "release wakes only waiters" `Quick
+          test_release_wakes_only_waiters;
         Alcotest.test_case "readers see only committed states" `Quick
           test_readers_observe_only_committed_states;
         Alcotest.test_case "group commit batches and recovers" `Quick
