@@ -92,34 +92,42 @@ let lex_number st =
       advance st;
       digits ();
       Token.FLOAT (float_of_string (String.sub st.src start (st.pos - start)))
-  | _ -> Token.INT (int_of_string (String.sub st.src start (st.pos - start)))
+  | _ -> (
+      let text = String.sub st.src start (st.pos - start) in
+      match int_of_string_opt text with
+      | Some i -> Token.INT i
+      | None ->
+          let msg = "integer literal out of range: " ^ text in
+          raise (Error (msg, st.line, start - st.bol + 1)))
 
+(* A string literal's body is written with OCaml's escapes (the AST
+   printer uses [String.escaped]), so [Scanf.unescaped] is its decoder:
+   any byte survives print-then-lex. *)
 let lex_string st =
   advance st;
-  let buf = Buffer.create 16 in
-  let rec go () =
+  let start = st.pos in
+  let rec go escaped =
     match peek st with
     | None -> error st "unterminated string literal"
-    | Some '"' -> advance st
-    | Some '\\' -> (
+    | Some '"' -> escaped
+    | Some '\\' ->
         advance st;
-        match peek st with
-        | Some 'n' ->
-            Buffer.add_char buf '\n';
-            advance st;
-            go ()
-        | Some c ->
-            Buffer.add_char buf c;
-            advance st;
-            go ()
-        | None -> error st "unterminated string literal")
-    | Some c ->
-        Buffer.add_char buf c;
+        if peek st = None then error st "unterminated string literal";
         advance st;
-        go ()
+        go true
+    | Some _ ->
+        advance st;
+        go escaped
   in
-  go ();
-  Token.STRING (Buffer.contents buf)
+  let escaped = go false in
+  let raw = String.sub st.src start (st.pos - start) in
+  advance st;
+  if not escaped then Token.STRING raw
+  else
+    match Scanf.unescaped raw with
+    | s -> Token.STRING s
+    | exception Scanf.Scan_failure _ ->
+        error st "bad escape sequence in string literal"
 
 let next_token st : Token.located =
   skip_space st;

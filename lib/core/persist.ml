@@ -149,15 +149,17 @@ let decode_value (c : cursor) : Value.t =
 (* Record-level encode/decode (shared with the server's journal)       *)
 (* ------------------------------------------------------------------ *)
 
-let add_fact buf (f : Fact.t) =
-  Buffer.add_string buf f.Fact.pred;
+let add_atom buf pred args =
+  Buffer.add_string buf pred;
   Buffer.add_char buf '(';
   Array.iteri
     (fun i a ->
       if i > 0 then Buffer.add_string buf ", ";
       add_const buf a)
-    f.Fact.args;
+    args;
   Buffer.add_char buf ')'
+
+let add_fact buf (f : Fact.t) = add_atom buf f.Fact.pred f.Fact.args
 
 let encode_fact (f : Fact.t) : string =
   let buf = Buffer.create 32 in
@@ -201,53 +203,129 @@ let decode_code (s : string) : string * string list * Analyzer.Ast.stmt =
 (* Save                                                                *)
 (* ------------------------------------------------------------------ *)
 
-module Fact_set = Set.Make (Fact)
+(* Built-in facts are reseeded on load, so the render leaves them out.
+   Only a few predicates hold any; the rest are emitted unfiltered. *)
+let builtins_by_pred : (string, Relation.t) Hashtbl.t =
+  let t = Hashtbl.create 8 in
+  List.iter
+    (fun (f : Fact.t) ->
+      let r =
+        match Hashtbl.find_opt t f.Fact.pred with
+        | Some r -> r
+        | None ->
+            let r = Relation.create () in
+            Hashtbl.replace t f.Fact.pred r;
+            r
+      in
+      ignore (Relation.add r f.Fact.args))
+    (Gom.Builtin.facts ());
+  t
 
-let save_to_buffer (m : Manager.t) : Buffer.t =
+(* [Fact.compare] for two tuples of one predicate. *)
+let compare_tuple (a : Term.const array) (b : Term.const array) =
+  let la = Array.length a in
+  let c = Int.compare la (Array.length b) in
+  if c <> 0 then c
+  else
+    let rec go i =
+      if i >= la then 0
+      else
+        let c = Term.compare_const a.(i) b.(i) in
+        if c <> 0 then c else go (i + 1)
+    in
+    go 0
+
+(* One relation's [fact] lines, sorted. *)
+let add_relation buf pred r =
+  let builtins = Hashtbl.find_opt builtins_by_pred pred in
+  List.iter
+    (fun args ->
+      match builtins with
+      | Some b when Relation.mem b args -> ()
+      | _ ->
+          Buffer.add_string buf "fact ";
+          add_atom buf pred args;
+          Buffer.add_char buf '\n')
+    (List.sort compare_tuple (Relation.to_list r))
+
+(* What a render keeps for the next one: each relation's lines, valid
+   while the relation is the same object at the same {!Relation.version},
+   and each code piece's line, valid while its binding is the same
+   object — {!Manager.register_code} stores a fresh one on redefinition. *)
+type cache = {
+  rels : (string, Relation.t * int * string) Hashtbl.t;
+  codes : (string, (string list * Analyzer.Ast.stmt) * string) Hashtbl.t;
+}
+
+let render_cache () = { rels = Hashtbl.create 64; codes = Hashtbl.create 16 }
+
+let relation_text cache pred r =
+  match Hashtbl.find_opt cache.rels pred with
+  | Some (r', v, text) when r' == r && v = Relation.version r -> text
+  | _ ->
+      let buf = Buffer.create 256 in
+      add_relation buf pred r;
+      let text = Buffer.contents buf in
+      Hashtbl.replace cache.rels pred (r, Relation.version r, text);
+      text
+
+let code_text cache cid binding =
+  match Hashtbl.find_opt cache.codes cid with
+  | Some (b, line) when b == binding -> line
+  | _ ->
+      let params, body = binding in
+      let line = Printf.sprintf "code %s\n" (encode_code ~cid ~params ~body) in
+      Hashtbl.replace cache.codes cid (binding, line);
+      line
+
+(* Code ids named by the Code and fashion facts, sorted: the code pieces a
+   dump carries. *)
+let code_ids db =
+  let cids = ref [] in
+  let add (c : Term.const) =
+    match c with Term.Sym s -> cids := s.Term.name :: !cids | _ -> ()
+  in
+  let each pred f = Database.iter_pred db pred f in
+  each "Code" (fun a -> if Array.length a = 3 then add a.(0));
+  each "FashionDecl" (fun a -> if Array.length a = 3 then add a.(2));
+  each "FashionAttr" (fun a ->
+      if Array.length a = 5 then
+        match (a.(3), a.(4)) with
+        | Term.Sym _, Term.Sym _ ->
+            add a.(3);
+            add a.(4)
+        | _ -> ());
+  List.sort_uniq String.compare !cids
+
+(* The one render: [save] and [load]'s inverse, the daemon's snapshot
+   heads, a replica's bootstrap text.  Facts come out relation by
+   relation in predicate order, each relation sorted — the order
+   [Fact.compare] gives the whole base.  With [cache] (one per journal),
+   a relation unchanged since the previous render, and a code piece not
+   redefined since, reuse their lines; without one, everything is
+   rendered afresh. *)
+let save_to_buffer ?cache (m : Manager.t) : Buffer.t =
   if Manager.in_session m then
     invalid_arg "Persist.save: close the evolution session first";
+  let cache = match cache with Some c -> c | None -> render_cache () in
   let buf = Buffer.create 4096 in
   Buffer.add_string buf "# gomsm database dump v1\n";
   let g = Manager.ids m in
   Printf.bprintf buf "ids %d %d %d %d %d %d\n" g.Gom.Ids.schemas g.Gom.Ids.types
     g.Gom.Ids.decls g.Gom.Ids.codes g.Gom.Ids.phreps g.Gom.Ids.objects;
   let db = Manager.database m in
-  let facts = List.sort Fact.compare (Database.all_facts db) in
-  (* built-ins are reseeded on load; one set per save keeps it linear *)
-  let builtins = Fact_set.of_list (Gom.Builtin.facts ()) in
   List.iter
-    (fun (f : Fact.t) ->
-      if not (Fact_set.mem f builtins) then begin
-        Buffer.add_string buf "fact ";
-        add_fact buf f;
-        Buffer.add_char buf '\n'
-      end)
-    facts;
-  (* registered code: cids are recoverable from the Code/Fashion facts *)
-  let cids =
-    List.filter_map
-      (fun (f : Fact.t) ->
-        match f.Fact.pred, f.Fact.args with
-        | "Code", [| Term.Sym cid; _; _ |] -> Some cid.Term.name
-        | "FashionDecl", [| _; _; Term.Sym cid |] -> Some cid.Term.name
-        | _ -> None)
-      facts
-    @ List.concat_map
-        (fun (f : Fact.t) ->
-          match f.Fact.pred, f.Fact.args with
-          | "FashionAttr", [| _; _; _; Term.Sym r; Term.Sym w |] ->
-              [ r.Term.name; w.Term.name ]
-          | _ -> [])
-        facts
-    |> List.sort_uniq String.compare
-  in
+    (fun pred ->
+      Option.iter
+        (fun r -> Buffer.add_string buf (relation_text cache pred r))
+        (Database.relation_opt db pred))
+    (List.sort String.compare (Database.predicates db));
   List.iter
     (fun cid ->
-      match Manager.lookup_code m cid with
-      | None -> ()
-      | Some (params, body) ->
-          Printf.bprintf buf "code %s\n" (encode_code ~cid ~params ~body))
-    cids;
+      Option.iter
+        (fun binding -> Buffer.add_string buf (code_text cache cid binding))
+        (Manager.lookup_code m cid))
+    (code_ids db);
   (* the object base *)
   let rt = Manager.runtime m in
   Printf.bprintf buf "store_next %d\n"

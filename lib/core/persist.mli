@@ -30,7 +30,19 @@ val decode_code : string -> string * string list * Analyzer.Ast.stmt
 val save : Manager.t -> path:string -> unit
 (** @raise Invalid_argument if an evolution session is open. *)
 
-val save_to_buffer : Manager.t -> Buffer.t
+type cache
+(** What one render keeps for the next: each relation's lines and each
+    code piece's line.  Keep one per manager lineage (a journal keeps
+    one); a cache shared across unrelated managers stays correct but
+    re-renders nearly everything. *)
+
+val render_cache : unit -> cache
+
+val save_to_buffer : ?cache:cache -> Manager.t -> Buffer.t
+(** The {!save} text.  With [cache], a relation whose
+    {!Datalog.Relation.version} has not moved since the previous render
+    through the same cache, and a code piece not redefined since, reuse
+    their rendered lines; the text is the same byte for byte. *)
 
 val load : path:string -> Manager.t
 (** Restore into a fresh manager with every extension installed.  The

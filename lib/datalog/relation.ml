@@ -30,9 +30,13 @@ type index = Term.const array list ref Const_tbl.t
 type t = {
   tuples : unit Tuple_tbl.t;
   mutable indexes : (int * index) list;  (* column -> index, built lazily *)
+  mutable version : int;  (* bumped by every change to [tuples] *)
 }
 
-let create ?(size = 16) () = { tuples = Tuple_tbl.create size; indexes = [] }
+let create ?(size = 16) () =
+  { tuples = Tuple_tbl.create size; indexes = []; version = 0 }
+
+let version r = r.version
 
 let mem r tuple = Tuple_tbl.mem r.tuples tuple
 
@@ -60,6 +64,7 @@ let add r tuple =
   else begin
     Tuple_tbl.replace r.tuples tuple ();
     List.iter (fun (col, idx) -> index_add idx col tuple) r.indexes;
+    r.version <- r.version + 1;
     true
   end
 
@@ -67,6 +72,7 @@ let remove r tuple =
   if Tuple_tbl.mem r.tuples tuple then begin
     Tuple_tbl.remove r.tuples tuple;
     List.iter (fun (col, idx) -> index_remove idx col tuple) r.indexes;
+    r.version <- r.version + 1;
     true
   end
   else false
@@ -79,9 +85,10 @@ let is_empty r = cardinal r = 0
 
 let clear r =
   Tuple_tbl.clear r.tuples;
-  r.indexes <- []
+  r.indexes <- [];
+  r.version <- r.version + 1
 
-let copy r = { tuples = Tuple_tbl.copy r.tuples; indexes = [] }
+let copy r = { tuples = Tuple_tbl.copy r.tuples; indexes = []; version = 0 }
 
 let index_for r col : index =
   match List.assoc_opt col r.indexes with

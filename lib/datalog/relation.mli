@@ -25,6 +25,11 @@ val add : t -> Term.const array -> bool
 val remove : t -> Term.const array -> bool
 (** [remove r tuple] deletes [tuple]; returns [true] iff it was present. *)
 
+val version : t -> int
+(** A counter that {!add}, {!remove} and {!clear} bump whenever they
+    change the tuple set: while it stays put, so does the extension.  A
+    {!copy} starts its own count. *)
+
 val cardinal : t -> int
 val iter : (Term.const array -> unit) -> t -> unit
 val fold : (Term.const array -> 'a -> 'a) -> t -> 'a -> 'a

@@ -1,4 +1,4 @@
-(** CRC-32 (IEEE 802.3 polynomial), table-driven, streaming.
+(** CRC-32 (IEEE 802.3 polynomial), table-driven (slicing by 4), streaming.
 
     [string s] is the one-shot form; [init] / [update_string] / [finish]
     checksum a sequence of chunks without concatenating them. *)

@@ -284,8 +284,9 @@ let digest_of_manager m =
     |> List.sort String.compare
   in
   let acc =
-    List.fold_left (fun a l -> Crc32.update_string a (l ^ "\n")) Crc32.init
-      lines
+    List.fold_left
+      (fun a l -> Crc32.update_string (Crc32.update_string a l) "\n")
+      Crc32.init lines
   in
   Crc32.to_hex (Crc32.finish acc)
 

@@ -21,9 +21,10 @@
 
     Committed sessions are appended to the write-ahead journal (fsync
     before the acknowledgment) and checkpointed when the journal's caps
-    say so.  A checkpoint holds the [ees] that triggers it only for the
-    drain, the serialization and a segment switch; the snapshot write
-    runs on the journal's own thread, which takes no broker lock.  Every
+    say so.  A checkpoint runs whole inside the [ees] that triggers it:
+    the drain, a render that reuses every relation unchanged since the
+    last one, and a head written into the other segment file with no
+    fsync of its own.  Every
     commit goes through the journal's batch writer: the committer
     enqueues its record under the exclusive lock, then awaits the fsync
     after releasing it, and one leader fsyncs the whole batch.  The

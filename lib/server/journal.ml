@@ -1,7 +1,7 @@
 (* Write-ahead journal: one fsynced record per commit in Core.Persist's
-   textual fact format, written by one batch writer, snapshot checkpoints
-   whose file I/O runs behind a segment switch, and replay-on-boot
-   recovery with torn-tail truncation. *)
+   textual fact format, written by one batch writer into two segment
+   files used in turn, each headed by the snapshot its records follow,
+   and replay-on-boot recovery with torn-tail truncation. *)
 
 module Manager = Core.Manager
 module Persist = Core.Persist
@@ -18,8 +18,8 @@ module Crc32 = Fault.Crc32
    [<site>#<label>] variants, so faults can be aimed at a single tenant. *)
 let fp_append_write = Failpoint.define "journal.append.write"
 let fp_append_fsync = Failpoint.define "journal.append.fsync"
-let fp_checkpoint = Failpoint.define "journal.checkpoint.snapshot"
-let fp_retire = Failpoint.define "journal.checkpoint.retire"
+let fp_head = Failpoint.define "journal.checkpoint.snapshot"
+let fp_switch = Failpoint.define "journal.checkpoint.switch"
 
 let labeled_site site label =
   Option.map (fun l -> Failpoint.define (site ^ "#" ^ l)) label
@@ -27,49 +27,68 @@ let labeled_site site label =
 let hit_opt = function None -> () | Some fp -> Failpoint.hit fp
 let hit_io_opt fp n = match fp with None -> n | Some fp -> Failpoint.hit_io fp n
 
-let header = "# gomsm journal v1\n"
-
-(* The header records the global sequence number the snapshot covers, so
-   sequence numbers stay monotonic across checkpoints — they double as the
-   replication stream positions.  It also records the promotion epoch (and
-   whether the node was fenced) when either is non-trivial, so a checkpoint
-   cannot erase the fencing history the in-file markers carried.  Plain
-   epoch-0 journals keep the exact legacy header bytes. *)
-let header_for ?(epoch = 0) ?(fenced = false) base =
-  if base = 0 && epoch = 0 && not fenced then header
-  else if epoch = 0 && not fenced then
-    Printf.sprintf "# gomsm journal v1 base %d\n" base
-  else
-    Printf.sprintf "# gomsm journal v1 base %d epoch %d%s\n" base epoch
-      (if fenced then " fenced" else "")
-
-(* (base, epoch, fenced) from the header line. *)
-let base_of_header text =
-  let num what n =
-    (* the header is fsynced before the first record: a number that no
-       longer parses is bit-rot, and defaulting it to 0 would silently
-       renumber the whole log — refuse instead *)
-    match int_of_string_opt n with
-    | Some b -> b
-    | None ->
-        raise
-          (Corrupt
-             (Printf.sprintf "journal header has a non-integer %s %S" what n))
-  in
-  match String.index_opt text '\n' with
-  | None -> (0, 0, false)
-  | Some i -> (
-      match String.split_on_char ' ' (String.trim (String.sub text 0 i)) with
-      | [ "#"; "gomsm"; "journal"; "v1"; "base"; n ] -> (num "base" n, 0, false)
-      | [ "#"; "gomsm"; "journal"; "v1"; "base"; n; "epoch"; e ] ->
-          (num "base" n, num "epoch" e, false)
-      | [ "#"; "gomsm"; "journal"; "v1"; "base"; n; "epoch"; e; "fenced" ] ->
-          (num "base" n, num "epoch" e, true)
-      | _ -> (0, 0, false))
+(* ------------------------------------------------------------------ *)
+(* Files and heads                                                     *)
+(* ------------------------------------------------------------------ *)
 
 let journal_path ~dir = Filename.concat dir "journal.log"
+let alt_path ~dir = Filename.concat dir "journal.alt"
+
+(* The two segments, by index: a checkpoint writes the other one. *)
+let segment_path ~dir i = if i = 0 then journal_path ~dir else alt_path ~dir
+
+(* The layout before segments were reused in place, read once at boot. *)
 let retiring_path ~dir = Filename.concat dir "journal.retiring"
 let snapshot_path ~dir = Filename.concat dir "snapshot.gomdb"
+
+(* A segment's first line.  [gen] counts the heads written in this data
+   directory (the segment with the higher one is live) and [head] is the
+   length of the snapshot that follows the line, so records start at
+   [head] bytes past it.  A segment that never carried a snapshot (a
+   fresh directory's journal.log, or one written before heads existed)
+   has neither field: generation 0, records straight after the line. *)
+type header = {
+  h_base : int;  (* global seq the segment's snapshot covers *)
+  h_epoch : int;
+  h_fenced : bool;
+  h_gen : int;
+  h_head : int option;
+}
+
+let fresh_header = "# gomsm journal v1\n"
+
+let header_line ~base ~epoch ~fenced ~gen ~head =
+  Printf.sprintf "# gomsm journal v1 base %d epoch %d%s gen %d head %d\n" base
+    epoch
+    (if fenced then " fenced" else "")
+    gen head
+
+(* [None] when [line] is not a journal header at all.  A number that no
+   longer parses is bit-rot, and defaulting it would silently renumber
+   the log: refuse instead. *)
+let parse_header line : header option =
+  let bad what = raise (Corrupt ("journal header has " ^ what)) in
+  let num what n =
+    match int_of_string_opt n with
+    | Some v -> v
+    | None -> bad (Printf.sprintf "a non-integer %s %S" what n)
+  in
+  let rec go h = function
+    | [] -> h
+    | "base" :: n :: rest -> go { h with h_base = num "base" n } rest
+    | "epoch" :: n :: rest -> go { h with h_epoch = num "epoch" n } rest
+    | "fenced" :: rest -> go { h with h_fenced = true } rest
+    | "gen" :: n :: rest -> go { h with h_gen = num "gen" n } rest
+    | "head" :: n :: rest -> go { h with h_head = Some (num "head" n) } rest
+    | w :: _ -> bad (Printf.sprintf "a malformed field %S" w)
+  in
+  match String.split_on_char ' ' (String.trim line) with
+  | "#" :: "gomsm" :: "journal" :: "v1" :: fields ->
+      let none =
+        { h_base = 0; h_epoch = 0; h_fenced = false; h_gen = 0; h_head = None }
+      in
+      Some (go none fields)
+  | _ -> None
 
 (* The snapshot's first line names the sequence number it covers, the
    epoch at that point and a CRC-32 over the Persist text that follows
@@ -101,26 +120,26 @@ let parse_snapshot text =
             | _ -> bad "malformed header")
         | _ -> bad "malformed header")
 
-(* The batch writer — the journal's only writer.  Every byte after the
-   header (commit records, a replica's raw records, epoch markers) is
-   enqueued here, and one leader performs a single write+fsync for the
-   whole batch.  [g_assigned] is the last sequence number handed out at
-   enqueue time; [t.seq] stays the last DURABLE sequence number — the
-   durability oracle, the replication positions and the stats all keep
-   reading it.  [t.seq] and [t.bytes] advance only in [run_flush], or on
-   a segment switch or truncation ([switch], [orphan_suffix]), which
-   re-anchors [g_assigned].  A failed batch flush poisons the group
-   ([g_error] is sticky): every waiter whose record the failed fsync was
-   meant to cover gets the error, and so does every later enqueue — the
-   broker turns that into degraded mode.  A poisoned journal writes
-   nothing more.
+(* A head's three pieces: the segment header line, the snapshot line and
+   the Persist text. *)
+let head_pieces ~base ~epoch ~fenced ~gen body =
+  let snap = snapshot_header ~seq:base ~epoch body in
+  let head = String.length snap + String.length body in
+  [ header_line ~base ~epoch ~fenced ~gen ~head; snap; body ]
 
-   [g_ckpt] is the second half of a checkpoint — the snapshot write and
-   the retirement of the old segment — which runs on its own thread.  At
-   most one is in flight; a failed one is kept, poisons the group the
-   same way, and is raised by every later {!settle}. *)
-type ckpt = Idle | Running | Failed of exn
-
+(* The batch writer — the journal's only writer.  Every byte after a
+   segment's head (commit records, a replica's raw records, epoch
+   markers) is enqueued here, and one leader performs a single
+   write+fsync for the whole batch.  [g_assigned] is the last sequence
+   number handed out at enqueue time; [t.seq] stays the last DURABLE
+   sequence number — the durability oracle, the replication positions and
+   the stats all keep reading it.  [t.seq] and [t.bytes] advance only in
+   [run_flush], or on a segment switch or truncation ([switch],
+   [orphan_suffix]), which re-anchors [g_assigned].  A failed batch flush
+   poisons the group ([g_error] is sticky): every waiter whose record the
+   failed fsync was meant to cover gets the error, and so does every
+   later enqueue — the broker turns that into degraded mode.  A poisoned
+   journal writes nothing more; a failed checkpoint poisons it too. *)
 type group = {
   g_mu : Mutex.t;
   g_cond : Condition.t;
@@ -129,7 +148,6 @@ type group = {
   mutable g_assigned : int;  (* last enqueued (not necessarily durable) seq *)
   mutable g_flushing : bool;  (* a leader owns the current batch window *)
   mutable g_error : exn option;  (* sticky: the group died mid-flush *)
-  mutable g_ckpt : ckpt;
   mutable on_flush : int -> unit;  (* batch-size observer (metrics) *)
 }
 
@@ -138,21 +156,28 @@ let default_checkpoint_bytes = 4 * 1024 * 1024
 
 type t = {
   dir : string;
-  mutable fd : Unix.file_descr;  (* the live segment, journal.log *)
-  mutable base : int;  (* global seq the snapshot (journal start) covers *)
+  mutable live : int;  (* index of the live segment *)
+  mutable fd : Unix.file_descr;  (* the live segment *)
+  mutable other : Unix.file_descr;  (* the segment the next head overwrites *)
+  mutable other_end : int;  (* [other] holds only NULs past this offset *)
+  mutable gen : int;  (* the live head's generation *)
+  mutable head : int;  (* the live head's length: where its records start *)
+  mutable head_durable : bool;  (* the live head was fsynced *)
+  mutable base : int;  (* global seq the live head covers *)
   mutable seq : int;  (* global seq of the last durable record *)
   mutable since : int;  (* records appended since the last checkpoint *)
-  mutable bytes : int;  (* durable journal size *)
+  mutable bytes : int;  (* durable bytes after the live head *)
   mutable epoch : int;  (* promotion epoch: highest stamp seen or adopted *)
   mutable was_fenced : bool;  (* a fence marker is the latest epoch event *)
+  mutable cache : Persist.cache;  (* what the last head's render keeps *)
   checkpoint_every : int;  (* checkpoint after this many records ... *)
-  checkpoint_bytes : int;  (* ... or once the file reaches this size *)
+  checkpoint_bytes : int;  (* ... or once this many bytes follow the head *)
   group : group;
   (* tenant-labeled failpoint variants; None on single-tenant journals *)
   fp_write : Failpoint.site option;
   fp_fsync : Failpoint.site option;
-  fp_ckpt : Failpoint.site option;
-  fp_retire : Failpoint.site option;
+  fp_head : Failpoint.site option;
+  fp_switch : Failpoint.site option;
 }
 
 let base t = t.base
@@ -161,13 +186,13 @@ let since_checkpoint t = t.since
 let bytes t = t.bytes
 let epoch t = t.epoch
 let fenced t = t.was_fenced
+let live_path t = segment_path ~dir:t.dir t.live
 
 let set_flush_observer t f = t.group.on_flush <- f
 
 let in_flight t =
   let g = t.group in
   g.g_records > 0 || g.g_flushing || g.g_assigned > t.seq
-  || match g.g_ckpt with Running -> true | Idle | Failed _ -> false
 
 let rec mkdir_p dir =
   if not (Sys.file_exists dir) then begin
@@ -175,8 +200,9 @@ let rec mkdir_p dir =
     try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
   end
 
-let write_all fd s =
-  let n = String.length s in
+(* The first [n] bytes of [s]; all of them by default. *)
+let write_all ?n fd s =
+  let n = Option.value n ~default:(String.length s) in
   let rec go off =
     if off < n then go (off + Unix.write_substring fd s off (n - off))
   in
@@ -187,6 +213,23 @@ let read_file path =
   Fun.protect
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
+
+(* [len] bytes of [path] from [off]. *)
+let read_range path ~off ~len =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in_noerr ic)
+    (fun () ->
+      seek_in ic off;
+      really_input_string ic len)
+
+let fsync_dir dir =
+  (* best effort: not all filesystems allow fsync on a directory fd *)
+  match Unix.openfile dir [ Unix.O_RDONLY ] 0 with
+  | exception Unix.Unix_error _ -> ()
+  | dfd ->
+      (try Unix.fsync dfd with Unix.Unix_error _ -> ());
+      Unix.close dfd
 
 (* ------------------------------------------------------------------ *)
 (* Append                                                              *)
@@ -219,8 +262,8 @@ let append_protected ~records t s =
     Obs.Trace.with_span "journal.fsync" (fun () -> Unix.fsync t.fd)
   with e ->
     (try
-       Unix.ftruncate t.fd t.bytes;
-       ignore (Unix.lseek t.fd 0 Unix.SEEK_END)
+       Unix.ftruncate t.fd (t.head + t.bytes);
+       ignore (Unix.lseek t.fd (t.head + t.bytes) Unix.SEEK_SET)
      with Unix.Unix_error _ -> ());
     raise e
 
@@ -279,6 +322,7 @@ let run_flush t g =
   | Ok () ->
       t.seq <- last;
       t.bytes <- t.bytes + String.length s;
+      if s <> "" then t.head_durable <- true;
       if n > 0 then g.on_flush n
   | Error e -> g.g_error <- Some e);
   g.g_flushing <- false;
@@ -374,26 +418,10 @@ let drain t =
       in
       go ())
 
-(* Wait out the checkpoint in flight, if any; raise the kept error of one
-   that failed.  Every operation that reads or rewrites the journal's
-   files calls this first, so it sees the snapshot {!base} names.  The
-   checkpoint thread takes no broker lock, so waiting under one is safe. *)
-let settle t =
-  with_g t (fun g ->
-      let rec go () =
-        match g.g_ckpt with
-        | Idle -> ()
-        | Failed e -> raise e
-        | Running ->
-            Condition.wait g.g_cond g.g_mu;
-            go ()
-      in
-      go ())
-
 let close t =
-  (try settle t with _ -> ());
   (try drain t with _ -> ());
-  Unix.close t.fd
+  Unix.close t.fd;
+  Unix.close t.other
 
 (* Raw record append: the replica's write path.  [text] must be one
    complete record (begin..commit, newline-terminated) carrying exactly
@@ -439,171 +467,126 @@ let advance_epoch t ~epoch ~fenced =
 (* Checkpoint                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let fsync_dir dir =
-  (* best effort: not all filesystems allow fsync on a directory fd *)
-  match Unix.openfile dir [ Unix.O_RDONLY ] 0 with
-  | exception Unix.Unix_error _ -> ()
-  | dfd ->
-      (try Unix.fsync dfd with Unix.Unix_error _ -> ());
-      Unix.close dfd
+(* The stale bytes of the other segment are overwritten from this block,
+   so no old record past a new head can ever be replayed. *)
+let zeros = Bytes.make 16384 '\000'
 
-(* Write [snapshot.tmp]: the header line, then [body]; fsynced. *)
-let write_snapshot_tmp ~dir ~seq ~epoch body =
-  let tmp = Filename.concat dir "snapshot.tmp" in
-  let fd =
-    Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644
-  in
-  Fun.protect
-    ~finally:(fun () -> Unix.close fd)
-    (fun () ->
-      write_all fd (snapshot_header ~seq ~epoch body);
-      write_all fd body;
-      Unix.fsync fd);
-  tmp
+let rec zero_fill fd n =
+  if n > 0 then
+    zero_fill fd (n - Unix.write fd zeros 0 (min n (Bytes.length zeros)))
 
-let publish_snapshot ~dir tmp =
-  Unix.rename tmp (snapshot_path ~dir);
-  fsync_dir dir
+(* Write [pieces] from offset 0 of [fd], cut to [budget] bytes. *)
+let write_prefix fd pieces budget =
+  ignore (Unix.lseek fd 0 Unix.SEEK_SET);
+  ignore
+    (List.fold_left
+       (fun budget p ->
+         let n = min budget (String.length p) in
+         write_all ~n fd p;
+         budget - n)
+       budget pieces)
 
-(* Make [journal.log] a fresh segment holding only the header [h]: the
-   live file, if there is one, becomes [journal.retiring].  Returns the
-   new segment's fd, positioned for appending. *)
-let fresh_segment ~dir h =
-  let live = journal_path ~dir in
-  if Sys.file_exists live then Unix.rename live (retiring_path ~dir);
-  let fd =
-    Unix.openfile live [ Unix.O_RDWR; Unix.O_CREAT; Unix.O_TRUNC ] 0o644
-  in
-  (try write_all fd h
-   with e ->
-     Unix.close fd;
-     raise e);
-  fd
+let fsync_head t =
+  if not t.head_durable then begin
+    Unix.fsync t.fd;
+    t.head_durable <- true
+  end
 
-(* A failure that leaves the files out of step with [base] poisons the
-   journal: it writes nothing more, and {!settle} raises the error. *)
-let keep_failure g e =
-  g.g_ckpt <- Failed e;
-  if Option.is_none g.g_error then g.g_error <- Some e
+(* Run [f]; a failure poisons the journal, like a failed flush. *)
+let poisoning t f =
+  try f ()
+  with e ->
+    with_g t (fun g -> if Option.is_none g.g_error then g.g_error <- Some e);
+    raise e
 
-(* The locked half of a checkpoint: switch to a fresh segment covering
-   [base] and re-anchor the counters.  Call with the journal drained.  The
-   directory is fsynced here, so the new segment's entry is durable before
-   any record in it can be acknowledged; its header bytes become durable
-   with the first record's fsync, or in [retire] before the old segment
-   goes. *)
-let switch t ~base =
-  let h = header_for ~epoch:t.epoch ~fenced:t.was_fenced base in
-  with_g t (fun g ->
-      match fresh_segment ~dir:t.dir h with
-      | exception e ->
-          keep_failure g e;
-          raise e
-      | fd ->
-          fsync_dir t.dir;
-          Unix.close t.fd;
-          t.fd <- fd;
-          t.base <- base;
-          t.seq <- base;
-          t.since <- 0;
-          t.bytes <- String.length h;
-          (* nothing is pending here, so assigned = durable *)
-          g.g_assigned <- base)
+(* Make [other] a segment headed by [body] covering [base]: the head at
+   offset 0, NULs over whatever older bytes follow it, and the write
+   position at the head's end.  Then switch to it.  The live segment's
+   own head must be durable first — it is what recovery falls back on
+   until the new head is — so this fsyncs it when no flush has since a
+   boot or the previous switch.  On a failure the live segment stays
+   what it was, and the poisoned journal writes nothing more. *)
+let switch t ~base body =
+  poisoning t @@ fun () ->
+    fsync_head t;
+    let gen = t.gen + 1 in
+    let pieces =
+      head_pieces ~base ~epoch:t.epoch ~fenced:t.was_fenced ~gen body
+    in
+    let len = List.fold_left (fun n p -> n + String.length p) 0 pieces in
+    let budget = Failpoint.hit_io fp_head len in
+    let budget = min budget (hit_io_opt t.fp_head budget) in
+    write_prefix t.other pieces budget;
+    if budget < len then
+      raise (Unix.Unix_error (Unix.EIO, "write", "failpoint: partial head"));
+    zero_fill t.other (t.other_end - len);
+    ignore (Unix.lseek t.other len Unix.SEEK_SET);
+    Failpoint.hit fp_switch;
+    hit_opt t.fp_switch;
+    with_g t (fun g ->
+        let fd = t.fd in
+        (* past the old segment's records there are only NULs *)
+        t.other_end <- t.head + t.bytes;
+        t.fd <- t.other;
+        t.other <- fd;
+        t.live <- 1 - t.live;
+        t.gen <- gen;
+        t.head <- len;
+        t.head_durable <- false;
+        t.base <- base;
+        t.seq <- base;
+        t.since <- 0;
+        t.bytes <- 0;
+        (* nothing is pending here, so assigned = durable *)
+        g.g_assigned <- base)
 
-(* The unlocked half: make the new segment's header and the snapshot
-   covering [seq] durable, then drop the segment they replace. *)
-let retire t ~seq ~epoch body =
-  let dir = t.dir in
-  Unix.fsync t.fd;
-  let tmp = write_snapshot_tmp ~dir ~seq ~epoch body in
-  Failpoint.hit fp_checkpoint;
-  hit_opt t.fp_ckpt;
-  publish_snapshot ~dir tmp;
-  Failpoint.hit fp_retire;
-  hit_opt t.fp_retire;
-  Unix.unlink (retiring_path ~dir)
-
-(* Run [retire], keeping its failure; returns it too. *)
-let retire_kept t ~seq ~epoch body =
-  let r =
-    match retire t ~seq ~epoch body with
-    | () -> None
-    | exception e -> Some e
-  in
-  with_g t (fun g ->
-      (match r with None -> g.g_ckpt <- Idle | Some e -> keep_failure g e);
-      Condition.broadcast g.g_cond);
-  r
-
-(* Everything a checkpoint does under the caller's exclusive section:
-   drain, serialize, switch.  The snapshot write and the retirement of the
-   old segment then run on a thread of their own, which takes no lock but
-   the batch writer's. *)
-let begin_checkpoint t (m : Manager.t) =
-  settle t;
+(* A checkpoint, whole, under the caller's exclusive section: drain (the
+   commit's own fsync), render, and switch.  The render reuses every
+   relation and code piece unchanged since the previous head.  The new
+   head becomes durable with the next flush. *)
+let checkpoint t (m : Manager.t) =
   drain t;
-  let body = Buffer.contents (Persist.save_to_buffer m) in
-  let seq = t.seq and epoch = t.epoch in
-  with_g t (fun g -> g.g_ckpt <- Running);
-  switch t ~base:seq;
-  let finish () = ignore (retire_kept t ~seq ~epoch body) in
-  (* without a thread to spare, finish here *)
-  try ignore (Thread.create finish ()) with _ -> finish ()
+  let body = Buffer.contents (Persist.save_to_buffer ~cache:t.cache m) in
+  switch t ~base:t.seq body
 
-let checkpoint t m =
-  begin_checkpoint t m;
-  settle t
-
-(* The journal's one checkpoint rule: snapshot on either cap — a count of
-   records, or the file growing past the byte budget (a burst of large
-   sessions must not grow it unboundedly).  Whoever appends calls this
-   after each record, so the caps a data directory was recovered with
-   hold whichever role the node plays. *)
+(* The journal's one checkpoint rule: checkpoint on either cap — a count
+   of records, or the bytes after the head passing the byte budget (a
+   burst of large sessions must not grow a segment unboundedly).  Whoever
+   appends calls this after each record, so the caps a data directory was
+   recovered with hold whichever role the node plays. *)
 let maybe_checkpoint t m =
-  let due = t.since >= t.checkpoint_every || t.bytes >= t.checkpoint_bytes in
-  if due then begin_checkpoint t m;
+  (* like [since], count what is enqueued but not yet flushed *)
+  let bytes = with_g t (fun g -> t.bytes + Buffer.length g.g_buf) in
+  let due = t.since >= t.checkpoint_every || bytes >= t.checkpoint_bytes in
+  if due then checkpoint t m;
   due
 
-(* The same switch, with the snapshot written before returning. *)
+(* The same switch to a head holding [text], durable before returning;
+   the manager it came from is a new one, so the render cache restarts. *)
 let install_snapshot t ~seq ~text =
-  settle t;
   drain t;
-  switch t ~base:seq;
-  match retire_kept t ~seq ~epoch:t.epoch text with
-  | None -> ()
-  | Some e -> raise e
-
-let read_snapshot t =
-  settle t;
-  let path = snapshot_path ~dir:t.dir in
-  if Sys.file_exists path then Some (snd (parse_snapshot (read_file path)))
-  else None
+  switch t ~base:seq text;
+  t.cache <- Persist.render_cache ();
+  poisoning t (fun () -> fsync_head t)
 
 (* ------------------------------------------------------------------ *)
 (* Recovery                                                            *)
 (* ------------------------------------------------------------------ *)
 
-type recovery = {
-  manager : Manager.t;
-  journal : t;
-  from_snapshot : bool;
-  replayed : int;
-  truncated_bytes : int;
-}
-
-(* Newline-terminated lines with the byte offset just past each line's
-   '\n'; a trailing fragment without a newline is torn by construction
-   (fsynced records always end in one) and is not returned. *)
-let complete_lines text =
+(* Newline-terminated lines of [text] from [from], with the byte offset
+   just past each line's '\n'; a trailing fragment without a newline is
+   torn by construction (fsynced records always end in one) and is not
+   returned. *)
+let complete_lines ?(from = 0) text =
   let out = ref [] in
-  let start = ref 0 in
-  String.iteri
-    (fun i c ->
-      if c = '\n' then begin
-        out := (String.sub text !start (i - !start), i + 1) :: !out;
-        start := i + 1
-      end)
-    text;
+  let rec go start =
+    match String.index_from_opt text start '\n' with
+    | Some i ->
+        out := (String.sub text start (i - start), i + 1) :: !out;
+        go (i + 1)
+    | None -> ()
+  in
+  if from < String.length text then go from;
   List.rev !out
 
 (* A line as the scanner sees it: brackets, markers and comments are told
@@ -646,7 +629,7 @@ type item =
    Stops at the first line that fits neither a record nor the gap between
    records: a stray line, a nested or mismatched bracket, or a record
    that never closes (the torn tail). *)
-let scan text : (item * int) list =
+let scan ?from text : (item * int) list =
   let rec between acc = function
     | [] -> List.rev acc
     | (l, stop) :: rest -> (
@@ -669,7 +652,7 @@ let scan text : (item * int) list =
         | L_comment | L_epoch _ | L_fenced _ | L_payload _ ->
             inside acc n start rest)
   in
-  between [] (complete_lines text)
+  between [] (complete_lines ?from text)
 
 (* One parsed record, in file order. *)
 type parsed_record = {
@@ -791,12 +774,14 @@ let apply_record (m : Manager.t) (r : parsed_record) : bool =
       false
 
 let records_from t ~from : (int * string) list =
-  settle t;
+  let path, off, len, seq =
+    with_g t (fun _ -> (live_path t, t.head, t.bytes, t.seq))
+  in
   List.filter_map
     (function
-      | Record (n, text), _ when n > from && n <= t.seq -> Some (n, text)
+      | Record (n, text), _ when n > from && n <= seq -> Some (n, text)
       | _ -> None)
-    (scan (read_file (journal_path ~dir:t.dir)))
+    (scan (read_range path ~off ~len))
 
 (* Where replay stands.  [covered] is the sequence number the snapshot
    covers: records up to it are skipped, not replayed over a later state. *)
@@ -808,21 +793,15 @@ type cursor = {
   fenced : bool;
 }
 
-(* Replay one segment's text onto [m] — every in-sequence record that
-   parses and applies, and the epoch markers between them — and return
-   the offset just past the last item kept, with the cursor after it.  A
-   segment's header carries the epoch state as of its switch.  [epoch] is
-   raised by record stamps and by markers; [fenced] tracks whether the
-   most recent epoch event was a fence (a later record or promotion marker
-   clears it — the node has since acted in the newer epoch).  Replay stops
-   at the first item that breaks these rules: everything from there on is
-   the torn tail. *)
-let replay_segment (m : Manager.t) c text =
-  let _, h_epoch, h_fenced = base_of_header text in
-  let c =
-    if h_epoch >= c.epoch then { c with epoch = h_epoch; fenced = h_fenced }
-    else c
-  in
+(* Replay the items of [text] from [from] onto [m] — every in-sequence
+   record that parses and applies, and the epoch markers between them —
+   and return the offset just past the last item kept, with the cursor
+   after it.  [epoch] is raised by record stamps and by markers;
+   [fenced] tracks whether the most recent epoch event was a fence (a
+   later record or promotion marker clears it — the node has since acted
+   in the newer epoch).  Replay stops at the first item that breaks these
+   rules: everything from there on is the torn tail. *)
+let replay (m : Manager.t) c ~from text =
   let rec go good c = function
     | (Comment, stop) :: rest -> go stop c rest
     | (Marker { m_epoch = e; m_fenced }, stop) :: rest when e >= c.epoch ->
@@ -845,54 +824,128 @@ let replay_segment (m : Manager.t) c text =
         | _ | (exception Corrupt _) -> (good, c))
     | _ -> (good, c)
   in
-  go 0 c (scan text)
+  go from c (scan ~from text)
+
+(* Bytes past [good] up to the last one that is not NUL: what a torn
+   write left.  The NUL run a switch writes past a head is free space. *)
+let torn_bytes text good =
+  let rec last i = if i >= good && text.[i] = '\000' then last (i - 1) else i in
+  last (String.length text - 1) + 1 - good
 
 let read_if_present path =
   match read_file path with
   | text -> Some text
   | exception Sys_error _ when not (Sys.file_exists path) -> None
 
+let load_snapshot body =
+  try Persist.load_from_string body
+  with Persist.Corrupt e -> raise (Corrupt ("snapshot: " ^ e))
+
+(* What a segment file holds.  [Segment]: a header and, when it names
+   one, a whole head whose snapshot passes its CRC.  [Unusable]: a
+   header that does not parse, or a head that is torn or fails its
+   check.  [Blank]: nothing a journal wrote a header into. *)
+type segment = {
+  hdr : header;
+  text : string;
+  start : int;  (* past the head: where records begin *)
+  snapshot : string option;  (* the head's Persist text *)
+}
+
+type found = Blank | Segment of segment | Unusable of string
+
+let classify text =
+  match String.index_opt text '\n' with
+  | None -> Blank
+  | Some i -> (
+      match parse_header (String.sub text 0 i) with
+      | None -> Blank
+      | exception Corrupt why -> Unusable why
+      | Some ({ h_head = None; _ } as hdr) ->
+          Segment { hdr; text; start = i + 1; snapshot = None }
+      | Some ({ h_head = Some len; _ } as hdr) -> (
+          let off = i + 1 in
+          if off + len > String.length text then Unusable "torn head"
+          else
+            match parse_snapshot (String.sub text off len) with
+            | Some (s, e), body when s = hdr.h_base && e = hdr.h_epoch ->
+                Segment { hdr; text; start = off + len; snapshot = Some body }
+            | _ -> Unusable "head does not match its header"
+            | exception Corrupt why -> Unusable why))
+
+(* What {!bytes} reads for the directory's live segment, from the files
+   alone: the bytes between its head and the NUL run after its records. *)
+let stored_bytes ~dir =
+  List.fold_left
+    (fun (gen, n) i ->
+      match Option.map classify (read_if_present (segment_path ~dir i)) with
+      | Some (Segment s) when s.hdr.h_gen > gen ->
+          (s.hdr.h_gen, torn_bytes s.text s.start)
+      | _ -> (gen, n))
+    (-1, 0) [ 0; 1 ]
+  |> snd
+
+(* The first [commit] line past [last] in [text], if any. *)
+let record_past text last =
+  List.find_map
+    (fun (l, _) ->
+      match line_of l with L_commit n when n > last -> Some n | _ -> None)
+    (complete_lines text)
+
 type rebuilt = {
   b_manager : Manager.t;
   b_from_snapshot : bool;
-  b_retiring : (string * int) option;  (* text, offset past what was kept *)
-  b_live : (string * int) option;
   b_cursor : cursor;
+  b_truncated : int;  (* torn bytes past what was kept *)
+  b_layout : layout;
 }
 
-(* The snapshot, if any, with [journal.retiring] and then [journal.log]
-   replayed on top of it.  The retiring segment is read before the
-   snapshot that replaces it, so a checkpoint finishing meanwhile cannot
-   hide records from both. *)
-let rebuild ~dir =
+and layout =
+  | Live of { idx : int; gen : int; start : int; good : int }
+  | Fresh  (* no segment yet *)
+  | Legacy  (* snapshot.gomdb and journal.log, from before heads *)
+
+(* The layout before heads: the snapshot, if any, with [journal.retiring]
+   and then [journal.log] replayed on top of it.  The retiring segment is
+   read before the snapshot that replaces it, so a checkpoint finishing
+   meanwhile cannot hide records from both. *)
+let rebuild_legacy ~dir =
   let retiring = read_if_present (retiring_path ~dir) in
   let live = read_if_present (journal_path ~dir) in
   let snap = read_if_present (snapshot_path ~dir) in
   let manager, header =
     match snap with
     | None -> (Manager.create (), None)
-    | Some text -> (
+    | Some text ->
         let header, body = parse_snapshot text in
-        try (Persist.load_from_string body, header)
-        with Persist.Corrupt e -> raise (Corrupt ("snapshot: " ^ e)))
+        (load_snapshot body, header)
+  in
+  let header_of text =
+    Option.bind (String.index_opt text '\n') (fun i ->
+        parse_header (String.sub text 0 i))
   in
   let covered, snap_epoch =
     match (header, retiring, live) with
     | Some (s, e), _, _ -> (s, e)
-    | None, Some first, _ | None, None, Some first ->
-        let b, _, _ = base_of_header first in
-        (b, 0)
+    | None, Some first, _ | None, None, Some first -> (
+        match header_of first with Some h -> (h.h_base, 0) | None -> (0, 0))
     | None, None, None -> (0, 0)
   in
-  let replay c = function
-    | None -> (None, c)
+  let replay_file (c, torn) = function
+    | None -> (c, torn)
     | Some text ->
-        let good, c = replay_segment manager c text in
-        (Some (text, good), c)
+        (* a segment's header carries the epoch state as of its switch *)
+        let c =
+          match header_of text with
+          | Some h when h.h_epoch >= c.epoch ->
+              { c with epoch = h.h_epoch; fenced = h.h_fenced }
+          | _ -> c
+        in
+        let good, c = replay manager c ~from:0 text in
+        (c, torn + torn_bytes text good)
   in
   let c = { covered; n = 0; last = covered; epoch = 0; fenced = false } in
-  let b_retiring, c = replay c retiring in
-  let b_live, c = replay c live in
+  let c, torn = replay_file (replay_file (c, 0) retiring) live in
   let c =
     if snap_epoch > c.epoch then { c with epoch = snap_epoch; fenced = false }
     else c
@@ -900,54 +953,169 @@ let rebuild ~dir =
   {
     b_manager = manager;
     b_from_snapshot = snap <> None;
-    b_retiring;
-    b_live;
     b_cursor = c;
+    b_truncated = torn;
+    b_layout = Legacy;
   }
+
+let legacy_files ~dir = [ retiring_path ~dir; snapshot_path ~dir ]
+
+(* The state the files hold.  The live segment is the one with the
+   higher generation among those whose head is whole; its snapshot is
+   loaded and its records replayed.  The other segment is only ever older
+   or a head that did not land, and falling back from a head that did not
+   land loses nothing acknowledged only while no record follows it: a
+   segment that is not a whole head but holds a record past the
+   recovered position raises.  Reads only. *)
+let rebuild ~dir =
+  let texts = Array.init 2 (fun i -> read_if_present (segment_path ~dir i)) in
+  let found =
+    Array.map (function None -> Blank | Some text -> classify text) texts
+  in
+  let gen i = match found.(i) with Segment s -> s.hdr.h_gen | _ -> -1 in
+  let best = if gen 1 > gen 0 then 1 else 0 in
+  let legacy = List.exists Sys.file_exists (legacy_files ~dir) in
+  let b =
+    match found.(best) with
+    | Segment s when s.hdr.h_gen > 0 || not legacy ->
+        let h = s.hdr in
+        let m =
+          match s.snapshot with
+          | None -> Manager.create ()
+          | Some body -> load_snapshot body
+        in
+        let c =
+          {
+            covered = h.h_base;
+            n = 0;
+            last = h.h_base;
+            epoch = h.h_epoch;
+            fenced = h.h_fenced;
+          }
+        in
+        let good, c = replay m c ~from:s.start s.text in
+        {
+          b_manager = m;
+          b_from_snapshot = s.snapshot <> None;
+          b_cursor = c;
+          b_truncated = torn_bytes s.text good;
+          b_layout = Live { idx = best; gen = h.h_gen; start = s.start; good };
+        }
+    | _ when legacy -> rebuild_legacy ~dir
+    | _ -> (
+        let unusable = function Unusable _ -> true | _ -> false in
+        match Array.find_opt unusable found with
+        | Some (Unusable why) -> raise (Corrupt why)
+        | _ ->
+            {
+              b_manager = Manager.create ();
+              b_from_snapshot = false;
+              b_cursor =
+                { covered = 0; n = 0; last = 0; epoch = 0; fenced = false };
+              b_truncated = 0;
+              b_layout = Fresh;
+            })
+  in
+  Array.iteri
+    (fun i f ->
+      let why = match f with Unusable why -> why | _ -> "no header" in
+      match (f, texts.(i)) with
+      | (Blank | Unusable _), Some text when b.b_layout <> Legacy -> (
+          match record_past text b.b_cursor.last with
+          | Some n ->
+              raise
+                (Corrupt
+                   (Printf.sprintf "%s: %s, yet it holds record %d past seq %d"
+                      (segment_path ~dir i) why n b.b_cursor.last))
+          | None -> ())
+      | _ -> ())
+    found;
+  b
+
+type recovery = {
+  manager : Manager.t;
+  journal : t;
+  from_snapshot : bool;
+  replayed : int;
+  truncated_bytes : int;
+}
+
+(* Write a whole segment file at [path] — [pieces], fsynced — for the
+   boot-time cases that make one: a fresh directory, or the legacy
+   import. *)
+let write_segment path pieces =
+  let fd =
+    Unix.openfile path [ Unix.O_RDWR; Unix.O_CREAT; Unix.O_TRUNC ] 0o644
+  in
+  Fun.protect
+    ~finally:(fun () -> Unix.close fd)
+    (fun () ->
+      List.iter (write_all fd) pieces;
+      Unix.fsync fd)
 
 let recover ?label ?(checkpoint_every = default_checkpoint_every)
     ?(checkpoint_bytes = default_checkpoint_bytes) ~dir () : recovery =
   mkdir_p dir;
   let b = rebuild ~dir in
   let c = b.b_cursor in
-  let fd, size, base, since =
-    match (b.b_retiring, b.b_live) with
-    | None, Some (text, good) ->
-        let fd = Unix.openfile (journal_path ~dir) [ Unix.O_RDWR ] 0o644 in
-        if good < String.length text then Unix.ftruncate fd good;
-        (fd, good, c.covered, c.n)
-    | retiring, _ ->
-        (* a fresh directory, or a checkpoint that was interrupted: finish
-           it.  The snapshot goes first — until it is durable,
-           journal.retiring holds records nothing else does — and a fresh
-           segment then replaces both journal files. *)
-        let interrupted = Option.is_some retiring in
-        if interrupted then
-          publish_snapshot ~dir
-            (write_snapshot_tmp ~dir ~seq:c.last ~epoch:c.epoch
-               (Buffer.contents (Persist.save_to_buffer b.b_manager)));
-        let h = header_for ~epoch:c.epoch ~fenced:c.fenced c.last in
-        let fd = fresh_segment ~dir h in
-        Unix.fsync fd;
-        fsync_dir dir;
-        if interrupted then Unix.unlink (retiring_path ~dir);
-        (fd, String.length h, c.last, 0)
+  (* live segment, its generation, head length, end of kept bytes, base,
+     records since the head *)
+  let idx, gen, start, good, base, since =
+    match b.b_layout with
+    | Live { idx; gen; start; good } -> (idx, gen, start, good, c.covered, c.n)
+    | Fresh ->
+        write_segment (journal_path ~dir) [ fresh_header ];
+        let n = String.length fresh_header in
+        (0, 0, n, n, 0, 0)
+    | Legacy ->
+        (* the import: the recovered state becomes the head of
+           journal.alt.  Until that is durable the legacy files still hold
+           the state, and a crash meanwhile imports again. *)
+        let pieces =
+          head_pieces ~base:c.last ~epoch:c.epoch ~fenced:c.fenced ~gen:1
+            (Buffer.contents (Persist.save_to_buffer b.b_manager))
+        in
+        write_segment (alt_path ~dir) pieces;
+        let n = List.fold_left (fun n p -> n + String.length p) 0 pieces in
+        (1, 1, n, n, c.last, 0)
   in
-  ignore (Unix.lseek fd 0 Unix.SEEK_END);
-  let torn = function
-    | Some (text, good) -> String.length text - good
-    | None -> 0
+  let live_kept = match b.b_layout with Live _ -> true | _ -> false in
+  let created = ref (not live_kept) in
+  let open_segment i =
+    let path = segment_path ~dir i in
+    if not (Sys.file_exists path) then created := true;
+    Unix.openfile path [ Unix.O_RDWR; Unix.O_CREAT ] 0o644
   in
+  let fd = open_segment idx and other = open_segment (1 - idx) in
+  if !created then fsync_dir dir;
+  (* legacy files left here are superseded by a durable head *)
+  (match
+     List.filter Sys.file_exists
+       (Filename.concat dir "snapshot.tmp" :: legacy_files ~dir)
+   with
+  | [] -> ()
+  | stale ->
+      List.iter Unix.unlink stale;
+      fsync_dir dir);
+  if live_kept && b.b_truncated > 0 then Unix.ftruncate fd good;
+  ignore (Unix.lseek fd good Unix.SEEK_SET);
   let journal =
     {
       dir;
+      live = idx;
       fd;
+      other;
+      other_end = (Unix.fstat other).Unix.st_size;
+      gen;
+      head = start;
+      head_durable = not live_kept;
       base;
       seq = c.last;
       since;
-      bytes = size;
+      bytes = good - start;
       epoch = c.epoch;
       was_fenced = c.fenced;
+      cache = Persist.render_cache ();
       checkpoint_every;
       checkpoint_bytes;
       group =
@@ -959,13 +1127,12 @@ let recover ?label ?(checkpoint_every = default_checkpoint_every)
           g_assigned = c.last;
           g_flushing = false;
           g_error = None;
-          g_ckpt = Idle;
           on_flush = ignore;
         };
       fp_write = labeled_site "journal.append.write" label;
       fp_fsync = labeled_site "journal.append.fsync" label;
-      fp_ckpt = labeled_site "journal.checkpoint.snapshot" label;
-      fp_retire = labeled_site "journal.checkpoint.retire" label;
+      fp_head = labeled_site "journal.checkpoint.snapshot" label;
+      fp_switch = labeled_site "journal.checkpoint.switch" label;
     }
   in
   {
@@ -973,8 +1140,16 @@ let recover ?label ?(checkpoint_every = default_checkpoint_every)
     journal;
     from_snapshot = b.b_from_snapshot;
     replayed = c.n;
-    truncated_bytes = torn b.b_retiring + torn b.b_live;
+    truncated_bytes = b.b_truncated;
   }
+
+let read_snapshot t =
+  if t.gen = 0 then None
+  else
+    match classify (read_range (live_path t) ~off:0 ~len:t.head) with
+    | Segment { snapshot; _ } -> snapshot
+    | Unusable why -> raise (Corrupt why)
+    | Blank -> None
 
 (* ------------------------------------------------------------------ *)
 (* Failover resync                                                     *)
@@ -986,23 +1161,22 @@ let orphaned_path ~dir = Filename.concat dir "journal.orphaned"
    records past the promoted node's seal — history the cluster has moved
    beyond.  Those records are never silently dropped: their exact bytes
    are appended to [journal.orphaned] (with a provenance comment) and only
-   then truncated out of the live journal.  Returns how many records were
-   orphaned.  Requires [seal >= base]; when the local snapshot already
-   covers past the seal the caller must orphan what the journal holds and
-   fall back to a full resync instead. *)
+   then truncated out of the live segment.  Returns how many records were
+   orphaned.  Requires [seal >= base]; when the live head already covers
+   past the seal the caller must orphan what the journal holds and fall
+   back to a full resync instead. *)
 let orphan_suffix t ~seal =
   if seal < t.base then
     invalid_arg
       (Printf.sprintf "Journal.orphan_suffix: seal %d below base %d" seal
          t.base);
-  settle t;
   drain t;
   let suffix =
     List.filter_map
       (function
         | Record (n, text), stop when n > seal -> Some (text, stop)
         | _ -> None)
-      (scan (read_file (journal_path ~dir:t.dir)))
+      (scan (read_range (live_path t) ~off:t.head ~len:t.bytes))
   in
   (match suffix with
   | [] -> ()
@@ -1022,9 +1196,10 @@ let orphan_suffix t ~seal =
         (fun () ->
           write_all ofd (Buffer.contents buf);
           Unix.fsync ofd);
-      Unix.ftruncate t.fd cut;
-      ignore (Unix.lseek t.fd 0 Unix.SEEK_END);
+      Unix.ftruncate t.fd (t.head + cut);
+      ignore (Unix.lseek t.fd (t.head + cut) Unix.SEEK_SET);
       Unix.fsync t.fd;
+      t.head_durable <- true;
       t.bytes <- cut;
       t.since <- min t.since (seal - t.base));
   if t.seq > seal then t.seq <- seal;
@@ -1032,10 +1207,8 @@ let orphan_suffix t ~seal =
   t.group.g_assigned <- t.seq;
   List.length suffix
 
-(* Rebuild a fresh manager from the on-disk snapshot + (possibly just
-   truncated) journal, without disturbing the journal handle: the resync
-   path's way to roll its in-memory state back to what the file now
-   holds. *)
-let reload t : Manager.t =
-  settle t;
-  (rebuild ~dir:t.dir).b_manager
+(* Rebuild a fresh manager from the segments as they stand now (the live
+   one possibly just truncated), without disturbing the journal handle:
+   the resync path's way to roll its in-memory state back to what the
+   files hold. *)
+let reload t : Manager.t = (rebuild ~dir:t.dir).b_manager

@@ -4,27 +4,44 @@
     base-fact delta plus its code registrations and the identifier
     counters, in {!Core.Persist}'s textual format — and the record is
     fsynced before the client is acknowledged.  Periodically the whole
-    manager state is checkpointed to a snapshot and the journal starts a
-    fresh segment; the journal alone decides when ({!maybe_checkpoint}),
-    from the caps it was recovered with.
+    manager state is checkpointed into the head of a fresh segment; the
+    journal alone decides when ({!maybe_checkpoint}), from the caps it was
+    recovered with.
 
-    A data directory holds [snapshot.gomdb], the live segment
-    [journal.log], and — only while a checkpoint is in flight, or after
-    one was interrupted — the segment it replaces, [journal.retiring].
-    The snapshot's first line names what it covers:
+    A data directory holds two segment files, [journal.log] and
+    [journal.alt], used in turn.  Each starts with a {e head}: a header
+    line, then the snapshot the segment's records follow.
     {v
-    # gomsm snapshot v1 seq <S> epoch <E> crc <hex>
+    # gomsm journal v1 base <B> epoch <E>[ fenced] gen <G> head <N>
+    # gomsm snapshot v1 seq <B> epoch <E> crc <hex>
+    <the Core.Persist.save text, which the CRC-32 covers>
     v}
-    followed by the {!Core.Persist.save} text, which the CRC-32 covers.  A
-    legacy snapshot without that line covers its journal header's [base].
+    [N] is the byte length of the snapshot line and text, so records start
+    [N] bytes past the header line; [G] counts the heads written in the
+    directory.  A segment that never carried a snapshot — a fresh
+    directory's [journal.log] — is its header line alone
+    ([# gomsm journal v1], generation 0, the empty state).  A checkpoint
+    writes a new head over the other segment, overwrites what older bytes
+    follow it with NULs, and switches: no fsync, rename, creation or
+    unlink.  The next flush makes the head durable, and the live segment
+    stays whole until then; a NUL run after the last record is free
+    space, not a torn tail.
 
-    On boot, {!recover} loads the snapshot (if any), replays
-    [journal.retiring] and then [journal.log] record by record — skipping
-    records the snapshot covers, so a sequence number is never reused —
-    and truncates a torn tail — a record without its matching [commit]
-    line, with a sequence gap, that {!parse_record} refuses, or whose
-    replay fails — so a [kill -9] between EES-ack and checkpoint loses
-    nothing that was acknowledged and nothing half-written survives.
+    On boot, {!recover} takes the segment with the higher generation among
+    those whose head is whole and passes its CRC, loads its snapshot and
+    replays its records — skipping records the head covers, so a
+    sequence number is never reused — and truncates a torn tail — a
+    record without its matching [commit] line, with a sequence gap, that
+    {!parse_record} refuses, or whose replay fails — so a [kill -9]
+    between EES-ack and checkpoint loses nothing that was acknowledged
+    and nothing half-written survives.  Falling back to the older segment
+    loses nothing acknowledged only while no record follows the newer
+    head, so a segment whose head is torn or fails its CRC but holds a
+    record past the recovered position raises {!Corrupt}.  A directory
+    written before heads existed — [snapshot.gomdb] beside [journal.log],
+    perhaps with [journal.retiring] — recovers the same state and is
+    converted once: its state becomes the head of [journal.alt], and the
+    old files go.
 
     Record format (one record per committed session):
     {v
@@ -43,7 +60,7 @@
     [fenced <e>] (this node was fenced by a peer's higher epoch) — fsynced
     like records and replayed on recovery, so both the epoch and the
     fenced verdict survive a restart.  Checkpoints fold the current epoch
-    (and the fenced flag) into the journal header.
+    (and the fenced flag) into the new head.
 
     The [crc] line is a CRC-32 (IEEE) over every record byte before it —
     [begin] through the last payload line, newlines included — so any
@@ -53,8 +70,8 @@
     replay.
 
     Sequence numbers are {e global}: they keep increasing across
-    checkpoints (the journal header records the sequence number the
-    snapshot covers), so a record's number identifies it for the lifetime
+    checkpoints (each head records the sequence number its snapshot
+    covers), so a record's number identifies it for the lifetime
     of the data directory.  The record stream doubles as the replication
     log — {!records_from} re-reads committed records verbatim for
     streaming to read replicas, and {!append_raw}/{!install_snapshot} are
@@ -91,11 +108,9 @@ val recover :
   unit ->
   recovery
 (** Open (creating if needed) the data directory and rebuild the manager:
-    snapshot, then journal replay, then tail truncation.  If
-    [journal.retiring] is still there, a checkpoint was interrupted:
-    recovery finishes it — a snapshot of the recovered state, then one
-    fresh [journal.log] — so the directory again holds one journal file.
-    The returned
+    the live head's snapshot, then replay of the records after it, then
+    tail truncation.  A directory in the layout before heads is imported
+    once here (see above).  The returned
     journal is positioned for appending.  With [label] (a tenant name) the
     durability failpoint sites are additionally consulted under
     [<site>#<label>] names, so fault injection can target one tenant.
@@ -103,10 +118,11 @@ val recover :
     [checkpoint_bytes] (default {!default_checkpoint_bytes}) are the caps
     {!maybe_checkpoint} applies: they govern this data directory whether
     a primary or a replica appends to it.
-    @raise Corrupt if the {e snapshot} is unreadable or fails its CRC, or
-    if the journal header's base sequence number no longer parses
-    (defaulting it would silently renumber the log); other journal damage
-    is repaired by truncation, never fatal. *)
+    @raise Corrupt if the live snapshot is unreadable, if a segment that
+    is not a whole head holds a record past the recovered position, or if
+    no segment is usable and a header no longer parses (defaulting its
+    base would silently renumber the log); other journal damage is
+    repaired by truncation, never fatal. *)
 
 val append :
   t ->
@@ -165,9 +181,8 @@ val set_flush_observer : t -> (int -> unit) -> unit
     threads. *)
 
 val in_flight : t -> bool
-(** Records enqueued (or mid-flush) but not yet durable, or a checkpoint
-    whose snapshot is still being written.  State digests and eviction
-    wait it out. *)
+(** Records enqueued (or mid-flush) but not yet durable.  State digests
+    and eviction wait it out. *)
 
 val drain : t -> unit
 (** Flush everything pending and wait out any in-flight batch; raises the
@@ -177,50 +192,39 @@ val drain : t -> unit
 
 (** {2 Checkpoints and positions}
 
-    A checkpoint has two halves.  Under the caller's exclusive section it
-    drains the batch writer, serializes the manager, renames [journal.log]
-    to [journal.retiring] and opens a fresh [journal.log] whose header
-    carries the covered sequence number and the epoch state; {!base} moves
-    to {!seq}.  Then a thread of its own, holding no broker lock, writes
-    the snapshot ([snapshot.tmp], fsynced, renamed, directory fsynced)
-    and unlinks [journal.retiring].  At most one checkpoint is in flight.
-
-    {b The settle rule.}  Every operation that reads or rewrites the
-    journal's files — {!checkpoint}, {!records_from}, {!read_snapshot},
-    {!orphan_suffix}, {!reload}, {!install_snapshot}, {!close} — first
-    waits for the checkpoint in flight ({!settle}), so none of them sees a
-    {!base} newer than the snapshot on disk.  If the background half
-    fails, the error is kept: the journal writes nothing more, the next
-    {!enqueue} or {!append_raw} raises it, and so does every {!settle}. *)
+    A checkpoint runs whole under the caller's exclusive section: it
+    drains the batch writer (the triggering commit's own fsync), renders
+    the manager — reusing the lines of every relation and code piece
+    unchanged since the previous head — writes the head over the other
+    segment and switches to it; {!base} moves to {!seq}.  If the live
+    head was never fsynced (no flush since boot or since the previous
+    switch), it is fsynced first, since it is what recovery falls back
+    on.  A failure poisons the journal: the live segment stays as it was,
+    nothing more is written, and the next {!enqueue} or {!append_raw}
+    raises the error. *)
 
 val checkpoint : t -> Core.Manager.t -> unit
-(** {!maybe_checkpoint}'s path, unconditionally, followed by {!settle}:
-    the snapshot is durable when it returns.  {!seq} is unchanged and
-    {!base} advances to it.
+(** {!maybe_checkpoint}'s path, unconditionally.  {!seq} is unchanged and
+    {!base} advances to it; the new head is durable with the next flush.
     @raise Invalid_argument if an evolution session is open. *)
 
 val maybe_checkpoint : t -> Core.Manager.t -> bool
-(** The one checkpoint rule: start a checkpoint when either cap given to
+(** The one checkpoint rule: checkpoint when either cap given to
     {!recover} is reached — {!since_checkpoint} at [checkpoint_every]
     records, or {!bytes} at [checkpoint_bytes] — and say whether it did.
-    Returns after the segment switch, leaving the snapshot write in
-    flight.  Every appender (the broker's commit, the replica's applier)
-    calls it after each record; the switch drains the pending batch, so
-    the record just enqueued is durable when it returns, even if it then
+    Every appender (the broker's commit, the replica's applier) calls it
+    after each record; the checkpoint drains the pending batch, so the
+    record just enqueued is durable when it returns, even if it then
     raises. *)
-
-val settle : t -> unit
-(** Wait for the checkpoint in flight, if any.  Raises the kept error of
-    a checkpoint whose background half failed. *)
 
 val seq : t -> int
 (** Global sequence number of the last committed record (0 on a fresh
     data directory; unchanged by checkpoints). *)
 
 val base : t -> int
-(** Global sequence number the current snapshot/journal-start covers:
-    records [base+1 .. seq] are in the journal file, records [<= base]
-    are only reachable through the snapshot. *)
+(** Global sequence number the live head covers: records [base+1 .. seq]
+    follow it in the live segment, records [<= base] are only reachable
+    through its snapshot. *)
 
 val since_checkpoint : t -> int
 (** Records appended since the last checkpoint (or boot). *)
@@ -244,7 +248,13 @@ val advance_epoch : t -> epoch:int -> fenced:bool -> unit
     above the current one, or equal with a different fenced verdict). *)
 
 val bytes : t -> int
-(** Current size of the journal file in bytes. *)
+(** Durable bytes after the live head: the records and markers appended
+    since the last checkpoint.  The byte cap counts these, so a base
+    larger than the cap does not checkpoint on every commit. *)
+
+val stored_bytes : dir:string -> int
+(** {!bytes} of the directory's journal, read from its files while no
+    journal has it open. *)
 
 val close : t -> unit
 
@@ -260,8 +270,8 @@ type parsed_record = {
 
 val records_from : t -> from:int -> (int * string) list
 (** Committed records with sequence numbers in [(from, seq t]], each as its
-    exact journal bytes (newline-terminated), oldest first, read from
-    [journal.log].  Empty when the
+    exact journal bytes (newline-terminated), oldest first, read from the
+    live segment.  Empty when the
     subscriber is caught up; a subscriber whose [from] predates {!base}
     must bootstrap from the snapshot instead.  Only the [begin]/[commit]
     bracket is read, so no fact is decoded. *)
@@ -295,29 +305,39 @@ val orphan_suffix : t -> seal:int -> int
     above [seal] — history past the promoted node's seal, which the
     cluster has moved beyond — into [journal.orphaned] (exact bytes, with
     a provenance comment, appended and fsynced), then truncate them out of
-    the live journal and rewind {!seq} to [seal].  Returns the number of
+    the live segment and rewind {!seq} to [seal].  Returns the number of
     records orphaned; never drops them silently.
-    @raise Invalid_argument if [seal < base t] (the snapshot already
+    @raise Invalid_argument if [seal < base t] (the live head already
     covers past the seal; the caller must full-resync instead). *)
 
 val reload : t -> Core.Manager.t
-(** Rebuild a fresh manager from the on-disk snapshot + journal as they
-    stand now, leaving the journal handle untouched: how a resync rolls
-    its in-memory state back after {!orphan_suffix}. *)
+(** Rebuild a fresh manager from the segments as they stand now, leaving
+    the journal handle untouched: how a resync rolls its in-memory state
+    back after {!orphan_suffix}. *)
 
 val orphaned_path : dir:string -> string
 
 val install_snapshot : t -> seq:int -> text:string -> unit
-(** The replica's bootstrap: the checkpoint's segment switch to a fresh
-    journal covering sequence number [seq], then its snapshot write with
-    [text] (the {!Core.Persist.save} text) under a header naming [seq] —
-    both before returning. *)
+(** The replica's bootstrap (or its reset, with [seq] 0): the
+    checkpoint's switch to a head holding [text] (the
+    {!Core.Persist.save} text) and covering sequence number [seq], fsynced
+    before returning. *)
 
 val read_snapshot : t -> string option
-(** The current snapshot's {!Core.Persist.save} text — without its header
-    line — if a checkpoint exists.
-    @raise Corrupt if the snapshot fails its CRC. *)
+(** The live head's {!Core.Persist.save} text — without its snapshot
+    line — if the live segment has a head.
+    @raise Corrupt if the head fails its CRC. *)
 
 val journal_path : dir:string -> string
+(** The first segment file, [journal.log]: the live one in a fresh
+    directory. *)
+
+val alt_path : dir:string -> string
+(** The second segment file, [journal.alt]. *)
+
+val live_path : t -> string
+(** The segment file the journal appends to. *)
+
 val retiring_path : dir:string -> string
 val snapshot_path : dir:string -> string
+(** The files of the layout before heads, which {!recover} imports. *)

@@ -167,9 +167,7 @@ let evict_for_room_locked t =
       let in_flight e =
         (* a journal batch awaiting its fsync: the committer already
            released the writer slot, but closing the journal under the
-           flush would lose acknowledgment-pending records; or a
-           checkpoint still writing its snapshot, which closing would
-           wait out under the registry lock *)
+           flush would lose acknowledgment-pending records *)
         match Broker.journal e.e_broker with
         | Some j -> Journal.in_flight j
         | None -> false
@@ -409,11 +407,7 @@ let stat t name =
                 (* only reachable with a data dir: in-memory databases are
                    always open *)
                 let dir = Option.get (dir_of t name) in
-                let jbytes =
-                  match Unix.stat (Journal.journal_path ~dir) with
-                  | s -> s.Unix.st_size
-                  | exception Unix.Unix_error _ -> 0
-                in
+                let jbytes = Journal.stored_bytes ~dir in
                 Ok
                   ([
                      "name " ^ name;

@@ -707,6 +707,49 @@ let prop_stmt_print_parse_roundtrip =
       | [ Ast.Set_code (_, _, _, parsed) ] -> parsed = normalize_stmt body
       | _ -> false)
 
+(* Property: a string literal as the AST printer writes it (OCaml's
+   escapes) lexes back to the same bytes, whatever they are — so a method
+   body survives the journal and the snapshot, which re-lex it. *)
+let prop_string_literal_print_lex =
+  QCheck.Test.make ~count:500 ~name:"string literals survive print then lex"
+    QCheck.string
+    (fun s ->
+      match Lexer.tokenize (Fmt.str "%a" Ast.pp_expr (Ast.String_lit s)) with
+      | [ { Token.tok = Token.STRING s'; _ }; { Token.tok = Token.EOF; _ } ] ->
+          s' = s
+      | _ -> false)
+
+let test_lexer_escapes_beyond_newline () =
+  let lexed src =
+    match Lexer.tokenize src with
+    | { Token.tok = Token.STRING s; _ } :: _ -> s
+    | _ -> Alcotest.fail "expected string token"
+  in
+  check_string "tab, return, decimal escapes" "caf\xc3\xa9\t\r"
+    (lexed {|"caf\195\169\t\r"|});
+  check_string "quote and backslash" "a\"b\\" (lexed {|"a\"b\\"|});
+  match Lexer.tokenize {|"\q"|} with
+  | exception Lexer.Error (msg, _, _) ->
+      check_bool "names the escape" true
+        (String.length msg >= 10 && String.sub msg 0 10 = "bad escape")
+  | _ -> Alcotest.fail "an unknown escape was accepted"
+
+(* An integer literal past [max_int] is a lexer error, which the command
+   grammar reports as a syntax error, not an internal failure. *)
+let test_lexer_integer_out_of_range () =
+  (match Lexer.tokenize "x := 99999999999999999999;" with
+  | exception Lexer.Error (msg, 1, 6) ->
+      check_string "message" "integer literal out of range: 99999999999999999999"
+        msg
+  | exception Lexer.Error (_, l, c) -> Alcotest.failf "wrong position %d:%d" l c
+  | _ -> Alcotest.fail "an oversized integer lexed");
+  match
+    Analyzer.parse_commands
+      "set code of f of T is begin return 99999999999999999999; end;"
+  with
+  | exception Analyzer.Syntax_error _ -> ()
+  | _ -> Alcotest.fail "an oversized integer parsed"
+
 let qcheck = QCheck_alcotest.to_alcotest
 
 let suite =
@@ -717,6 +760,11 @@ let suite =
         Alcotest.test_case "comments" `Quick test_lexer_comments;
         Alcotest.test_case "operators" `Quick test_lexer_operators;
         Alcotest.test_case "string escapes" `Quick test_lexer_string_escape;
+        Alcotest.test_case "escapes beyond newline" `Quick
+          test_lexer_escapes_beyond_newline;
+        Alcotest.test_case "integer out of range" `Quick
+          test_lexer_integer_out_of_range;
+        qcheck prop_string_literal_print_lex;
         Alcotest.test_case "error position" `Quick test_lexer_error_position;
       ] );
     ( "analyzer.parser",

@@ -1142,6 +1142,187 @@ let prop_dump_lines_match_sprintf =
       && Persist.(Buffer.contents (save_to_buffer (load_from_string text)))
          = text)
 
+module Fact_set = Set.Make (Datalog.Fact)
+
+let sprintf_encode_value (v : Value.t) =
+  match v with
+  | Value.Null -> "null"
+  | Value.Int i -> Printf.sprintf "int %d" i
+  | Value.Float f -> Printf.sprintf "float %h" f
+  | Value.Str s -> Printf.sprintf "str %S" s
+  | Value.Bool b -> Printf.sprintf "bool %b" b
+  | Value.Enum (tid, name) -> Printf.sprintf "enum %S %S" tid name
+  | Value.Obj oid -> Printf.sprintf "obj %S" oid
+
+(* The render from scratch, as it was before the cache: the whole base
+   sorted by [Fact.compare], the built-ins filtered through one set,
+   every code body printed afresh.  The oracle of the reusing render. *)
+let scratch_render (m : Manager.t) =
+  let buf = Buffer.create 4096 in
+  Buffer.add_string buf "# gomsm database dump v1\n";
+  let g = Manager.ids m in
+  Printf.bprintf buf "ids %d %d %d %d %d %d\n" g.Gom.Ids.schemas g.Gom.Ids.types
+    g.Gom.Ids.decls g.Gom.Ids.codes g.Gom.Ids.phreps g.Gom.Ids.objects;
+  let facts =
+    List.sort Datalog.Fact.compare
+      (Datalog.Database.all_facts (Manager.database m))
+  in
+  let builtins = Fact_set.of_list (Gom.Builtin.facts ()) in
+  List.iter
+    (fun f ->
+      if not (Fact_set.mem f builtins) then
+        Printf.bprintf buf "fact %s\n" (Persist.encode_fact f))
+    facts;
+  let name (c : Datalog.Term.const) =
+    match c with Datalog.Term.Sym s -> [ s.Datalog.Term.name ] | _ -> []
+  in
+  let cids =
+    List.concat_map
+      (fun (f : Datalog.Fact.t) ->
+        match (f.Datalog.Fact.pred, f.Datalog.Fact.args) with
+        | "Code", [| c; _; _ |] | "FashionDecl", [| _; _; c |] -> name c
+        | "FashionAttr", [| _; _; _; r; w |] when name r <> [] && name w <> [] ->
+            name r @ name w
+        | _ -> [])
+      facts
+    |> List.sort_uniq String.compare
+  in
+  List.iter
+    (fun cid ->
+      match Manager.lookup_code m cid with
+      | None -> ()
+      | Some (params, body) ->
+          Printf.bprintf buf "code %s\n" (Persist.encode_code ~cid ~params ~body))
+    cids;
+  let rt = Manager.runtime m in
+  let store = Runtime.store rt in
+  Printf.bprintf buf "store_next %d\n" (Runtime.Object_store.counter store);
+  let objs = ref [] in
+  Runtime.Object_store.iter store (fun o -> objs := o :: !objs);
+  List.iter
+    (fun (o : Runtime.Object_store.obj) ->
+      let oid = o.Runtime.Object_store.oid in
+      Printf.bprintf buf "object %S %S\n" oid o.Runtime.Object_store.tid;
+      List.iter
+        (fun a ->
+          match Runtime.Object_store.get_slot o a with
+          | Some v -> Printf.bprintf buf "slot %S %S %s\n" oid a (sprintf_encode_value v)
+          | None -> ())
+        (List.sort compare (Runtime.Object_store.slot_names o)))
+    (List.sort
+       (fun a b -> compare a.Runtime.Object_store.oid b.Runtime.Object_store.oid)
+       !objs);
+  Hashtbl.iter
+    (fun n v -> Printf.bprintf buf "global %S %s\n" n (sprintf_encode_value v))
+    rt.Runtime.globals;
+  Buffer.contents buf
+
+(* What a random script does between checkpoints. *)
+type render_op =
+  | Add_fact of string * int  (* predicate, argument *)
+  | Del_fact of int  (* the nth fact of P, if any *)
+  | Clear_p
+  | Evolve of int  (* an attribute added through a session *)
+  | Redefine of int * string  (* the nth code piece returns this string *)
+  | Slot of float
+  | Global of string * string
+  | Checkpoint
+
+let render_op_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (4, map2 (fun p i -> Add_fact (p, i)) (oneofl [ "P"; "Q"; "Attr" ]) small_nat);
+        (2, map (fun i -> Del_fact i) small_nat);
+        (1, return Clear_p);
+        (1, map (fun i -> Evolve i) small_nat);
+        (2, map2 (fun i s -> Redefine (i, s)) small_nat spelling);
+        (1, map (fun f -> Slot f) float);
+        (1, map2 (fun n v -> Global (n, v)) spelling spelling);
+        (3, return Checkpoint);
+      ])
+
+(* Property: rendering through one cache across many checkpoints gives the
+   bytes of a render from scratch, and of the cacheless render ([save]),
+   whatever changed in between: facts added and deleted, a relation
+   cleared, sessions, code redefined, slots and globals set. *)
+let prop_cached_render_matches_scratch =
+  QCheck.Test.make ~count:40 ~name:"reusing render = render from scratch"
+    QCheck.(make Gen.(list_size (int_range 1 25) render_op_gen))
+    (fun ops ->
+      let m = manager_with_cars () in
+      let rt, _, _, city, _ = make_car m in
+      let db = Manager.database m in
+      let cache = Persist.render_cache () in
+      let agree () =
+        let cached = Buffer.contents (Persist.save_to_buffer ~cache m) in
+        cached = scratch_render m
+        && cached = Buffer.contents (Persist.save_to_buffer m)
+      in
+      let cids () =
+        List.filter_map
+          (fun (f : Datalog.Fact.t) ->
+            match f.Datalog.Fact.args.(0) with
+            | Datalog.Term.Sym s -> Some s.Datalog.Term.name
+            | _ -> None)
+          (Datalog.Database.facts db "Code")
+        |> List.sort String.compare
+      in
+      let step ok op =
+        ok
+        &&
+        match op with
+        | Add_fact (p, i) ->
+            ignore
+              (Datalog.Database.add db
+                 (Datalog.Fact.make p
+                    [ Datalog.Term.symc (string_of_int i); Datalog.Term.Int i; Datalog.Term.symc "x" ]));
+            true
+        | Del_fact i -> (
+            match Datalog.Database.facts db "P" with
+            | [] -> true
+            | fs ->
+                ignore (Datalog.Database.remove db (List.nth fs (i mod List.length fs)));
+                true)
+        | Clear_p ->
+            Datalog.Database.clear_pred db "P";
+            true
+        | Evolve i ->
+            Manager.begin_session m;
+            (try
+               Manager.run_commands m
+                 (Printf.sprintf "add attribute extra%d : int to Car@CarSchema;" i)
+             with _ -> ());
+            (match Manager.end_session m with
+            | Manager.Consistent -> ()
+            | Manager.Inconsistent _ -> Manager.rollback m);
+            true
+        | Redefine (i, text) -> (
+            match cids () with
+            | [] -> true
+            | cs ->
+                let cid = List.nth cs (i mod List.length cs) in
+                let params =
+                  match Manager.lookup_code m cid with Some (p, _) -> p | None -> []
+                in
+                Manager.begin_session m;
+                Manager.register_code m cid params
+                  (Analyzer.Ast.Block
+                     [ Analyzer.Ast.Return (Some (Analyzer.Ast.String_lit text)) ]);
+                (match Manager.end_session m with
+                | Manager.Consistent -> ()
+                | Manager.Inconsistent _ -> Manager.rollback m);
+                true)
+        | Slot f ->
+            Runtime.set rt city ~attr:"longi" ~value:(Value.Float f);
+            true
+        | Global (n, v) ->
+            Runtime.set_global rt n (Value.Str v);
+            true
+        | Checkpoint -> agree ()
+      in
+      agree () && List.fold_left step true ops && agree ())
+
 let test_persist_file_roundtrip () =
   let m = manager_with_cars () in
   let path = Filename.temp_file "gomsm" ".db" in
@@ -1224,6 +1405,7 @@ let suite =
         qcheck prop_fact_encoding_matches_sprintf;
         qcheck prop_fact_decode_inverts_encode;
         qcheck prop_dump_lines_match_sprintf;
+        qcheck prop_cached_render_matches_scratch;
       ] );
     ( "core.maintained",
       [

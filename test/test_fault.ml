@@ -62,6 +62,41 @@ let test_crc32_vectors () =
   check_bool "negative rejected" true (Crc32.of_decimal "-1" = None);
   check_bool "overflow rejected" true (Crc32.of_decimal "4294967296" = None)
 
+(* The reference: CRC-32 one bit at a time, straight from the polynomial,
+   with no table. *)
+let bitwise_crc32 s =
+  let crc = ref 0xFFFFFFFF in
+  String.iter
+    (fun ch ->
+      crc := !crc lxor Char.code ch;
+      for _ = 1 to 8 do
+        crc :=
+          if !crc land 1 <> 0 then (!crc lsr 1) lxor 0xEDB88320 else !crc lsr 1
+      done)
+    s;
+  Int32.of_int (!crc lxor 0xFFFFFFFF)
+
+(* Property: the sliced, streaming CRC equals the bitwise reference over
+   arbitrary bytes, however the input is cut into [update_string] chunks. *)
+let prop_crc32_matches_bitwise =
+  QCheck.Test.make ~count:500 ~name:"crc32 = bitwise reference, any chunking"
+    QCheck.(pair string (small_list small_nat))
+    (fun (s, cuts) ->
+      let n = String.length s in
+      let cuts =
+        List.sort_uniq compare (List.map (fun c -> if n = 0 then 0 else c mod (n + 1)) cuts)
+      in
+      let crc, last =
+        List.fold_left
+          (fun (crc, from) cut ->
+            (Crc32.update_string crc (String.sub s from (cut - from)), cut))
+          (Crc32.init, 0) cuts
+      in
+      let streamed =
+        Crc32.finish (Crc32.update_string crc (String.sub s last (n - last)))
+      in
+      streamed = bitwise_crc32 s && Crc32.string s = streamed)
+
 let test_crc32_single_bit_flips () =
   let s = "begin 3\nids 1 2 3 4 5 6\nadd attr(t, a, d)\n" in
   let reference = Crc32.string s in
@@ -399,6 +434,7 @@ let suite =
           test_crc32_vectors;
         Alcotest.test_case "every single-bit flip detected" `Quick
           test_crc32_single_bit_flips;
+        QCheck_alcotest.to_alcotest prop_crc32_matches_bitwise;
       ] );
     ( "fault.failpoint",
       [

@@ -219,6 +219,47 @@ let test_uncovered_lines_refused () =
   Journal.close j;
   Journal.close r.Journal.journal
 
+(* A method whose string literal holds non-ASCII bytes, a tab and a
+   carriage return keeps its body through a replica's apply of the
+   [code] record, a checkpoint's head, a recovery from that head, and a
+   replica's bootstrap from it: each re-lexes the printed body. *)
+let test_literals_survive_the_journal () =
+  let pdir = fresh_dir () and rdir = fresh_dir () in
+  let b, j = journaled_broker pdir in
+  let literal = {|"caf\195\169\t\r"|} in
+  commit b 1 zoo_frame;
+  commit b 1
+    ("schema Shop is type Item is [ label : string; ] operations declare \
+      greet : () -> string; implementation define greet() is begin return \
+      \"caf\xc3\xa9\\t\\r\"; end greet; end type Item; end schema Shop;");
+  let primary = dump_of (Broker.manager b) in
+  check_bool "the body holds the literal" true (contains primary literal);
+  (* a replica applies the code record *)
+  let r = Journal.recover ~dir:rdir () in
+  let replica =
+    Broker.create ~journal:r.Journal.journal ~read_only:"primary:0"
+      ~metrics:(Metrics.create ()) r.Journal.manager
+  in
+  let applier = Applier.create replica in
+  List.iter
+    (fun (seq, text) -> Applier.apply_record applier ~seq ~text)
+    (Journal.records_from j ~from:0);
+  check_string "replica applied the same body" primary
+    (dump_of (Broker.manager replica));
+  (* a checkpoint renders it into the head; recovery re-lexes it *)
+  Journal.checkpoint j (Broker.manager b);
+  let snapshot = Option.get (Journal.read_snapshot j) in
+  Journal.close j;
+  let r2 = Journal.recover ~dir:pdir () in
+  check_bool "recovered from the head" true r2.Journal.from_snapshot;
+  check_string "recovered the same body" primary (dump_of r2.Journal.manager);
+  Journal.close r2.Journal.journal;
+  (* a replica bootstrapping from that head *)
+  Applier.install_snapshot applier ~seq:2 ~text:snapshot;
+  check_string "bootstrapped the same body" primary
+    (dump_of (Broker.manager replica));
+  Journal.close r.Journal.journal
+
 let test_install_snapshot () =
   let dir1 = fresh_dir () and dir2 = fresh_dir () in
   let b, j1 = journaled_broker ~checkpoint_every:1 dir1 in
@@ -315,11 +356,43 @@ let test_bytes_cap_checkpoints () =
   commit b 1 zoo_frame;
   check_int "checkpointed by size" 1
     (Metrics.counter (Broker.metrics b) "checkpoints");
-  (* the snapshot is written behind the commit *)
-  Journal.settle j;
-  check_bool "snapshot written" true
-    (Sys.file_exists (Journal.snapshot_path ~dir));
+  (* the snapshot heads the other segment, written inside the commit *)
+  check_string "switched segments" (Journal.alt_path ~dir) (Journal.live_path j);
+  check_bool "snapshot written" true (Journal.read_snapshot j <> None);
   check_int "journal reset" 0 (Journal.since_checkpoint j);
+  check_int "no record bytes after the head" 0 (Journal.bytes j);
+  Journal.close j
+
+(* The byte cap counts the records after a head, not the head: a base
+   larger than the cap checkpoints when its records reach the cap, not on
+   every commit. *)
+let test_bytes_cap_counts_records () =
+  let dir = fresh_dir () in
+  let cap = 1500 in
+  let b, j = journaled_broker ~checkpoint_every:1000 ~checkpoint_bytes:cap dir in
+  commit b 1
+    (Printf.sprintf
+       "schema Zoo is type Animal is [ %s ] end type Animal; end schema Zoo;"
+       (String.concat " "
+          (List.init 40 (Printf.sprintf "attribute_number_%d : int;"))));
+  let checkpoints () = Metrics.counter (Broker.metrics b) "checkpoints" in
+  check_int "the large first record checkpoints" 1 (checkpoints ());
+  let head = String.length (Option.get (Journal.read_snapshot j)) in
+  check_bool (Printf.sprintf "the head (%d bytes) exceeds the cap" head) true
+    (head > cap);
+  let small = ref 0 in
+  while Journal.bytes j + 400 < cap && !small < 10 do
+    incr small;
+    commit b 1 (Printf.sprintf "add attribute extra%d : int to Animal@Zoo;" !small)
+  done;
+  check_bool "several small commits" true (!small >= 2);
+  check_int "none of them checkpointed" 1 (checkpoints ());
+  check_int "their records count" !small (Journal.since_checkpoint j);
+  while checkpoints () = 1 && !small < 40 do
+    incr small;
+    commit b 1 (Printf.sprintf "add attribute extra%d : int to Animal@Zoo;" !small)
+  done;
+  check_int "the cap reached by records checkpoints" 0 (Journal.bytes j);
   Journal.close j
 
 let test_read_only_refuses_writers () =
@@ -833,11 +906,15 @@ let suite =
           test_uncovered_lines_refused;
         Alcotest.test_case "install_snapshot bootstraps" `Quick
           test_install_snapshot;
+        Alcotest.test_case "string literals survive the journal" `Quick
+          test_literals_survive_the_journal;
       ] );
     ( "replica.broker",
       [
         Alcotest.test_case "bytes cap forces checkpoint" `Quick
           test_bytes_cap_checkpoints;
+        Alcotest.test_case "bytes cap counts records, not the head" `Quick
+          test_bytes_cap_counts_records;
         Alcotest.test_case "read-only broker refuses writers" `Quick
           test_read_only_refuses_writers;
         Alcotest.test_case "disconnect rollback counted" `Quick

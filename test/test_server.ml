@@ -635,26 +635,32 @@ let test_legacy_crc_less_journal_replays () =
 
 let test_checkpoint_snapshots_and_resets () =
   let dir = fresh_dir () in
-  (* checkpoint_every = 1: every commit snapshots *)
+  (* checkpoint_every = 1: every commit checkpoints *)
   let b, _, dump2 = run_scenario ~checkpoint_every:1 dir in
-  (* the last snapshot is still being written behind the commit *)
-  Journal.settle (Option.get (Broker.journal b));
-  check_bool "snapshot exists" true (Sys.file_exists (Journal.snapshot_path ~dir));
-  let jtext = read_file (Journal.journal_path ~dir) in
-  check_bool "journal reset to header" true (String.length jtext < 32);
+  let j = Option.get (Broker.journal b) in
+  (* the second checkpoint's head went back into journal.log, over the
+     first segment's bytes, with no record after it and no other file *)
+  check_string "segments used in turn" (Journal.journal_path ~dir)
+    (Journal.live_path j);
+  check_bool "the head covers seq 2" true
+    (String.starts_with ~prefix:"# gomsm journal v1 base 2 epoch 0 gen 2 head "
+       (read_file (Journal.live_path j)));
+  check_int "journal reset to its head" 0 (Journal.bytes j);
+  check_bool "no snapshot file" false
+    (Sys.file_exists (Journal.snapshot_path ~dir));
   check_int "checkpoints counted" 2
     (Metrics.counter (Broker.metrics b) "checkpoints");
   let r = Journal.recover ~dir () in
   check_bool "from snapshot" true r.Journal.from_snapshot;
   check_int "nothing to replay" 0 r.Journal.replayed;
+  check_int "nothing truncated" 0 r.Journal.truncated_bytes;
   check_string "exact state" dump2 (dump_of r.Journal.manager)
 
-(* A crash between a checkpoint's snapshot rename and its journal switch,
-   staged by hand: the old journal.log, holding records 1-4, is put back
-   beside the snapshot that covers them.  Recovery must skip the covered
-   records, not replay record 2 over the later state (where it no longer
-   applies, so the rest would be cut as a torn tail and sequence numbers
-   2-4 reused). *)
+(* The older segment, holding records 1-4, stays beside the head that
+   covers them (staged here by writing it back by hand).  Recovery must
+   take the head, not replay record 2 over the later state (where it no
+   longer applies, so the rest would be cut as a torn tail and sequence
+   numbers 2-4 reused). *)
 let test_recovery_skips_what_the_snapshot_covers () =
   let dir = fresh_dir () in
   let r = Journal.recover ~dir () in
@@ -706,42 +712,358 @@ let test_recovery_from_retiring_alone () =
   check_int "seq after restart" 2 (Journal.seq r.Journal.journal);
   Journal.close r.Journal.journal
 
-(* One flipped bit in the snapshot body fails its CRC: recovery refuses
-   rather than start from a damaged base. *)
+let commit_line b line =
+  expect_ok "bes" (Broker.handle b ~client:1 Protocol.Bes);
+  expect_ok line (Broker.handle b ~client:1 (Protocol.Script_line line));
+  expect_ok "ees" (Broker.handle b ~client:1 Protocol.Ees)
+
+(* One flipped bit in a head that acknowledged records follow fails its
+   CRC: recovery refuses rather than fall back to the older segment,
+   which lacks those records. *)
 let test_snapshot_bit_flip_raises () =
   let dir = fresh_dir () in
   let b, _, _ = run_scenario dir in
   let j = Option.get (Broker.journal b) in
   Journal.checkpoint j (Broker.manager b);
+  commit_line b "add type Keeper to Zoo;";
   Journal.close j;
-  let path = Journal.snapshot_path ~dir in
+  let path = Journal.live_path j in
   let text = Bytes.of_string (read_file path) in
-  let off = String.index (Bytes.to_string text) '\n' + 20 in
+  (* a byte inside the snapshot text, past the header and snapshot lines *)
+  let second = String.index_from (Bytes.to_string text) 0 '\n' + 1 in
+  let off = String.index_from (Bytes.to_string text) second '\n' + 20 in
   Bytes.set text off (Char.chr (Char.code (Bytes.get text off) lxor 1));
   write_file path (Bytes.to_string text);
   match Journal.recover ~dir () with
   | exception Journal.Corrupt reason ->
-      check_bool "names the crc" true (contains reason "crc")
-  | _ -> Alcotest.fail "recover accepted a snapshot with a flipped bit"
+      check_bool "names the crc" true (contains reason "crc");
+      check_bool "names the record" true (contains reason "record 3")
+  | _ -> Alcotest.fail "recover accepted a head with a flipped bit"
 
-(* A snapshot written before the header line existed covers its journal
-   header's base, as it always did. *)
-let test_legacy_snapshot_recovers () =
+(* The other side of that rule: a head that did not land whole, with no
+   record after it, loses nothing acknowledged, so recovery takes the
+   older segment, which holds the same state. *)
+let test_torn_head_falls_back () =
   let dir = fresh_dir () in
   let b, _, dump2 = run_scenario dir in
   let j = Option.get (Broker.journal b) in
   Journal.checkpoint j (Broker.manager b);
   Journal.close j;
-  let path = Journal.snapshot_path ~dir in
+  let path = Journal.live_path j in
   let text = read_file path in
-  let nl = String.index text '\n' in
-  write_file path (String.sub text (nl + 1) (String.length text - nl - 1));
+  let len = String.length text in
+  let flipped =
+    let t = Bytes.of_string text in
+    Bytes.set t (len - 5) (Char.chr (Char.code text.[len - 5] lxor 4));
+    Bytes.to_string t
+  in
+  List.iter
+    (fun (what, damaged) ->
+      write_file path damaged;
+      let r = Journal.recover ~dir () in
+      check_bool (what ^ ": from the older segment") false
+        r.Journal.from_snapshot;
+      check_int (what ^ ": seq") 2 (Journal.seq r.Journal.journal);
+      check_string (what ^ ": same state") dump2 (dump_of r.Journal.manager);
+      Journal.close r.Journal.journal)
+    ([ ("bit flip", flipped) ]
+    @ List.map
+        (fun cut -> (Printf.sprintf "cut at %d" cut, String.sub text 0 cut))
+        [ 0; 10; 40; 90; len / 2; len - 1 ]);
+  (* the segment it fell back to goes on: a commit and a checkpoint *)
+  write_file path (String.sub text 0 (len / 2));
+  let r = Journal.recover ~dir () in
+  let j = r.Journal.journal in
+  let b =
+    Broker.create ~journal:j ~acquire_timeout:0.05
+      ~metrics:(Metrics.create ()) r.Journal.manager
+  in
+  commit_line b "add type Keeper to Zoo;";
+  Journal.checkpoint j (Broker.manager b);
+  let dump3 = dump_of (Broker.manager b) in
+  Journal.close j;
+  let r = Journal.recover ~dir () in
+  check_int "numbering continued" 3 (Journal.seq r.Journal.journal);
+  check_string "state continued" dump3 (dump_of r.Journal.manager);
+  Journal.close r.Journal.journal
+
+(* A head written over an older, longer segment leaves NULs, not the old
+   records and markers, between its end and the old end of the file: no
+   stale line can be replayed after the records that follow the head. *)
+let test_switch_overwrites_stale_bytes () =
+  let dir = fresh_dir () in
+  let r = Journal.recover ~dir () in
+  let j = r.Journal.journal in
+  let b =
+    Broker.create ~journal:j ~acquire_timeout:0.05
+      ~metrics:(Metrics.create ()) r.Journal.manager
+  in
+  commit_line b zoo_frame;
+  for i = 1 to 12 do
+    commit_line b (Printf.sprintf "add attribute stale%d : int to Animal@Zoo;" i);
+    commit_line b (Printf.sprintf "delete attribute stale%d from Animal@Zoo;" i)
+  done;
+  Journal.checkpoint j (Broker.manager b);
+  let old = read_file (Journal.journal_path ~dir) in
+  commit_line b "add type Keeper to Zoo;";
+  Journal.checkpoint j (Broker.manager b);
+  check_string "back in journal.log" (Journal.journal_path ~dir) (Journal.live_path j);
+  let text = read_file (Journal.journal_path ~dir) in
+  let head_end =
+    let line = String.sub text 0 (String.index text '\n') in
+    let n = List.hd (List.rev (String.split_on_char ' ' line)) in
+    String.index text '\n' + 1 + int_of_string n
+  in
+  check_bool "the old segment outran the head" true (String.length old > head_end);
+  check_int "the file keeps its size" (String.length old) (String.length text);
+  check_bool "NULs past the head" true
+    (String.for_all (( = ) '\000')
+       (String.sub text head_end (String.length text - head_end)));
+  commit_line b "add attribute badge : int to Keeper@Zoo;";
+  let dump = dump_of (Broker.manager b) in
+  Journal.close j;
+  let r = Journal.recover ~dir () in
+  check_int "the record past the head replayed" 1 r.Journal.replayed;
+  check_int "the NUL run is no torn tail" 0 r.Journal.truncated_bytes;
+  check_string "state" dump (dump_of r.Journal.manager);
+  Journal.close r.Journal.journal
+
+(* One whole session; [true] iff it was acknowledged.  A failed [ees]
+   leaves nothing open behind it. *)
+let try_commit b line =
+  let ok (r : Protocol.response) = r.Protocol.status = Protocol.Ok in
+  ok (Broker.handle b ~client:1 Protocol.Bes)
+  &&
+  (ignore (Broker.handle b ~client:1 (Protocol.Script_line line));
+   let acked = ok (Broker.handle b ~client:1 Protocol.Ees) in
+   if not acked then ignore (Broker.handle b ~client:1 Protocol.Rollback);
+   acked)
+
+(* A checkpoint crashed at each point of its switch: before the head is
+   written, partway through it, with the head written but the switch
+   refused, after the switch but before the next flush (the head in the
+   page cache, lost, or torn on the way to the disk), and after that
+   flush.  The second checkpoint is the one crashed, so its head lands
+   over an older segment's records.  After each crash: no acknowledged
+   commit lost, no unacknowledged one visible, and [seq] where the last
+   durable record left it; numbering then continues across a restart. *)
+let test_checkpoint_crash_matrix () =
+  let line i = Printf.sprintf "add attribute crash%d : int to Animal@Zoo;" i in
+  let leg what ?(arm = "") ?(fail_next = false) ?(on_disk = fun ~old:_ cur -> cur) () =
+    Failpoint.clear ();
+    let dir = fresh_dir () in
+    let r = Journal.recover ~checkpoint_every:2 ~dir () in
+    let j = r.Journal.journal in
+    let b =
+      Broker.create ~journal:j ~acquire_timeout:0.05
+        ~metrics:(Metrics.create ()) r.Journal.manager
+    in
+    let outcomes = ref [] in
+    let attempt i text =
+      let before = Journal.seq j in
+      let acked = try_commit b text in
+      let durable = Journal.seq j > before in
+      if acked && not durable then
+        Alcotest.failf "%s: commit %d acked without a durable record" what i;
+      outcomes := (i, durable) :: !outcomes
+    in
+    attempt 0 zoo_frame;
+    attempt 1 (line 1);
+    attempt 2 (line 2);
+    (* the first checkpoint made journal.alt live; the next one writes
+       journal.log, as it stands before that checkpoint *)
+    let old = read_file (Journal.journal_path ~dir) in
+    if arm <> "" then Failpoint.configure arm;
+    attempt 3 (line 3);
+    if arm <> "" then
+      check_bool (what ^ ": the failpoint fired") true
+        (List.exists (fun s -> Failpoint.fired (Failpoint.define s) > 0)
+           [ "journal.checkpoint.snapshot"; "journal.checkpoint.switch" ]);
+    if fail_next then Failpoint.configure "journal.append.write=eio@from:1";
+    attempt 4 (line 4);
+    Failpoint.clear ();
+    let position = Journal.seq j in
+    if fail_next then
+      check_int (what ^ ": nothing durable after the head") 4 position;
+    (* the crash: the journal is abandoned, the files left as the disk
+       holds them *)
+    let path = Journal.journal_path ~dir in
+    write_file path (on_disk ~old (read_file path));
+    let r = Journal.recover ~dir () in
+    let j2 = r.Journal.journal in
+    check_int (what ^ ": recovered seq") position (Journal.seq j2);
+    let d = dump_of r.Journal.manager in
+    List.iter
+      (fun (i, durable) ->
+        let visible = i = 0 || contains d (Printf.sprintf "crash%d" i) in
+        if durable && not visible then
+          Alcotest.failf "%s: durable commit %d lost" what i
+        else if (not durable) && visible then
+          Alcotest.failf "%s: commit %d visible without a durable record" what i)
+      !outcomes;
+    let b2 =
+      Broker.create ~journal:j2 ~acquire_timeout:0.05
+        ~metrics:(Metrics.create ()) r.Journal.manager
+    in
+    check_bool (what ^ ": commit after recovery") true (try_commit b2 (line 9));
+    check_int (what ^ ": numbered next") (position + 1) (Journal.seq j2);
+    let d2 = dump_of r.Journal.manager in
+    Journal.close j2;
+    let r3 = Journal.recover ~dir () in
+    check_int (what ^ ": seq after restart") (position + 1)
+      (Journal.seq r3.Journal.journal);
+    check_string (what ^ ": state after restart") d2 (dump_of r3.Journal.manager);
+    Journal.close r3.Journal.journal
+  in
+  leg "before the head" ~arm:"journal.checkpoint.snapshot=eio@nth:2" ();
+  List.iter
+    (fun k ->
+      leg
+        (Printf.sprintf "partial head, %d bytes" k)
+        ~arm:(Printf.sprintf "journal.checkpoint.snapshot=partial:%d@nth:2" k)
+        ())
+    [ 0; 5; 18; 19; 30; 70; 150; 600 ];
+  leg "switch refused" ~arm:"journal.checkpoint.switch=eio@nth:2" ();
+  leg "before the next flush" ~fail_next:true ();
+  leg "before the next flush, head lost" ~fail_next:true
+    ~on_disk:(fun ~old _ -> old)
+    ();
+  List.iter
+    (fun k ->
+      leg
+        (Printf.sprintf "before the next flush, head torn at %d" k)
+        ~fail_next:true
+        ~on_disk:(fun ~old cur ->
+          let k = min k (String.length cur) in
+          String.sub cur 0 k
+          ^
+          if String.length old > k then
+            String.sub old k (String.length old - k)
+          else "")
+        ())
+    [ 10; 60; 200; 1000 ];
+  leg "after the next flush" ()
+
+(* The layout before heads, staged by hand: a snapshot written before its
+   header line existed covers its journal header's base, as it always
+   did, and the directory is converted on the way. *)
+let test_legacy_snapshot_recovers () =
+  let src = fresh_dir () in
+  let b, _, dump2 = run_scenario src in
+  let body = Buffer.contents (Core.Persist.save_to_buffer (Broker.manager b)) in
+  Broker.close b;
+  let dir = fresh_dir () in
+  Unix.mkdir dir 0o755;
+  write_file (Journal.snapshot_path ~dir) body;
+  write_file (Journal.journal_path ~dir) "# gomsm journal v1 base 2\n";
   let r = Journal.recover ~dir () in
   check_bool "from snapshot" true r.Journal.from_snapshot;
   check_int "seq" 2 (Journal.seq r.Journal.journal);
   check_int "base" 2 (Journal.base r.Journal.journal);
   check_string "exact state" dump2 (dump_of r.Journal.manager);
+  check_bool "snapshot file imported" false
+    (Sys.file_exists (Journal.snapshot_path ~dir));
+  Journal.close r.Journal.journal;
+  let r = Journal.recover ~dir () in
+  check_bool "from its head" true r.Journal.from_snapshot;
+  check_int "seq after restart" 2 (Journal.seq r.Journal.journal);
+  check_string "same state" dump2 (dump_of r.Journal.manager);
   Journal.close r.Journal.journal
+
+(* Every layout a data directory could be left in before heads existed
+   recovers the state it held, is converted once to segments with heads,
+   and then recovers from its head alone. *)
+let test_legacy_directories_convert () =
+  let src = fresh_dir () in
+  let r = Journal.recover ~dir:src () in
+  let j = r.Journal.journal in
+  let b =
+    Broker.create ~journal:j ~acquire_timeout:0.05
+      ~metrics:(Metrics.create ()) r.Journal.manager
+  in
+  List.iter (commit_line b)
+    [
+      zoo_frame;
+      "add attribute name : string to Animal@Zoo;";
+      "add type Keeper to Zoo;";
+      "add attribute badge : int to Keeper@Zoo;";
+    ];
+  let records = Journal.records_from j ~from:0 in
+  let dump4 = dump_of (Broker.manager b) in
+  Journal.close j;
+  let m2 = Manager.create () in
+  List.iter
+    (fun (n, text) ->
+      if n <= 2 then
+        check_bool "applies" true
+          (Journal.apply_record m2 (Journal.parse_record text)))
+    records;
+  let body2 = Buffer.contents (Core.Persist.save_to_buffer m2) in
+  let headed =
+    Printf.sprintf "# gomsm snapshot v1 seq 2 epoch 0 crc %s\n"
+      (Fault.Crc32.to_hex (Fault.Crc32.string body2))
+    ^ body2
+  in
+  let recs lo hi =
+    String.concat ""
+      (List.filter_map
+         (fun (n, text) -> if n > lo && n <= hi then Some text else None)
+         records)
+  in
+  let crc_less text =
+    String.split_on_char '\n' text
+    |> List.filter (fun l -> not (String.starts_with ~prefix:"crc " l))
+    |> String.concat "\n"
+  in
+  let header base = Printf.sprintf "# gomsm journal v1 base %d\n" base in
+  let snapshot = Journal.snapshot_path and log = Journal.journal_path in
+  let retiring = Journal.retiring_path in
+  List.iter
+    (fun (what, files, replayed) ->
+      let dir = fresh_dir () in
+      Unix.mkdir dir 0o755;
+      List.iter (fun (path, text) -> write_file (path ~dir) text) files;
+      let r = Journal.recover ~dir () in
+      let j = r.Journal.journal in
+      check_int (what ^ ": seq") 4 (Journal.seq j);
+      check_int (what ^ ": replayed") replayed r.Journal.replayed;
+      check_string (what ^ ": state") dump4 (dump_of r.Journal.manager);
+      check_bool (what ^ ": legacy files gone") false
+        (List.exists
+           (fun p -> Sys.file_exists (p ~dir))
+           [ snapshot; retiring ]);
+      check_string (what ^ ": the head is live") (Journal.alt_path ~dir)
+        (Journal.live_path j);
+      Journal.close j;
+      let r = Journal.recover ~dir () in
+      check_bool (what ^ ": from the head") true r.Journal.from_snapshot;
+      check_int (what ^ ": nothing to replay") 0 r.Journal.replayed;
+      check_string (what ^ ": state after restart") dump4
+        (dump_of r.Journal.manager);
+      let b =
+        Broker.create ~journal:r.Journal.journal ~acquire_timeout:0.05
+          ~metrics:(Metrics.create ()) r.Journal.manager
+      in
+      commit_line b "add attribute wing : int to Animal@Zoo;";
+      check_int (what ^ ": numbering continues") 5 (Journal.seq r.Journal.journal);
+      Journal.close r.Journal.journal)
+    [
+      ("snapshot and journal.log", [ (snapshot, headed); (log, header 2 ^ recs 2 4) ], 2);
+      ( "header-less snapshot",
+        [ (snapshot, body2); (log, header 2 ^ recs 2 4) ],
+        2 );
+      ( "checkpoint in flight",
+        [
+          (snapshot, headed);
+          (retiring, header 2 ^ recs 2 3);
+          (log, header 3 ^ recs 3 4);
+        ],
+        2 );
+      ("journal.retiring alone", [ (retiring, "# gomsm journal v1\n" ^ recs 0 4) ], 4);
+      ( "crc-less records",
+        [ (snapshot, headed); (log, header 2 ^ crc_less (recs 2 4)) ],
+        2 );
+    ]
 
 let test_recovered_ids_do_not_collide () =
   let dir = fresh_dir () in
@@ -1483,6 +1805,14 @@ let suite =
           test_snapshot_bit_flip_raises;
         Alcotest.test_case "legacy snapshot recovers" `Quick
           test_legacy_snapshot_recovers;
+        Alcotest.test_case "legacy directories convert" `Quick
+          test_legacy_directories_convert;
+        Alcotest.test_case "torn head falls back to the older segment" `Quick
+          test_torn_head_falls_back;
+        Alcotest.test_case "checkpoint crash matrix" `Quick
+          test_checkpoint_crash_matrix;
+        Alcotest.test_case "switch overwrites stale bytes with NULs" `Quick
+          test_switch_overwrites_stale_bytes;
         qcheck prop_journal_bytes_match_sprintf;
       ] );
     ( "server.concurrency",

@@ -93,16 +93,17 @@ let commit b ~client lines =
 
 let fired_of site = Failpoint.fired (Failpoint.define site)
 
-(* The snapshot write fails on the checkpoint's own thread, after the
-   switch drained the triggering commit's record: that commit is durable
-   and must be acked; the poisoned journal refuses the next one. *)
+(* The head write fails after the checkpoint drained the triggering
+   commit's record: that commit is durable and must be acked; the
+   poisoned journal refuses the next one. *)
 let started_failing_checkpoint ~site ~metrics checkpoints_before =
   site = "journal.checkpoint.snapshot"
   && Metrics.counter metrics "checkpoints" > checkpoints_before
 
-(* An in-process crash: the abandoned journal's checkpoint thread would
-   live on, unlike a killed process's, so let it end first. *)
-let crash j = try Journal.settle j with _ -> ()
+(* An in-process crash: the abandoned journal is left as it stands, its
+   files as a killed process leaves them (a checkpoint runs whole inside
+   the commit, so nothing of it outlives the call). *)
+let crash (_ : Journal.t) = ()
 
 (* ------------------------------------------------------------------ *)
 (* Scenario A: storage failpoints x workload x crash-and-recover       *)
@@ -1075,18 +1076,20 @@ let scenario_g () =
     ~durable:false ()
 
 (* ------------------------------------------------------------------ *)
-(* Scenario H: checkpoints off the commit path.  A checkpoint's
-   background half is crashed at both ends — before the snapshot rename,
-   and between that rename and the unlink of journal.retiring — and then
-   a daemon is killed -9 while concurrent committers run across a
-   checkpoint held in flight.  After each crash: no acked loss, no unacked
-   visibility, [seq] never regresses, and a replica that resubscribes
-   converges on the primary's digest. *)
+(* Scenario H: checkpoints that switch segments inside the commit.  A
+   checkpoint is crashed at each point of its switch — before its head is
+   written, partway through the head, with the head written but the
+   switch refused, and after the switch but before the next flush — and
+   then a daemon is killed -9 while concurrent committers run across
+   checkpoints slowed at the switch.  After each crash: no acked loss, no
+   unacked visibility, [seq] never regresses, and a replica that
+   resubscribes converges on the primary's digest. *)
 (* ------------------------------------------------------------------ *)
 
-(* In process: the failpoint stops the checkpoint thread where a crash
-   would, so the files are left as the crash leaves them. *)
-let h_crash_leg spec =
+(* In process: the failpoint stops the checkpoint (or the flush after
+   it) where a crash would, so the files are left as the crash leaves
+   them.  [switched] says whether the crash came after the switch. *)
+let h_crash_leg ~switched spec =
   Failpoint.clear ();
   Failpoint.configure spec;
   let site =
@@ -1116,14 +1119,12 @@ let h_crash_leg spec =
   crash j;
   check (fired_of site > 0) "H: [%s] the failpoint never fired" spec;
   check
-    (Sys.file_exists (Journal.retiring_path ~dir))
-    "H: [%s] the interrupted checkpoint left no journal.retiring" spec;
+    ((Journal.live_path j = Journal.alt_path ~dir) = switched)
+    "H: [%s] the crash did not come %s the switch" spec
+    (if switched then "after" else "before");
   Failpoint.clear ();
   let r2 = Journal.recover ~dir () in
   let j2 = r2.Journal.journal in
-  check
-    (not (Sys.file_exists (Journal.retiring_path ~dir)))
-    "H: [%s] recovery did not finish the interrupted checkpoint" spec;
   check
     (Journal.seq j2 = position)
     "H: [%s] recovered seq %d, the crashed journal was at %d" spec
@@ -1182,14 +1183,15 @@ let h_commit port line =
                     | Protocol.Err reason -> `Failed reason))
           with _ -> `Unknown)
 
-(* Against real processes: kill -9 must take the checkpoint thread too. *)
+(* Against real processes: kill -9 lands while checkpoints, slowed
+   between their head write and their switch, hold the commit path. *)
 let h_kill_leg () =
   let root = fresh_dir () in
   Unix.mkdir root 0o755;
   let path f = Filename.concat root f in
   let pdata = path "pdata" in
   let serve ~log extra =
-    g_spawn ~failpoints:"journal.checkpoint.snapshot=delay:0.05" ~log
+    g_spawn ~failpoints:"journal.checkpoint.switch=delay:0.05" ~log
       ([
          "serve"; "--data"; pdata; "--port-file"; path "pport";
          "--checkpoint-every"; "4"; "--acquire-timeout"; "10";
@@ -1222,17 +1224,19 @@ let h_kill_leg () =
             done)
           ())
   in
-  (* kill while a checkpoint is in flight: its old segment is on disk *)
-  let retiring = Journal.retiring_path ~dir:pdata in
-  wait_until "H: a checkpoint in flight after 12 acks" (fun () ->
-      Atomic.get acked >= 12 && Sys.file_exists retiring);
+  (* kill once checkpoints have switched segments: both files hold heads
+     or records *)
+  let alt = Journal.alt_path ~dir:pdata in
+  wait_until "H: a checkpoint's head written after 12 acks" (fun () ->
+      Atomic.get acked >= 12
+      && match Unix.stat alt with s -> s.Unix.st_size > 0 | exception _ -> false);
   Unix.kill ppid Sys.sigkill;
   ignore (Unix.waitpid [] ppid);
-  let in_flight = Sys.file_exists retiring in
   List.iter Thread.join workers;
   let replica_seq = g_health_int rport "seq" in
   let r = Journal.recover ~dir:pdata () in
   let position = Journal.seq r.Journal.journal in
+  let base = Journal.base r.Journal.journal in
   let n_acked = Atomic.get acked in
   check (position >= n_acked) "H: recovered seq %d below %d acked commits"
     position n_acked;
@@ -1275,15 +1279,18 @@ let h_kill_leg () =
   Unix.kill rpid Sys.sigkill;
   ignore (Unix.waitpid [] ppid2);
   ignore (Unix.waitpid [] rpid);
-  note "H: kill -9 at seq %d (%d acked, checkpoint %s), recovered, replica \
+  note "H: kill -9 at seq %d (%d acked, base %d), recovered, replica \
         converged at seq %d"
-    position n_acked
-    (if in_flight then "in flight" else "already finished")
-    (position + 1)
+    position n_acked base (position + 1)
 
 let scenario_h () =
-  h_crash_leg "journal.checkpoint.snapshot=eio@nth:1";
-  h_crash_leg "journal.checkpoint.retire=eio@nth:1";
+  h_crash_leg ~switched:false "journal.checkpoint.snapshot=eio@nth:1";
+  (* the second checkpoint's head lands over the first segment's records *)
+  h_crash_leg ~switched:true "journal.checkpoint.snapshot=partial:60@nth:2";
+  h_crash_leg ~switched:false "journal.checkpoint.switch=eio@nth:1";
+  (* commit 3 triggers the checkpoint; commit 4's write is the flush
+     that would have made the new head durable *)
+  h_crash_leg ~switched:true "journal.append.write=eio@nth:4";
   h_kill_leg ()
 
 (* ------------------------------------------------------------------ *)
