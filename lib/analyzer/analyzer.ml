@@ -57,10 +57,10 @@ let analyze_commands ?lookup_code (db : Datalog.Database.t) (ids : Gom.Ids.gen)
     commands;
   }
 
-(* Analyze already-parsed commands. *)
-let analyze_parsed ?lookup_code (db : Datalog.Database.t) (ids : Gom.Ids.gen)
-    (commands : Ast.command list) : result =
-  let env = Translate.create ?lookup_code db ids in
+(* Analyze already-parsed commands, over [db] with [deltas] applied. *)
+let analyze_parsed ?lookup_code ?deltas (db : Datalog.Database.t)
+    (ids : Gom.Ids.gen) (commands : Ast.command list) : result =
+  let env = Translate.create ?lookup_code ?deltas db ids in
   List.iter (Translate.translate_command env) commands;
   {
     delta = Translate.delta env;

@@ -23,9 +23,12 @@ type env = {
       (* previously registered code, for Copy_type *)
 }
 
-let create ?(lookup_code = fun _ -> None) (db : Database.t) (ids : Ids.gen) =
+let create ?(lookup_code = fun _ -> None) ?(deltas = []) (db : Database.t)
+    (ids : Ids.gen) =
+  let work = Database.copy db in
+  List.iter (fun d -> ignore (Delta.apply work d)) deltas;
   {
-    work = Database.copy db;
+    work;
     ids;
     additions = [];
     deletions = [];

@@ -10,10 +10,14 @@ type env
 
 val create :
   ?lookup_code:(string -> (string list * Ast.stmt) option) ->
+  ?deltas:Datalog.Delta.t list ->
   Datalog.Database.t ->
   Gom.Ids.gen ->
   env
-(** The database is copied; the generator is shared (advanced in place). *)
+(** The database is copied, and [deltas] (default none) are applied to the
+    copy in order: changes not yet in the database, such as an evolution
+    session's earlier commands.  The generator is shared (advanced in
+    place). *)
 
 val delta : env -> Datalog.Delta.t
 val diagnostics : env -> string list

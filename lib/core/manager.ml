@@ -27,7 +27,8 @@ exception Session_open
 type session = {
   mutable log : Delta.t list;  (* effective deltas, newest first *)
   mutable diags : string list;  (* analyzer diagnostics, newest first *)
-  code_snapshot : (string, string list * Ast.stmt) Hashtbl.t;
+  code_before : (string, (string list * Ast.stmt) option) Hashtbl.t;
+      (* each code id the session bound: its binding before the first *)
   store_snapshot : Object_store.t;
   globals_snapshot : (string * Value.t) list;
   ids_snapshot : Ids.gen;
@@ -170,16 +171,6 @@ let in_session t = t.session <> None
 (* Sessions                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let copy_ids (g : Ids.gen) : Ids.gen =
-  {
-    Ids.schemas = g.Ids.schemas;
-    types = g.Ids.types;
-    decls = g.Ids.decls;
-    codes = g.Ids.codes;
-    phreps = g.Ids.phreps;
-    objects = g.Ids.objects;
-  }
-
 let begin_session t =
   if t.session <> None then raise Session_open;
   let rt = runtime t in
@@ -188,11 +179,11 @@ let begin_session t =
       {
         log = [];
         diags = [];
-        code_snapshot = Hashtbl.copy t.code;
+        code_before = Hashtbl.create 8;
         store_snapshot = Object_store.snapshot (Runtime.store rt);
         globals_snapshot =
           Hashtbl.fold (fun k v acc -> (k, v) :: acc) rt.Runtime.globals [];
-        ids_snapshot = copy_ids t.ids;
+        ids_snapshot = Ids.copy t.ids;
       }
 
 let current_session t =
@@ -230,23 +221,30 @@ let session_delta t =
 
 let session_diagnostics t = List.rev (current_session t).diags
 
-(* Code registrations made since BES: the table diffed against the session
-   snapshot.  (The AST is pure data, so structural comparison is exact.) *)
+(* Bind code in the open session, logging the binding it replaces on the
+   session's first change to [cid]. *)
+let bind_code t cid code =
+  let s = current_session t in
+  if not (Hashtbl.mem s.code_before cid) then
+    Hashtbl.add s.code_before cid (Hashtbl.find_opt t.code cid);
+  Hashtbl.replace t.code cid code
+
+(* Code registrations made since BES: the logged code ids whose binding
+   differs from the one before the session.  (The AST is pure data, so
+   structural comparison is exact.) *)
 let session_code_changes t =
   let s = current_session t in
   Hashtbl.fold
-    (fun cid code acc ->
-      match Hashtbl.find_opt s.code_snapshot cid with
-      | Some old when old = code -> acc
-      | Some _ | None -> (cid, code) :: acc)
-    t.code []
+    (fun cid before acc ->
+      let code = Hashtbl.find t.code cid in
+      if before = Some code then acc else (cid, code) :: acc)
+    s.code_before []
   |> List.sort (fun (a, _) (b, _) -> compare a b)
 
 (* Register analyzer results into the open session. *)
 let absorb t (r : Analyzer.result) =
   let s = current_session t in
-  List.iter (fun (cid, code) -> Hashtbl.replace t.code cid code)
-    r.Analyzer.code_asts;
+  List.iter (fun (cid, code) -> bind_code t cid code) r.Analyzer.code_asts;
   s.diags <- List.rev_append r.Analyzer.diagnostics s.diags;
   ignore (modify t r.Analyzer.delta)
 
@@ -280,9 +278,7 @@ let propose t (delta : Delta.t) = ignore (modify t delta)
 
 (* Register (or replace) interpretable code under a cid; used by complex
    evolution operators that rewrite method bodies. *)
-let register_code t cid params body =
-  ignore (current_session t);
-  Hashtbl.replace t.code cid (params, body)
+let register_code t cid params body = bind_code t cid (params, body)
 
 (* ------------------------------------------------------------------ *)
 (* Checking and repairs                                                *)
@@ -305,11 +301,11 @@ let materialized t : Database.t = Incremental.materialized (whole t)
    state while reads keep it: one that nothing has read since the previous
    session check is dropped here, so a manager that mostly commits stops
    maintaining the whole program.  Otherwise the first time a key is
-   needed the cone is evaluated from scratch over a copy of the base and
-   nothing is kept.  When the next check needs the same key, the cone is
-   evaluated in place over the base and kept: from then on every delta
-   maintains it ({!apply_delta}) and a check with that key evaluates
-   nothing.  Needing another key drops it. *)
+   needed the cone is evaluated from scratch beside the base, which it
+   only reads, and nothing is kept.  When the next check needs the same
+   key, the cone is evaluated in place over the base and kept: from then
+   on every delta maintains it ({!apply_delta}) and a check with that key
+   evaluates nothing.  Needing another key drops it. *)
 let cone_violations t delta =
   (match t.derived with
   | Some (Whole _) when not t.read -> t.derived <- None
@@ -453,20 +449,18 @@ let execute_repair t ?fill (repair : Repair.t) : unit =
 let rollback t =
   let s = current_session t in
   List.iter (fun d -> ignore (apply_delta t (Delta.invert d))) s.log;
-  Hashtbl.reset t.code;
-  Hashtbl.iter (Hashtbl.replace t.code) s.code_snapshot;
+  Hashtbl.iter
+    (fun cid before ->
+      match before with
+      | Some code -> Hashtbl.replace t.code cid code
+      | None -> Hashtbl.remove t.code cid)
+    s.code_before;
   let rt = runtime t in
   Object_store.restore (Runtime.store rt) ~from:s.store_snapshot;
   Hashtbl.reset rt.Runtime.globals;
   List.iter (fun (k, v) -> Hashtbl.replace rt.Runtime.globals k v)
     s.globals_snapshot;
-  let g = s.ids_snapshot in
-  t.ids.Ids.schemas <- g.Ids.schemas;
-  t.ids.Ids.types <- g.Ids.types;
-  t.ids.Ids.decls <- g.Ids.decls;
-  t.ids.Ids.codes <- g.Ids.codes;
-  t.ids.Ids.phreps <- g.Ids.phreps;
-  t.ids.Ids.objects <- g.Ids.objects;
+  Ids.assign ~into:t.ids s.ids_snapshot;
   t.session <- None
 
 (* EES: check; on success the session ends, otherwise it stays open and the

@@ -53,10 +53,10 @@ val create :
     - otherwise, at most the rule cone of the affected constraints is
       kept: those whose base predicates a session changed, keyed by the
       theory revision and their names.  A key seen for the first time is
-      evaluated from scratch over a copy of the base, leaving nothing
-      behind; when the next session check needs the same key, the cone is
-      evaluated in place and retained, so a check with that key evaluates
-      nothing.  A check with another key drops it.
+      evaluated from scratch beside the base, which it only reads,
+      leaving nothing behind; when the next session check needs the same
+      key, the cone is evaluated in place and retained, so a check with
+      that key evaluates nothing.  A check with another key drops it.
     A theory change drops either shape.  Verdicts do not depend on which
     shape is live. *)
 

@@ -297,6 +297,11 @@ let code_ids db =
         | _ -> ());
   List.sort_uniq String.compare !cids
 
+let code_pieces m =
+  List.filter_map
+    (fun cid -> Option.map (fun c -> (cid, c)) (Manager.lookup_code m cid))
+    (code_ids (Manager.database m))
+
 (* The one render: [save] and [load]'s inverse, the daemon's snapshot
    heads, a replica's bootstrap text.  Facts come out relation by
    relation in predicate order, each relation sorted — the order
@@ -321,11 +326,8 @@ let save_to_buffer ?cache (m : Manager.t) : Buffer.t =
         (Database.relation_opt db pred))
     (List.sort String.compare (Database.predicates db));
   List.iter
-    (fun cid ->
-      Option.iter
-        (fun binding -> Buffer.add_string buf (code_text cache cid binding))
-        (Manager.lookup_code m cid))
-    (code_ids db);
+    (fun (cid, binding) -> Buffer.add_string buf (code_text cache cid binding))
+    (code_pieces m);
   (* the object base *)
   let rt = Manager.runtime m in
   Printf.bprintf buf "store_next %d\n"

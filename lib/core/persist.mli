@@ -27,6 +27,12 @@ val encode_code :
 val decode_code : string -> string * string list * Analyzer.Ast.stmt
 (** Inverse of {!encode_code}. @raise Corrupt on malformed input. *)
 
+val code_pieces :
+  Manager.t -> (string * (string list * Analyzer.Ast.stmt)) list
+(** The code pieces a dump carries, sorted by code id: those the [Code]
+    and fashion facts name.  The code table can hold more (pieces no fact
+    names); a dump, and so a snapshot, leaves those out. *)
+
 val save : Manager.t -> path:string -> unit
 (** @raise Invalid_argument if an evolution session is open. *)
 

@@ -5,9 +5,10 @@
    deletions with a stratified delete-and-rederive (DRed) algorithm, over
    either the whole theory or only the rule cone of some constraints.
 
-   - [check_affected]: materialize, from scratch over a copy of the base,
-     only the rule cone of the constraints that transitively depend on a
-     changed base predicate, and read their violations.
+   - [check_affected]: materialize, from scratch beside the base (shared
+     read-only: only derived relations are written), only the rule cone of
+     the constraints that transitively depend on a changed base predicate,
+     and read their violations.
 
    - a maintained [state], kept in step by [apply].  Per stratum: (1)
      overestimate deletions by firing rule variants where one positive
@@ -82,7 +83,8 @@ let check_affected (theory : Theory.t) (edb : Database.t) ~(delta : Delta.t) :
   with
   | [] -> []
   | affected ->
-      violations ~only:affected (init ~rules:(cone theory affected) theory edb)
+      violations ~only:affected
+        (init ~copy:false ~rules:(cone theory affected) theory edb)
 
 let edb state = state.edb
 let materialized state = state.materialized

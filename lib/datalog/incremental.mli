@@ -10,10 +10,12 @@ val cone : Theory.t -> Constraint_compile.compiled list -> Rule.t list
 
 val check_affected :
   Theory.t -> Database.t -> delta:Delta.t -> Checker.violation list
-(** Materialize from scratch, over a copy of the base, only the {!cone} of
-    the constraints that transitively depend on a predicate changed by
-    [delta], and report only their violations: a copying {!init}
-    [~rules] plus {!violations} [~only].  [delta] is assumed already
+(** Materialize from scratch only the {!cone} of the constraints that
+    transitively depend on a predicate changed by [delta], and report only
+    their violations: {!init} [~copy:false ~rules] plus {!violations}
+    [~only].  The materialization writes only derived relations; the base
+    relations are shared and only read, so the database's tuples and
+    relation versions are left as they were.  [delta] is assumed already
     applied to the database. *)
 
 val init : ?copy:bool -> ?rules:Rule.t list -> Theory.t -> Database.t -> state

@@ -155,7 +155,9 @@ let tokenize (src : string) : token list =
 
 (* ------------------------------------------------------------------ *)
 
-type state = { mutable toks : token list }
+(* [sym] makes a term's symbol constant: interning for rules and
+   formulas, {!Term.query_scope} for a client's query. *)
+type state = { mutable toks : token list; sym : string -> Term.const }
 
 let peek st = match st.toks with t :: _ -> t | [] -> TEOF
 
@@ -171,12 +173,9 @@ let parse_term st : Term.t =
   | TVar v ->
       advance st;
       Term.var v
-  | TIdent s ->
+  | TIdent s | TQuoted s ->
       advance st;
-      Term.sym s
-  | TQuoted s ->
-      advance st;
-      Term.sym s
+      Term.Const (st.sym s)
   | TInt i ->
       advance st;
       Term.int i
@@ -317,7 +316,7 @@ and parse_unary st : Formula.t =
   | _ -> parse_atomic st
 
 let formula (src : string) : Formula.t =
-  let st = { toks = tokenize src } in
+  let st = { toks = tokenize src; sym = Term.symc } in
   let f = parse_formula st in
   if peek st = TDot then advance st;
   if peek st <> TEOF then raise (Error "trailing input after formula");
@@ -350,7 +349,7 @@ let parse_body st =
   go []
 
 let rule (src : string) : Rule.t =
-  let st = { toks = tokenize src } in
+  let st = { toks = tokenize src; sym = Term.symc } in
   let head =
     match parse_atomic st with
     | Formula.Atom a -> a
@@ -367,8 +366,7 @@ let rule (src : string) : Rule.t =
   if peek st <> TEOF then raise (Error "trailing input after rule");
   Rule.make head body
 
-let query_tokens toks : Rule.literal list =
-  let st = { toks } in
+let parse_query st : Rule.literal list =
   let body = parse_body st in
   (match peek st with
   | TDot | TQuestion -> advance st
@@ -376,7 +374,10 @@ let query_tokens toks : Rule.literal list =
   if peek st <> TEOF then raise (Error "trailing input after query");
   body
 
-let query (src : string) : Rule.literal list = query_tokens (tokenize src)
+let query_tokens toks = parse_query { toks; sym = Term.query_scope () }
+
+let query (src : string) : Rule.literal list =
+  parse_query { toks = tokenize src; sym = Term.symc }
 
 (* A query's shape: its token stream with every constant that a parse
    makes a term replaced by a slot.  A constant directly before '(' is
@@ -386,6 +387,7 @@ let query (src : string) : Rule.literal list = query_tokens (tokenize src)
    (which no word contains) or, for a kept quoted symbol, its length and
    text: no two token streams share a key. *)
 let query_shape (toks : token list) : string * Term.const array =
+  let sym = Term.query_scope () in
   let key = Buffer.create 64 in
   let consts = ref [] in
   let add_word tag w =
@@ -402,7 +404,7 @@ let query_shape (toks : token list) : string * Term.const array =
     | t :: rest ->
         let before_paren = match rest with TLparen :: _ -> true | _ -> false in
         (match t with
-        | (TIdent w | TQuoted w) when not before_paren -> slot (Term.symc w)
+        | (TIdent w | TQuoted w) when not before_paren -> slot (sym w)
         | TInt i when not before_paren -> slot (Term.Int i)
         | TIdent w -> add_word 'i' w
         | TQuoted q ->

@@ -50,10 +50,12 @@ val formula : string -> Formula.t
 
 val rule : string -> Rule.t
 val query : string -> Rule.literal list
-(** @raise Error on syntax errors. *)
+(** Its constants are interned, like a rule's.
+    @raise Error on syntax errors. *)
 
 val query_tokens : token list -> Rule.literal list
-(** {!query} of an already tokenized text. *)
+(** {!query} of an already tokenized text, for a client's query: its
+    constants intern nothing ({!Term.query_scope}). *)
 
 val query_shape : token list -> string * Term.const array
 (** A query's shape key and its constants: the token stream with every
@@ -61,4 +63,5 @@ val query_shape : token list -> string * Term.const array
     replaced by a slot, and those constants in text order.  Texts with
     equal keys parse to the same literals up to the constants of their
     slots, so a query prepared for one text serves every text of its
-    shape; a text that does not parse gets a key like any other. *)
+    shape; a text that does not parse gets a key like any other.  The
+    constants intern nothing ({!Term.query_scope}). *)

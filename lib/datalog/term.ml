@@ -52,6 +52,25 @@ let interned_count () =
   Mutex.unlock intern_mu;
   n
 
+(* Query constants must not grow the table: a client can name any
+   spelling, and most name nothing stored.  A spelling never interned
+   cannot occur in a database extension (facts hold interned symbols only),
+   so it gets a symbol of its own, with a negative id: it equals no stored
+   constant, and compares and prints by its name like any other. *)
+let query_scope () =
+  let locals = ref [] in
+  fun name ->
+    match Mutex.protect intern_mu (fun () -> Hashtbl.find_opt intern_tbl name)
+    with
+    | Some s -> Sym s
+    | None -> (
+        match List.assoc_opt name !locals with
+        | Some c -> c
+        | None ->
+            let c = Sym { id = -1 - List.length !locals; name } in
+            locals := (name, c) :: !locals;
+            c)
+
 let symc s = Sym (intern s)
 let sym s = Const (symc s)
 let int i = Const (Int i)

@@ -27,6 +27,13 @@ val intern : string -> symbol
 val interned_count : unit -> int
 (** Number of distinct symbols interned so far (surfaced in server stats). *)
 
+val query_scope : unit -> string -> const
+(** A constant maker for one query parse that interns nothing: a spelling
+    with an interned symbol gets that symbol; any other gets a query-local
+    symbol with a fresh negative id, shared by equal spellings within this
+    scope.  A query-local symbol equals no stored constant (every stored
+    one is interned) and prints and compares by name. *)
+
 val symc : string -> const
 (** [symc s] is the constant [Sym (intern s)]. *)
 

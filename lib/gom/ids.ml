@@ -17,6 +17,16 @@ type gen = {
 let create () =
   { schemas = 0; types = 0; decls = 0; codes = 0; phreps = 0; objects = 0 }
 
+let copy g = { g with schemas = g.schemas }
+
+let assign ~into g =
+  into.schemas <- g.schemas;
+  into.types <- g.types;
+  into.decls <- g.decls;
+  into.codes <- g.codes;
+  into.phreps <- g.phreps;
+  into.objects <- g.objects
+
 let prefix = function
   | Schema -> "sid"
   | Type -> "tid"

@@ -15,6 +15,12 @@ type gen = {
 }
 
 val create : unit -> gen
+val copy : gen -> gen
+(** A generator at the same counters, advanced independently. *)
+
+val assign : into:gen -> gen -> unit
+(** Set [into]'s counters to those of the second generator. *)
+
 val prefix : kind -> string
 
 val fresh : gen -> kind -> string

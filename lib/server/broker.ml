@@ -1,6 +1,6 @@
-(* Session broker: single-writer BES/EES across clients, concurrent reads
-   under a reader-writer lock, journaling through the batch writer on
-   commit, rollback on disconnect, replication feeds. *)
+(* Session broker: single-writer BES/EES across clients, each session kept
+   out of the shared manager until EES, concurrent reads under a
+   reader-writer lock, journaling through the batch writer, feeds. *)
 
 module Manager = Core.Manager
 module Persist = Core.Persist
@@ -52,16 +52,19 @@ let set_profiling on = Obs.Profile.set_enabled on
    [feed_subscribers]/[replication_lag_records] readers may take [mu] even
    though [enter_degraded] calls into Metrics with [mu] held.
 
-   [rw] — sessions/commits and every other manager mutation hold it
-   exclusively; check/query/dump/health/feed hold it shared, so the
-   daemon's per-connection threads overlap on reads (and overlap with a
-   commit's fsync wait, which holds no lock at all).
+   [rw] — [ees] and every other manager mutation hold it exclusively, as
+   do the writer's reads over its own session (replayed, read, rolled
+   back); check/query/dump/health/feed and [script-line]'s analysis hold
+   it shared, so the daemon's per-connection threads overlap on reads (and
+   overlap with a commit's fsync wait, which holds no lock at all).
+   [bes]/[rollback]/disconnect take none: until [ees] the session is the
+   broker's own value ({!Session}), so there is nothing to undo.
    [eval_mu] — serializes datalog evaluation among concurrent readers:
    the evaluator's caches (lazily built relation indexes, per-program
    plans) are mutable per-manager state, so two evals on the same manager
    must not interleave.  It also guards the manager's derived-state slot,
-   which a cache-miss read fills with the whole maintained program.  Readers
-   that hit the response cache skip it.
+   which a cache-miss read fills with the whole maintained program, and
+   the base a [script-line] copies.  Response-cache hits skip it.
    [mu] — a leaf protecting the quick mutable fields: the writer slot and
    its waiter count, the response/digest caches and the response cache's
    doorkeeper, the degraded flag, the subscriber table. *)
@@ -72,7 +75,7 @@ type t = {
   rw : Rwlock.t;
   eval_mu : Mutex.t;
   mu : Mutex.t;
-  mutable writer : int option;  (* client holding the BES..EES section *)
+  mutable writer : Session.t option;  (* the BES..EES section's holder *)
   (* a self-pipe: releasing the writer slot writes a byte when a [bes]
      acquirer is blocked, and blocked acquirers select on it with their
      remaining deadline — a timed wait the stdlib Condition cannot
@@ -225,8 +228,19 @@ let with_eval t f =
     (fun () -> count_plan_traffic t f)
 
 let exclusively = with_write
-let replace_manager t m = t.manager <- m
-let writer t = with_lock t (fun () -> t.writer)
+(* a replaced state may reuse a sequence number the digest cache knows *)
+let replace_manager t m =
+  t.manager <- m;
+  with_lock t (fun () -> t.digest_cache <- None)
+
+let writer t = with_lock t (fun () -> Option.map Session.owner t.writer)
+
+let session_of t ~client =
+  with_lock t (fun () ->
+      match t.writer with
+      | Some s when Session.owner s = client -> Some s
+      | _ -> None)
+
 let degraded t = t.degraded
 let epoch t = t.epoch
 let fenced t = t.fenced
@@ -273,15 +287,19 @@ let drain_wakeups fd =
 (* State digest and degraded mode                                      *)
 (* ------------------------------------------------------------------ *)
 
-(* CRC-32 over the sorted encoded base facts: order-independent, and
-   deliberately blind to identifier counters (a primary's allocations can
-   be rolled back, so its counters legitimately drift ahead of a replica
-   that only ever sees committed records). *)
+(* CRC-32 over the sorted encoded base facts and the code a dump carries:
+   order-independent, and deliberately blind to identifier counters (a
+   primary's allocations can be rolled back, so its counters legitimately
+   drift ahead of a replica that only ever sees committed records) and to
+   code no fact names (a replica bootstrapped from a snapshot lacks it). *)
 let digest_of_manager m =
   let lines =
-    Datalog.Database.all_facts (Manager.database m)
+    (Datalog.Database.all_facts (Manager.database m)
     |> List.map Persist.encode_fact
-    |> List.sort String.compare
+    |> List.sort String.compare)
+    @ List.map
+        (fun (cid, (params, body)) -> Persist.encode_code ~cid ~params ~body)
+        (Persist.code_pieces m)
   in
   let acc =
     List.fold_left
@@ -290,15 +308,13 @@ let digest_of_manager m =
   in
   Crc32.to_hex (Crc32.finish acc)
 
-(* Call with the read lock held.  [None] while a session is open, while
-   committed records await their fsync, or once degraded: in every
-   case the in-memory state does not describe a committed, durable
-   position and the digest would trip false divergence alarms. *)
+(* Call with the read lock held.  [None] while committed records await
+   their fsync, or once degraded or fenced: the in-memory state then does
+   not describe a committed, durable position and the digest would trip
+   false divergence alarms.  An open session is not in the manager. *)
 let state_digest_rd t =
   let blocked =
-    with_lock t (fun () ->
-        t.writer <> None || t.degraded <> None || t.fenced <> None)
-    || Manager.in_session t.manager
+    with_lock t (fun () -> t.degraded <> None || t.fenced <> None)
     || (match t.journal with Some j -> Journal.in_flight j | None -> false)
   in
   if blocked then None
@@ -479,6 +495,18 @@ let cached t key compute =
               cache_store t v key r;
               r)
 
+(* A read for [client].  The writer reads its own changes: while its
+   session holds commands, [f] runs over the session replayed under the
+   exclusive lock, then rolled back — the committed state does not move,
+   so the cache version stays.  Everyone else reads committed state, as
+   [others] does. *)
+let read t ~client ~others f =
+  match session_of t ~client with
+  | Some s when not (Session.is_empty s) ->
+      Rwlock.write t.rw (fun () ->
+          Session.replay s t.manager (fun () -> with_eval t f))
+  | _ -> others f
+
 (* ------------------------------------------------------------------ *)
 (* Request handlers                                                    *)
 (* ------------------------------------------------------------------ *)
@@ -506,25 +534,20 @@ let do_bes t ~client =
       with_lock t (fun () ->
           match t.writer with
           | None ->
-              t.writer <- Some client;
+              t.writer <- Some (Session.create ~owner:client t.manager);
               `Acquired
-          | Some c when c = client -> `Own
-          | Some c ->
+          | Some s when Session.owner s = client -> `Own
+          | Some s ->
               if not !counted then begin
                 counted := true;
                 t.waiters <- t.waiters + 1
               end;
-              `Busy c)
+              `Busy (Session.owner s))
     in
     match r with
-    | `Acquired -> (
-        match with_write t (fun () -> Manager.begin_session t.manager) with
-        | () ->
-            Metrics.incr t.metrics "sessions_opened";
-            ok [ "session open." ]
-        | exception e ->
-            with_lock t (fun () -> release_slot_locked t);
-            raise e)
+    | `Acquired ->
+        Metrics.incr t.metrics "sessions_opened";
+        ok [ "session open." ]
     | `Own -> err "session already open"
     | `Busy c ->
         let remaining = deadline -. Unix.gettimeofday () in
@@ -602,9 +625,10 @@ let checkpoint_failure t e =
 let do_ees t ~client =
   let step =
     with_write t (fun () ->
-        if with_lock t (fun () -> t.writer) <> Some client then
-          `Resp (err "no session open; send bes first")
-        else begin
+        match session_of t ~client with
+        | None -> `Resp (err "no session open; send bes first")
+        | Some s ->
+          Session.replay s t.manager @@ fun () ->
           (* capture what the session changed before EES closes it *)
           let delta = Manager.session_delta t.manager in
           let code = Manager.session_code_changes t.manager in
@@ -637,13 +661,12 @@ let do_ees t ~client =
                       in
                       `Enqueued (j, seq, ckpt)))
           | Manager.Inconsistent reports ->
-              (* the session stays open: fix it, or rollback *)
+              (* only the manager rolls back: fix the session, or rollback *)
               Metrics.incr ~by:(List.length reports) t.metrics
                 "violations_found";
               `Resp
                 (err "inconsistent; session stays open (rollback to undo)"
-                   ~body:(violation_lines reports))
-        end)
+                   ~body:(violation_lines reports)))
   in
   match step with
   | `Resp r -> r
@@ -664,19 +687,18 @@ let do_ees t ~client =
           Option.iter (checkpoint_failure t) ckpt;
           ok [ "consistent; session ended." ])
 
+(* The manager never saw the session: dropping it is the whole undo. *)
 let do_rollback t ~client =
-  with_write t (fun () ->
-      if with_lock t (fun () -> t.writer) <> Some client then
-        err "no session open"
-      else begin
-        Manager.rollback t.manager;
-        with_lock t (fun () -> release_slot_locked t);
-        Metrics.incr t.metrics "sessions_rolled_back";
-        ok [ "rolled back." ]
-      end)
+  with_lock t (fun () ->
+      match t.writer with
+      | Some s when Session.owner s = client ->
+          release_slot_locked t;
+          Metrics.incr t.metrics "sessions_rolled_back";
+          ok [ "rolled back." ]
+      | _ -> err "no session open")
 
-let do_check t =
-  cached t "check" (fun () ->
+let do_check t ~client =
+  read t ~client ~others:(cached t "check") (fun () ->
       match
         Obs.Trace.with_span "session.check" (fun () ->
             Manager.check_now t.manager)
@@ -708,8 +730,8 @@ let answer_lines answers =
   in
   go 0 [] answers
 
-let do_query_uninstrumented t text =
-  cached t ("query:" ^ text) (fun () ->
+let do_query_uninstrumented t ~client text =
+  read t ~client ~others:(cached t ("query:" ^ text)) (fun () ->
       match Manager.query_text t.manager text with
       | answers -> ok (answer_lines answers)
       | exception Datalog.Parse.Error e -> err ("syntax error: " ^ e)
@@ -720,8 +742,9 @@ let do_query_uninstrumented t text =
    — they are this query's real cost), collect the per-rule events, and
    file the result under the query's fingerprint.  Parse failures are not
    fingerprinted. *)
-let do_query t text =
-  if not (Obs.Profile.query_armed ()) then do_query_uninstrumented t text
+let do_query t ~client text =
+  if not (Obs.Profile.query_armed ()) then
+    do_query_uninstrumented t ~client text
   else begin
     let t0 = Obs.Mtime.now_ns () in
     let note resp events =
@@ -737,7 +760,10 @@ let do_query t text =
       | Protocol.Err _ -> ());
       resp
     in
-    match cache_probe t ("query:" ^ text) with
+    match
+      if session_of t ~client = None then cache_probe t ("query:" ^ text)
+      else None
+    with
     | Some resp ->
         (* a response-cache hit evaluates no rules, so there is no scope
            to install — the hit is still this query's real cost, so it is
@@ -749,7 +775,7 @@ let do_query t text =
         let sink = if Obs.Profile.enabled () then Some t.profile else None in
         let resp =
           Obs.Profile.with_scope ?sink ~collect:events (fun () ->
-              do_query_uninstrumented t text)
+              do_query_uninstrumented t ~client text)
         in
         note resp !events
   end
@@ -763,32 +789,32 @@ let do_query t text =
    and an explain answered from either would have nothing to explain.  The
    strata are read inside the same locked section: preparing the theory
    fills a lazy cache a concurrent writer could be changing. *)
-let do_explain t text =
+let do_explain t ~client text =
   let tmp = Obs.Profile.create () in
   let t0 = Obs.Mtime.now_ns () in
+  let explain () =
+    Obs.Profile.with_scope ~sink:tmp (fun () ->
+        let m = t.manager in
+        match
+          Manager.query_text
+            ~materialized:
+              (Datalog.Checker.materialize (Manager.theory m)
+                 (Manager.database m))
+            m text
+        with
+        | answers ->
+            let strata =
+              Datalog.Eval.stratification
+                (Datalog.Theory.prepared (Manager.theory t.manager))
+              |> Datalog.Stratify.strata
+            in
+            Ok (List.length answers, strata)
+        | exception Datalog.Parse.Error e -> Error ("syntax error: " ^ e)
+        | exception Datalog.Rule.Unsafe e -> Error ("unsafe query: " ^ e))
+  in
   let result =
-    with_read t (fun () ->
-        with_eval t (fun () ->
-            Obs.Profile.with_scope ~sink:tmp (fun () ->
-                let m = t.manager in
-                match
-                  Manager.query_text
-                    ~materialized:
-                      (Datalog.Checker.materialize (Manager.theory m)
-                         (Manager.database m))
-                    m text
-                with
-                | answers ->
-                    let strata =
-                      Datalog.Eval.stratification
-                        (Datalog.Theory.prepared (Manager.theory t.manager))
-                      |> Datalog.Stratify.strata
-                    in
-                    Ok (List.length answers, strata)
-                | exception Datalog.Parse.Error e ->
-                    Error ("syntax error: " ^ e)
-                | exception Datalog.Rule.Unsafe e ->
-                    Error ("unsafe query: " ^ e))))
+    read t ~client explain ~others:(fun f ->
+        with_read t (fun () -> with_eval t f))
   in
   let total_ns = Obs.Mtime.elapsed_ns t0 in
   match result with
@@ -838,40 +864,31 @@ let do_profile t (cmd : Protocol.profile_cmd) =
       ok (Obs.Profile.render_rules (Obs.Profile.rules t.profile))
   | Protocol.Ptop k -> ok (Obs.Profile.render_top (Obs.Profile.top t.profile ~k))
 
+(* Analysis only reads the committed base, beside other readers. *)
 let do_script_line t ~client text =
-  with_write t (fun () ->
-      if with_lock t (fun () -> t.writer) <> Some client then
-        err "no session open; send bes first"
-      else
-        match Analyzer.parse_commands text with
-        | exception Analyzer.Syntax_error e -> err ("syntax error: " ^ e)
-        | commands ->
-            if
-              List.exists
-                (function
-                  | Analyzer.Ast.Begin_session | Analyzer.Ast.End_session ->
-                      true
-                  | _ -> false)
-                commands
-            then err "use the bes/ees requests to manage sessions"
-            else begin
-              let diags = ref [] in
-              List.iter
-                (fun cmd ->
-                  let r =
-                    Analyzer.analyze_parsed
-                      ~lookup_code:(Manager.lookup_code t.manager)
-                      (Manager.database t.manager)
-                      (Manager.ids t.manager) [ cmd ]
-                  in
-                  Manager.absorb t.manager r;
-                  diags := List.rev_append r.Analyzer.diagnostics !diags)
-                commands;
-              ok (List.rev_map (fun d -> "analyzer: " ^ d) !diags)
-            end)
+  match session_of t ~client with
+  | None -> err "no session open; send bes first"
+  | Some s -> (
+    match Analyzer.parse_commands text with
+    | exception Analyzer.Syntax_error e -> err ("syntax error: " ^ e)
+    | commands ->
+        if
+          List.exists
+            (function
+              | Analyzer.Ast.Begin_session | Analyzer.Ast.End_session -> true
+              | _ -> false)
+            commands
+        then err "use the bes/ees requests to manage sessions"
+        else begin
+          let diags =
+            with_read t (fun () ->
+                with_eval t (fun () -> Session.analyze s t.manager commands))
+          in
+          ok (List.map (fun d -> "analyzer: " ^ d) diags)
+        end)
 
-let do_dump t =
-  cached t "dump" (fun () ->
+let do_dump t ~client =
+  read t ~client ~others:(cached t "dump") (fun () ->
       let text =
         Analyzer.Unparse.unparse_script
           (Analyzer.Unparse.make
@@ -1087,12 +1104,12 @@ let handle t ~client (req : Protocol.request) : Protocol.response =
         | Protocol.Bes -> do_bes t ~client
         | Protocol.Ees -> do_ees t ~client
         | Protocol.Rollback -> do_rollback t ~client
-        | Protocol.Check -> do_check t
-        | Protocol.Query q -> do_query t q
-        | Protocol.Explain q -> do_explain t q
+        | Protocol.Check -> do_check t ~client
+        | Protocol.Query q -> do_query t ~client q
+        | Protocol.Explain q -> do_explain t ~client q
         | Protocol.Profile cmd -> do_profile t cmd
         | Protocol.Script_line c -> do_script_line t ~client c
-        | Protocol.Dump -> do_dump t
+        | Protocol.Dump -> do_dump t ~client
         | Protocol.Stats -> do_stats t
         | Protocol.Health -> do_health t
         | Protocol.Fence e -> (
@@ -1150,15 +1167,12 @@ let close t =
       with Unix.Unix_error _ -> ())
 
 let disconnect t ~client =
-  (* cheap pre-check: most disconnects never held the slot, so don't take
-     the exclusive lock for them *)
-  if with_lock t (fun () -> t.writer = Some client) then
-    with_write t (fun () ->
-        if with_lock t (fun () -> t.writer = Some client) then begin
-          if Manager.in_session t.manager then Manager.rollback t.manager;
-          with_lock t (fun () -> release_slot_locked t);
+  with_lock t (fun () ->
+      match t.writer with
+      | Some s when Session.owner s = client ->
+          release_slot_locked t;
           (* distinct from an explicit rollback request: these are the
              client-vanished undos that replication debugging cares about *)
           Metrics.incr t.metrics "disconnect_rollbacks";
           Metrics.incr t.metrics "sessions_rolled_back"
-        end)
+      | _ -> ())

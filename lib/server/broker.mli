@@ -3,21 +3,31 @@
 
     At most one client — the {e writer} — holds the BES…EES critical
     section; a competing [bes] waits up to the acquire timeout (woken
-    promptly when the slot frees) and then fails.  Readers
+    promptly when the slot frees) and then fails.  The writer's session
+    is the broker's own value ({!Session}): each [script-line] is
+    analyzed, under the shared lock, against the committed base with the
+    session's earlier changes applied, and appended to the session.
+    Nothing reaches the shared manager before [ees], which replays the
+    session into a manager session under the exclusive lock, checks it,
+    and commits it or rolls the manager back (a rejected session stays
+    open).  So [bes], [rollback] and a disconnect take no reader-writer
+    lock and undo nothing, and every other client reads committed state
+    only.  The writer itself sees its own changes: its
+    [check]/[query]/[dump]/[explain] while its session holds commands are
+    answered over the session replayed under the exclusive lock and
+    rolled back, never through the response cache.  Readers
     ([check]/[query]/[dump]/[health] and replication feeds) run
     {e concurrently} under a shared lock — or straight out of a response
-    cache published per state version — and are only excluded by the
-    writer's exclusive sections, so each sees an internally consistent
-    state (including, as in the paper's single shared schema, the open
-    session's intermediate state).  The response cache admits an answer
+    cache published per state version — and are only excluded by
+    exclusive sections.  The response cache admits an answer
     on its key's second sighting only: a doorkeeper of recently missed
     key hashes, which survives a version move, keeps texts asked once
     from filling the long-lived table.  Reads that miss the response
     cache share the manager's one maintained derived state: the first
     builds it, the rest only evaluate their own query body, prepared
     once per query shape ({!Core.Manager.query_text}).  A client that
-    disconnects mid-session is rolled back automatically — the paper's
-    "undo session" repair.
+    disconnects mid-session loses its session — the paper's "undo
+    session" repair, with nothing to undo in the manager.
 
     Committed sessions are appended to the write-ahead journal (fsync
     before the acknowledgment) and checkpointed when the journal's caps
@@ -91,7 +101,8 @@ val feed : t -> client:int -> from:int -> ?sub_epoch:int -> out_channel -> unit
     itself and refuses the subscription. *)
 
 val disconnect : t -> client:int -> unit
-(** The client went away: roll back its open session, if any. *)
+(** The client went away: drop its open session, if any, and free the
+    writer slot. *)
 
 val close : t -> unit
 (** Remove the broker's gauges from its metrics registry (which may
@@ -107,8 +118,10 @@ val exclusively : t -> (unit -> 'a) -> 'a
     manager safely. *)
 
 val replace_manager : t -> Core.Manager.t -> unit
-(** Swap the hosted manager (a replica bootstrapping from a snapshot).
-    Call only from within {!exclusively}. *)
+(** Swap the hosted manager (a replica bootstrapping from a snapshot),
+    forgetting the cached state digest: the new state may sit at a
+    sequence number the old one had.  Call only from within
+    {!exclusively}. *)
 
 val manager : t -> Core.Manager.t
 val journal : t -> Journal.t option
@@ -173,11 +186,14 @@ val note_feed_epoch : t -> epoch:int -> unit
     from the replica's feed thread. *)
 
 val state_digest : t -> string option
-(** CRC-32 (eight hex digits) over the sorted encoded base facts: the
-    content fingerprint replicas compare against the primary's on idle
-    pings.  [None] while an evolution session is open or the broker is
-    degraded — in both cases the in-memory state does not describe a
-    committed, durable position. *)
+(** CRC-32 (eight hex digits) over the sorted encoded base facts and the
+    [code] lines of the code pieces a dump carries
+    ({!Core.Persist.code_pieces}): the content fingerprint replicas
+    compare against the primary's on idle pings.  [None] while committed
+    records await their fsync, or once the broker is degraded or fenced —
+    then the in-memory state does not describe a committed, durable
+    position.  An open session is not in the manager, so mid-session the
+    digest is the committed one. *)
 
 val digest_of_manager : Core.Manager.t -> string
 (** The digest function itself, for peers that host their own manager. *)

@@ -1333,6 +1333,54 @@ let test_persist_file_roundtrip () =
     (Datalog.Database.total (Manager.database m))
     (Datalog.Database.total (Manager.database m2))
 
+
+(* The code log against the whole-table diff it replaced, as the oracle:
+   over random sessions that register and redefine code under a few ids
+   and then commit or roll back, [session_code_changes] equals the table
+   at EES diffed against a copy taken at BES, and a rollback leaves the
+   table equal to that copy. *)
+let prop_code_log_matches_table_diff =
+  let cids = [ "cid_a"; "cid_b"; "cid_c" ] in
+  let bodies =
+    [|
+      ([], Analyzer.Ast.Return None);
+      ([ "x" ], Analyzer.Ast.Return (Some (Analyzer.Ast.Var "x")));
+      ([], Analyzer.Ast.Return (Some (Analyzer.Ast.Int_lit 2)));
+    |]
+  in
+  let table m = List.map (fun cid -> (cid, Manager.lookup_code m cid)) cids in
+  let diff ~before ~after =
+    List.filter_map
+      (fun ((cid, b), (_, a)) ->
+        match a with Some code when a <> b -> Some (cid, code) | _ -> None)
+      (List.combine before after)
+  in
+  QCheck.Test.make ~count:200 ~long_factor:10
+    ~name:"session code log = the whole-table diff"
+    QCheck.(
+      list_of_size Gen.(int_range 1 6)
+        (pair (list_of_size Gen.(int_range 0 6) (pair (int_bound 2) (int_bound 2))) bool))
+    (fun sessions ->
+      let m = Manager.create () in
+      List.for_all
+        (fun (ops, commit) ->
+          let before = table m in
+          Manager.begin_session m;
+          List.iter
+            (fun (c, k) ->
+              let params, body = bodies.(k) in
+              Manager.register_code m (List.nth cids c) params body)
+            ops;
+          let logged = Manager.session_code_changes m in
+          let expected = diff ~before ~after:(table m) in
+          if commit then
+            ignore (Manager.end_session ~delta:Datalog.Delta.empty m)
+          else Manager.rollback m;
+          logged = expected
+          && (commit || table m = before)
+          && not (Manager.in_session m))
+        sessions)
+
 let suite =
   [
     ( "core.sessions",
@@ -1344,6 +1392,7 @@ let suite =
         Alcotest.test_case "deferred checking" `Quick
           test_deferred_checking_allows_intermediate_inconsistency;
         Alcotest.test_case "rollback" `Quick test_session_rollback;
+        QCheck_alcotest.to_alcotest prop_code_log_matches_table_diff;
       ] );
     ( "core.runtime",
       [

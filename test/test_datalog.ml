@@ -666,6 +666,26 @@ let test_check_affected_matches_full () =
   let full = Checker.check t db in
   check_int "same violation count" (List.length full) (List.length affected)
 
+(* [check_affected] evaluates beside the base without copying it: the
+   base's predicates, tuples and relation versions are as they were. *)
+let test_check_affected_leaves_base () =
+  let t = acyclic_theory () in
+  let db = Theory.fresh_database t in
+  List.iter
+    (fun (x, y) -> ignore (Database.add db (fact "e" [ x; y ])))
+    [ "a", "b"; "b", "c"; "c", "a" ];
+  let state () =
+    List.sort compare (Database.predicates db)
+    |> List.map (fun p ->
+           let r = Option.get (Database.relation_opt db p) in
+           (p, Relation.version r, List.sort compare (Database.facts db p)))
+  in
+  let before = state () in
+  let delta = Delta.of_lists ~additions:[ fact "e" [ "c"; "a" ] ] ~deletions:[] in
+  check_bool "violations found" true
+    (Incremental.check_affected t db ~delta <> []);
+  check_bool "base unchanged" true (state () = before)
+
 (* Property: random edge deltas — incremental state matches from-scratch. *)
 let prop_incremental_equals_scratch =
   QCheck.Test.make ~count:60 ~name:"incremental DRed = from-scratch"
@@ -1446,6 +1466,8 @@ let suite =
         Alcotest.test_case "additions" `Quick test_incremental_additions;
         Alcotest.test_case "deletions" `Quick test_incremental_deletions;
         Alcotest.test_case "affected = full" `Quick test_check_affected_matches_full;
+        Alcotest.test_case "affected leaves the base" `Quick
+          test_check_affected_leaves_base;
         qcheck prop_incremental_equals_scratch;
         qcheck prop_incremental_negation;
         qcheck prop_incremental_mixed;

@@ -382,17 +382,53 @@ let test_state_digest () =
   script m2 "add type Keeper to Zoo;";
   check_bool "different content, different digest" true
     (Broker.digest_of_manager m1 <> Broker.digest_of_manager m2);
-  (* broker-level: None while a session is open, cached when closed *)
+  (* the code a dump carries is covered: equal facts, different bodies *)
+  let with_method body =
+    let m = Manager.create () in
+    script m
+      (Printf.sprintf
+         "schema Shop is type Item is [ label : string; ] operations declare \
+          greet : () -> string; implementation define greet() is begin \
+          return \"%s\"; end greet; end type Item; end schema Shop;"
+         body);
+    m
+  in
+  let m3 = with_method "hi" and m4 = with_method "hi" in
+  check_string "same method, same digest" (Broker.digest_of_manager m3)
+    (Broker.digest_of_manager m4);
+  let cid, (params, _) = List.hd (Core.Persist.code_pieces m4) in
+  let _, (_, other) = List.hd (Core.Persist.code_pieces (with_method "bye")) in
+  Manager.begin_session m4;
+  Manager.register_code m4 cid params other;
+  ignore (Manager.end_session m4);
+  let facts m =
+    List.sort compare
+      (List.map Core.Persist.encode_fact
+         (Datalog.Database.all_facts (Manager.database m)))
+  in
+  check_bool "same facts" true (facts m3 = facts m4);
+  check_bool "different bodies, different digests" true
+    (Broker.digest_of_manager m3 <> Broker.digest_of_manager m4);
+  (* broker-level: an open session is not in the manager, so the digest
+     mid-session is the committed one *)
   let b =
     Broker.create ~acquire_timeout:0.05 ~metrics:(Metrics.create ()) m1
   in
-  (match Broker.state_digest b with
-  | Some d -> check_int "eight hex digits" 8 (String.length d)
-  | None -> Alcotest.fail "digest missing on an idle broker");
+  let committed =
+    match Broker.state_digest b with
+    | Some d ->
+        check_int "eight hex digits" 8 (String.length d);
+        d
+    | None -> Alcotest.fail "digest missing on an idle broker"
+  in
   expect_ok "bes" (Broker.handle b ~client:1 Protocol.Bes);
-  check_bool "no digest mid-session" true (Broker.state_digest b = None);
+  expect_ok "script"
+    (Broker.handle b ~client:1
+       (Protocol.Script_line "add type Keeper to Zoo;"));
+  check_bool "the digest mid-session equals the committed one" true
+    (Broker.state_digest b = Some committed);
   expect_ok "rollback" (Broker.handle b ~client:1 Protocol.Rollback);
-  check_bool "digest back" true (Broker.state_digest b <> None)
+  check_bool "digest unchanged" true (Broker.state_digest b = Some committed)
 
 (* ------------------------------------------------------------------ *)
 (* Backoff envelopes                                                   *)

@@ -2,14 +2,16 @@
 
    Runs a write workload against the schema service while failpoints
    inject storage failures, connection drops and replica faults, then
-   crash-recovers and checks the three recovery invariants:
+   crash-recovers and checks the recovery and isolation invariants:
 
      1. no acknowledged commit is ever lost,
      2. no unacknowledged commit becomes visible after recovery
         (oracle: a commit must be visible iff the journal sequence number
         advanced while it ran — an [err] reply with an advanced sequence
         number is the unavoidable "outcome unknown, but durable" case),
-     3. a replica converges to the primary's state digest.
+     3. a replica converges to the primary's state digest,
+     4. no reader sees a session that never committed, nor a session
+        before its EES began (scenario I).
 
    Deterministic by construction: probabilistic failpoints derive from
    [--seed], everything else is hit-count triggered.  Exits non-zero on
@@ -1294,6 +1296,168 @@ let scenario_h () =
   h_kill_leg ()
 
 (* ------------------------------------------------------------------ *)
+(* Scenario I: reader isolation                                        *)
+(* ------------------------------------------------------------------ *)
+
+(* The numbers [n] of every [Mark<n>] a text names. *)
+let markers text =
+  let n = String.length text in
+  let rec scan i acc =
+    if i + 4 > n then acc
+    else if String.sub text i 4 = "Mark" then begin
+      let j = ref (i + 4) in
+      while !j < n && text.[!j] >= '0' && text.[!j] <= '9' do
+        incr j
+      done;
+      if !j > i + 4 then
+        scan !j (int_of_string (String.sub text (i + 4) (!j - i - 4)) :: acc)
+      else scan (i + 4) acc
+    end
+    else scan (i + 1) acc
+  in
+  scan 0 []
+
+(* Reader threads run query/check/dump throughout a workload of sessions
+   that each add a type [Mark<k>] and then commit, roll back, disconnect,
+   or are rejected at EES and rolled back; the last session's commit hits
+   a failing journal append.  A reader notes, after each answer returns,
+   how many EES have begun.  No answer may name a session that was rolled
+   back, abandoned or rejected, nor a session whose EES had not begun when
+   the answer returned.  The failed append's session committed in memory
+   before its record was lost, so readers may see it until a restart;
+   after recovery the acked sessions are visible, the undone ones are
+   not, and the failed append's only if its record became durable. *)
+let scenario_i () =
+  let kinds = [| `Commit; `Rollback; `Commit; `Disconnect; `Commit; `Reject |] in
+  List.iter
+    (fun spec ->
+      Failpoint.clear ();
+      let dir = fresh_dir () in
+      let r = Journal.recover ~checkpoint_every:1000 ~dir () in
+      let j = r.Journal.journal in
+      let b =
+        Broker.create ~journal:j ~acquire_timeout:1.0 ~metrics:(Metrics.create ())
+          r.Journal.manager
+      in
+      (match commit b ~client:1 [ zoo_frame ] with
+      | `Acked -> ()
+      | _ -> fail "I: [%s] the zoo commit failed" spec);
+      let ees_begun = Atomic.make 0 and stop = Atomic.make false in
+      let mu = Mutex.create () in
+      let seen = Hashtbl.create 64 and sightings = ref 0 in
+      let reader i =
+        while not (Atomic.get stop) do
+          let texts =
+            List.concat_map
+              (fun req ->
+                (Broker.handle b ~client:(100 + i) req).Protocol.body)
+              [ Protocol.Query "Type(T, N, S)"; Protocol.Check; Protocol.Dump ]
+          in
+          let begun = Atomic.get ees_begun in
+          let ks = List.concat_map markers texts in
+          Mutex.lock mu;
+          List.iter
+            (fun k ->
+              incr sightings;
+              Hashtbl.replace seen (k, begun) ())
+            ks;
+          Mutex.unlock mu
+        done
+      in
+      let readers = List.init 4 (fun i -> Thread.create reader i) in
+      let a req = Broker.handle b ~client:1 req in
+      let ok what (resp : Protocol.response) =
+        match resp.Protocol.status with
+        | Protocol.Ok -> ()
+        | Protocol.Err e -> fail "I: [%s] %s: %s" spec what e
+      in
+      let last = 13 in
+      let outcomes = Hashtbl.create 16 in
+      for k = 1 to last do
+        let kind = if k = last then `Commit else kinds.((k - 1) mod 6) in
+        if k = last then begin
+          (* counted from here: the next hit of the site is the first *)
+          Failpoint.clear ();
+          Failpoint.configure spec
+        end;
+        ok "bes" (a Protocol.Bes);
+        ok "script"
+          (a (Protocol.Script_line (Printf.sprintf "add type Mark%d to Zoo;" k)));
+        Thread.delay 0.003;
+        let before = Journal.seq j in
+        let outcome =
+          match kind with
+          | `Commit ->
+              Atomic.set ees_begun k;
+              (match (a Protocol.Ees).Protocol.status with
+              | Protocol.Ok -> `Acked
+              | Protocol.Err e -> `Failed e)
+          | `Rollback ->
+              ok "rollback" (a Protocol.Rollback);
+              `Undone
+          | `Disconnect ->
+              Broker.disconnect b ~client:1;
+              `Undone
+          | `Reject ->
+              ok "bad script"
+                (a
+                   (Protocol.Script_line
+                      "schema Bad is type T is [ x : Missing; ] end type T; \
+                       end schema Bad;"));
+              Atomic.set ees_begun k;
+              (match (a Protocol.Ees).Protocol.status with
+              | Protocol.Err _ -> ()
+              | Protocol.Ok -> fail "I: [%s] session %d was not rejected" spec k);
+              Thread.delay 0.003;
+              ok "rollback" (a Protocol.Rollback);
+              `Undone
+        in
+        Hashtbl.replace outcomes k (outcome, Journal.seq j > before)
+      done;
+      Thread.delay 0.02;
+      Atomic.set stop true;
+      List.iter Thread.join readers;
+      check (fired_of (List.hd (String.split_on_char '=' spec)) > 0)
+        "I: [%s] the failpoint never fired" spec;
+      (match Hashtbl.find outcomes last with
+      | `Failed _, _ -> ()
+      | _ -> fail "I: [%s] the last commit did not fail" spec);
+      check (!sightings > 0) "I: [%s] the readers saw no session" spec;
+      Hashtbl.iter
+        (fun (k, begun) () ->
+          (match Hashtbl.find_opt outcomes k with
+          | Some ((`Acked | `Failed _), _) -> ()
+          | Some (`Undone, _) | None ->
+              fail "I: [%s] a reader saw session %d, which never committed"
+                spec k);
+          check (begun >= k)
+            "I: [%s] a reader saw session %d before its ees began" spec k)
+        seen;
+      Failpoint.clear ();
+      crash j;
+      let r2 = Journal.recover ~dir () in
+      let visible = markers (dump_of r2.Journal.manager) in
+      Hashtbl.iter
+        (fun k (outcome, durable) ->
+          let shown = List.mem k visible in
+          match outcome with
+          | `Acked -> check shown "I: [%s] acked session %d lost" spec k
+          | `Undone -> check (not shown) "I: [%s] undone session %d recovered" spec k
+          | `Failed _ ->
+              check (shown = durable)
+                "I: [%s] failed session %d: visible %b, durable %b" spec k shown
+                durable)
+        outcomes;
+      Journal.close r2.Journal.journal;
+      note "I [%s]: %d reader sightings, none of an undone session" spec
+        !sightings)
+    [
+      "journal.append.write=eio@nth:1";
+      "journal.append.fsync=eio@nth:1";
+      "broker.commit=eio@nth:1";
+    ]
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   let seed = ref 1234 in
@@ -1303,17 +1467,18 @@ let () =
       ("--seed", Arg.Set_int seed, "N  seed for probabilistic failpoints");
       ( "--scenario",
         Arg.Set_string scenario,
-        "S  run one scenario (a|b|c|d|e|f|g|h) instead of all" );
+        "S  run one scenario (a|b|c|d|e|f|g|h|i) instead of all" );
     ]
     (fun a -> fail "unexpected argument %S" a)
-    "torture [--seed N] [--scenario a|b|c|d|e|f|g|h]";
+    "torture [--seed N] [--scenario a|b|c|d|e|f|g|h|i]";
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
    with Invalid_argument _ -> ());
   note "seed %d" !seed;
   let want s = !scenario = "all" || !scenario = s in
   if
     not
-      (List.mem !scenario [ "all"; "a"; "b"; "c"; "d"; "e"; "f"; "g"; "h" ])
+      (List.mem !scenario
+         [ "all"; "a"; "b"; "c"; "d"; "e"; "f"; "g"; "h"; "i" ])
   then
     fail "unknown scenario %S" !scenario;
   if want "a" then scenario_a ();
@@ -1324,5 +1489,6 @@ let () =
   if want "f" then scenario_f ();
   if want "g" then scenario_g ();
   if want "h" then scenario_h ();
+  if want "i" then scenario_i ();
   note "all invariants held";
   exit 0
