@@ -39,6 +39,7 @@ type t = {
   edb : Database.t;
   ids : Ids.gen;
   code : (string, string list * Ast.stmt) Hashtbl.t;
+  mutable code_version : int;  (* bumped by every change to [code] *)
   mutable runtime : Runtime.t option;  (* backpatched at creation *)
   mutable session : session option;
   mutable derived : derived option;
@@ -136,6 +137,7 @@ let create ?(versioning = true) ?(fashion = true) ?(subschemas = true)
       edb = Database.create ();
       ids = Ids.create ();
       code = Hashtbl.create 64;
+      code_version = 0;
       runtime = None;
       session = None;
       derived = None;
@@ -165,6 +167,7 @@ let database t = t.edb
 let theory t = t.theory
 let ids t = t.ids
 let lookup_code t cid = Hashtbl.find_opt t.code cid
+let code_version t = t.code_version
 let in_session t = t.session <> None
 
 (* ------------------------------------------------------------------ *)
@@ -227,7 +230,8 @@ let bind_code t cid code =
   let s = current_session t in
   if not (Hashtbl.mem s.code_before cid) then
     Hashtbl.add s.code_before cid (Hashtbl.find_opt t.code cid);
-  Hashtbl.replace t.code cid code
+  Hashtbl.replace t.code cid code;
+  t.code_version <- t.code_version + 1
 
 (* Code registrations made since BES: the logged code ids whose binding
    differs from the one before the session.  (The AST is pure data, so
@@ -455,6 +459,7 @@ let rollback t =
       | Some code -> Hashtbl.replace t.code cid code
       | None -> Hashtbl.remove t.code cid)
     s.code_before;
+  t.code_version <- t.code_version + 1;
   let rt = runtime t in
   Object_store.restore (Runtime.store rt) ~from:s.store_snapshot;
   Hashtbl.reset rt.Runtime.globals;

@@ -73,6 +73,11 @@ val runtime : t -> Runtime.t
 
 val ids : t -> Gom.Ids.gen
 val lookup_code : t -> string -> (string list * Ast.stmt) option
+
+val code_version : t -> int
+(** A counter bumped by every change to the code table (a registration,
+    a rollback): while it stays put, {!lookup_code} answers the same. *)
+
 val in_session : t -> bool
 
 (** {2 Evolution sessions} *)

@@ -14,6 +14,7 @@
    Lines starting with '#' are comments. *)
 
 open Datalog
+module Crc32 = Fault.Crc32
 module Value = Runtime.Value
 module Object_store = Runtime.Object_store
 
@@ -235,51 +236,192 @@ let compare_tuple (a : Term.const array) (b : Term.const array) =
     in
     go 0
 
-(* One relation's [fact] lines, sorted. *)
-let add_relation buf pred r =
-  let builtins = Hashtbl.find_opt builtins_by_pred pred in
-  List.iter
-    (fun args ->
-      match builtins with
-      | Some b when Relation.mem b args -> ()
-      | _ ->
+(* A piece of the text with its CRC-32 and the shift that appends its
+   length: what a render folds the text's CRC from. *)
+type piece = { text : string; crc : int32; shift : Crc32.shift }
+
+let piece text =
+  { text; crc = Crc32.string text; shift = Crc32.shift (String.length text) }
+
+(* What a render keeps for the next one, per relation: its rows (less
+   the built-ins) in [compare_tuple] order, cut into chunks, each with
+   its [fact] lines as a piece ([None] from a change to its rows until
+   the next render).  Valid for the relation object [rel] at version
+   [at]. *)
+type chunk = {
+  mutable rows : Term.const array array;
+  mutable lines : piece option;
+}
+
+type rel_text = {
+  rel : Relation.t;
+  mutable at : int;
+  mutable chunks : chunk array;  (* none empty *)
+}
+
+(* ... and the code section, valid while the code table's version and
+   the relations that name code pieces (objects and versions) stay put. *)
+type code_text = { key : int * (Relation.t * int) option list; code : piece }
+
+type cache = {
+  rels : (string, rel_text) Hashtbl.t;
+  mutable code : code_text option;
+  buf : Buffer.t;  (* scratch for one piece's lines *)
+}
+
+let render_cache () =
+  { rels = Hashtbl.create 64; code = None; buf = Buffer.create 4096 }
+
+(* Chunks are cut at this many rows; one that reaches twice this is
+   split in two, and one emptied by removals is dropped. *)
+let chunk_rows = 64
+
+let chunk rows = { rows; lines = None }
+
+let chunk_lines buf pred c =
+  match c.lines with
+  | Some p -> p
+  | None ->
+      Buffer.clear buf;
+      Array.iter
+        (fun args ->
           Buffer.add_string buf "fact ";
           add_atom buf pred args;
           Buffer.add_char buf '\n')
-    (List.sort compare_tuple (Relation.to_list r))
+        c.rows;
+      let p = piece (Buffer.contents buf) in
+      c.lines <- Some p;
+      p
 
-(* What a render keeps for the next one: each relation's lines, valid
-   while the relation is the same object at the same {!Relation.version},
-   and each code piece's line, valid while its binding is the same
-   object — {!Manager.register_code} stores a fresh one on redefinition. *)
-type cache = {
-  rels : (string, Relation.t * int * string) Hashtbl.t;
-  codes : (string, (string list * Analyzer.Ast.stmt) * string) Hashtbl.t;
-}
+(* Whether a row of [pred] is one of its built-ins. *)
+let builtin pred =
+  match Hashtbl.find_opt builtins_by_pred pred with
+  | Some b -> Relation.mem b
+  | None -> fun _ -> false
 
-let render_cache () = { rels = Hashtbl.create 64; codes = Hashtbl.create 16 }
+let scratch_rel pred r =
+  let builtin = builtin pred in
+  let rows =
+    Relation.fold (fun args acc -> if builtin args then acc else args :: acc) r []
+    |> Array.of_list
+  in
+  Array.stable_sort compare_tuple rows;
+  let n = Array.length rows in
+  {
+    rel = r;
+    at = Relation.version r;
+    chunks =
+      Array.init
+        ((n + chunk_rows - 1) / chunk_rows)
+        (fun i ->
+          let lo = i * chunk_rows in
+          chunk (Array.sub rows lo (min chunk_rows (n - lo))));
+  }
 
-let relation_text cache pred r =
+(* The first index in [rows] whose row is not below [args]. *)
+let lower_bound rows args =
+  let rec go lo hi =
+    if lo >= hi then lo
+    else
+      let mid = (lo + hi) / 2 in
+      if compare_tuple rows.(mid) args < 0 then go (mid + 1) hi else go lo mid
+  in
+  go 0 (Array.length rows)
+
+(* The chunk whose range holds [args]: the last whose first row is not
+   above it, or the first. *)
+let chunk_for chunks args =
+  let rec go lo hi =
+    if hi - lo <= 1 then lo
+    else
+      let mid = (lo + hi) / 2 in
+      if compare_tuple chunks.(mid).rows.(0) args <= 0 then go mid hi
+      else go lo mid
+  in
+  go 0 (Array.length chunks)
+
+let array_insert a i x =
+  Array.init (Array.length a + 1) (fun j ->
+      if j < i then a.(j) else if j = i then x else a.(j - 1))
+
+let array_remove a i =
+  Array.init (Array.length a - 1) (fun j -> if j < i then a.(j) else a.(j + 1))
+
+(* Apply one net change to the chunks.  [false] when they disagree
+   with it (a row added twice, or removed unseen); the relation is then
+   rendered afresh. *)
+let apply e (change : Relation.change) =
+  match change with
+  | Relation.Added args when Array.length e.chunks = 0 ->
+      e.chunks <- [| chunk [| args |] |];
+      true
+  | Relation.Added args ->
+      let i = chunk_for e.chunks args in
+      let c = e.chunks.(i) in
+      let k = lower_bound c.rows args in
+      (k = Array.length c.rows || compare_tuple c.rows.(k) args <> 0)
+      && begin
+           c.rows <- array_insert c.rows k args;
+           c.lines <- None;
+           let n = Array.length c.rows in
+           if n >= 2 * chunk_rows then begin
+             e.chunks <-
+               array_insert e.chunks (i + 1)
+                 (chunk (Array.sub c.rows chunk_rows (n - chunk_rows)));
+             c.rows <- Array.sub c.rows 0 chunk_rows
+           end;
+           true
+         end
+  | Relation.Removed args ->
+      Array.length e.chunks > 0
+      &&
+      let i = chunk_for e.chunks args in
+      let c = e.chunks.(i) in
+      let k = lower_bound c.rows args in
+      k < Array.length c.rows
+      && compare_tuple c.rows.(k) args = 0
+      && begin
+           if Array.length c.rows = 1 then e.chunks <- array_remove e.chunks i
+           else begin
+             c.rows <- array_remove c.rows k;
+             c.lines <- None
+           end;
+           true
+         end
+
+(* One relation's chunks, brought up to its version: the net changes its
+   log holds since the cached version (a row added and removed again
+   touches nothing), each applied to the chunk it falls in; or, when the
+   log does not reach back (or [r] is not the cached object), the
+   relation sorted and cut afresh.  [watch] turns the relation's log
+   on, for a cache that outlives this render. *)
+let relation_chunks cache ~watch pred r =
+  let v = Relation.version r in
+  let afresh () =
+    if watch then ignore (Relation.changes_since r v);
+    let e = scratch_rel pred r in
+    Hashtbl.replace cache.rels pred e;
+    e
+  in
   match Hashtbl.find_opt cache.rels pred with
-  | Some (r', v, text) when r' == r && v = Relation.version r -> text
-  | _ ->
-      let buf = Buffer.create 256 in
-      add_relation buf pred r;
-      let text = Buffer.contents buf in
-      Hashtbl.replace cache.rels pred (r, Relation.version r, text);
-      text
+  | Some e when e.rel == r && e.at = v -> e
+  | Some e when e.rel == r -> (
+      let builtin = builtin pred in
+      let apply_visible = function
+        | Relation.Added args | Relation.Removed args when builtin args -> true
+        | change -> apply e change
+      in
+      match Relation.changes_since r e.at with
+      | Some changes when List.for_all apply_visible changes ->
+          e.at <- v;
+          e
+      | Some _ | None -> afresh ())
+  | _ -> afresh ()
 
-let code_text cache cid binding =
-  match Hashtbl.find_opt cache.codes cid with
-  | Some (b, line) when b == binding -> line
-  | _ ->
-      let params, body = binding in
-      let line = Printf.sprintf "code %s\n" (encode_code ~cid ~params ~body) in
-      Hashtbl.replace cache.codes cid (binding, line);
-      line
+(* The relations that name code pieces, and the code ids they name,
+   sorted: the code pieces a dump carries. *)
+let code_preds = [ "Code"; "FashionDecl"; "FashionAttr" ]
 
-(* Code ids named by the Code and fashion facts, sorted: the code pieces a
-   dump carries. *)
 let code_ids db =
   let cids = ref [] in
   let add (c : Term.const) =
@@ -302,34 +444,77 @@ let code_pieces m =
     (fun cid -> Option.map (fun c -> (cid, c)) (Manager.lookup_code m cid))
     (code_ids (Manager.database m))
 
+let code_section cache m =
+  let db = Manager.database m in
+  let at pred =
+    Option.map (fun r -> (r, Relation.version r)) (Database.relation_opt db pred)
+  in
+  let key = (Manager.code_version m, List.map at code_preds) in
+  let same (v, rels) (v', rels') =
+    v = v'
+    && List.equal
+         (Option.equal (fun (r, n) (r', n') -> r == r' && n = n'))
+         rels rels'
+  in
+  match cache.code with
+  | Some c when same c.key key -> c.code
+  | _ ->
+      let buf = cache.buf in
+      Buffer.clear buf;
+      List.iter
+        (fun (cid, (params, body)) ->
+          Printf.bprintf buf "code %s\n" (encode_code ~cid ~params ~body))
+        (code_pieces m);
+      let code = piece (Buffer.contents buf) in
+      cache.code <- Some { key; code };
+      code
+
+type text = { pieces : string list; length : int; crc : int32 }
+
+let contents t = String.concat "" t.pieces
+
 (* The one render: [save] and [load]'s inverse, the daemon's snapshot
    heads, a replica's bootstrap text.  Facts come out relation by
    relation in predicate order, each relation sorted — the order
-   [Fact.compare] gives the whole base.  With [cache] (one per journal),
-   a relation unchanged since the previous render, and a code piece not
-   redefined since, reuse their lines; without one, everything is
-   rendered afresh. *)
-let save_to_buffer ?cache (m : Manager.t) : Buffer.t =
+   [Fact.compare] gives the whole base.  The text is a list of pieces,
+   and its CRC-32 is folded from theirs.  With [cache] (one per journal),
+   the chunks of rows that no change since the previous render touched,
+   and the code section if no piece it carries changed, are reused with
+   their CRCs; without one, everything is rendered afresh. *)
+let render ?cache (m : Manager.t) : text =
   if Manager.in_session m then
     invalid_arg "Persist.save: close the evolution session first";
-  let cache = match cache with Some c -> c | None -> render_cache () in
-  let buf = Buffer.create 4096 in
+  let cache, watch =
+    match cache with Some c -> (c, true) | None -> (render_cache (), false)
+  in
+  let pieces = ref [] and crc = ref 0l and length = ref 0 in
+  let add p =
+    pieces := p.text :: !pieces;
+    crc := Crc32.combine_shift !crc p.crc p.shift;
+    length := !length + String.length p.text
+  in
+  (* the pieces rendered every time go through the scratch buffer *)
+  let buf = cache.buf in
+  Buffer.clear buf;
   Buffer.add_string buf "# gomsm database dump v1\n";
   let g = Manager.ids m in
   Printf.bprintf buf "ids %d %d %d %d %d %d\n" g.Gom.Ids.schemas g.Gom.Ids.types
     g.Gom.Ids.decls g.Gom.Ids.codes g.Gom.Ids.phreps g.Gom.Ids.objects;
+  add (piece (Buffer.contents buf));
   let db = Manager.database m in
   List.iter
     (fun pred ->
       Option.iter
-        (fun r -> Buffer.add_string buf (relation_text cache pred r))
+        (fun r ->
+          Array.iter
+            (fun c -> add (chunk_lines buf pred c))
+            (relation_chunks cache ~watch pred r).chunks)
         (Database.relation_opt db pred))
     (List.sort String.compare (Database.predicates db));
-  List.iter
-    (fun (cid, binding) -> Buffer.add_string buf (code_text cache cid binding))
-    (code_pieces m);
+  add (code_section cache m);
   (* the object base *)
   let rt = Manager.runtime m in
+  Buffer.clear buf;
   Printf.bprintf buf "store_next %d\n"
     (Object_store.counter (Runtime.store rt));
   let objs = ref [] in
@@ -351,12 +536,13 @@ let save_to_buffer ?cache (m : Manager.t) : Buffer.t =
     (fun name v ->
       Printf.bprintf buf "global %s %s\n" (quote name) (encode_value v))
     rt.Runtime.globals;
-  buf
+  add (piece (Buffer.contents buf));
+  { pieces = List.rev !pieces; length = !length; crc = !crc }
 
 let save (m : Manager.t) ~(path : string) : unit =
-  let buf = save_to_buffer m in
+  let text = render m in
   let oc = open_out_bin path in
-  Buffer.output_buffer oc buf;
+  List.iter (output_string oc) text.pieces;
   close_out oc
 
 (* ------------------------------------------------------------------ *)

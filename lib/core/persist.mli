@@ -37,18 +37,40 @@ val save : Manager.t -> path:string -> unit
 (** @raise Invalid_argument if an evolution session is open. *)
 
 type cache
-(** What one render keeps for the next: each relation's lines and each
-    code piece's line.  Keep one per manager lineage (a journal keeps
-    one); a cache shared across unrelated managers stays correct but
-    re-renders nearly everything. *)
+(** What one render keeps for the next: each relation's rows (less the
+    built-ins) in sorted chunks of about 64, each chunk with its [fact]
+    lines, their CRC-32 and length; and the code section as one piece.
+    Keep one per manager lineage (a journal keeps one).  A cache shared
+    across unrelated managers, or two caches over one manager (each read
+    restarts a relation's log), stay correct but re-render more. *)
 
 val render_cache : unit -> cache
 
-val save_to_buffer : ?cache:cache -> Manager.t -> Buffer.t
-(** The {!save} text.  With [cache], a relation whose
-    {!Datalog.Relation.version} has not moved since the previous render
-    through the same cache, and a code piece not redefined since, reuse
-    their rendered lines; the text is the same byte for byte. *)
+type text = {
+  pieces : string list;  (** the text is their concatenation *)
+  length : int;  (** its length in bytes *)
+  crc : int32;  (** its {!Fault.Crc32.string} *)
+}
+
+val render : ?cache:cache -> Manager.t -> text
+(** The {!save} text, as pieces, with its length and CRC known without
+    reading its bytes.  Without [cache], everything is rendered afresh.
+    With one, a relation whose {!Datalog.Relation.version} moved since
+    the previous render through the same cache takes the net changes its
+    log ({!Datalog.Relation.changes_since}) holds since then: each lands
+    by binary search in the chunk that holds its place, and only the
+    chunks touched are re-rendered and re-checksummed.  A relation whose
+    log does not reach back (another cache read it since, or it passed
+    its cap), or a relation object the cache has not seen, is sorted and
+    rendered afresh, and its log turned on.  The code section is
+    re-rendered only when the code table or the facts naming code
+    changed.  The CRC is folded from the pieces' cached CRCs
+    ({!Fault.Crc32.combine_shift}).  Cached or not, the text is the same
+    byte for byte.
+    @raise Invalid_argument if an evolution session is open. *)
+
+val contents : text -> string
+(** The pieces, concatenated. *)
 
 val load : path:string -> Manager.t
 (** Restore into a fresh manager with every extension installed.  The

@@ -27,16 +27,78 @@ let use_indexes = ref true
 
 type index = Term.const array list ref Const_tbl.t
 
+type change = Added of Term.const array | Removed of Term.const array
+
+(* The change log a render cache reads: each [add] and [remove] that
+   changed the set since version [log_from], newest first.  Every change
+   bumps the version by one, so the log's [k]-th entry from the oldest
+   is the change that moved the version to [log_from + k].  Off
+   ([log_from < 0]) until {!changes_since} first asks, and restarted by
+   each ask, by [clear] and when it would pass [log_cap] entries. *)
+let log_cap = 1024
+
 type t = {
   tuples : unit Tuple_tbl.t;
   mutable indexes : (int * index) list;  (* column -> index, built lazily *)
   mutable version : int;  (* bumped by every change to [tuples] *)
+  mutable log : change list;
+  mutable log_len : int;
+  mutable log_from : int;
 }
 
 let create ?(size = 16) () =
-  { tuples = Tuple_tbl.create size; indexes = []; version = 0 }
+  {
+    tuples = Tuple_tbl.create size;
+    indexes = [];
+    version = 0;
+    log = [];
+    log_len = 0;
+    log_from = -1;
+  }
 
 let version r = r.version
+
+let reset_log r =
+  r.log <- [];
+  r.log_len <- 0;
+  r.log_from <- r.version
+
+(* Call after bumping the version for [c]. *)
+let log_change r c =
+  if r.log_from >= 0 then
+    if r.log_len >= log_cap then reset_log r
+    else begin
+      r.log <- c :: r.log;
+      r.log_len <- r.log_len + 1
+    end
+
+(* The net of the log's newest [n] changes.  A row's changes alternate,
+   so it moved iff its newest and oldest change agree. *)
+let net n log =
+  let seen = Tuple_tbl.create 16 in
+  let rec go n = function
+    | ((Added args | Removed args) as c) :: log when n > 0 ->
+        (match Tuple_tbl.find_opt seen args with
+        | None -> Tuple_tbl.replace seen args (c, c)
+        | Some (newest, _) -> Tuple_tbl.replace seen args (newest, c));
+        go (n - 1) log
+    | _ -> ()
+  in
+  go n log;
+  Tuple_tbl.fold
+    (fun _ (newest, oldest) acc ->
+      match (newest, oldest) with
+      | Added _, Added _ | Removed _, Removed _ -> newest :: acc
+      | _ -> acc)
+    seen []
+
+let changes_since r v =
+  let changes =
+    if r.log_from < 0 || v < r.log_from || v > r.version then None
+    else Some (net (r.version - v) r.log)
+  in
+  reset_log r;
+  changes
 
 let mem r tuple = Tuple_tbl.mem r.tuples tuple
 
@@ -65,6 +127,7 @@ let add r tuple =
     Tuple_tbl.replace r.tuples tuple ();
     List.iter (fun (col, idx) -> index_add idx col tuple) r.indexes;
     r.version <- r.version + 1;
+    log_change r (Added tuple);
     true
   end
 
@@ -73,6 +136,7 @@ let remove r tuple =
     Tuple_tbl.remove r.tuples tuple;
     List.iter (fun (col, idx) -> index_remove idx col tuple) r.indexes;
     r.version <- r.version + 1;
+    log_change r (Removed tuple);
     true
   end
   else false
@@ -86,9 +150,18 @@ let is_empty r = cardinal r = 0
 let clear r =
   Tuple_tbl.clear r.tuples;
   r.indexes <- [];
-  r.version <- r.version + 1
+  r.version <- r.version + 1;
+  if r.log_from >= 0 then reset_log r
 
-let copy r = { tuples = Tuple_tbl.copy r.tuples; indexes = []; version = 0 }
+let copy r =
+  {
+    tuples = Tuple_tbl.copy r.tuples;
+    indexes = [];
+    version = 0;
+    log = [];
+    log_len = 0;
+    log_from = -1;
+  }
 
 let index_for r col : index =
   match List.assoc_opt col r.indexes with

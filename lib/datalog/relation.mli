@@ -30,6 +30,21 @@ val version : t -> int
     change the tuple set: while it stays put, so does the extension.  A
     {!copy} starts its own count. *)
 
+type change = Added of Term.const array | Removed of Term.const array
+
+val changes_since : t -> int -> change list option
+(** [changes_since r v]: the net of the {!add}s and {!remove}s that
+    changed [r] after version [v] — each row that is in the set now and
+    was not at [v] ([Added]), or was and is not ([Removed]), once, in no
+    particular order; a row added and removed again is in neither.
+    Applied to the set at [v], they give the set now.  [None] when the
+    log does not reach back to [v]: it is off until the first call (which
+    turns it on, so a relation no render reads never logs), restarts at
+    the current version after every call (so it holds what changed since
+    the last reader, and a second reader at an older version gets
+    [None]), restarts at each {!clear}, and is dropped whenever it would
+    pass a fixed cap of entries.  A {!copy} starts with the log off. *)
+
 val cardinal : t -> int
 val iter : (Term.const array -> unit) -> t -> unit
 val fold : (Term.const array -> 'a -> 'a) -> t -> 'a -> 'a

@@ -58,6 +58,47 @@ let finish (crc : t) : int32 = Int32.of_int (crc lxor 0xFFFFFFFF)
 
 let string (s : string) : int32 = finish (update_string init s)
 
+(* Combining, after zlib's [crc32_combine]: a CRC is a remainder modulo
+   the polynomial, so appending [n] bytes multiplies the first piece's
+   remainder by x^(8n).  Polynomials are bit-reflected, as in [table]:
+   x^0 is bit 31.  [multmodp a b] is a*b modulo the polynomial ([a] not
+   zero), and [x2n.(k)] is x^(2^k). *)
+let multmodp a b =
+  (* branch-free: the bits of [a] and [b] are data, and mispredicted
+     branches would cost more than the masks *)
+  let b = ref b and p = ref 0 in
+  for k = 31 downto 0 do
+    p := !p lxor (!b land -((a lsr k) land 1));
+    b := (!b lsr 1) lxor (0xEDB88320 land -(!b land 1))
+  done;
+  !p
+
+let x2n =
+  let t = Array.make 32 (1 lsl 30) in
+  for k = 1 to 31 do
+    t.(k) <- multmodp t.(k - 1) t.(k - 1)
+  done;
+  t
+
+(* x^(n * 2^k) *)
+let x2nmodp n k =
+  let rec go n k p =
+    if n = 0 then p
+    else go (n lsr 1) (k + 1) (if n land 1 <> 0 then multmodp x2n.(k land 31) p else p)
+  in
+  go n k (1 lsl 31)
+
+let unsigned (c : int32) = Int32.to_int c land 0xFFFFFFFF
+
+type shift = int
+
+let shift len = x2nmodp len 3
+
+let combine_shift (crc1 : int32) (crc2 : int32) (op : shift) : int32 =
+  Int32.of_int (multmodp op (unsigned crc1) lxor unsigned crc2)
+
+let combine crc1 crc2 len2 = combine_shift crc1 crc2 (shift len2)
+
 let to_hex (c : int32) : string = Printf.sprintf "%08lx" c
 
 (* Decimal form of the unsigned value — what journal [crc] lines carry. *)

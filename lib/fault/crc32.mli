@@ -13,6 +13,24 @@ val finish : t -> int32
 val string : string -> int32
 (** [string s = finish (update_string init s)]. *)
 
+val combine : int32 -> int32 -> int -> int32
+(** [combine (string a) (string b) (String.length b) = string (a ^ b)]:
+    the CRC of a concatenation from its pieces' CRCs, without reading
+    their bytes (zlib's [crc32_combine]).  About [log2 len] polynomial
+    multiplications. *)
+
+type shift
+(** The operator that appends a given number of bytes (x^(8 len) modulo
+    the polynomial): what {!combine} computes from the length. *)
+
+val shift : int -> shift
+(** zlib's [crc32_combine_gen]. *)
+
+val combine_shift : int32 -> int32 -> shift -> int32
+(** [combine_shift a b (shift n) = combine a b n], in one polynomial
+    multiplication: for pieces whose shift is kept with their CRC
+    (zlib's [crc32_combine_op]). *)
+
 val to_hex : int32 -> string
 (** Eight lowercase hex digits. *)
 

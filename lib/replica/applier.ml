@@ -113,7 +113,7 @@ let apply_record t ~seq ~text =
    will bootstrap us (snapshot or full record history). *)
 let reset t =
   let m = Manager.create () in
-  let empty = Buffer.contents (Persist.save_to_buffer m) in
+  let empty = Persist.(contents (render m)) in
   Broker.exclusively t.broker (fun () ->
       Broker.replace_manager t.broker m;
       (match Broker.journal t.broker with

@@ -572,8 +572,22 @@ let do_bes t ~client =
 let violation_lines reports =
   List.map (fun r -> "violation: " ^ r.Manager.description) reports
 
-(* A journal enqueue (or the fsync covering it) failed after the in-memory
-   commit, so the record is not durable. *)
+(* A commit's record failed to enqueue, or the fsync covering it failed,
+   after the in-memory commit: put the manager back to what the files
+   hold, before any reply.  It is rebuilt from them, not by inverting
+   this session's delta, since one failed batch can cover several
+   sessions; the drain first writes what earlier commits enqueued, if
+   the journal still can.  Call in an exclusive section. *)
+let restore_durable t j =
+  (try Journal.drain j with _ -> ());
+  match Journal.reload j with
+  | m -> replace_manager t m
+  | exception e ->
+      Obs.Log.warnf ~comp:"journal"
+        "cannot rebuild the manager from the journal: %s"
+        (Printexc.to_string e)
+
+(* The record is not durable, and the manager no longer holds it. *)
 let journal_failure t e =
   Metrics.incr t.metrics "journal_errors";
   match e with
@@ -606,10 +620,7 @@ let journal_failure t e =
         ^ "); entering degraded read-only mode — the commit was not made \
            durable: "
         ^ Printexc.to_string e)
-  | e ->
-      err
-        ("committed in memory but the journal write failed: "
-        ^ Printexc.to_string e)
+  | e -> err ("the journal write failed: " ^ Printexc.to_string e)
 
 (* A checkpoint failed behind a durable record. *)
 let checkpoint_failure t e =
@@ -648,7 +659,9 @@ let do_ees t ~client =
                     Journal.enqueue j ~epoch:t.epoch
                       ~ids:(Manager.ids t.manager) ~code delta
                   with
-                  | exception e -> `Failed e
+                  | exception e ->
+                      restore_durable t j;
+                      `Failed e
                   | seq ->
                       Metrics.incr t.metrics "journal_records";
                       let ckpt =
@@ -679,7 +692,9 @@ let do_ees t ~client =
          The acknowledgment still only goes out after the fsync covering
          the record (or reports its loss). *)
       match Journal.await j ~seq with
-      | exception e -> journal_failure t e
+      | exception e ->
+          with_write t (fun () -> restore_durable t j);
+          journal_failure t e
       | () ->
           (* a checkpoint that failed after draining this record leaves it
              durable: acknowledge it, and let the poisoned journal refuse

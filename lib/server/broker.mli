@@ -32,9 +32,11 @@
     Committed sessions are appended to the write-ahead journal (fsync
     before the acknowledgment) and checkpointed when the journal's caps
     say so.  A checkpoint runs whole inside the [ees] that triggers it:
-    the drain, a render that reuses every relation unchanged since the
-    last one, and a head written into the other segment file with no
-    fsync of its own.  Every
+    the drain, a render that re-renders only the chunks of rows changed
+    since the last head (each relation's own change log says which) and
+    folds the head's CRC from the cached ones, and the head written into
+    the other segment file in one [write], with no fsync of its own.
+    Every
     commit goes through the journal's batch writer: the committer
     enqueues its record under the exclusive lock, then awaits the fsync
     after releasing it, and one leader fsyncs the whole batch.  The
@@ -45,7 +47,11 @@
     When a journal append or checkpoint fails with [EIO]/[ENOSPC] the
     broker enters {e degraded read-only mode}: every writer verb is
     refused (reads keep working), the [degraded] metrics gauge reads 1,
-    and the [health] verb reports the reason.  A checkpoint fails after
+    and the [health] verb reports the reason.  A commit whose record
+    failed is not kept: before the error reply the broker rebuilds its
+    manager from the journal's files ({!Journal.reload}, after draining
+    what earlier commits enqueued), so no reader is served a session that
+    is not durable — and every session of a failed batch goes.  A checkpoint fails after
     the record of the commit that triggered it is durable, so that commit
     is acknowledged; the failure poisons the journal, and the next commit
     is the one refused.  The mode is one-way — restarting the server

@@ -95,9 +95,9 @@ let parse_header line : header option =
    (which skips the line as a comment). *)
 let snapshot_prefix = "# gomsm snapshot v1 "
 
-let snapshot_header ~seq ~epoch body =
+let snapshot_header ~seq ~epoch crc =
   Printf.sprintf "%sseq %d epoch %d crc %s\n" snapshot_prefix seq epoch
-    (Crc32.to_hex (Crc32.string body))
+    (Crc32.to_hex crc)
 
 (* ((covered seq, epoch) option, Persist text).  A legacy snapshot has no
    header line: it covers its journal header's base. *)
@@ -120,12 +120,29 @@ let parse_snapshot text =
             | _ -> bad "malformed header")
         | _ -> bad "malformed header")
 
-(* A head's three pieces: the segment header line, the snapshot line and
-   the Persist text. *)
-let head_pieces ~base ~epoch ~fenced ~gen body =
-  let snap = snapshot_header ~seq:base ~epoch body in
-  let head = String.length snap + String.length body in
-  [ header_line ~base ~epoch ~fenced ~gen ~head; snap; body ]
+(* A head in [buf], or in a larger buffer when it does not fit: the
+   segment header line, the snapshot line (its CRC is the text's, folded
+   from the pieces') and the Persist text.  Returns the buffer and the
+   head's length. *)
+let assemble_head buf ~base ~epoch ~fenced ~gen (text : Persist.text) =
+  let snap = snapshot_header ~seq:base ~epoch text.Persist.crc in
+  let head = String.length snap + text.Persist.length in
+  let line = header_line ~base ~epoch ~fenced ~gen ~head in
+  let len = String.length line + head in
+  let buf =
+    if Bytes.length buf >= len then buf
+    else Bytes.create (max len (2 * Bytes.length buf))
+  in
+  let off =
+    List.fold_left
+      (fun off p ->
+        Bytes.blit_string p 0 buf off (String.length p);
+        off + String.length p)
+      0
+      (line :: snap :: text.Persist.pieces)
+  in
+  assert (off = len);
+  (buf, len)
 
 (* The batch writer — the journal's only writer.  Every byte after a
    segment's head (commit records, a replica's raw records, epoch
@@ -170,6 +187,7 @@ type t = {
   mutable epoch : int;  (* promotion epoch: highest stamp seen or adopted *)
   mutable was_fenced : bool;  (* a fence marker is the latest epoch event *)
   mutable cache : Persist.cache;  (* what the last head's render keeps *)
+  mutable head_buf : Bytes.t;  (* where the next head is assembled *)
   checkpoint_every : int;  (* checkpoint after this many records ... *)
   checkpoint_bytes : int;  (* ... or once this many bytes follow the head *)
   group : group;
@@ -200,12 +218,16 @@ let rec mkdir_p dir =
     try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
   end
 
-(* The first [n] bytes of [s]; all of them by default. *)
-let write_all ?n fd s =
-  let n = Option.value n ~default:(String.length s) in
+let write_all fd s =
+  let n = String.length s in
   let rec go off =
     if off < n then go (off + Unix.write_substring fd s off (n - off))
   in
+  go 0
+
+(* The first [n] bytes of [b]. *)
+let write_bytes fd b n =
+  let rec go off = if off < n then go (off + Unix.write fd b off (n - off)) in
   go 0
 
 let read_file path =
@@ -475,17 +497,6 @@ let rec zero_fill fd n =
   if n > 0 then
     zero_fill fd (n - Unix.write fd zeros 0 (min n (Bytes.length zeros)))
 
-(* Write [pieces] from offset 0 of [fd], cut to [budget] bytes. *)
-let write_prefix fd pieces budget =
-  ignore (Unix.lseek fd 0 Unix.SEEK_SET);
-  ignore
-    (List.fold_left
-       (fun budget p ->
-         let n = min budget (String.length p) in
-         write_all ~n fd p;
-         budget - n)
-       budget pieces)
-
 let fsync_head t =
   if not t.head_durable then begin
     Unix.fsync t.fd;
@@ -499,24 +510,26 @@ let poisoning t f =
     with_g t (fun g -> if Option.is_none g.g_error then g.g_error <- Some e);
     raise e
 
-(* Make [other] a segment headed by [body] covering [base]: the head at
-   offset 0, NULs over whatever older bytes follow it, and the write
-   position at the head's end.  Then switch to it.  The live segment's
-   own head must be durable first — it is what recovery falls back on
-   until the new head is — so this fsyncs it when no flush has since a
-   boot or the previous switch.  On a failure the live segment stays
+(* Make [other] a segment headed by [text] covering [base]: the head at
+   offset 0, in one write from the journal's head buffer, NULs over
+   whatever older bytes follow it, and the write position at the head's
+   end.  Then switch to it.  The live segment's own head must be durable
+   first — it is what recovery falls back on until the new head is — so
+   this fsyncs it when no flush has since a boot or the previous switch.  On a failure the live segment stays
    what it was, and the poisoned journal writes nothing more. *)
-let switch t ~base body =
+let switch t ~base text =
   poisoning t @@ fun () ->
     fsync_head t;
     let gen = t.gen + 1 in
-    let pieces =
-      head_pieces ~base ~epoch:t.epoch ~fenced:t.was_fenced ~gen body
+    let buf, len =
+      assemble_head t.head_buf ~base ~epoch:t.epoch ~fenced:t.was_fenced ~gen
+        text
     in
-    let len = List.fold_left (fun n p -> n + String.length p) 0 pieces in
+    t.head_buf <- buf;
     let budget = Failpoint.hit_io fp_head len in
     let budget = min budget (hit_io_opt t.fp_head budget) in
-    write_prefix t.other pieces budget;
+    ignore (Unix.lseek t.other 0 Unix.SEEK_SET);
+    write_bytes t.other buf budget;
     if budget < len then
       raise (Unix.Unix_error (Unix.EIO, "write", "failpoint: partial head"));
     zero_fill t.other (t.other_end - len);
@@ -541,13 +554,13 @@ let switch t ~base body =
         g.g_assigned <- base)
 
 (* A checkpoint, whole, under the caller's exclusive section: drain (the
-   commit's own fsync), render, and switch.  The render reuses every
-   relation and code piece unchanged since the previous head.  The new
-   head becomes durable with the next flush. *)
+   commit's own fsync), render, and switch.  The render re-renders only
+   the chunks of rows that changed since the previous head, and the
+   head's CRC is folded from the pieces' cached ones.  The new head
+   becomes durable with the next flush. *)
 let checkpoint t (m : Manager.t) =
   drain t;
-  let body = Buffer.contents (Persist.save_to_buffer ~cache:t.cache m) in
-  switch t ~base:t.seq body
+  switch t ~base:t.seq (Persist.render ~cache:t.cache m)
 
 (* The journal's one checkpoint rule: checkpoint on either cap — a count
    of records, or the bytes after the head passing the byte budget (a
@@ -565,7 +578,12 @@ let maybe_checkpoint t m =
    the manager it came from is a new one, so the render cache restarts. *)
 let install_snapshot t ~seq ~text =
   drain t;
-  switch t ~base:seq text;
+  switch t ~base:seq
+    {
+      Persist.pieces = [ text ];
+      length = String.length text;
+      crc = Crc32.string text;
+    };
   t.cache <- Persist.render_cache ();
   poisoning t (fun () -> fsync_head t)
 
@@ -1040,17 +1058,17 @@ type recovery = {
   truncated_bytes : int;
 }
 
-(* Write a whole segment file at [path] — [pieces], fsynced — for the
-   boot-time cases that make one: a fresh directory, or the legacy
-   import. *)
-let write_segment path pieces =
+(* Write a whole segment file at [path] — the first [n] bytes of [b],
+   fsynced — for the boot-time cases that make one: a fresh directory,
+   or the legacy import. *)
+let write_segment path b n =
   let fd =
     Unix.openfile path [ Unix.O_RDWR; Unix.O_CREAT; Unix.O_TRUNC ] 0o644
   in
   Fun.protect
     ~finally:(fun () -> Unix.close fd)
     (fun () ->
-      List.iter (write_all fd) pieces;
+      write_bytes fd b n;
       Unix.fsync fd)
 
 let recover ?label ?(checkpoint_every = default_checkpoint_every)
@@ -1064,19 +1082,19 @@ let recover ?label ?(checkpoint_every = default_checkpoint_every)
     match b.b_layout with
     | Live { idx; gen; start; good } -> (idx, gen, start, good, c.covered, c.n)
     | Fresh ->
-        write_segment (journal_path ~dir) [ fresh_header ];
         let n = String.length fresh_header in
+        write_segment (journal_path ~dir) (Bytes.of_string fresh_header) n;
         (0, 0, n, n, 0, 0)
     | Legacy ->
         (* the import: the recovered state becomes the head of
            journal.alt.  Until that is durable the legacy files still hold
            the state, and a crash meanwhile imports again. *)
-        let pieces =
-          head_pieces ~base:c.last ~epoch:c.epoch ~fenced:c.fenced ~gen:1
-            (Buffer.contents (Persist.save_to_buffer b.b_manager))
+        let buf, n =
+          assemble_head Bytes.empty ~base:c.last ~epoch:c.epoch
+            ~fenced:c.fenced ~gen:1
+            (Persist.render b.b_manager)
         in
-        write_segment (alt_path ~dir) pieces;
-        let n = List.fold_left (fun n p -> n + String.length p) 0 pieces in
+        write_segment (alt_path ~dir) buf n;
         (1, 1, n, n, c.last, 0)
   in
   let live_kept = match b.b_layout with Live _ -> true | _ -> false in
@@ -1116,6 +1134,7 @@ let recover ?label ?(checkpoint_every = default_checkpoint_every)
       epoch = c.epoch;
       was_fenced = c.fenced;
       cache = Persist.render_cache ();
+      head_buf = Bytes.empty;
       checkpoint_every;
       checkpoint_bytes;
       group =

@@ -14,7 +14,7 @@
     {v
     # gomsm journal v1 base <B> epoch <E>[ fenced] gen <G> head <N>
     # gomsm snapshot v1 seq <B> epoch <E> crc <hex>
-    <the Core.Persist.save text, which the CRC-32 covers>
+    <the Core.Persist.render text, which the CRC-32 covers>
     v}
     [N] is the byte length of the snapshot line and text, so records start
     [N] bytes past the header line; [G] counts the heads written in the
@@ -204,8 +204,14 @@ val drain : t -> unit
     raises the error. *)
 
 val checkpoint : t -> Core.Manager.t -> unit
-(** {!maybe_checkpoint}'s path, unconditionally.  {!seq} is unchanged and
-    {!base} advances to it; the new head is durable with the next flush.
+(** {!maybe_checkpoint}'s path, unconditionally: drain, render the
+    manager through the journal's {!Core.Persist.cache} — only the chunks
+    of rows that changed since the previous head are re-rendered, each
+    relation's own change log saying which, and the head's CRC is folded
+    from the pieces' cached CRCs — then assemble the head in one buffer
+    the journal keeps and write it over the other segment with one
+    [write].  {!seq} is unchanged and {!base} advances to it; the new head
+    is durable with the next flush.
     @raise Invalid_argument if an evolution session is open. *)
 
 val maybe_checkpoint : t -> Core.Manager.t -> bool

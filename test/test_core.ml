@@ -947,7 +947,7 @@ let test_persist_roundtrip () =
   (match Manager.run_script m new_car_fashion with
   | Manager.Consistent -> ()
   | Manager.Inconsistent _ -> Alcotest.fail "fashion failed");
-  let text = Buffer.contents (Persist.save_to_buffer m) in
+  let text = Persist.(contents (render m)) in
   let m2 = Persist.load_from_string text in
   (* same facts *)
   check_int "same fact count"
@@ -990,9 +990,9 @@ let test_persist_byte_identity () =
   (match Manager.run_script m Analyzer.Sources.new_car_schema_commands with
   | Manager.Consistent -> ()
   | Manager.Inconsistent _ -> Alcotest.fail "scenario failed");
-  let text = Buffer.contents (Persist.save_to_buffer m) in
+  let text = Persist.(contents (render m)) in
   let m2 = Persist.load_from_string text in
-  let text2 = Buffer.contents (Persist.save_to_buffer m2) in
+  let text2 = Persist.(contents (render m2)) in
   check_string "save(load(save)) = save" text text2
 
 let test_persist_rejects_corrupt () =
@@ -1007,7 +1007,7 @@ let test_persist_rejects_open_session () =
   Manager.begin_session m;
   check_bool "raises" true
     (try
-       ignore (Persist.save_to_buffer m);
+       ignore (Persist.render m);
        false
      with Invalid_argument _ -> true)
 
@@ -1038,7 +1038,7 @@ let prop_persist_roundtrip =
           Manager.rollback m;
           QCheck.assume_fail ()
       | Manager.Consistent ->
-          let text = Buffer.contents (Persist.save_to_buffer m) in
+          let text = Persist.(contents (render m)) in
           let m2 = Persist.load_from_string text in
           let db1 = Manager.database m and db2 = Manager.database m2 in
           Datalog.Database.total db1 = Datalog.Database.total db2
@@ -1124,7 +1124,7 @@ let prop_dump_lines_match_sprintf =
       let m = manager_with_cars () in
       let rt, _, _, _, _ = make_car m in
       List.iter (fun (n, v) -> Runtime.set_global rt n (Value.Str v)) globals;
-      let text = Buffer.contents (Persist.save_to_buffer m) in
+      let text = Persist.(contents (render m)) in
       let lines = String.split_on_char '\n' text in
       let fact_line l =
         match String.index_opt l ' ' with
@@ -1139,7 +1139,7 @@ let prop_dump_lines_match_sprintf =
            (fun (n, v) ->
              List.mem (Printf.sprintf "global %S str %S" n v) lines)
            globals
-      && Persist.(Buffer.contents (save_to_buffer (load_from_string text)))
+      && Persist.(contents (render (load_from_string text)))
          = text)
 
 module Fact_set = Set.Make (Datalog.Fact)
@@ -1226,10 +1226,20 @@ type render_op =
   | Redefine of int * string  (* the nth code piece returns this string *)
   | Slot of float
   | Global of string * string
+  | Burst of string * int * int  (* n facts with adjacent keys: splits *)
+  | Drop of string * int * int  (* n facts in sort order from the ith *)
+  | Churn of string  (* more changes than a relation's log holds *)
+  | Clear of string
   | Checkpoint
+  | Checkpoint_other  (* through a second cache over the same manager *)
+
+(* Relations with rows the generated base spreads over several chunks,
+   and relations only the script fills. *)
+let render_preds = [ "P"; "Q"; "Attr"; "Decl"; "Code" ]
 
 let render_op_gen =
   QCheck.Gen.(
+    let pred = oneofl render_preds in
     frequency
       [
         (4, map2 (fun p i -> Add_fact (p, i)) (oneofl [ "P"; "Q"; "Attr" ]) small_nat);
@@ -1239,25 +1249,77 @@ let render_op_gen =
         (2, map2 (fun i s -> Redefine (i, s)) small_nat spelling);
         (1, map (fun f -> Slot f) float);
         (1, map2 (fun n v -> Global (n, v)) spelling spelling);
+        (2, map3 (fun p i n -> Burst (p, i, n)) pred small_nat (int_range 60 200));
+        (2, map3 (fun p i n -> Drop (p, i, n)) pred small_nat (int_range 1 150));
+        (1, map (fun p -> Churn p) pred);
+        (1, map (fun p -> Clear p) pred);
         (3, return Checkpoint);
+        (1, return Checkpoint_other);
       ])
+
+(* The generated base of the benchmarks, [types] types with four
+   attributes and one operation each, committed beside the cars. *)
+let generated_schema ~types =
+  let buf = Buffer.create (types * 200) in
+  Buffer.add_string buf "schema Generated is\n";
+  for i = 0 to types - 1 do
+    Printf.bprintf buf
+      "  type T%d is\n\
+      \    [ f0 : int; f1 : float; f2 : string; f3 : bool; ]\n\
+      \  operations\n\
+      \    declare op%d : (float) -> float;\n\
+      \  implementation\n\
+      \    define op%d(x) is begin return self.f1 + x; end op%d;\n\
+      \  end type T%d;\n"
+      i i i i i
+  done;
+  Buffer.add_string buf "end schema Generated;\n";
+  Buffer.contents buf
 
 (* Property: rendering through one cache across many checkpoints gives the
    bytes of a render from scratch, and of the cacheless render ([save]),
-   whatever changed in between: facts added and deleted, a relation
-   cleared, sessions, code redefined, slots and globals set. *)
+   whatever changed in between: facts added and deleted, one at a time or
+   in bursts that split chunks and runs that empty them, more changes
+   than a relation's log holds, relations cleared, sessions, code
+   redefined, slots and globals set; over the cars alone or beside a
+   48-type generated base; through one cache or two over the same
+   manager.  The text's CRC and length are its bytes'. *)
 let prop_cached_render_matches_scratch =
   QCheck.Test.make ~count:40 ~name:"reusing render = render from scratch"
-    QCheck.(make Gen.(list_size (int_range 1 25) render_op_gen))
-    (fun ops ->
+    QCheck.(make Gen.(pair bool (list_size (int_range 1 25) render_op_gen)))
+    (fun (generated, ops) ->
       let m = manager_with_cars () in
       let rt, _, _, city, _ = make_car m in
+      if generated then begin
+        Manager.begin_session m;
+        Manager.run_commands m (generated_schema ~types:48);
+        match Manager.end_session m with
+        | Manager.Consistent -> ()
+        | Manager.Inconsistent _ -> failwith "generated base inconsistent"
+      end;
       let db = Manager.database m in
-      let cache = Persist.render_cache () in
-      let agree () =
-        let cached = Buffer.contents (Persist.save_to_buffer ~cache m) in
+      let cache = Persist.render_cache () and other = Persist.render_cache () in
+      let agree_through cache =
+        let text = Persist.render ~cache m in
+        let cached = Persist.contents text in
         cached = scratch_render m
-        && cached = Buffer.contents (Persist.save_to_buffer m)
+        && cached = Persist.(contents (render m))
+        && text.Persist.length = String.length cached
+        && text.Persist.crc = Fault.Crc32.string cached
+      in
+      let agree () = agree_through cache in
+      let sorted pred =
+        List.sort Datalog.Fact.compare (Datalog.Database.facts db pred)
+      in
+      let row pred k =
+        Datalog.Fact.make pred
+          (match Datalog.Database.declaration db pred with
+          | Some d when d.Datalog.Database.arity = 4 ->
+              [ Datalog.Term.symc (Printf.sprintf "k%05d" k); Datalog.Term.Int k;
+                Datalog.Term.symc "x"; Datalog.Term.symc "y" ]
+          | _ ->
+              [ Datalog.Term.symc (Printf.sprintf "k%05d" k); Datalog.Term.Int k;
+                Datalog.Term.symc "x" ])
       in
       let cids () =
         List.filter_map
@@ -1314,14 +1376,44 @@ let prop_cached_render_matches_scratch =
                 | Manager.Inconsistent _ -> Manager.rollback m);
                 true)
         | Slot f ->
-            Runtime.set rt city ~attr:"longi" ~value:(Value.Float f);
+            (* a script that dropped City's attribute facts refuses *)
+            (try Runtime.set rt city ~attr:"longi" ~value:(Value.Float f)
+             with _ -> ());
             true
         | Global (n, v) ->
             Runtime.set_global rt n (Value.Str v);
             true
+        | Burst (p, i, n) ->
+            for k = i to i + n - 1 do
+              ignore (Datalog.Database.add db (row p k))
+            done;
+            true
+        | Drop (p, i, n) ->
+            let fs = sorted p in
+            let len = List.length fs in
+            if len > 0 then
+              List.iteri
+                (fun j f ->
+                  if j >= i mod len && j < (i mod len) + n then
+                    ignore (Datalog.Database.remove db f))
+                fs;
+            true
+        | Churn p ->
+            (* a cap of 1024 entries; 2 500 changes pass it twice *)
+            for k = 1 to 2500 do
+              let f = row p (k mod 7) in
+              if not (Datalog.Database.remove db f) then
+                ignore (Datalog.Database.add db f)
+            done;
+            true
+        | Clear p ->
+            Datalog.Database.clear_pred db p;
+            true
         | Checkpoint -> agree ()
+        | Checkpoint_other -> agree_through other
       in
-      agree () && List.fold_left step true ops && agree ())
+      agree () && List.fold_left step true ops && agree ()
+      && agree_through other)
 
 let test_persist_file_roundtrip () =
   let m = manager_with_cars () in

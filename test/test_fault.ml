@@ -97,6 +97,24 @@ let prop_crc32_matches_bitwise =
       in
       streamed = bitwise_crc32 s && Crc32.string s = streamed)
 
+(* Property: combining the CRCs of [a] and [b] (with [b]'s length, or
+   its shift) gives the CRC of [a ^ b], empty pieces included — what a
+   snapshot head's CRC is folded from. *)
+let prop_crc32_combine =
+  let piece =
+    QCheck.Gen.(
+      string_size ~gen:char (oneof [ return 0; int_range 0 64; int_range 0 5000 ]))
+  in
+  QCheck.Test.make ~count:500 ~name:"crc32 combine = crc32 of the concatenation"
+    QCheck.(make ~print:Print.(pair string string) Gen.(pair piece piece))
+    (fun (a, b) ->
+      let ca = Crc32.string a and cb = Crc32.string b and n = String.length b in
+      let whole = Crc32.string (a ^ b) in
+      Crc32.combine ca cb n = whole
+      && Crc32.combine_shift ca cb (Crc32.shift n) = whole
+      && Crc32.combine ca (Crc32.string "") 0 = ca
+      && Crc32.combine (Crc32.string "") cb n = cb)
+
 let test_crc32_single_bit_flips () =
   let s = "begin 3\nids 1 2 3 4 5 6\nadd attr(t, a, d)\n" in
   let reference = Crc32.string s in
@@ -471,6 +489,7 @@ let suite =
         Alcotest.test_case "every single-bit flip detected" `Quick
           test_crc32_single_bit_flips;
         QCheck_alcotest.to_alcotest prop_crc32_matches_bitwise;
+        QCheck_alcotest.to_alcotest prop_crc32_combine;
       ] );
     ( "fault.failpoint",
       [

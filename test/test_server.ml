@@ -730,6 +730,54 @@ let commit_line b line =
   expect_ok line (Broker.handle b ~client:1 (Protocol.Script_line line));
   expect_ok "ees" (Broker.handle b ~client:1 Protocol.Ees)
 
+(* A rejected session, a rollback and the writer's own [check] each move
+   relation versions — a replay into the manager and its undo — without
+   a journal record.  The checkpoint render after them, through the cache
+   the previous checkpoint filled, follows the relations' own change logs,
+   not the records: the recovered head is a fresh render's bytes. *)
+let test_checkpoint_after_unjournaled_changes () =
+  let dir = fresh_dir () in
+  let r = Journal.recover ~checkpoint_every:2 ~dir () in
+  let j = r.Journal.journal in
+  let b =
+    Broker.create ~journal:j ~acquire_timeout:0.05
+      ~metrics:(Metrics.create ()) r.Journal.manager
+  in
+  let a req = Broker.handle b ~client:1 req in
+  List.iter (commit_line b)
+    [ zoo_frame; "add attribute name : string to Animal@Zoo;" ];
+  check_int "the first checkpoint" 2 (Journal.base j);
+  let versions () =
+    let db = Manager.database (Broker.manager b) in
+    List.map
+      (fun p ->
+        Option.map Datalog.Relation.version (Datalog.Database.relation_opt db p))
+      (Datalog.Database.predicates db)
+  in
+  let before = versions () in
+  expect_ok "bes" (a Protocol.Bes);
+  expect_ok "bad"
+    (a
+       (Protocol.Script_line
+          "schema Bad is type T is [ x : Missing; ] end type T; end schema Bad;"));
+  ignore (expect_err "rejected ees" (a Protocol.Ees));
+  expect_ok "rollback" (a Protocol.Rollback);
+  expect_ok "bes" (a Protocol.Bes);
+  expect_ok "keeper" (a (Protocol.Script_line "add type Keeper to Zoo;"));
+  expect_ok "own check" (a Protocol.Check);
+  expect_ok "rollback" (a Protocol.Rollback);
+  check_int "no record written" 2 (Journal.seq j);
+  check_bool "versions moved" true (versions () <> before);
+  List.iter (commit_line b)
+    [ "add type Keeper to Zoo;"; "add attribute badge : int to Keeper@Zoo;" ];
+  check_int "the second checkpoint" 4 (Journal.base j);
+  let fresh = Core.Persist.(contents (render (Broker.manager b))) in
+  Broker.close b;
+  let r = Journal.recover ~dir () in
+  check_bool "head = fresh render" true
+    (Journal.read_snapshot r.Journal.journal = Some fresh);
+  Journal.close r.Journal.journal
+
 (* One flipped bit in a head that acknowledged records follow fails its
    CRC: recovery refuses rather than fall back to the older segment,
    which lacks those records. *)
@@ -963,7 +1011,7 @@ let test_checkpoint_crash_matrix () =
 let test_legacy_snapshot_recovers () =
   let src = fresh_dir () in
   let b, _, dump2 = run_scenario src in
-  let body = Buffer.contents (Core.Persist.save_to_buffer (Broker.manager b)) in
+  let body = Core.Persist.(contents (render (Broker.manager b))) in
   Broker.close b;
   let dir = fresh_dir () in
   Unix.mkdir dir 0o755;
@@ -1011,7 +1059,7 @@ let test_legacy_directories_convert () =
         check_bool "applies" true
           (Journal.apply_record m2 (Journal.parse_record text)))
     records;
-  let body2 = Buffer.contents (Core.Persist.save_to_buffer m2) in
+  let body2 = Core.Persist.(contents (render m2)) in
   let headed =
     Printf.sprintf "# gomsm snapshot v1 seq 2 epoch 0 crc %s\n"
       (Fault.Crc32.to_hex (Fault.Crc32.string body2))
@@ -2131,6 +2179,8 @@ let suite =
           test_recovery_from_retiring_alone;
         Alcotest.test_case "snapshot bit flip raises" `Quick
           test_snapshot_bit_flip_raises;
+        Alcotest.test_case "checkpoint after unjournaled changes" `Quick
+          test_checkpoint_after_unjournaled_changes;
         Alcotest.test_case "legacy snapshot recovers" `Quick
           test_legacy_snapshot_recovers;
         Alcotest.test_case "legacy directories convert" `Quick

@@ -1324,8 +1324,10 @@ let markers text =
    how many EES have begun.  No answer may name a session that was rolled
    back, abandoned or rejected, nor a session whose EES had not begun when
    the answer returned.  The failed append's session committed in memory
-   before its record was lost, so readers may see it until a restart;
-   after recovery the acked sessions are visible, the undone ones are
+   before its record was lost, so readers may see it until the error
+   reply — the broker rebuilds the manager from the journal before
+   replying — and no answer asked for after that reply may name it.
+   After recovery the acked sessions are visible, the undone ones are
    not, and the failed append's only if its record became durable. *)
 let scenario_i () =
   let kinds = [| `Commit; `Rollback; `Commit; `Disconnect; `Commit; `Reject |] in
@@ -1343,10 +1345,14 @@ let scenario_i () =
       | `Acked -> ()
       | _ -> fail "I: [%s] the zoo commit failed" spec);
       let ees_begun = Atomic.make 0 and stop = Atomic.make false in
+      (* the session whose ees got its error reply, once it has *)
+      let failed_replied = Atomic.make 0 in
       let mu = Mutex.create () in
       let seen = Hashtbl.create 64 and sightings = ref 0 in
+      let seen_after_reply = ref [] in
       let reader i =
         while not (Atomic.get stop) do
+          let replied = Atomic.get failed_replied in
           let texts =
             List.concat_map
               (fun req ->
@@ -1359,7 +1365,8 @@ let scenario_i () =
           List.iter
             (fun k ->
               incr sightings;
-              Hashtbl.replace seen (k, begun) ())
+              Hashtbl.replace seen (k, begun) ();
+              if k = replied then seen_after_reply := k :: !seen_after_reply)
             ks;
           Mutex.unlock mu
         done
@@ -1391,7 +1398,16 @@ let scenario_i () =
               Atomic.set ees_begun k;
               (match (a Protocol.Ees).Protocol.status with
               | Protocol.Ok -> `Acked
-              | Protocol.Err e -> `Failed e)
+              | Protocol.Err e ->
+                  Atomic.set failed_replied k;
+                  let now =
+                    (Broker.handle b ~client:99 Protocol.Dump).Protocol.body
+                  in
+                  check
+                    (not (List.mem k (List.concat_map markers now)))
+                    "I: [%s] failed session %d visible after its error reply"
+                    spec k;
+                  `Failed e)
           | `Rollback ->
               ok "rollback" (a Protocol.Rollback);
               `Undone
@@ -1423,6 +1439,9 @@ let scenario_i () =
       | `Failed _, _ -> ()
       | _ -> fail "I: [%s] the last commit did not fail" spec);
       check (!sightings > 0) "I: [%s] the readers saw no session" spec;
+      check (!seen_after_reply = [])
+        "I: [%s] a reader asking after the error reply saw session %d" spec
+        last;
       Hashtbl.iter
         (fun (k, begun) () ->
           (match Hashtbl.find_opt outcomes k with
