@@ -30,41 +30,36 @@ let wrap_syntax f =
 let parse_unit src = wrap_syntax (fun () -> Parser.parse_unit src)
 let parse_commands src = wrap_syntax (fun () -> Parser.parse_commands src)
 
+let result env commands =
+  {
+    delta = Translate.delta env;
+    diagnostics = Translate.diagnostics env;
+    code_asts = Translate.code_asts env;
+    commands;
+  }
+
+(* Each entry point below analyzes over a fresh overlay of [db]: [db] is
+   read, never copied or changed. *)
+
 (* Analyze a full definition text (schema and fashion frames). *)
 let analyze_definitions ?lookup_code (db : Datalog.Database.t)
     (ids : Gom.Ids.gen) (src : string) : result =
   let items = parse_unit src in
-  let env = Translate.create ?lookup_code db ids in
+  let env = Translate.create ?lookup_code (Datalog.Database.overlay db) ids in
   Translate.translate_unit env items;
-  {
-    delta = Translate.delta env;
-    diagnostics = Translate.diagnostics env;
-    code_asts = Translate.code_asts env;
-    commands = [];
-  }
+  result env []
+
+(* Analyze already-parsed commands over [work], which takes their changes. *)
+let analyze_in ?lookup_code (work : Datalog.Database.t) (ids : Gom.Ids.gen)
+    (commands : Ast.command list) : result =
+  let env = Translate.create ?lookup_code work ids in
+  List.iter (Translate.translate_command env) commands;
+  result env commands
+
+let analyze_parsed ?lookup_code db ids commands =
+  analyze_in ?lookup_code (Datalog.Database.overlay db) ids commands
 
 (* Analyze evolution-command text.  Begin/End session markers are returned in
    [commands] for the session layer; everything else is translated. *)
-let analyze_commands ?lookup_code (db : Datalog.Database.t) (ids : Gom.Ids.gen)
-    (src : string) : result =
-  let commands = parse_commands src in
-  let env = Translate.create ?lookup_code db ids in
-  List.iter (Translate.translate_command env) commands;
-  {
-    delta = Translate.delta env;
-    diagnostics = Translate.diagnostics env;
-    code_asts = Translate.code_asts env;
-    commands;
-  }
-
-(* Analyze already-parsed commands, over [db] with [deltas] applied. *)
-let analyze_parsed ?lookup_code ?deltas (db : Datalog.Database.t)
-    (ids : Gom.Ids.gen) (commands : Ast.command list) : result =
-  let env = Translate.create ?lookup_code ?deltas db ids in
-  List.iter (Translate.translate_command env) commands;
-  {
-    delta = Translate.delta env;
-    diagnostics = Translate.diagnostics env;
-    code_asts = Translate.code_asts env;
-    commands;
-  }
+let analyze_commands ?lookup_code db ids src =
+  analyze_parsed ?lookup_code db ids (parse_commands src)

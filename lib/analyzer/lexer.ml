@@ -129,6 +129,15 @@ let lex_string st =
     | exception Scanf.Scan_failure _ ->
         error st "bad escape sequence in string literal"
 
+(* [Token.keywords] as a set: one hash and a compare or two per
+   identifier, not a walk of the list. *)
+module Keywords = Hashtbl.Make (String)
+
+let keywords =
+  let tbl = Keywords.create 64 in
+  List.iter (fun kw -> Keywords.replace tbl kw ()) Token.keywords;
+  tbl
+
 let next_token st : Token.located =
   skip_space st;
   let line = st.line and c0 = col st in
@@ -137,7 +146,7 @@ let next_token st : Token.located =
   | None -> mk Token.EOF
   | Some c when is_alpha c ->
       let id = lex_ident st in
-      if List.mem id Token.keywords then mk (Token.KW id) else mk (Token.IDENT id)
+      if Keywords.mem keywords id then mk (Token.KW id) else mk (Token.IDENT id)
   | Some c when is_digit c -> mk (lex_number st)
   | Some '"' -> mk (lex_string st)
   | Some c -> (

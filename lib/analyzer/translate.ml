@@ -3,17 +3,21 @@
    architecture ("each call of an update operation will be mapped to
    corresponding modifications of the schema base").
 
-   Translation works against a private copy of the schema base so that later
-   parts of a unit can see earlier parts; the accumulated delta is what the
-   session hands to the Consistency Control.  Name resolution implements the
-   appendix-A visibility rules: own components, public components of direct
-   subschemas and of imported schemas, renamings, and conflict detection. *)
+   Translation writes its changes into a working database as it goes, so
+   that later parts of a unit can see earlier parts; the accumulated delta
+   is what the session hands to the Consistency Control.  The working
+   database is the caller's: an overlay over the committed base
+   ({!Datalog.Database.overlay}) takes the changes without touching the
+   base or copying it.  Name resolution implements the appendix-A
+   visibility rules: own components, public components of direct
+   subschemas and of imported schemas, renamings, and conflict
+   detection. *)
 
 open Gom
 open Datalog
 
 type env = {
-  work : Database.t;  (* private working copy *)
+  work : Database.t;  (* the working base: takes every change *)
   ids : Ids.gen;
   mutable additions : Fact.t list;  (* newest first *)
   mutable deletions : Fact.t list;
@@ -23,10 +27,8 @@ type env = {
       (* previously registered code, for Copy_type *)
 }
 
-let create ?(lookup_code = fun _ -> None) ?(deltas = []) (db : Database.t)
-    (ids : Ids.gen) =
-  let work = Database.copy db in
-  List.iter (fun d -> ignore (Delta.apply work d)) deltas;
+let create ?(lookup_code = fun _ -> None) (work : Database.t) (ids : Ids.gen)
+    =
   {
     work;
     ids;

@@ -1,22 +1,24 @@
 (** Translation of parsed definitions and evolution commands into changes of
     the base-predicate extensions — the Analyzer's mapping in the paper's
-    architecture.  Works against a private copy of the schema base so later
-    parts of a unit see earlier parts; the accumulated delta is handed to the
-    Consistency Control.  Name resolution implements the appendix-A
-    visibility rules (own components, public components of direct subschemas
-    and imports, renamings, conflict detection). *)
+    architecture.  Translation writes each change into a working database
+    as it makes it, so later parts of a unit see earlier parts; the
+    accumulated delta is handed to the Consistency Control.  Name
+    resolution implements the appendix-A visibility rules (own
+    components, public components of direct subschemas and imports,
+    renamings, conflict detection). *)
 
 type env
 
 val create :
   ?lookup_code:(string -> (string list * Ast.stmt) option) ->
-  ?deltas:Datalog.Delta.t list ->
   Datalog.Database.t ->
   Gom.Ids.gen ->
   env
-(** The database is copied, and [deltas] (default none) are applied to the
-    copy in order: changes not yet in the database, such as an evolution
-    session's earlier commands.  The generator is shared (advanced in
+(** [create work ids]: translation reads [work] and writes every change
+    into it.  Pass an overlay ({!Datalog.Database.overlay}) over the
+    committed base to keep the base as it is: the changes stay in the
+    overlay, which a later [create] may continue from (an evolution
+    session's earlier commands).  The generator is shared (advanced in
     place). *)
 
 val delta : env -> Datalog.Delta.t

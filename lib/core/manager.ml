@@ -52,8 +52,8 @@ type t = {
       (* prepared query bodies by shape key, at most [max_query_shapes] *)
 }
 
-(* What a session check evaluates: the theory revision and the sorted
-   names of the affected constraints. *)
+(* What a session check evaluates: the theory revision and the names of
+   the affected constraints, in theory order. *)
 and cone_key = int * string list
 
 (* [Cone]: the rules a repeated session check needs.  [Whole]: the whole
@@ -321,10 +321,11 @@ let cone_violations t delta =
   with
   | [] -> []
   | affected -> (
+      (* the affected list comes in theory order, the same for the same
+         set: its names key the cone as they are *)
       let key =
         ( Theory.revision t.theory,
-          List.sort String.compare
-            (List.map (fun c -> c.Constraint_compile.name) affected) )
+          List.map (fun c -> c.Constraint_compile.name) affected )
       in
       let previous = t.last_key in
       t.last_key <- Some key;

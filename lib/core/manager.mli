@@ -178,9 +178,9 @@ val query_text :
     keeps a bounded table of prepared query shapes
     ({!Datalog.Parse.query_shape}): a text of a shape seen before skips
     parsing, normalizing and planning and reuses its shape's body, answer
-    variables and plan for the database's size class.  The table is
-    mutable state like the relation indexes, so the same serialization
-    applies.
+    variables and plan for the size class of the relations it reads.  The
+    table is mutable state like the relation indexes, so the same
+    serialization applies.
     @raise Datalog.Parse.Error on syntax errors. *)
 
 (** {2 Protocol drivers} *)

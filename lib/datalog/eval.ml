@@ -12,14 +12,15 @@
    semi-naive fixpoint per stratum; [run_naive] is the naive fixpoint kept for
    the ablation bench.
 
-   Plans are cached on the prepared program per (rule, bound pattern,
-   database size class): the bound pattern is the semi-naive delta position
-   (or none; DRed's rule variants in [Incremental] add keys of their own),
-   and the size class — the bit length of the database's total
-   cardinality — retires a plan once the database has roughly doubled, so a
-   plan computed against an empty bootstrap database is not reused against a
-   populated one.  Cache traffic is counted in [Plan] and surfaced by the
-   server's [stats] verb. *)
+   Plans are cached on the prepared program per (rule, bound pattern, size
+   class): the bound pattern is the semi-naive delta position (or none;
+   DRed's rule variants in [Incremental] add keys of their own), and the
+   size class — the bit lengths of the cardinalities of the relations the
+   body's positive literals read — retires a plan once one of them has
+   roughly doubled or halved, so a plan computed against an empty
+   bootstrap database is not reused against a populated one.  It costs a
+   lookup per literal, whatever the size of the database.  Cache traffic
+   is counted in [Plan] and surfaced by the server's [stats] verb. *)
 
 type planned_rule = {
   rule : Rule.t;
@@ -106,21 +107,38 @@ let rules t = t.rules
 let stratification t = t.strat
 let is_idb t pred = Stratify.is_idb t.strat pred
 
-let size_class n =
+let bit_length n =
   let rec go b n = if n = 0 then b else go (b + 1) (n lsr 1) in
   go 0 n
 
+(* The size class of [body] over [db]: the bit length of each positive
+   literal's relation, six bits apiece.  A long body wraps around, and two
+   classes that collide share a plan: plans are orderings only, so that
+   costs speed, never an answer. *)
+let rec size_class db acc (body : Rule.literal list) =
+  match body with
+  | [] -> acc
+  | Rule.Pos a :: body ->
+      let n =
+        match Database.relation_opt db a.Atom.pred with
+        | Some r -> Relation.cardinal r
+        | None -> 0
+      in
+      size_class db ((acc lsl 6) lor bit_length n) body
+  | (Rule.Neg _ | Rule.Cmp _) :: body -> size_class db acc body
+
 (* The cached plan of one body shape of [pr]: [variant] tells the shapes
    apart (the semi-naive delta position, -1 for none; {!Incremental}'s
-   DRed variants add their own), and the size class of [db] retires a plan
-   once the database has roughly doubled.  Computed against [db]'s current
-   statistics on first use; the cache outcome is counted in [Plan] and
-   reported so the profiler can count hits and misses per rule. *)
+   DRed variants add their own), and the size class of the relations the
+   body reads retires a plan once one has roughly doubled.  Computed
+   against [db]'s current statistics on first use; the cache outcome is
+   counted in [Plan] and reported so the profiler can count hits and
+   misses per rule. *)
 let cached_plan db (pr : planned_rule) ~variant ?first body :
     Plan.t option * [ `Hit | `Miss | `Unplanned ] =
   if not !Plan.use_planner then (None, `Unplanned)
   else begin
-    let key = (variant, size_class (Database.total db)) in
+    let key = (variant, size_class db 0 body) in
     match List.assoc_opt key pr.plans with
     | Some p ->
         Plan.record_hit ();

@@ -55,7 +55,9 @@ val variant_plan :
     [variant] keys the shape: a delta position [i >= 0] shares the plan
     {!run}'s semi-naive rounds use for that position, so the body must be
     the rule's own; other shapes take keys below [-1].  Like {!run}'s own
-    plans, an entry is keyed by the database's size class too, and each
+    plans, an entry is keyed by a size class too: the bit lengths of the
+    cardinalities of the relations the body's positive literals read, so
+    a plan retires once one of them has roughly doubled or halved.  Each
     lookup counts a hit or a miss in {!Plan}. *)
 
 val rule_label : planned_rule -> string
@@ -105,7 +107,7 @@ val run_naive : prepared -> Database.t -> unit
 type query
 (** A query body prepared for every text of its shape: normalized, its
     constants numbered as slots in text order, its answer variables sorted,
-    and its join plans cached per database size class like a rule's. *)
+    and its join plans cached per size class like a rule's. *)
 
 val prepare_query : Rule.literal list -> query
 (** Normalize a query body and number its constants: the [k]-th constant
@@ -117,8 +119,9 @@ val run_query :
   Database.t -> query -> ?consts:Term.const array -> (Subst.t -> unit) -> unit
 (** Answer a prepared query against a materialized database, with [consts]
     (one per slot) in place of the preparing body's constants, or with that
-    body as it is.  The join plan is the cached one for the database's size
-    class, made from the first body evaluated in that class; the plan
+    body as it is.  The join plan is the cached one for the size class of
+    the relations the body reads, made from the first body evaluated in
+    that class; the plan
     orders the join, so answers come in that plan's order.  The evaluation
     is reported as a [Rule] event of stratum -1, with its plan-cache
     outcome. *)

@@ -38,8 +38,15 @@ val apply : state -> Delta.t -> Delta.t
 
     The deletion phase evaluates against the pre-update state without
     copying it: a view of the updated materialization with the net
-    changes so far masked out (see {!Eval.eval_lits}'s [pre]).  The cost
-    follows the delta and what it derives, not the size of the base.
+    changes so far masked out (see {!Eval.eval_lits}'s [pre]).  Only the
+    rule variants of predicates with net changes fire: per stratum, the
+    first [apply] on a state builds tables from each head predicate to
+    its rules and from each body predicate to the literals that read it
+    (positive, and negated with the flipped body made once), and a stratum
+    none of whose literals reads a changed predicate is skipped.  Scratch
+    fact sets are made only when a fact lands in them.  The cost follows
+    the delta and what it derives, not the size of the base or of the
+    program.
     @raise Invalid_argument if [delta] changes a derived predicate. *)
 
 val violations :

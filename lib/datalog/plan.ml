@@ -24,9 +24,9 @@
 
    Plans are orderings only — they carry no pointers into the database — so
    a cached plan is always sound to reuse; staleness costs performance, not
-   correctness.  [Eval] caches plans per (rule, bound pattern, database size
-   class); the hit/miss counters here are surfaced by the server's [stats]
-   verb. *)
+   correctness.  [Eval] caches plans per (rule, bound pattern, size class
+   of the relations the body reads); the hit/miss counters here are
+   surfaced by the server's [stats] verb. *)
 
 type t = { order : int array }
 (** [order.(k)] is the index (in the original body) of the literal evaluated

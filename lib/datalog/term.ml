@@ -71,6 +71,11 @@ let query_scope () =
             locals := (name, c) :: !locals;
             c)
 
+let interned name =
+  Option.map
+    (fun s -> Sym s)
+    (Mutex.protect intern_mu (fun () -> Hashtbl.find_opt intern_tbl name))
+
 let symc s = Sym (intern s)
 let sym s = Const (symc s)
 let int i = Const (Int i)

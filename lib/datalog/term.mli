@@ -34,6 +34,11 @@ val query_scope : unit -> string -> const
     scope.  A query-local symbol equals no stored constant (every stored
     one is interned) and prints and compares by name. *)
 
+val interned : string -> const option
+(** The symbol spelled [s] if one was interned, interning nothing: a
+    spelling never interned occurs in no database extension, so a lookup
+    by it can stop at [None]. *)
+
 val symc : string -> const
 (** [symc s] is the constant [Sym (intern s)]. *)
 

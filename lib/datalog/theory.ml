@@ -14,9 +14,10 @@ type t = {
   mutable constraints : Constraint_compile.compiled list;
   mutable prepared_cache : Eval.prepared option;
   mutable deps_cache : (string, string list) Hashtbl.t option;
-  mutable constraint_deps :
-    (Constraint_compile.compiled * string list) list option;
-      (* every constraint with its base deps, for [affected_constraints] *)
+  mutable affected_index :
+    (string, (int * Constraint_compile.compiled) list) Hashtbl.t option;
+      (* base predicate -> its dependent constraints, with their positions
+         in theory order; for [affected_constraints] *)
   mutable revision : int;  (* bumped on every definition change *)
 }
 
@@ -29,14 +30,14 @@ let create () =
     constraints = [];
     prepared_cache = None;
     deps_cache = None;
-    constraint_deps = None;
+    affected_index = None;
     revision = 0;
   }
 
 let invalidate t =
   t.prepared_cache <- None;
   t.deps_cache <- None;
-  t.constraint_deps <- None;
+  t.affected_index <- None;
   t.revision <- t.revision + 1
 
 let revision t = t.revision
@@ -141,19 +142,30 @@ let constraint_base_deps t (c : Constraint_compile.compiled) : string list =
   |> List.sort_uniq String.compare
 
 (* Computed once per revision: every EES asks, the theory rarely moves. *)
-let constraint_deps t =
-  match t.constraint_deps with
-  | Some cds -> cds
+let affected_index t =
+  match t.affected_index with
+  | Some ix -> ix
   | None ->
-      let cds =
-        List.map (fun c -> (c, constraint_base_deps t c)) t.constraints
-      in
-      t.constraint_deps <- Some cds;
-      cds
+      let ix = Hashtbl.create 32 in
+      List.iteri
+        (fun i c ->
+          List.iter
+            (fun p ->
+              Hashtbl.replace ix p
+                ((i, c) :: Option.value ~default:[] (Hashtbl.find_opt ix p)))
+            (constraint_base_deps t c))
+        t.constraints;
+      Hashtbl.filter_map_inplace (fun _ l -> Some (List.rev l)) ix;
+      t.affected_index <- Some ix;
+      ix
 
 let affected_constraints t ~changed_preds =
-  List.filter_map
-    (fun (c, deps) ->
-      if List.exists (fun p -> List.mem p deps) changed_preds then Some c
-      else None)
-    (constraint_deps t)
+  let ix = affected_index t in
+  let of_pred p = Option.value ~default:[] (Hashtbl.find_opt ix p) in
+  List.map snd
+    (match changed_preds with
+    | [ p ] -> of_pred p
+    | preds ->
+        List.sort_uniq
+          (fun (i, _) (j, _) -> Int.compare i j)
+          (List.concat_map of_pred preds))

@@ -50,5 +50,8 @@ val constraint_base_deps : t -> Constraint_compile.compiled -> string list
 
 val affected_constraints :
   t -> changed_preds:string list -> Constraint_compile.compiled list
-(** Constraints whose truth can depend on the given base predicates.  Each
-    constraint's base dependencies are computed once per {!revision}. *)
+(** Constraints whose truth can depend on the given base predicates, in
+    the order they were added: the same list for the same set of
+    predicates.  An index from each base predicate to its dependent
+    constraints is built once per {!revision}, so a call costs a lookup
+    per changed predicate. *)

@@ -1,20 +1,38 @@
 (* Typed queries over the Schema Base (the extensional database holding the
-   schema facts).  These walk the base predicates directly so that they are
-   always current — they do not require a materialized intensional state. *)
+   schema facts).  These read the base predicates directly so that they are
+   always current — they do not require a materialized intensional state.
+
+   A lookup by a known component probes that column's index
+   ({!Database.iter_matching}) instead of scanning the predicate, and
+   every answer list comes back sorted: a lookup's result, and so what an
+   analysis derives from it (down to the identifiers a copied type's
+   declarations draw), does not depend on how the base is stored — plain
+   or an overlay, indexed or scanned, built in whatever order. *)
 
 open Datalog
 
+let scan db pred f = Database.iter_pred db pred f
 
-let scan db pred f =
-  match Database.relation_opt db pred with
-  | None -> ()
-  | Some rel -> Relation.iter f rel
-
-let collect db pred f =
+let gather iter f =
   let acc = ref [] in
-  scan db pred (fun tuple ->
+  iter (fun tuple ->
       match f tuple with None -> () | Some x -> acc := x :: !acc);
-  List.rev !acc
+  List.sort compare !acc
+
+let collect db pred f = gather (scan db pred) f
+
+(* The tuples of [pred] whose [col]-th component is the symbol spelled
+   [name]; a spelling never interned is in no tuple. *)
+let probe db pred ~col name f =
+  match Term.interned name with
+  | None -> ()
+  | Some key -> Database.iter_matching db pred ~col ~key f
+
+let matching db pred ~col name f = gather (probe db pred ~col name) f
+
+(* The least answer: the only one, on a consistent base. *)
+let first db pred ~col name f =
+  match matching db pred ~col name f with x :: _ -> Some x | [] -> None
 
 (* [c] is the symbol spelled [name].  Symbols are interned, so this equals
    [Term.equal_const c (Term.symc name)] without an intern-table lookup per
@@ -29,27 +47,18 @@ let sym_of = Term.const_to_string
 (* --- Schemas --- *)
 
 let find_schema db ~name =
-  let result = ref None in
-  scan db Preds.schema_ (fun t ->
-      if is_sym name t.(1) then result := Some (sym_of t.(0)));
-  !result
+  first db Preds.schema_ ~col:1 name (fun t -> Some (sym_of t.(0)))
 
 let schema_name db ~sid =
-  let result = ref None in
-  scan db Preds.schema_ (fun t ->
-      if is_sym sid t.(0) then result := Some (sym_of t.(1)));
-  !result
+  first db Preds.schema_ ~col:0 sid (fun t -> Some (sym_of t.(1)))
 
 let schemas db = collect db Preds.schema_ (fun t -> Some (sym_of t.(0), sym_of t.(1)))
 
 (* --- Types --- *)
 
 let find_type db ~sid ~name =
-  let result = ref None in
-  scan db Preds.type_ (fun t ->
-      if is_sym name t.(1) && is_sym sid t.(2) then
-        result := Some (sym_of t.(0)));
-  !result
+  first db Preds.type_ ~col:1 name (fun t ->
+      if is_sym sid t.(2) then Some (sym_of t.(0)) else None)
 
 (* Resolve the paper's @-notation: TypeName@SchemaName. *)
 let find_type_at db ~type_name ~schema_name =
@@ -58,29 +67,21 @@ let find_type_at db ~type_name ~schema_name =
   | Some sid -> find_type db ~sid ~name:type_name
 
 let type_info db ~tid =
-  let result = ref None in
-  scan db Preds.type_ (fun t ->
-      if is_sym tid t.(0) then
-        result := Some (sym_of t.(1), sym_of t.(2)));
-  !result
+  first db Preds.type_ ~col:0 tid (fun t -> Some (sym_of t.(1), sym_of t.(2)))
 
 let type_name db ~tid = Option.map fst (type_info db ~tid)
 let schema_of_type db ~tid = Option.map snd (type_info db ~tid)
 
 let types_of_schema db ~sid =
-  collect db Preds.type_ (fun t ->
-      if is_sym sid t.(2) then Some (sym_of t.(0), sym_of t.(1))
-      else None)
+  matching db Preds.type_ ~col:2 sid (fun t -> Some (sym_of t.(0), sym_of t.(1)))
 
 (* --- Subtyping --- *)
 
 let direct_supertypes db ~tid =
-  collect db Preds.subtyprel (fun t ->
-      if is_sym tid t.(0) then Some (sym_of t.(1)) else None)
+  matching db Preds.subtyprel ~col:0 tid (fun t -> Some (sym_of t.(1)))
 
 let direct_subtypes db ~tid =
-  collect db Preds.subtyprel (fun t ->
-      if is_sym tid t.(1) then Some (sym_of t.(0)) else None)
+  matching db Preds.subtyprel ~col:1 tid (fun t -> Some (sym_of t.(0)))
 
 (* Supertypes in breadth-first order (nearest first), excluding [tid];
    cycle-safe even on inconsistent schemas. *)
@@ -105,9 +106,7 @@ let is_subtype db ~sub ~super =
 (* --- Attributes --- *)
 
 let direct_attrs db ~tid =
-  collect db Preds.attr (fun t ->
-      if is_sym tid t.(0) then Some (sym_of t.(1), sym_of t.(2))
-      else None)
+  matching db Preds.attr ~col:0 tid (fun t -> Some (sym_of t.(1), sym_of t.(2)))
 
 (* All attributes including inherited ones (the extension of Attr_i for this
    type), nearest declaration first. *)
@@ -135,31 +134,19 @@ type decl_info = {
   result : string;
 }
 
+let decl_info t =
+  {
+    did = sym_of t.(0);
+    receiver = sym_of t.(1);
+    op_name = sym_of t.(2);
+    result = sym_of t.(3);
+  }
+
 let decl_by_id db ~did =
-  let result = ref None in
-  scan db Preds.decl (fun t ->
-      if is_sym did t.(0) then
-        result :=
-          Some
-            {
-              did;
-              receiver = sym_of t.(1);
-              op_name = sym_of t.(2);
-              result = sym_of t.(3);
-            });
-  !result
+  first db Preds.decl ~col:0 did (fun t -> Some (decl_info t))
 
 let direct_decls db ~tid =
-  collect db Preds.decl (fun t ->
-      if is_sym tid t.(1) then
-        Some
-          {
-            did = sym_of t.(0);
-            receiver = sym_of t.(1);
-            op_name = sym_of t.(2);
-            result = sym_of t.(3);
-          }
-      else None)
+  matching db Preds.decl ~col:1 tid (fun t -> Some (decl_info t))
 
 (* Dynamic binding: the applicable declaration for operation [name] on
    receiver type [tid] is the nearest declaration up the supertype chain. *)
@@ -170,103 +157,70 @@ let resolve_decl db ~tid ~name =
     (tid :: supertypes db ~tid)
 
 let args_of_decl db ~did =
-  collect db Preds.argdecl (fun t ->
-      if is_sym did t.(0) then
-        match t.(1) with
-        | Term.Int n -> Some (n, sym_of t.(2))
-        | Term.Sym _ | Term.Fresh _ -> None
-      else None)
-  |> List.sort Stdlib.compare
+  matching db Preds.argdecl ~col:0 did (fun t ->
+      match t.(1) with
+      | Term.Int n -> Some (n, sym_of t.(2))
+      | Term.Sym _ | Term.Fresh _ -> None)
 
 let code_of_decl db ~did =
-  let result = ref None in
-  scan db Preds.code (fun t ->
-      if is_sym did t.(2) then
-        result := Some (sym_of t.(0), sym_of t.(1)));
-  !result
+  first db Preds.code ~col:2 did (fun t -> Some (sym_of t.(0), sym_of t.(1)))
 
 let refinements_of db ~did =
-  collect db Preds.declrefinement (fun t ->
-      if is_sym did t.(1) then Some (sym_of t.(0)) else None)
+  matching db Preds.declrefinement ~col:1 did (fun t -> Some (sym_of t.(0)))
 
 (* --- Physical representations --- *)
 
 let phrep_of_type db ~tid =
-  let result = ref None in
-  scan db Preds.phrep (fun t ->
-      if is_sym tid t.(1) then result := Some (sym_of t.(0)));
-  !result
+  first db Preds.phrep ~col:1 tid (fun t -> Some (sym_of t.(0)))
 
 let type_of_phrep db ~clid =
-  let result = ref None in
-  scan db Preds.phrep (fun t ->
-      if is_sym clid t.(0) then result := Some (sym_of t.(1)));
-  !result
+  first db Preds.phrep ~col:0 clid (fun t -> Some (sym_of t.(1)))
 
 let slots_of_phrep db ~clid =
-  collect db Preds.slot (fun t ->
-      if is_sym clid t.(0) then Some (sym_of t.(1), sym_of t.(2))
-      else None)
+  matching db Preds.slot ~col:0 clid (fun t -> Some (sym_of t.(1), sym_of t.(2)))
 
 (* --- Versioning --- *)
 
 let evolutions_of_type db ~tid =
-  collect db Preds.evolves_to_t (fun t ->
-      if is_sym tid t.(0) then Some (sym_of t.(1)) else None)
+  matching db Preds.evolves_to_t ~col:0 tid (fun t -> Some (sym_of t.(1)))
 
 let predecessors_of_type db ~tid =
-  collect db Preds.evolves_to_t (fun t ->
-      if is_sym tid t.(1) then Some (sym_of t.(0)) else None)
+  matching db Preds.evolves_to_t ~col:1 tid (fun t -> Some (sym_of t.(0)))
 
 (* --- Fashion --- *)
 
 (* FashionType(X, Y): instances of X are substitutable for instances of Y. *)
 let fashion_targets db ~tid =
-  collect db Preds.fashiontype (fun t ->
-      if is_sym tid t.(0) then Some (sym_of t.(1)) else None)
+  matching db Preds.fashiontype ~col:0 tid (fun t -> Some (sym_of t.(1)))
 
 let fashion_sources db ~tid =
-  collect db Preds.fashiontype (fun t ->
-      if is_sym tid t.(1) then Some (sym_of t.(0)) else None)
+  matching db Preds.fashiontype ~col:1 tid (fun t -> Some (sym_of t.(0)))
 
 let fashion_attr db ~owner_tid ~attr_name ~masked_tid =
-  let result = ref None in
-  scan db Preds.fashionattr (fun t ->
-      if
-        is_sym owner_tid t.(0) && is_sym attr_name t.(1)
-        && is_sym masked_tid t.(2)
-      then result := Some (sym_of t.(3), sym_of t.(4)));
-  !result
+  first db Preds.fashionattr ~col:0 owner_tid (fun t ->
+      if is_sym attr_name t.(1) && is_sym masked_tid t.(2) then
+        Some (sym_of t.(3), sym_of t.(4))
+      else None)
 
 let fashion_decl db ~did ~masked_tid =
-  let result = ref None in
-  scan db Preds.fashiondecl (fun t ->
-      if is_sym did t.(0) && is_sym masked_tid t.(1) then
-        result := Some (sym_of t.(2)));
-  !result
+  first db Preds.fashiondecl ~col:0 did (fun t ->
+      if is_sym masked_tid t.(1) then Some (sym_of t.(2)) else None)
 
 (* --- Subschemas (appendix A) --- *)
 
 let parent_schema db ~sid =
-  let result = ref None in
-  scan db Preds.subschemarel (fun t ->
-      if is_sym sid t.(0) then result := Some (sym_of t.(1)));
-  !result
+  first db Preds.subschemarel ~col:0 sid (fun t -> Some (sym_of t.(1)))
 
 let child_schemas db ~sid =
-  collect db Preds.subschemarel (fun t ->
-      if is_sym sid t.(1) then Some (sym_of t.(0)) else None)
+  matching db Preds.subschemarel ~col:1 sid (fun t -> Some (sym_of t.(0)))
 
 let imports_of db ~sid =
-  collect db Preds.imports (fun t ->
-      if is_sym sid t.(0) then Some (sym_of t.(1)) else None)
+  matching db Preds.imports ~col:0 sid (fun t -> Some (sym_of t.(1)))
 
 (* Renamings in force within a schema: (kind, new name, source sid, old name). *)
 let renames_in db ~sid =
-  collect db Preds.renamed (fun t ->
-      if is_sym sid t.(0) then
-        Some (sym_of t.(1), sym_of t.(2), sym_of t.(3), sym_of t.(4))
-      else None)
+  matching db Preds.renamed ~col:0 sid (fun t ->
+      Some (sym_of t.(1), sym_of t.(2), sym_of t.(3), sym_of t.(4)))
 
 (* Is component (kind, name) of schema [source_sid] renamed within [sid]? *)
 let renamed_away db ~sid ~kind ~source_sid ~old_name =
@@ -275,6 +229,5 @@ let renamed_away db ~sid ~kind ~source_sid ~old_name =
     (renames_in db ~sid)
 
 let public_comps db ~sid =
-  collect db Preds.public_comp (fun t ->
-      if is_sym sid t.(0) then Some (sym_of t.(1), sym_of t.(2))
-      else None)
+  matching db Preds.public_comp ~col:0 sid (fun t ->
+      Some (sym_of t.(1), sym_of t.(2)))

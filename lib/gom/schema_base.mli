@@ -1,11 +1,32 @@
 (** Typed queries over the Schema Base (the extensional database holding the
-    schema facts).  These walk the base predicates directly, so they are
-    always current and need no materialized intensional state. *)
+    schema facts).  These read the base predicates directly, so they are
+    always current and need no materialized intensional state.  They work
+    on a plain database and on an overlay ({!Datalog.Database.overlay})
+    alike.
+
+    A lookup by a known component probes that column's index; every list
+    answer is sorted, and a lookup with one answer on a consistent base
+    gives the least of several on an inconsistent one.  So answers do not
+    depend on how the base is stored. *)
 
 open Datalog
 
 val scan : Database.t -> string -> (Term.const array -> unit) -> unit
+
 val collect : Database.t -> string -> (Term.const array -> 'a option) -> 'a list
+(** The answers of [f] over every tuple of the predicate, sorted. *)
+
+val matching :
+  Database.t ->
+  string ->
+  col:int ->
+  string ->
+  (Term.const array -> 'a option) ->
+  'a list
+(** [matching db pred ~col name f]: the answers of [f] over the tuples of
+    [pred] whose [col]-th component is the symbol [name], sorted; found
+    through the column's index. *)
+
 val sym_of : Term.const -> string
 
 (** {2 Schemas} *)

@@ -26,17 +26,17 @@ let install (t : Theory.t) =
   List.iter (fun (name, f) -> Theory.add_constraint t ~name f) constraints
 
 let values db ~tid =
-  Schema_base.collect db enumval (fun tu ->
-      if Term.equal_const tu.(0) (Term.symc tid) then Some (Schema_base.sym_of tu.(1))
-      else None)
+  Schema_base.matching db enumval ~col:0 tid (fun tu ->
+      Some (Schema_base.sym_of tu.(1)))
 
 (* Resolve an enum literal to its sort; [None] if unknown or ambiguous. *)
 let sort_of_value db ~value =
-  let hits = ref [] in
-  Schema_base.scan db enumval (fun tu ->
-      if Term.equal_const tu.(1) (Term.symc value) then
-        hits := Schema_base.sym_of tu.(0) :: !hits);
-  match !hits with [ tid ] -> Some tid | [] | _ :: _ :: _ -> None
+  match
+    Schema_base.matching db enumval ~col:1 value (fun tu ->
+        Some (Schema_base.sym_of tu.(0)))
+  with
+  | [ tid ] -> Some tid
+  | [] | _ :: _ :: _ -> None
 
 let constraint_names = List.map fst constraints
 let definition_counts () = List.length predicates, 0, List.length constraints

@@ -64,7 +64,8 @@ let set_profiling on = Obs.Profile.set_enabled on
    plans) are mutable per-manager state, so two evals on the same manager
    must not interleave.  It also guards the manager's derived-state slot,
    which a cache-miss read fills with the whole maintained program, and
-   the base a [script-line] copies.  Response-cache hits skip it.
+   the base indexes a [script-line]'s analysis probes (and may build)
+   through its session's overlay.  Response-cache hits skip it.
    [mu] — a leaf protecting the quick mutable fields: the writer slot and
    its waiter count, the response/digest caches and the response cache's
    doorkeeper, the degraded flag, the subscriber table. *)
@@ -879,7 +880,8 @@ let do_profile t (cmd : Protocol.profile_cmd) =
       ok (Obs.Profile.render_rules (Obs.Profile.rules t.profile))
   | Protocol.Ptop k -> ok (Obs.Profile.render_top (Obs.Profile.top t.profile ~k))
 
-(* Analysis only reads the committed base, beside other readers. *)
+(* Analysis only reads the committed base, beside other readers: its
+   changes go into the session's overlay. *)
 let do_script_line t ~client text =
   match session_of t ~client with
   | None -> err "no session open; send bes first"

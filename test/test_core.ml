@@ -849,6 +849,105 @@ let prop_retained_cone_equals_full =
         steps;
       true)
 
+(* Property: a session's commands analyzed over one overlay of the
+   committed base, each adding its changes to it (as the broker's session
+   does), give what analyzing each over a copy of the base with the
+   session's earlier deltas re-applied gives — the analysis before the
+   overlay, kept here as the oracle: the same delta, diagnostics and code
+   ASTs per command, the same identifiers drawn, the same working state
+   at the end; and the base is left as it was. *)
+let overlay_command_gen =
+  let open QCheck.Gen in
+  let ty =
+    oneofl [ "Car"; "Person"; "City"; "Location"; "X0"; "X1"; "Gone" ]
+  in
+  let attr = oneofl [ "a0"; "a1"; "age"; "name"; "milage" ] in
+  let domain = oneofl [ "int"; "string"; "Person@CarSchema"; "X0@CarSchema" ] in
+  oneof
+    [
+      return "add schema Second;";
+      map (Printf.sprintf "add type X%d to CarSchema;") (int_bound 1);
+      map2 (Printf.sprintf "add type X%d to CarSchema supertype %s@CarSchema;")
+        (int_bound 1) ty;
+      map3 (Printf.sprintf "add attribute %s : %s to %s@CarSchema;") attr domain ty;
+      map2 (Printf.sprintf "delete attribute %s from %s@CarSchema;") attr ty;
+      map2 (Printf.sprintf "add supertype %s@CarSchema to %s@CarSchema;") ty ty;
+      map2 (Printf.sprintf "delete supertype %s@CarSchema from %s@CarSchema;") ty ty;
+      map2 (Printf.sprintf "rename type %s@CarSchema to %s;") ty ty;
+      map (Printf.sprintf "delete type %s@CarSchema;") ty;
+      map (Printf.sprintf "copy type %s@CarSchema to Second;") ty;
+      map2 (Printf.sprintf "evolve type %s@CarSchema to %s@CarSchema;") ty ty;
+      return "delete operation distance from Location@CarSchema;";
+      map (Printf.sprintf "add operation fuel : -> int to %s@CarSchema;") ty;
+      map
+        (Printf.sprintf
+           "set code of fuel of %s@CarSchema is begin return 1; end;")
+        ty;
+    ]
+
+(* The newest binding [results] made for [cid], else the committed one:
+   the broker session's code lookup. *)
+let session_lookup m results cid =
+  match
+    List.find_map
+      (fun r -> List.assoc_opt cid (List.rev r.Analyzer.code_asts))
+      results
+  with
+  | Some c -> Some c
+  | None -> Manager.lookup_code m cid
+
+let prop_overlay_analysis_equals_copy =
+  QCheck.Test.make ~count:100 ~long_factor:10
+    ~name:"analysis over the overlay = analysis over a copy"
+    QCheck.(
+      make
+        ~print:(String.concat " ")
+        Gen.(list_size (int_range 1 8) overlay_command_gen))
+    (fun texts ->
+      let m = manager_with_cars () in
+      let db = Manager.database m in
+      let sorted = List.sort Datalog.Fact.compare in
+      let before = sorted (Datalog.Database.all_facts db) in
+      let commands = List.concat_map Analyzer.parse_commands texts in
+      let ids_over = Gom.Ids.copy (Manager.ids m)
+      and ids_copy = Gom.Ids.copy (Manager.ids m) in
+      let over = Datalog.Database.overlay db in
+      let run analyze =
+        List.fold_left
+          (fun results cmd -> analyze results cmd :: results)
+          [] commands
+        |> List.rev
+      in
+      let by_overlay =
+        run (fun results cmd ->
+            Analyzer.analyze_in ~lookup_code:(session_lookup m results) over
+              ids_over [ cmd ])
+      in
+      let last_copy = ref db in
+      let by_copy =
+        run (fun results cmd ->
+            let work = Datalog.Database.copy db in
+            List.iter
+              (fun r -> ignore (Datalog.Delta.apply work r.Analyzer.delta))
+              (List.rev results);
+            last_copy := work;
+            Analyzer.analyze_in ~lookup_code:(session_lookup m results) work
+              ids_copy [ cmd ])
+      in
+      let same (a : Analyzer.result) (b : Analyzer.result) =
+        sorted a.delta.Datalog.Delta.additions
+        = sorted b.delta.Datalog.Delta.additions
+        && sorted a.delta.Datalog.Delta.deletions
+           = sorted b.delta.Datalog.Delta.deletions
+        && a.diagnostics = b.diagnostics
+        && a.code_asts = b.code_asts
+      in
+      List.for_all2 same by_overlay by_copy
+      && ids_over = ids_copy
+      && sorted (Datalog.Database.all_facts over)
+         = sorted (Datalog.Database.all_facts !last_copy)
+      && sorted (Datalog.Database.all_facts db) = before)
+
 let qcheck = QCheck_alcotest.to_alcotest
 
 (* ------------------------------------------------------------------ *)
@@ -1561,6 +1660,8 @@ let suite =
       ] );
     ( "core.cone",
       [ qcheck prop_retained_cone_equals_full ] );
+    ( "core.overlay",
+      [ qcheck prop_overlay_analysis_equals_copy ] );
   ]
 
 let () = Alcotest.run "core" suite

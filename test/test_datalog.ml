@@ -90,6 +90,82 @@ let test_db_copy_independent () =
   check_int "orig unchanged" 1 (Database.count db "p");
   check_int "copy grew" 2 (Database.count db2 "p")
 
+(* Property: an overlay reads like a copy of its base with the same
+   changes applied — add and remove answer alike, and so do mem, count,
+   iteration and keyed lookups, indexed or scanned — and leaves its base
+   as it was.  Facts of two predicates over a three-symbol domain, so that
+   changes undo each other and hit base facts often. *)
+let prop_overlay_equals_copy =
+  let domain = [| "a"; "b"; "c" |] in
+  let fact_of (binary, x, y) =
+    if binary then fact "q" [ domain.(x); domain.(y) ] else fact "p" [ domain.(x) ]
+  in
+  let fact_gen = QCheck.Gen.(triple bool (int_bound 2) (int_bound 2)) in
+  let op_gen = QCheck.Gen.pair QCheck.Gen.bool fact_gen in
+  let all_facts =
+    List.concat_map
+      (fun x ->
+        fact_of (false, x, 0) :: List.init 3 (fun y -> fact_of (true, x, y)))
+      [ 0; 1; 2 ]
+  in
+  let sorted db pred iter =
+    let acc = ref [] in
+    iter db pred (fun t -> acc := Fact.make_arr pred t :: !acc);
+    List.sort Fact.compare !acc
+  in
+  QCheck.Test.make ~count:500 ~long_factor:20 ~name:"overlay = copy"
+    QCheck.(
+      make
+        ~print:(fun (_, base, ops, _) ->
+          Printf.sprintf "base %s; ops %s"
+            (String.concat " " (List.map (fun f -> Fmt.str "%a" Fact.pp (fact_of f)) base))
+            (String.concat " "
+               (List.map
+                  (fun (add, f) ->
+                    (if add then "+" else "-") ^ Fmt.str "%a" Fact.pp (fact_of f))
+                  ops)))
+        Gen.(
+          quad (return ()) (list_size (int_range 0 8) fact_gen)
+            (list_size (int_range 0 16) op_gen) bool))
+    (fun ((), base_facts, ops, indexed) ->
+      let base = Database.create () in
+      Database.declare base ~name:"q" ~columns:[ "x"; "y" ];
+      List.iter (fun f -> ignore (Database.add base (fact_of f))) base_facts;
+      let before = List.sort Fact.compare (Database.all_facts base) in
+      let over = Database.overlay base and copy = Database.copy base in
+      let saved = !Relation.use_indexes in
+      Relation.use_indexes := indexed;
+      Fun.protect ~finally:(fun () -> Relation.use_indexes := saved)
+      @@ fun () ->
+      List.for_all
+        (fun (add, f) ->
+          let f = fact_of f in
+          if add then Database.add over f = Database.add copy f
+          else Database.remove over f = Database.remove copy f)
+        ops
+      && List.for_all (fun f -> Database.mem over f = Database.mem copy f) all_facts
+      && List.for_all
+           (fun pred ->
+             Database.count over pred = Database.count copy pred
+             && sorted over pred Database.iter_pred
+                = sorted copy pred Database.iter_pred
+             && List.for_all
+                  (fun (col, key) ->
+                    let key = Term.symc domain.(key) in
+                    let matching db pred =
+                      Database.iter_matching db pred ~col ~key
+                    in
+                    sorted over pred matching = sorted copy pred matching)
+                  [ (0, 0); (0, 1); (0, 2); (1, 0); (1, 1); (1, 2) ])
+           [ "p"; "q" ]
+      && List.sort Fact.compare (Database.all_facts over)
+         = List.sort Fact.compare (Database.all_facts copy)
+      && List.sort Fact.compare (Database.all_facts base) = before
+      && (try
+            ignore (Database.add over (fact "q" [ "a" ]));
+            false
+          with Database.Arity_mismatch _ -> true))
+
 (* ------------------------------------------------------------------ *)
 (* Rule safety / normalization                                          *)
 (* ------------------------------------------------------------------ *)
@@ -580,6 +656,68 @@ let test_affected_constraints () =
     (List.length (Theory.affected_constraints t ~changed_preds:[ "e" ]));
   check_int "q affects nothing" 0
     (List.length (Theory.affected_constraints t ~changed_preds:[ "q" ]))
+
+(* The affected-constraints filter as it was: every constraint's base
+   dependencies searched for every changed predicate. *)
+let reference_affected t ~changed_preds =
+  List.filter
+    (fun c ->
+      let deps = Theory.constraint_base_deps t c in
+      List.exists (fun p -> List.mem p deps) changed_preds)
+    (Theory.constraints t)
+
+(* Property: the predicate index answers what the filter answers, in the
+   same order, on random sets of changed predicates (declared, derived,
+   unknown, repeated), before and after a definition change. *)
+let prop_affected_index_matches_filter =
+  let full_theory () =
+    let t = Theory.create () in
+    Gom.Model.install_core t;
+    Gom.Versioning.install t;
+    Gom.Fashion.install t;
+    Gom.Subschema.install t;
+    Gom.Sorts.install t;
+    t
+  in
+  let names =
+    let t = full_theory () in
+    Array.of_list
+      ("Unknown"
+      :: List.map (fun (d : Theory.pred_decl) -> d.Theory.name) (Theory.predicates t)
+      @ List.map (fun r -> r.Rule.head.Atom.pred) (Theory.rules t))
+  in
+  let preds_gen =
+    QCheck.Gen.(list_size (int_range 0 6) (int_bound (Array.length names - 1)))
+  in
+  QCheck.Test.make ~count:300 ~long_factor:20
+    ~name:"affected-constraints index = the filter"
+    QCheck.(
+      make
+        ~print:
+          Print.(
+            pair
+              (fun l -> String.concat ", " (List.map (Array.get names) l))
+              (fun l -> String.concat ", " (List.map (Array.get names) l)))
+        Gen.(pair preds_gen preds_gen))
+    (fun (first, second) ->
+      let t = full_theory () in
+      let agree picks =
+        let changed_preds = List.map (Array.get names) picks in
+        let names_of = List.map (fun c -> c.Constraint_compile.name) in
+        names_of (Theory.affected_constraints t ~changed_preds)
+        = names_of (reference_affected t ~changed_preds)
+      in
+      agree first
+      && agree second
+      &&
+      (* a new constraint over an existing predicate bumps the revision *)
+      (Theory.add_constraint t ~name:"extra"
+         (Formula.Forall
+            ( [ "X"; "Y" ],
+              Formula.Implies
+                ( Formula.Atom (atom "SubTypRel" [ v "X"; v "Y" ]),
+                  Formula.Not (Formula.Atom (atom "SubTypRel" [ v "Y"; v "X" ])) ) ));
+       agree first && agree second))
 
 (* ------------------------------------------------------------------ *)
 (* Delta                                                                *)
@@ -1395,6 +1533,7 @@ let suite =
         Alcotest.test_case "add/remove" `Quick test_db_add_remove;
         Alcotest.test_case "arity check" `Quick test_db_arity_check;
         Alcotest.test_case "copy independence" `Quick test_db_copy_independent;
+        qcheck prop_overlay_equals_copy;
       ] );
     ( "datalog.rule",
       [
@@ -1454,6 +1593,7 @@ let suite =
         Alcotest.test_case "remove constraint" `Quick test_theory_remove_constraint;
         Alcotest.test_case "constraint deps" `Quick test_theory_deps;
         Alcotest.test_case "affected constraints" `Quick test_affected_constraints;
+        qcheck prop_affected_index_matches_filter;
       ] );
     ( "datalog.delta",
       [

@@ -22,13 +22,7 @@ let contains haystack needle =
   in
   go 0
 
-let fresh_dir =
-  let n = ref 0 in
-  fun () ->
-    incr n;
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "gomsm-fault-%d-%d" (Unix.getpid ()) !n)
+let fresh_dir = Tmp_dirs.fresh ~prefix:"gomsm-fault"
 
 (* Every test starts from a clean registry: failpoint state is global. *)
 let with_clean_failpoints f () =
@@ -484,37 +478,37 @@ let suite =
   [
     ( "fault.crc32",
       [
-        Alcotest.test_case "known vectors and encodings" `Quick
+        Tmp_dirs.test_case "known vectors and encodings" `Quick
           test_crc32_vectors;
-        Alcotest.test_case "every single-bit flip detected" `Quick
+        Tmp_dirs.test_case "every single-bit flip detected" `Quick
           test_crc32_single_bit_flips;
-        QCheck_alcotest.to_alcotest prop_crc32_matches_bitwise;
-        QCheck_alcotest.to_alcotest prop_crc32_combine;
+        Tmp_dirs.qcheck prop_crc32_matches_bitwise;
+        Tmp_dirs.qcheck prop_crc32_combine;
       ] );
     ( "fault.failpoint",
       [
-        Alcotest.test_case "triggers" `Quick (with_clean_failpoints test_triggers);
-        Alcotest.test_case "prob is seeded and deterministic" `Quick
+        Tmp_dirs.test_case "triggers" `Quick (with_clean_failpoints test_triggers);
+        Tmp_dirs.test_case "prob is seeded and deterministic" `Quick
           (with_clean_failpoints test_prob_is_deterministic);
-        Alcotest.test_case "io actions" `Quick
+        Tmp_dirs.test_case "io actions" `Quick
           (with_clean_failpoints test_io_actions);
-        Alcotest.test_case "config grammar" `Quick
+        Tmp_dirs.test_case "config grammar" `Quick
           (with_clean_failpoints test_config_grammar);
-        Alcotest.test_case "env loading" `Quick
+        Tmp_dirs.test_case "env loading" `Quick
           (with_clean_failpoints test_env_loading);
       ] );
     ( "fault.degraded",
       [
-        Alcotest.test_case "enospc enters degraded read-only mode" `Quick
+        Tmp_dirs.test_case "enospc enters degraded read-only mode" `Quick
           (with_clean_failpoints test_degraded_mode);
-        Alcotest.test_case "append failure rolls the file back" `Quick
+        Tmp_dirs.test_case "append failure rolls the file back" `Quick
           (with_clean_failpoints test_append_failure_rolls_back_file);
       ] );
     ( "fault.digest",
-      [ Alcotest.test_case "state digests" `Quick test_state_digest ] );
+      [ Tmp_dirs.test_case "state digests" `Quick test_state_digest ] );
     ( "fault.backoff",
       [
-        Alcotest.test_case "jittered delays stay in the envelope" `Quick
+        Tmp_dirs.test_case "jittered delays stay in the envelope" `Quick
           test_jittered_backoff_bounds;
       ] );
   ]

@@ -22,13 +22,7 @@ let contains haystack needle =
   let rec go i = i + nl <= hl && (String.sub haystack i nl = needle || go (i + 1)) in
   go 0
 
-let fresh_dir =
-  let n = ref 0 in
-  fun () ->
-    incr n;
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "gomsm-replica-test-%d-%d" (Unix.getpid ()) !n)
+let fresh_dir = Tmp_dirs.fresh ~prefix:"gomsm-replica-test"
 
 let dump_of m =
   Analyzer.Unparse.unparse_script
@@ -929,60 +923,60 @@ let suite =
   [
     ( "replica.journal",
       [
-        Alcotest.test_case "global seq across checkpoints" `Quick
+        Tmp_dirs.test_case "global seq across checkpoints" `Quick
           test_global_seq_across_checkpoints;
-        Alcotest.test_case "records_from ships exact bytes" `Quick
+        Tmp_dirs.test_case "records_from ships exact bytes" `Quick
           test_records_from_exact_bytes;
-        Alcotest.test_case "parse+apply replays a record stream" `Quick
+        Tmp_dirs.test_case "parse+apply replays a record stream" `Quick
           test_parse_and_apply_record;
-        Alcotest.test_case "append_raw mirrors and resumes" `Quick
+        Tmp_dirs.test_case "append_raw mirrors and resumes" `Quick
           test_append_raw_resume;
-        Alcotest.test_case "uncovered record lines refused" `Quick
+        Tmp_dirs.test_case "uncovered record lines refused" `Quick
           test_uncovered_lines_refused;
-        Alcotest.test_case "install_snapshot bootstraps" `Quick
+        Tmp_dirs.test_case "install_snapshot bootstraps" `Quick
           test_install_snapshot;
-        Alcotest.test_case "string literals survive the journal" `Quick
+        Tmp_dirs.test_case "string literals survive the journal" `Quick
           test_literals_survive_the_journal;
-        Alcotest.test_case "digest covers a method" `Quick
+        Tmp_dirs.test_case "digest covers a method" `Quick
           test_digest_with_a_method;
       ] );
     ( "replica.broker",
       [
-        Alcotest.test_case "bytes cap forces checkpoint" `Quick
+        Tmp_dirs.test_case "bytes cap forces checkpoint" `Quick
           test_bytes_cap_checkpoints;
-        Alcotest.test_case "bytes cap counts records, not the head" `Quick
+        Tmp_dirs.test_case "bytes cap counts records, not the head" `Quick
           test_bytes_cap_counts_records;
-        Alcotest.test_case "read-only broker refuses writers" `Quick
+        Tmp_dirs.test_case "read-only broker refuses writers" `Quick
           test_read_only_refuses_writers;
-        Alcotest.test_case "disconnect rollback counted" `Quick
+        Tmp_dirs.test_case "disconnect rollback counted" `Quick
           test_disconnect_rollback_metric;
-        Alcotest.test_case "reads after applies evaluate nothing" `Quick
+        Tmp_dirs.test_case "reads after applies evaluate nothing" `Quick
           test_reads_after_applies_evaluate_nothing;
       ] );
     ( "replica.failover",
       [
-        Alcotest.test_case "epoch persists across restarts" `Quick
+        Tmp_dirs.test_case "epoch persists across restarts" `Quick
           test_epoch_persists;
-        Alcotest.test_case "fencing refuses appends and survives restart"
+        Tmp_dirs.test_case "fencing refuses appends and survives restart"
           `Quick test_append_side_fencing;
-        Alcotest.test_case "promote flips a replica into the writer" `Quick
+        Tmp_dirs.test_case "promote flips a replica into the writer" `Quick
           test_promote_flips_writer;
-        Alcotest.test_case "orphan_suffix preserves the divergent tail"
+        Tmp_dirs.test_case "orphan_suffix preserves the divergent tail"
           `Quick test_orphan_suffix;
       ] );
     ( "replica.live",
       [
-        Alcotest.test_case "primary feeds a replica" `Quick
+        Tmp_dirs.test_case "primary feeds a replica" `Quick
           test_live_replication;
-        Alcotest.test_case "promoted replica keeps its data dir's caps"
+        Tmp_dirs.test_case "promoted replica keeps its data dir's caps"
           `Quick test_promoted_replica_keeps_caps;
-        Alcotest.test_case "scrape reads live replication gauges" `Quick
+        Tmp_dirs.test_case "scrape reads live replication gauges" `Quick
           test_scrape_reads_live_gauges;
-        Alcotest.test_case "replica db stat keys match the primary's" `Quick
+        Tmp_dirs.test_case "replica db stat keys match the primary's" `Quick
           test_db_stat_same_keys;
       ] );
     ( "replica.eval",
-      [ QCheck_alcotest.to_alcotest prop_three_strategies_agree ] );
+      [ Tmp_dirs.qcheck prop_three_strategies_agree ] );
   ]
 
 let () = Alcotest.run "replica" suite

@@ -20,16 +20,7 @@ let contains haystack needle =
   let rec go i = i + nl <= hl && (String.sub haystack i nl = needle || go (i + 1)) in
   go 0
 
-let fresh_dir =
-  let n = ref 0 in
-  fun () ->
-    incr n;
-    let dir =
-      Filename.concat
-        (Filename.get_temp_dir_name ())
-        (Printf.sprintf "gomsm-test-%d-%d" (Unix.getpid ()) !n)
-    in
-    dir
+let fresh_dir = Tmp_dirs.fresh ~prefix:"gomsm-test"
 
 let dump_of m =
   Analyzer.Unparse.unparse_script
@@ -1639,25 +1630,45 @@ let prepared_text_gen =
     (list_size (int_range 1 3) lit)
     (oneofl [ ""; "."; "?"; "  " ])
 
-(* Grow the base past the next database size class, as one commit: a
+(* Grow the base past the next size class of every relation the
+   generated texts read ([Schema], [Type], [Attr_i]), as one commit: a
    query shape planned before now plans again. *)
 let grow_base b =
   Broker.exclusively b (fun () ->
       let m = Broker.manager b in
       let n = Datalog.Database.total (Manager.materialized m) in
+      let read = [ "Schema"; "Type"; "Attr_i" ] in
+      let classes () =
+        List.map
+          (fun p ->
+            let rec bits c = if c = 0 then 0 else 1 + bits (c lsr 1) in
+            bits (Datalog.Database.count (Manager.materialized m) p))
+          read
+      in
+      let before = classes () in
       Manager.begin_session m;
       Manager.propose m
         (Datalog.Delta.of_lists ~deletions:[]
            ~additions:
-             (List.init (n + 1) (fun i ->
-                  Fact.make "Schema"
-                    [
-                      Term.symc (Printf.sprintf "sid_bulk%d" i);
-                      Term.symc (Printf.sprintf "Bulk%d" i);
-                    ])));
-      match Manager.end_session m with
+             (List.concat
+                (List.init (n + 1) (fun i ->
+                     let sid = Printf.sprintf "sid_bulk%d" i
+                     and tid = Printf.sprintf "tid_bulk%d" i in
+                     Gom.Preds.
+                       [
+                         schema_fact ~sid ~name:(Printf.sprintf "Bulk%d" i);
+                         type_fact ~tid ~name:"Bulk" ~sid;
+                         subtyprel_fact ~sub:tid ~super:Gom.Builtin.any_tid;
+                         attr_fact ~tid ~name:"bulk" ~domain:"tid_int";
+                       ]))));
+      (match Manager.end_session m with
       | Manager.Consistent -> ()
-      | Manager.Inconsistent _ -> Alcotest.fail "bulk schemas inconsistent")
+      | Manager.Inconsistent _ -> Alcotest.fail "bulk schemas inconsistent");
+      List.iter2
+        (fun p (c0, c1) ->
+          if c0 = c1 then Alcotest.failf "%s kept its size class" p)
+        read
+        (List.combine before (classes ())))
 
 (* The response cache stores an answer on its key's second sighting, so
    the third is the first hit; a key seen before a commit is stored at its
@@ -1972,6 +1983,46 @@ let test_session_verbs_lock_nothing () =
   check_bool "no manager session after ees" false (outside ());
   Broker.close b
 
+(* A session's overlay reads the committed base of the manager it is
+   analyzed against: when the broker swaps its manager (a replica's
+   bootstrap, a rebuild from the journal), the next command sees the new
+   base with the session's earlier changes still applied, and a replay
+   into the new manager carries them all. *)
+let test_session_follows_swapped_manager () =
+  let zoo () =
+    let m = Manager.create () in
+    Manager.begin_session m;
+    Manager.run_commands m zoo_frame;
+    (match Manager.end_session m with
+    | Manager.Consistent -> ()
+    | Manager.Inconsistent _ -> Alcotest.fail "zoo inconsistent");
+    m
+  in
+  let m1 = zoo () and m2 = zoo () in
+  Manager.begin_session m2;
+  Manager.run_commands m2 "add type Keeper to Zoo;";
+  ignore (Manager.end_session m2);
+  let s = Server.Session.create ~owner:1 m1 in
+  let analyze m text =
+    Server.Session.analyze s m (Analyzer.parse_commands text)
+  in
+  Alcotest.(check (list string)) "over the first base" []
+    (analyze m1 "add attribute a : int to Animal@Zoo;");
+  Alcotest.(check (list string)) "the swapped-in base is read" []
+    (analyze m2 "add attribute b : int to Keeper@Zoo;");
+  Alcotest.(check (list string)) "the first command's change is still seen"
+    [] (analyze m2 "delete attribute a from Animal@Zoo;");
+  let attrs m =
+    Datalog.Database.facts (Manager.database m) "Attr"
+    |> List.map (fun (f : Fact.t) -> Term.const_to_string f.Fact.args.(1))
+    |> List.sort compare
+  in
+  let replayed = Server.Session.replay s m2 (fun () -> attrs m2) in
+  Alcotest.(check (list string)) "the replay carries the session" [ "b"; "legs" ]
+    replayed;
+  Alcotest.(check (list string)) "and leaves the base as it was" [ "legs" ]
+    (attrs m2)
+
 (* HEAD's in-place flow, the oracle for the journal bytes: every
    script-line absorbed into the shared manager at once, [ees] capturing
    the session's delta and code before the check. *)
@@ -2098,7 +2149,7 @@ let test_query_constants_intern_nothing () =
   check_int "still flat" n0 (Term.interned_count ());
   Broker.close b
 
-let qcheck = QCheck_alcotest.to_alcotest
+let qcheck = Tmp_dirs.qcheck
 
 (* ------------------------------------------------------------------ *)
 
@@ -2106,112 +2157,114 @@ let suite =
   [
     ( "server.protocol",
       [
-        Alcotest.test_case "request round trip" `Quick test_request_roundtrip;
-        Alcotest.test_case "response framing + dot-stuffing" `Quick
+        Tmp_dirs.test_case "request round trip" `Quick test_request_roundtrip;
+        Tmp_dirs.test_case "response framing + dot-stuffing" `Quick
           test_response_roundtrip;
       ] );
     ( "server.broker",
       [
-        Alcotest.test_case "single writer" `Quick test_single_writer;
-        Alcotest.test_case "readers during a session" `Quick
+        Tmp_dirs.test_case "single writer" `Quick test_single_writer;
+        Tmp_dirs.test_case "readers during a session" `Quick
           test_reader_while_writer;
-        Alcotest.test_case "disconnect rolls back" `Quick
+        Tmp_dirs.test_case "disconnect rolls back" `Quick
           test_disconnect_rolls_back;
-        Alcotest.test_case "inconsistent ees stays open" `Quick
+        Tmp_dirs.test_case "inconsistent ees stays open" `Quick
           test_inconsistent_ees_stays_open;
-        Alcotest.test_case "script-line rejects bes/ees" `Quick
+        Tmp_dirs.test_case "script-line rejects bes/ees" `Quick
           test_script_line_rejects_markers;
         qcheck prop_query_answers_match_sprintf;
-        Alcotest.test_case "oversized integer is a syntax error" `Quick
+        Tmp_dirs.test_case "oversized integer is a syntax error" `Quick
           test_oversized_integer;
-        Alcotest.test_case "others read committed state" `Quick
+        Tmp_dirs.test_case "others read committed state" `Quick
           test_others_read_committed_state;
-        Alcotest.test_case "session verbs lock nothing" `Quick
+        Tmp_dirs.test_case "session verbs lock nothing" `Quick
           test_session_verbs_lock_nothing;
+        Tmp_dirs.test_case "a session follows a swapped manager" `Quick
+          test_session_follows_swapped_manager;
       ] );
     ( "server.prepared",
       [
-        Alcotest.test_case "response cache admits on a second sighting"
+        Tmp_dirs.test_case "response cache admits on a second sighting"
           `Quick test_cache_admission;
         qcheck prop_prepared_answers_match_fresh;
-        Alcotest.test_case "query constants intern nothing" `Quick
+        Tmp_dirs.test_case "query constants intern nothing" `Quick
           test_query_constants_intern_nothing;
       ] );
     ( "server.snapshot",
       [
-        Alcotest.test_case "one build serves every read" `Quick
+        Tmp_dirs.test_case "one build serves every read" `Quick
           test_snapshot_shared_by_reads;
-        Alcotest.test_case "maintained across every mutation" `Quick
+        Tmp_dirs.test_case "maintained across every mutation" `Quick
           test_maintained_across_every_mutation;
-        Alcotest.test_case "answers match fresh materialization" `Quick
+        Tmp_dirs.test_case "answers match fresh materialization" `Quick
           test_snapshot_answers_match_fresh;
       ] );
     ( "server.cone",
       [
-        Alcotest.test_case "a retained cone evaluates nothing" `Quick
+        Tmp_dirs.test_case "a retained cone evaluates nothing" `Quick
           test_retained_cone_evaluates_nothing;
       ] );
     ( "server.journal",
       [
-        Alcotest.test_case "replay restores acknowledged sessions" `Quick
+        Tmp_dirs.test_case "replay restores acknowledged sessions" `Quick
           test_recovery_replays_acknowledged_sessions;
-        Alcotest.test_case "replay keeps every byte of a fact" `Quick
+        Tmp_dirs.test_case "replay keeps every byte of a fact" `Quick
           test_recovery_replays_any_bytes;
-        Alcotest.test_case "torn tail truncated at every byte" `Slow
+        Tmp_dirs.test_case "torn tail truncated at every byte" `Slow
           test_recovery_truncates_torn_tail_every_byte;
-        Alcotest.test_case "every single-bit flip detected" `Slow
+        Tmp_dirs.test_case "every single-bit flip detected" `Slow
           test_bit_flip_detected_at_every_byte;
-        Alcotest.test_case "corrupt header base raises" `Quick
+        Tmp_dirs.test_case "corrupt header base raises" `Quick
           test_corrupt_header_base_raises;
-        Alcotest.test_case "legacy crc-less journal replays" `Quick
+        Tmp_dirs.test_case "legacy crc-less journal replays" `Quick
           test_legacy_crc_less_journal_replays;
-        Alcotest.test_case "garbage tail dropped" `Quick
+        Tmp_dirs.test_case "garbage tail dropped" `Quick
           test_recovery_survives_garbage_tail;
-        Alcotest.test_case "checkpoint snapshots and resets" `Quick
+        Tmp_dirs.test_case "checkpoint snapshots and resets" `Quick
           test_checkpoint_snapshots_and_resets;
-        Alcotest.test_case "recovered ids do not collide" `Quick
+        Tmp_dirs.test_case "recovered ids do not collide" `Quick
           test_recovered_ids_do_not_collide;
-        Alcotest.test_case "session delta nets out" `Quick
+        Tmp_dirs.test_case "session delta nets out" `Quick
           test_session_delta_nets_out;
-        Alcotest.test_case "recovery skips what the snapshot covers" `Quick
+        Tmp_dirs.test_case "recovery skips what the snapshot covers" `Quick
           test_recovery_skips_what_the_snapshot_covers;
-        Alcotest.test_case "recovery from journal.retiring alone" `Quick
+        Tmp_dirs.test_case "recovery from journal.retiring alone" `Quick
           test_recovery_from_retiring_alone;
-        Alcotest.test_case "snapshot bit flip raises" `Quick
+        Tmp_dirs.test_case "snapshot bit flip raises" `Quick
           test_snapshot_bit_flip_raises;
-        Alcotest.test_case "checkpoint after unjournaled changes" `Quick
+        Tmp_dirs.test_case "checkpoint after unjournaled changes" `Quick
           test_checkpoint_after_unjournaled_changes;
-        Alcotest.test_case "legacy snapshot recovers" `Quick
+        Tmp_dirs.test_case "legacy snapshot recovers" `Quick
           test_legacy_snapshot_recovers;
-        Alcotest.test_case "legacy directories convert" `Quick
+        Tmp_dirs.test_case "legacy directories convert" `Quick
           test_legacy_directories_convert;
-        Alcotest.test_case "torn head falls back to the older segment" `Quick
+        Tmp_dirs.test_case "torn head falls back to the older segment" `Quick
           test_torn_head_falls_back;
-        Alcotest.test_case "checkpoint crash matrix" `Quick
+        Tmp_dirs.test_case "checkpoint crash matrix" `Quick
           test_checkpoint_crash_matrix;
-        Alcotest.test_case "switch overwrites stale bytes with NULs" `Quick
+        Tmp_dirs.test_case "switch overwrites stale bytes with NULs" `Quick
           test_switch_overwrites_stale_bytes;
         qcheck prop_journal_bytes_match_sprintf;
-        Alcotest.test_case "journal bytes = the in-place flow's" `Quick
+        Tmp_dirs.test_case "journal bytes = the in-place flow's" `Quick
           test_journal_bytes_match_in_place_flow;
       ] );
     ( "server.concurrency",
       [
-        Alcotest.test_case "bes woken on release" `Quick
+        Tmp_dirs.test_case "bes woken on release" `Quick
           test_bes_wakeup_and_acquire_waits;
-        Alcotest.test_case "release wakes only waiters" `Quick
+        Tmp_dirs.test_case "release wakes only waiters" `Quick
           test_release_wakes_only_waiters;
-        Alcotest.test_case "readers see only committed states" `Quick
+        Tmp_dirs.test_case "readers see only committed states" `Quick
           test_readers_observe_only_committed_states;
-        Alcotest.test_case "group commit batches and recovers" `Quick
+        Tmp_dirs.test_case "group commit batches and recovers" `Quick
           test_group_commit_batches_and_recovers;
       ] );
     ( "server.daemon",
       [
-        Alcotest.test_case "socket round trip" `Quick test_daemon_round_trip;
-        Alcotest.test_case "second writer excluded" `Quick
+        Tmp_dirs.test_case "socket round trip" `Quick test_daemon_round_trip;
+        Tmp_dirs.test_case "second writer excluded" `Quick
           test_daemon_excludes_second_writer;
-        Alcotest.test_case "garbage requests tolerated" `Quick
+        Tmp_dirs.test_case "garbage requests tolerated" `Quick
           test_daemon_rejects_garbage;
       ] );
   ]

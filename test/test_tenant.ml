@@ -23,13 +23,7 @@ let contains haystack needle =
   in
   go 0
 
-let fresh_dir =
-  let n = ref 0 in
-  fun () ->
-    incr n;
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "gomsm-tenant-%d-%d" (Unix.getpid ()) !n)
+let fresh_dir = Tmp_dirs.fresh ~prefix:"gomsm-tenant"
 
 let read_file path =
   let ic = open_in_bin path in
@@ -511,48 +505,48 @@ let suite =
   [
     ( "tenant.names",
       [
-        Alcotest.test_case "validation" `Quick test_name_validation;
-        Alcotest.test_case "with_db rejects traversal" `Quick
+        Tmp_dirs.test_case "validation" `Quick test_name_validation;
+        Tmp_dirs.test_case "with_db rejects traversal" `Quick
           test_with_db_rejects_traversal;
       ] );
     ( "tenant.lifecycle",
       [
-        Alcotest.test_case "create/use/drop" `Quick test_lifecycle;
-        Alcotest.test_case "create over squatting file" `Quick
+        Tmp_dirs.test_case "create/use/drop" `Quick test_lifecycle;
+        Tmp_dirs.test_case "create over squatting file" `Quick
           test_create_over_squatting_file;
-        Alcotest.test_case "tombstone swept at open" `Quick
+        Tmp_dirs.test_case "tombstone swept at open" `Quick
           test_tombstone_sweep;
       ] );
     ( "tenant.eviction",
       [
-        Alcotest.test_case "evict/reopen journal byte-identical" `Quick
+        Tmp_dirs.test_case "evict/reopen journal byte-identical" `Quick
           test_eviction_reopen_byte_identical;
-        Alcotest.test_case "open session blocks eviction" `Quick
+        Tmp_dirs.test_case "open session blocks eviction" `Quick
           test_writer_blocks_eviction;
-        Alcotest.test_case "evicted tenant's gauges leave the scrape" `Quick
+        Tmp_dirs.test_case "evicted tenant's gauges leave the scrape" `Quick
           test_evicted_tenant_scrape;
       ] );
     ( "tenant.concurrency",
       [
-        Alcotest.test_case "two tenants write in parallel" `Quick
+        Tmp_dirs.test_case "two tenants write in parallel" `Quick
           test_concurrent_writers_two_tenants;
       ] );
     ( "tenant.drop",
       [
-        Alcotest.test_case "refusals" `Quick test_drop_refusals;
-        Alcotest.test_case "use refused mid-session" `Quick
+        Tmp_dirs.test_case "refusals" `Quick test_drop_refusals;
+        Tmp_dirs.test_case "use refused mid-session" `Quick
           test_use_refused_mid_session;
       ] );
     ( "tenant.scale",
       [
-        Alcotest.test_case "16 tenants, 4 open" `Quick
+        Tmp_dirs.test_case "16 tenants, 4 open" `Quick
           test_sixteen_tenants_cap_four;
       ] );
     ( "tenant.compat",
       [
-        Alcotest.test_case "single-tenant dir is default" `Quick
+        Tmp_dirs.test_case "single-tenant dir is default" `Quick
           test_single_tenant_dir_opens_as_default;
-        Alcotest.test_case "in-memory registry never evicts" `Quick
+        Tmp_dirs.test_case "in-memory registry never evicts" `Quick
           test_in_memory_registry_never_evicts;
       ] );
   ]
