@@ -21,6 +21,12 @@ type report = {
 
 type outcome = Consistent | Inconsistent of report list
 
+type change = {
+  delta : Delta.t;
+  code : (string * (string list * Ast.stmt)) list;
+  ids : Ids.gen;
+}
+
 exception No_session
 exception Session_open
 
@@ -260,23 +266,20 @@ let load_definitions t (src : string) =
   in
   absorb t r
 
+let run_command t cmd =
+  absorb t
+    (Analyzer.analyze_parsed ~lookup_code:(lookup_code t) t.edb t.ids [ cmd ])
+
 let run_commands t (src : string) =
   ignore (current_session t);
-  let commands = Analyzer.parse_commands src in
   List.iter
-    (fun (cmd : Ast.command) ->
-      match cmd with
+    (function
       | Ast.Begin_session | Ast.End_session ->
           invalid_arg
             "Manager.run_commands: bes/ees inside an open session; use \
              run_script"
-      | cmd ->
-          let r =
-            Analyzer.analyze_parsed ~lookup_code:(lookup_code t) t.edb t.ids
-              [ cmd ]
-          in
-          absorb t r)
-    commands
+      | cmd -> run_command t cmd)
+    (Analyzer.parse_commands src)
 
 let propose t (delta : Delta.t) = ignore (modify t delta)
 
@@ -480,6 +483,49 @@ let end_session ?delta t : outcome =
   | reports -> Inconsistent reports
 
 (* ------------------------------------------------------------------ *)
+(* Change sets                                                         *)
+(* ------------------------------------------------------------------ *)
+
+(* A session holding [c]: its delta applied once, its code bound, the
+   counters raised to its own.  Returns the effective delta; on an
+   exception nothing is left open. *)
+let open_change t c =
+  begin_session t;
+  match
+    let effective = modify t c.delta in
+    List.iter (fun (cid, code) -> bind_code t cid code) c.code;
+    let g = c.ids in
+    t.ids.schemas <- max t.ids.schemas g.schemas;
+    t.ids.types <- max t.ids.types g.types;
+    t.ids.decls <- max t.ids.decls g.decls;
+    t.ids.codes <- max t.ids.codes g.codes;
+    t.ids.phreps <- max t.ids.phreps g.phreps;
+    t.ids.objects <- max t.ids.objects g.objects;
+    effective
+  with
+  | effective -> effective
+  | exception e ->
+      rollback t;
+      raise e
+
+(* One apply's effective delta is the net one unless a fact is deleted
+   and re-added in it, and then it only names more predicates to check. *)
+let commit ?(around_check = fun check -> check ()) t c =
+  let delta = open_change t c in
+  match around_check (fun () -> end_session ~delta t) with
+  | Consistent -> Consistent
+  | Inconsistent _ as o ->
+      rollback t;
+      o
+  | exception e ->
+      if in_session t then rollback t;
+      raise e
+
+let with_change t c f =
+  ignore (open_change t c);
+  Fun.protect ~finally:(fun () -> if in_session t then rollback t) f
+
+(* ------------------------------------------------------------------ *)
 (* The full session protocol (section 3.5, steps 1-9)                  *)
 (* ------------------------------------------------------------------ *)
 
@@ -545,18 +591,11 @@ let query_text ?materialized t (src : string) =
 
 (* Run a command script containing bes/ees markers (step 1-5 driver). *)
 let run_script t (src : string) : outcome =
-  let commands = Analyzer.parse_commands src in
   let outcome = ref Consistent in
   List.iter
-    (fun (cmd : Ast.command) ->
-      match cmd with
+    (function
       | Ast.Begin_session -> begin_session t
       | Ast.End_session -> outcome := end_session t
-      | cmd ->
-          let r =
-            Analyzer.analyze_parsed ~lookup_code:(lookup_code t) t.edb t.ids
-              [ cmd ]
-          in
-          absorb t r)
-    commands;
+      | cmd -> run_command t cmd)
+    (Analyzer.parse_commands src);
   !outcome

@@ -20,6 +20,15 @@ type report = {
 
 type outcome = Consistent | Inconsistent of report list
 
+type change = {
+  delta : Datalog.Delta.t;  (** the net base-fact delta *)
+  code : (string * (string list * Ast.stmt)) list;
+      (** the code bindings it makes, by code id *)
+  ids : Gom.Ids.gen;  (** the identifier counters it reaches *)
+}
+(** A change set: what a committed session changed in the Database
+    Model, and what one journal record carries. *)
+
 exception No_session
 (** A session-only operation was called outside BES/EES. *)
 
@@ -128,6 +137,26 @@ val end_session : ?delta:Datalog.Delta.t -> t -> outcome
 val rollback : t -> unit
 (** Undo the whole session: inverse deltas, code registrations, and the
     object base snapshot are restored; the session closes. *)
+
+(** {2 Change sets} *)
+
+val commit :
+  ?around_check:((unit -> outcome) -> outcome) -> t -> change -> outcome
+(** The one entry for a change built elsewhere — the daemon's EES,
+    journal recovery, a replica's records, a dump's load — so the same
+    change reaches the same state.  Opens a session, applies the delta
+    once, binds the code, raises each identifier counter to the change's
+    (never back), and checks at EES: on [Consistent] the change is
+    committed; on [Inconsistent] it is rolled back and the reports
+    returned; an exception rolls it back and propagates.  [around_check]
+    (default: just run it) wraps the check, for a caller's tracing.
+    @raise Session_open if a session is already open. *)
+
+val with_change : t -> change -> (unit -> 'a) -> 'a
+(** [with_change t c f] runs [f] over [c] applied as {!commit} applies
+    it, unchecked, and then always rolls it back: how a session's owner
+    reads its own changes.  The rollback restores the counters too.
+    @raise Session_open if a session is already open. *)
 
 (** {2 Checking and repairs} *)
 

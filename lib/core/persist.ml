@@ -557,7 +557,7 @@ let load_from_string (text : string) : Manager.t =
   let objects = ref [] in
   let slots = ref [] in
   let globals = ref [] in
-  let ids = ref None in
+  let ids = Gom.Ids.create () in
   let store_next = ref 0 in
   String.split_on_char '\n' text
   |> List.iter (fun line ->
@@ -569,18 +569,18 @@ let load_from_string (text : string) : Manager.t =
            | "fact" -> facts := decode_fact_at c :: !facts
            | "ids" ->
                let n () = int_of_string (read_word c) in
-               let schemas = n () in
-               let types = n () in
-               let decls = n () in
-               let ccodes = n () in
-               let phreps = n () in
-               let objects = n () in
-               ids := Some (schemas, types, decls, ccodes, phreps, objects)
+               ids.schemas <- n ();
+               ids.types <- n ();
+               ids.decls <- n ();
+               ids.codes <- n ();
+               ids.phreps <- n ();
+               ids.objects <- n ()
            | "code" ->
                skip_ws c;
-               codes :=
+               let cid, params, body =
                  decode_code (String.sub line c.pos (String.length line - c.pos))
-                 :: !codes
+               in
+               codes := (cid, (params, body)) :: !codes
            | "object" ->
                let oid = read_quoted c in
                let tid = read_quoted c in
@@ -596,25 +596,16 @@ let load_from_string (text : string) : Manager.t =
                globals := (name, decode_value c) :: !globals
            | w -> raise (Corrupt ("unknown record kind " ^ w))
          end);
-  (* restore identifier counters first so nothing clashes *)
-  (match !ids with
-  | Some (schemas, types, decls, codes, phreps, objs) ->
-      let g = Manager.ids m in
-      g.Gom.Ids.schemas <- schemas;
-      g.Gom.Ids.types <- types;
-      g.Gom.Ids.decls <- decls;
-      g.Gom.Ids.codes <- codes;
-      g.Gom.Ids.phreps <- phreps;
-      g.Gom.Ids.objects <- objs
-  | None -> ());
-  (* the facts go through a session so the Consistency Control sees them *)
-  Manager.begin_session m;
-  Manager.propose m
-    (Delta.of_lists ~additions:(List.rev !facts) ~deletions:[]);
-  List.iter
-    (fun (cid, params, body) -> Manager.register_code m cid params body)
-    !codes;
-  (match Manager.end_session m with
+  (* the facts, code and counters go in as one change, so the Consistency
+     Control sees them *)
+  (match
+     Manager.commit m
+       {
+         delta = Delta.of_lists ~additions:(List.rev !facts) ~deletions:[];
+         code = List.rev !codes;
+         ids;
+       }
+   with
   | Manager.Consistent -> ()
   | Manager.Inconsistent reports ->
       raise

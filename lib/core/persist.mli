@@ -74,8 +74,9 @@ val contents : text -> string
 
 val load : path:string -> Manager.t
 (** Restore into a fresh manager with every extension installed.  The
-    facts are replayed through a session, so the load fails on a dump that
-    is inconsistent under that theory.
+    facts, code and counters are committed as one change
+    ({!Manager.commit}), so the load fails on a dump that is inconsistent
+    under that theory.
     @raise Corrupt on malformed input or an inconsistent dump. *)
 
 val load_from_string : string -> Manager.t

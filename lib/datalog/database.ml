@@ -130,6 +130,21 @@ let predicates db =
         (fun pred _ acc -> if Hashtbl.mem db.relations pred then acc else pred :: acc)
         o.base.relations own
 
+(* Both lists descending: the order a delta built by folding
+   [Delta.add]/[Delta.del] over ascending facts lists them in. *)
+let changes db =
+  match db.over with
+  | None -> invalid_arg "Database.changes: not an overlay"
+  | Some o ->
+      let facts tbl =
+        Hashtbl.fold
+          (fun pred r acc ->
+            Relation.fold (fun tuple acc -> Fact.make_arr pred tuple :: acc) r acc)
+          tbl []
+        |> List.sort (fun a b -> Fact.compare b a)
+      in
+      (facts db.relations, facts o.removed)
+
 let total db =
   plain db "total";
   Hashtbl.fold (fun _ r acc -> acc + Relation.cardinal r) db.relations 0

@@ -71,6 +71,13 @@ val iter_matching :
     the added set's are probed, and hidden base tuples skipped.  No
     particular order. *)
 
+val changes : t -> Fact.t list * Fact.t list
+(** [changes over] is what the overlay changed over its base: the facts
+    it adds and the base facts it removes, each list in descending
+    {!Fact.compare} order.  Applied to the base, they reach the overlay's
+    state, and every one of them is effective.
+    @raise Invalid_argument on a plain database. *)
+
 val facts : t -> string -> Fact.t list
 val all_facts : t -> Fact.t list
 val predicates : t -> string list

@@ -53,9 +53,9 @@ let set_profiling on = Obs.Profile.set_enabled on
    though [enter_degraded] calls into Metrics with [mu] held.
 
    [rw] — [ees] and every other manager mutation hold it exclusively, as
-   do the writer's reads over its own session (replayed, read, rolled
-   back); check/query/dump/health/feed and [script-line]'s analysis hold
-   it shared, so the daemon's per-connection threads overlap on reads (and
+   do the writer's reads over its own session (its change applied, read,
+   rolled back); check/query/dump/health/feed and [script-line]'s analysis
+   hold it shared, so the daemon's per-connection threads overlap on reads (and
    overlap with a commit's fsync wait, which holds no lock at all).
    [bes]/[rollback]/disconnect take none: until [ees] the session is the
    broker's own value ({!Session}), so there is nothing to undo.
@@ -497,15 +497,16 @@ let cached t key compute =
               r)
 
 (* A read for [client].  The writer reads its own changes: while its
-   session holds commands, [f] runs over the session replayed under the
-   exclusive lock, then rolled back — the committed state does not move,
-   so the cache version stays.  Everyone else reads committed state, as
-   [others] does. *)
+   session holds commands, [f] runs over the session's change applied
+   under the exclusive lock, then rolled back — the committed state does
+   not move, so the cache version stays.  Everyone else reads committed
+   state, as [others] does. *)
 let read t ~client ~others f =
   match session_of t ~client with
   | Some s when not (Session.is_empty s) ->
       Rwlock.write t.rw (fun () ->
-          Session.replay s t.manager (fun () -> with_eval t f))
+          Manager.with_change t.manager (Session.change s t.manager) (fun () ->
+              with_eval t f))
   | _ -> others f
 
 (* ------------------------------------------------------------------ *)
@@ -639,15 +640,12 @@ let do_ees t ~client =
     with_write t (fun () ->
         match session_of t ~client with
         | None -> `Resp (err "no session open; send bes first")
-        | Some s ->
-          Session.replay s t.manager @@ fun () ->
-          (* capture what the session changed before EES closes it *)
-          let delta = Manager.session_delta t.manager in
-          let code = Manager.session_code_changes t.manager in
+        | Some s -> (
+          let change = Session.change s t.manager in
           match
-            Obs.Trace.with_span "session.check" (fun () ->
-                count_plan_traffic t (fun () ->
-                    Manager.end_session ~delta t.manager))
+            Manager.commit t.manager change ~around_check:(fun check ->
+                Obs.Trace.with_span "session.check" (fun () ->
+                    count_plan_traffic t check))
           with
           | Manager.Consistent -> (
               with_lock t (fun () -> release_slot_locked t);
@@ -657,8 +655,8 @@ let do_ees t ~client =
               | Some j -> (
                   match
                     Failpoint.hit fp_broker_commit;
-                    Journal.enqueue j ~epoch:t.epoch
-                      ~ids:(Manager.ids t.manager) ~code delta
+                    Journal.enqueue j ~epoch:t.epoch ~ids:change.ids
+                      ~code:change.code change.delta
                   with
                   | exception e ->
                       restore_durable t j;
@@ -680,7 +678,7 @@ let do_ees t ~client =
                 "violations_found";
               `Resp
                 (err "inconsistent; session stays open (rollback to undo)"
-                   ~body:(violation_lines reports)))
+                   ~body:(violation_lines reports))))
   in
   match step with
   | `Resp r -> r

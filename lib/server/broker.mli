@@ -5,17 +5,17 @@
     section; a competing [bes] waits up to the acquire timeout (woken
     promptly when the slot frees) and then fails.  The writer's session
     is the broker's own value ({!Session}): each [script-line] is
-    analyzed, under the shared lock, against the committed base with the
-    session's earlier changes applied, and appended to the session.
-    Nothing reaches the shared manager before [ees], which replays the
-    session into a manager session under the exclusive lock, checks it,
-    and commits it or rolls the manager back (a rejected session stays
-    open).  So [bes], [rollback] and a disconnect take no reader-writer
-    lock and undo nothing, and every other client reads committed state
-    only.  The writer itself sees its own changes: its
+    analyzed, under the shared lock, into the session's overlay of the
+    committed base.  Nothing reaches the shared manager before [ees],
+    which commits the session's change through {!Core.Manager.commit},
+    the entry recovery and replicas apply its record through, or leaves
+    the manager as it was (a rejected session stays open).  So [bes],
+    [rollback] and a disconnect take no reader-writer lock and undo
+    nothing, and every other client reads committed state only.  The
+    writer itself sees its own changes: its
     [check]/[query]/[dump]/[explain] while its session holds commands are
-    answered over the session replayed under the exclusive lock and
-    rolled back, never through the response cache.  Readers
+    answered inside {!Core.Manager.with_change} under the exclusive lock,
+    never through the response cache.  Readers
     ([check]/[query]/[dump]/[health] and replication feeds) run
     {e concurrently} under a shared lock — or straight out of a response
     cache published per state version — and are only excluded by

@@ -37,16 +37,12 @@ let alt_path ~dir = Filename.concat dir "journal.alt"
 (* The two segments, by index: a checkpoint writes the other one. *)
 let segment_path ~dir i = if i = 0 then journal_path ~dir else alt_path ~dir
 
-(* The layout before segments were reused in place, read once at boot. *)
-let retiring_path ~dir = Filename.concat dir "journal.retiring"
-let snapshot_path ~dir = Filename.concat dir "snapshot.gomdb"
-
 (* A segment's first line.  [gen] counts the heads written in this data
    directory (the segment with the higher one is live) and [head] is the
    length of the snapshot that follows the line, so records start at
    [head] bytes past it.  A segment that never carried a snapshot (a
-   fresh directory's journal.log, or one written before heads existed)
-   has neither field: generation 0, records straight after the line. *)
+   fresh directory's journal.log) has neither field: generation 0,
+   records straight after the line. *)
 type header = {
   h_base : int;  (* global seq the segment's snapshot covers *)
   h_epoch : int;
@@ -93,32 +89,26 @@ let parse_header line : header option =
 (* The snapshot's first line names the sequence number it covers, the
    epoch at that point and a CRC-32 over the Persist text that follows
    (which skips the line as a comment). *)
-let snapshot_prefix = "# gomsm snapshot v1 "
-
 let snapshot_header ~seq ~epoch crc =
-  Printf.sprintf "%sseq %d epoch %d crc %s\n" snapshot_prefix seq epoch
+  Printf.sprintf "# gomsm snapshot v1 seq %d epoch %d crc %s\n" seq epoch
     (Crc32.to_hex crc)
 
-(* ((covered seq, epoch) option, Persist text).  A legacy snapshot has no
-   header line: it covers its journal header's base. *)
+(* (covered seq, epoch, Persist text). *)
 let parse_snapshot text =
   let bad what = raise (Corrupt ("snapshot: " ^ what)) in
-  if not (String.starts_with ~prefix:snapshot_prefix text) then (None, text)
-  else
-    match String.index_opt text '\n' with
-    | None -> bad "header line not terminated"
-    | Some i -> (
-        let body = String.sub text (i + 1) (String.length text - i - 1) in
-        match String.split_on_char ' ' (String.sub text 0 i) with
-        | [ "#"; "gomsm"; "snapshot"; "v1"; "seq"; s; "epoch"; e; "crc"; c ]
-          -> (
-            match (int_of_string_opt s, int_of_string_opt e) with
-            | Some s, Some e ->
-                if Crc32.to_hex (Crc32.string body) <> c then
-                  bad "crc mismatch";
-                (Some (s, e), body)
-            | _ -> bad "malformed header")
-        | _ -> bad "malformed header")
+  match String.index_opt text '\n' with
+  | None -> bad "header line not terminated"
+  | Some i -> (
+      let body = String.sub text (i + 1) (String.length text - i - 1) in
+      match String.split_on_char ' ' (String.sub text 0 i) with
+      | [ "#"; "gomsm"; "snapshot"; "v1"; "seq"; s; "epoch"; e; "crc"; c ]
+        -> (
+          match (int_of_string_opt s, int_of_string_opt e) with
+          | Some s, Some e ->
+              if Crc32.to_hex (Crc32.string body) <> c then bad "crc mismatch";
+              (s, e, body)
+          | _ -> bad "malformed header")
+      | _ -> bad "malformed header")
 
 (* A head in [buf], or in a larger buffer when it does not fit: the
    segment header line, the snapshot line (its CRC is the text's, folded
@@ -676,9 +666,7 @@ let scan ?from text : (item * int) list =
 type parsed_record = {
   r_seq : int;
   r_epoch : int;  (* promotion epoch stamp; 0 when the record predates epochs *)
-  r_ids : int array option;
-  r_delta : Delta.t;
-  r_code : (string * (string list * Analyzer.Ast.stmt)) list;
+  r_change : Manager.change;
 }
 
 (* Decode and check one record's text — the only place record lines are
@@ -703,37 +691,44 @@ let parse_record text : parsed_record =
     | _ -> bad ("trailing bytes in fact line: " ^ arg)
     | exception Persist.Corrupt e -> bad e
   in
-  let rec go r = function
+  let ids = Gom.Ids.create () in
+  let rec go (r, (c : Manager.change)) = function
     | [] -> bad "missing commit"
     | (l, stop) :: rest -> (
         match line_of l with
         | L_commit n when n = r.r_seq ->
             (* a legacy crc-less record *)
             if rest <> [] then bad "line after commit";
-            r
-        | L_epoch e -> go { r with r_epoch = e } rest
-        | L_payload ("crc", c) -> (
+            { r with r_change = { c with code = List.rev c.code } }
+        | L_epoch e -> go ({ r with r_epoch = e }, c) rest
+        | L_payload ("crc", crc) -> (
             let covered = String.sub text 0 (stop - String.length l - 1) in
-            if Crc32.of_decimal c <> Some (Crc32.string covered) then
+            if Crc32.of_decimal crc <> Some (Crc32.string covered) then
               bad "crc mismatch";
             match rest with
-            | [ (l', _) ] when line_of l' = L_commit r.r_seq -> r
+            | [ (l', _) ] when line_of l' = L_commit r.r_seq ->
+                go (r, c) [ (l', stop) ]
             | _ -> bad "only the matching commit may follow crc")
         | L_payload ("ids", a) -> (
             let ns = String.split_on_char ' ' a |> List.filter (( <> ) "") in
             match List.map int_of_string_opt ns with
-            | [ Some _; Some _; Some _; Some _; Some _; Some _ ] as ids ->
-                let ids = Array.of_list (List.map Option.get ids) in
-                go { r with r_ids = Some ids } rest
+            | [ Some s; Some t; Some d; Some k; Some p; Some o ] ->
+                ids.schemas <- s;
+                ids.types <- t;
+                ids.decls <- d;
+                ids.codes <- k;
+                ids.phreps <- p;
+                ids.objects <- o;
+                go (r, c) rest
             | _ -> bad ("bad ids line: " ^ l))
         | L_payload ("add", f) ->
-            go { r with r_delta = Delta.add (fact f) r.r_delta } rest
+            go (r, { c with delta = Delta.add (fact f) c.delta }) rest
         | L_payload ("del", f) ->
-            go { r with r_delta = Delta.del (fact f) r.r_delta } rest
-        | L_payload ("code", c) -> (
-            match Persist.decode_code c with
+            go (r, { c with delta = Delta.del (fact f) c.delta }) rest
+        | L_payload ("code", a) -> (
+            match Persist.decode_code a with
             | cid, params, body ->
-                go { r with r_code = (cid, (params, body)) :: r.r_code } rest
+                go (r, { c with code = (cid, (params, body)) :: c.code }) rest
             | exception Persist.Corrupt e -> bad e)
         | L_payload _ -> bad ("unknown journal line: " ^ l)
         | L_comment -> bad "comment inside record"
@@ -745,51 +740,19 @@ let parse_record text : parsed_record =
   | (l, _) :: rest -> (
       match line_of l with
       | L_begin n ->
-          let r0 =
-            {
-              r_seq = n;
-              r_epoch = 0;
-              r_ids = None;
-              r_delta = Delta.empty;
-              r_code = [];
-            }
-          in
-          let r = go r0 rest in
-          { r with r_code = List.rev r.r_code }
+          let c = { Manager.delta = Delta.empty; code = []; ids } in
+          go ({ r_seq = n; r_epoch = 0; r_change = c }, c) rest
       | _ -> bad "missing begin")
   | [] -> bad "empty"
 
-(* Apply one record through a session, so whatever derived state the
-   manager keeps is maintained by DRed.  Any failure — exception or an
-   inconsistent result — rolls the session back and reports the record as
-   bad, which recovery treats as the start of the torn tail. *)
+(* Commit one record's change, as the primary committed it.  A failure —
+   exception or an inconsistent result — leaves the manager as it was
+   and reports the record as bad, which recovery treats as the start of
+   the torn tail. *)
 let apply_record (m : Manager.t) (r : parsed_record) : bool =
-  Manager.begin_session m;
-  match
-    Manager.propose m r.r_delta;
-    List.iter
-      (fun (cid, (params, body)) -> Manager.register_code m cid params body)
-      r.r_code;
-    Manager.end_session m
-  with
-  | Manager.Consistent ->
-      (match r.r_ids with
-      | Some a ->
-          let g = Manager.ids m in
-          g.Gom.Ids.schemas <- max g.Gom.Ids.schemas a.(0);
-          g.Gom.Ids.types <- max g.Gom.Ids.types a.(1);
-          g.Gom.Ids.decls <- max g.Gom.Ids.decls a.(2);
-          g.Gom.Ids.codes <- max g.Gom.Ids.codes a.(3);
-          g.Gom.Ids.phreps <- max g.Gom.Ids.phreps a.(4);
-          g.Gom.Ids.objects <- max g.Gom.Ids.objects a.(5)
-      | None -> ());
-      true
-  | Manager.Inconsistent _ ->
-      Manager.rollback m;
-      false
-  | exception _ ->
-      if Manager.in_session m then Manager.rollback m;
-      false
+  match Manager.commit m r.r_change with
+  | Manager.Consistent -> true
+  | Manager.Inconsistent _ | (exception _) -> false
 
 let records_from t ~from : (int * string) list =
   let path, off, len, seq =
@@ -886,7 +849,7 @@ let classify text =
           if off + len > String.length text then Unusable "torn head"
           else
             match parse_snapshot (String.sub text off len) with
-            | Some (s, e), body when s = hdr.h_base && e = hdr.h_epoch ->
+            | s, e, body when s = hdr.h_base && e = hdr.h_epoch ->
                 Segment { hdr; text; start = off + len; snapshot = Some body }
             | _ -> Unusable "head does not match its header"
             | exception Corrupt why -> Unusable why))
@@ -915,68 +878,35 @@ type rebuilt = {
   b_from_snapshot : bool;
   b_cursor : cursor;
   b_truncated : int;  (* torn bytes past what was kept *)
-  b_layout : layout;
+  b_live : (int * int * int * int) option;
+      (* the live segment's index, generation, head length and end of
+         kept bytes; [None]: no segment yet *)
 }
 
-and layout =
-  | Live of { idx : int; gen : int; start : int; good : int }
-  | Fresh  (* no segment yet *)
-  | Legacy  (* snapshot.gomdb and journal.log, from before heads *)
-
-(* The layout before heads: the snapshot, if any, with [journal.retiring]
-   and then [journal.log] replayed on top of it.  The retiring segment is
-   read before the snapshot that replaces it, so a checkpoint finishing
-   meanwhile cannot hide records from both. *)
-let rebuild_legacy ~dir =
-  let retiring = read_if_present (retiring_path ~dir) in
-  let live = read_if_present (journal_path ~dir) in
-  let snap = read_if_present (snapshot_path ~dir) in
-  let manager, header =
-    match snap with
-    | None -> (Manager.create (), None)
-    | Some text ->
-        let header, body = parse_snapshot text in
-        (load_snapshot body, header)
+(* The layout before heads kept a [snapshot.gomdb] beside its segments,
+   a [journal.retiring] during a checkpoint, and a [base] in a head-less
+   header.  It is refused, not read: converting it is left to the last
+   build that does. *)
+let refuse_pre_heads ~dir found =
+  let files =
+    List.filter
+      (fun f -> Sys.file_exists (Filename.concat dir f))
+      [ "snapshot.gomdb"; "journal.retiring" ]
+    @ List.filter_map
+        (fun i ->
+          match found.(i) with
+          | Segment { hdr = { h_head = None; h_base; _ }; _ } when h_base > 0 ->
+              Some (Filename.basename (segment_path ~dir i))
+          | _ -> None)
+        [ 0; 1 ]
   in
-  let header_of text =
-    Option.bind (String.index_opt text '\n') (fun i ->
-        parse_header (String.sub text 0 i))
-  in
-  let covered, snap_epoch =
-    match (header, retiring, live) with
-    | Some (s, e), _, _ -> (s, e)
-    | None, Some first, _ | None, None, Some first -> (
-        match header_of first with Some h -> (h.h_base, 0) | None -> (0, 0))
-    | None, None, None -> (0, 0)
-  in
-  let replay_file (c, torn) = function
-    | None -> (c, torn)
-    | Some text ->
-        (* a segment's header carries the epoch state as of its switch *)
-        let c =
-          match header_of text with
-          | Some h when h.h_epoch >= c.epoch ->
-              { c with epoch = h.h_epoch; fenced = h.h_fenced }
-          | _ -> c
-        in
-        let good, c = replay manager c ~from:0 text in
-        (c, torn + torn_bytes text good)
-  in
-  let c = { covered; n = 0; last = covered; epoch = 0; fenced = false } in
-  let c, torn = replay_file (replay_file (c, 0) retiring) live in
-  let c =
-    if snap_epoch > c.epoch then { c with epoch = snap_epoch; fenced = false }
-    else c
-  in
-  {
-    b_manager = manager;
-    b_from_snapshot = snap <> None;
-    b_cursor = c;
-    b_truncated = torn;
-    b_layout = Legacy;
-  }
-
-let legacy_files ~dir = [ retiring_path ~dir; snapshot_path ~dir ]
+  if files <> [] then
+    raise
+      (Corrupt
+         (Printf.sprintf
+            "%s: %s in the layout before segment heads; open the directory \
+             once with a build at or before commit 4c77f62, which converts it"
+            dir (String.concat ", " files)))
 
 (* The state the files hold.  The live segment is the one with the
    higher generation among those whose head is whole; its snapshot is
@@ -990,12 +920,12 @@ let rebuild ~dir =
   let found =
     Array.map (function None -> Blank | Some text -> classify text) texts
   in
+  refuse_pre_heads ~dir found;
   let gen i = match found.(i) with Segment s -> s.hdr.h_gen | _ -> -1 in
   let best = if gen 1 > gen 0 then 1 else 0 in
-  let legacy = List.exists Sys.file_exists (legacy_files ~dir) in
   let b =
     match found.(best) with
-    | Segment s when s.hdr.h_gen > 0 || not legacy ->
+    | Segment s ->
         let h = s.hdr in
         let m =
           match s.snapshot with
@@ -1017,9 +947,8 @@ let rebuild ~dir =
           b_from_snapshot = s.snapshot <> None;
           b_cursor = c;
           b_truncated = torn_bytes s.text good;
-          b_layout = Live { idx = best; gen = h.h_gen; start = s.start; good };
+          b_live = Some (best, h.h_gen, s.start, good);
         }
-    | _ when legacy -> rebuild_legacy ~dir
     | _ -> (
         let unusable = function Unusable _ -> true | _ -> false in
         match Array.find_opt unusable found with
@@ -1031,14 +960,14 @@ let rebuild ~dir =
               b_cursor =
                 { covered = 0; n = 0; last = 0; epoch = 0; fenced = false };
               b_truncated = 0;
-              b_layout = Fresh;
+              b_live = None;
             })
   in
   Array.iteri
     (fun i f ->
       let why = match f with Unusable why -> why | _ -> "no header" in
       match (f, texts.(i)) with
-      | (Blank | Unusable _), Some text when b.b_layout <> Legacy -> (
+      | (Blank | Unusable _), Some text -> (
           match record_past text b.b_cursor.last with
           | Some n ->
               raise
@@ -1058,47 +987,31 @@ type recovery = {
   truncated_bytes : int;
 }
 
-(* Write a whole segment file at [path] — the first [n] bytes of [b],
-   fsynced — for the boot-time cases that make one: a fresh directory,
-   or the legacy import. *)
-let write_segment path b n =
-  let fd =
-    Unix.openfile path [ Unix.O_RDWR; Unix.O_CREAT; Unix.O_TRUNC ] 0o644
-  in
-  Fun.protect
-    ~finally:(fun () -> Unix.close fd)
-    (fun () ->
-      write_bytes fd b n;
-      Unix.fsync fd)
-
 let recover ?label ?(checkpoint_every = default_checkpoint_every)
     ?(checkpoint_bytes = default_checkpoint_bytes) ~dir () : recovery =
   mkdir_p dir;
   let b = rebuild ~dir in
   let c = b.b_cursor in
-  (* live segment, its generation, head length, end of kept bytes, base,
-     records since the head *)
-  let idx, gen, start, good, base, since =
-    match b.b_layout with
-    | Live { idx; gen; start; good } -> (idx, gen, start, good, c.covered, c.n)
-    | Fresh ->
-        let n = String.length fresh_header in
-        write_segment (journal_path ~dir) (Bytes.of_string fresh_header) n;
-        (0, 0, n, n, 0, 0)
-    | Legacy ->
-        (* the import: the recovered state becomes the head of
-           journal.alt.  Until that is durable the legacy files still hold
-           the state, and a crash meanwhile imports again. *)
-        let buf, n =
-          assemble_head Bytes.empty ~base:c.last ~epoch:c.epoch
-            ~fenced:c.fenced ~gen:1
-            (Persist.render b.b_manager)
+  (* the live segment, its generation, head length and end of kept bytes *)
+  let idx, gen, start, good =
+    match b.b_live with
+    | Some live -> live
+    | None ->
+        (* a fresh directory: journal.log is its header line alone *)
+        let fd =
+          Unix.openfile (journal_path ~dir)
+            [ Unix.O_RDWR; Unix.O_CREAT; Unix.O_TRUNC ]
+            0o644
         in
-        write_segment (alt_path ~dir) buf n;
-        (1, 1, n, n, c.last, 0)
+        Fun.protect
+          ~finally:(fun () -> Unix.close fd)
+          (fun () ->
+            write_all fd fresh_header;
+            Unix.fsync fd);
+        let n = String.length fresh_header in
+        (0, 0, n, n)
   in
-  let live_kept = match b.b_layout with Live _ -> true | _ -> false in
-  let created = ref (not live_kept) in
+  let created = ref (b.b_live = None) in
   let open_segment i =
     let path = segment_path ~dir i in
     if not (Sys.file_exists path) then created := true;
@@ -1106,16 +1019,7 @@ let recover ?label ?(checkpoint_every = default_checkpoint_every)
   in
   let fd = open_segment idx and other = open_segment (1 - idx) in
   if !created then fsync_dir dir;
-  (* legacy files left here are superseded by a durable head *)
-  (match
-     List.filter Sys.file_exists
-       (Filename.concat dir "snapshot.tmp" :: legacy_files ~dir)
-   with
-  | [] -> ()
-  | stale ->
-      List.iter Unix.unlink stale;
-      fsync_dir dir);
-  if live_kept && b.b_truncated > 0 then Unix.ftruncate fd good;
+  if b.b_truncated > 0 then Unix.ftruncate fd good;
   ignore (Unix.lseek fd good Unix.SEEK_SET);
   let journal =
     {
@@ -1126,10 +1030,10 @@ let recover ?label ?(checkpoint_every = default_checkpoint_every)
       other_end = (Unix.fstat other).Unix.st_size;
       gen;
       head = start;
-      head_durable = not live_kept;
-      base;
+      head_durable = b.b_live = None;
+      base = c.covered;
       seq = c.last;
-      since;
+      since = c.n;
       bytes = good - start;
       epoch = c.epoch;
       was_fenced = c.fenced;

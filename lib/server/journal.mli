@@ -29,19 +29,21 @@
 
     On boot, {!recover} takes the segment with the higher generation among
     those whose head is whole and passes its CRC, loads its snapshot and
-    replays its records — skipping records the head covers, so a
-    sequence number is never reused — and truncates a torn tail — a
-    record without its matching [commit] line, with a sequence gap, that
-    {!parse_record} refuses, or whose replay fails — so a [kill -9]
+    commits each record's change through {!Core.Manager.commit}, the
+    entry the primary's [ees] committed it through — skipping records the
+    head covers, so a sequence number is never reused — and truncates a
+    torn tail — a record without its matching [commit] line, with a
+    sequence gap, that {!parse_record} refuses, or that does not commit —
+    so a [kill -9]
     between EES-ack and checkpoint loses nothing that was acknowledged
     and nothing half-written survives.  Falling back to the older segment
     loses nothing acknowledged only while no record follows the newer
     head, so a segment whose head is torn or fails its CRC but holds a
     record past the recovered position raises {!Corrupt}.  A directory
-    written before heads existed — [snapshot.gomdb] beside [journal.log],
-    perhaps with [journal.retiring] — recovers the same state and is
-    converted once: its state becomes the head of [journal.alt], and the
-    old files go.
+    written before heads existed — a [snapshot.gomdb] or a
+    [journal.retiring] in it, or a head-less segment whose header names a
+    [base] above 0 — is refused with {!Corrupt}, every byte left as it
+    was: the last build that converts one is commit [4c77f62].
 
     Record format (one record per committed session):
     {v
@@ -67,7 +69,8 @@
     single-bit flip inside a record is caught on replay and the record
     (and everything after it) is treated as the torn tail.  Records
     written before the checksum existed carry no [crc] line and still
-    replay.
+    replay, so a [journal.log] of generation 0 from then is read as the
+    live layout.
 
     Sequence numbers are {e global}: they keep increasing across
     checkpoints (each head records the sequence number its snapshot
@@ -109,8 +112,7 @@ val recover :
   recovery
 (** Open (creating if needed) the data directory and rebuild the manager:
     the live head's snapshot, then replay of the records after it, then
-    tail truncation.  A directory in the layout before heads is imported
-    once here (see above).  The returned
+    tail truncation.  The returned
     journal is positioned for appending.  With [label] (a tenant name) the
     durability failpoint sites are additionally consulted under
     [<site>#<label>] names, so fault injection can target one tenant.
@@ -118,11 +120,12 @@ val recover :
     [checkpoint_bytes] (default {!default_checkpoint_bytes}) are the caps
     {!maybe_checkpoint} applies: they govern this data directory whether
     a primary or a replica appends to it.
-    @raise Corrupt if the live snapshot is unreadable, if a segment that
-    is not a whole head holds a record past the recovered position, or if
-    no segment is usable and a header no longer parses (defaulting its
-    base would silently renumber the log); other journal damage is
-    repaired by truncation, never fatal. *)
+    @raise Corrupt if the directory is in the layout before heads (see
+    above), if the live snapshot is unreadable, if a segment that is not
+    a whole head holds a record past the recovered position, or if no
+    segment is usable and a header no longer parses (defaulting its base
+    would silently renumber the log); other journal damage is repaired by
+    truncation, never fatal. *)
 
 val append :
   t ->
@@ -269,9 +272,9 @@ val close : t -> unit
 type parsed_record = {
   r_seq : int;
   r_epoch : int;  (** promotion epoch stamp; 0 when the record predates epochs *)
-  r_ids : int array option;
-  r_delta : Datalog.Delta.t;
-  r_code : (string * (string list * Analyzer.Ast.stmt)) list;
+  r_change : Core.Manager.change;
+      (** the committed change; counters at 0 when the record has no
+          [ids] line *)
 }
 
 val records_from : t -> from:int -> (int * string) list
@@ -284,7 +287,8 @@ val records_from : t -> from:int -> (int * string) list
 
 val parse_record : string -> parsed_record
 (** Decode and check one record's text (as returned by {!records_from} or
-    shipped over a feed) — the one record reader, which recovery uses too.
+    shipped over a feed) into the change it commits — the one record
+    reader, which recovery uses too.
     Its rules: the text is whole lines from [begin n] to [commit n]; the
     [crc] line covers every byte before it, and only the matching [commit]
     may follow it; no comment or [fenced] line appears inside a record;
@@ -293,10 +297,12 @@ val parse_record : string -> parsed_record
     @raise Corrupt on anything else. *)
 
 val apply_record : Core.Manager.t -> parsed_record -> bool
-(** Apply one record through a BES..EES session, so whatever derived state
-    the manager keeps is maintained by DRed, not re-derived; [false] —
-    with the session rolled back — if the record does not commit
-    cleanly.  Recovery replays every record through it. *)
+(** Commit the record's change through {!Core.Manager.commit}, the entry
+    the primary's [ees] committed it through, so the state reached is the
+    primary's and whatever derived state the manager keeps is maintained
+    by DRed, not re-derived; [false] — with the manager left as it was —
+    if it does not commit cleanly.  Recovery and a replica apply every
+    record through it. *)
 
 val append_raw : t -> ?epoch:int -> seq:int -> text:string -> unit -> unit
 (** Append one record's exact bytes (the replica's write path); durable
@@ -343,7 +349,3 @@ val alt_path : dir:string -> string
 
 val live_path : t -> string
 (** The segment file the journal appends to. *)
-
-val retiring_path : dir:string -> string
-val snapshot_path : dir:string -> string
-(** The files of the layout before heads, which {!recover} imports. *)

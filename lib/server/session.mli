@@ -1,17 +1,16 @@
 (** An evolution session as the broker holds it between [bes] and [ees]:
-    the list of its analyzed commands, that is, the base-fact changes the
-    update induces, applied to the shared manager only by {!replay}.
+    the base-fact changes its commands induce, the code they bind and the
+    identifier counters they reach — one {!Core.Manager.change}, which
+    only [ees] commits ({!Core.Manager.commit}).
 
     Every command is analyzed over one overlay of the committed base
     ({!Datalog.Database.overlay}) that the session keeps from its first
     command to its end: each command's analysis writes its changes into
     it, so the next sees them without the base being copied or the
-    earlier changes re-applied.  Commands allocate identifiers from the
-    session's own copy of the manager's counters and see the session's
-    code before the committed code.  Replaying the commands in one
-    manager session therefore reaches the state that absorbing each into
-    the manager as it arrived would have reached, identifiers and code
-    included. *)
+    earlier changes re-applied, and the session's delta is read off the
+    overlay itself ({!Datalog.Database.changes}).  Commands allocate
+    identifiers from the session's own copy of the manager's counters
+    and see the session's code before the committed code. *)
 
 type t
 
@@ -25,18 +24,17 @@ val is_empty : t -> bool
 (** No command analyzed yet: the session's state is the committed one. *)
 
 val analyze : t -> Core.Manager.t -> Analyzer.Ast.command list -> string list
-(** Analyze each command in turn and append its result to the session;
-    returns the analyzer's diagnostics, in order.  Only reads the manager,
-    so callers may run it beside other readers (it may build the base's
-    column indexes, as an evaluation does).  The overlay is rebuilt from
-    the session's results when [m] is not the manager it was built over.
-    Between commands the committed base must hold the facts it held at
-    the session's first command, or the manager be swapped: {!replay}
-    and a rejected check both roll the manager back before they return. *)
+(** Analyze the commands in turn into the session; returns the
+    analyzer's diagnostics, in order.  Only reads the manager, so callers
+    may run it beside other readers (it may build the base's column
+    indexes, as an evaluation does).  Between commands the committed base
+    must hold the facts it held at the session's first command, or the
+    manager be swapped: {!Core.Manager.commit} and
+    {!Core.Manager.with_change} leave it so. *)
 
-val replay : t -> Core.Manager.t -> (unit -> 'a) -> 'a
-(** Apply the session to the manager as one manager session — its
-    counters installed, each analyzed command absorbed in order — and run
-    [f] over it.  Whatever [f] leaves in session, or an exception
-    interrupts, is rolled back before [replay] returns, which restores the
-    committed counters.  Needs the manager exclusively. *)
+val change : t -> Core.Manager.t -> Core.Manager.change
+(** What the session changes over [m]: the overlay's added and removed
+    facts, the code bindings that differ from [m]'s, sorted by code id,
+    and the session's counters.  When [m] is not the manager the overlay
+    was built over, the overlay is first rebuilt over [m]'s base with the
+    session's changes re-applied. *)

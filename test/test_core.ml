@@ -948,6 +948,69 @@ let prop_overlay_analysis_equals_copy =
          = sorted (Datalog.Database.all_facts !last_copy)
       && sorted (Datalog.Database.all_facts db) = before)
 
+(* Property: the change a broker session builds — its overlay's added and
+   removed facts, its code and its counters — is what the per-command
+   replay it replaced gave: each analyzed result absorbed into a manager
+   session, then [session_delta], [session_code_changes] and the
+   counters, kept here as the oracle.  Committing the change through
+   [Manager.commit] reaches the state that replay's EES reached.  Every
+   session renames Car to itself, which deletes and re-adds its base
+   [Type] fact within one command. *)
+let prop_session_change_equals_replay =
+  let same_name = "rename type Car@CarSchema to Car;" in
+  QCheck.Test.make ~count:100 ~long_factor:10
+    ~name:"session change = per-command replay"
+    QCheck.(
+      make
+        ~print:(String.concat " ")
+        Gen.(
+          map2
+            (fun pre post -> pre @ (same_name :: post))
+            (list_size (int_range 0 4) overlay_command_gen)
+            (list_size (int_range 0 4) overlay_command_gen)))
+    (fun texts ->
+      let render m = Persist.(contents (render m)) in
+      (* the replay *)
+      let m = manager_with_cars () in
+      let ids = Gom.Ids.copy (Manager.ids m) in
+      let over = Datalog.Database.overlay (Manager.database m) in
+      let results =
+        List.fold_left
+          (fun results cmd ->
+            Analyzer.analyze_in ~lookup_code:(session_lookup m results) over
+              ids [ cmd ]
+            :: results)
+          []
+          (List.concat_map Analyzer.parse_commands texts)
+      in
+      Manager.begin_session m;
+      Gom.Ids.assign ~into:(Manager.ids m) ids;
+      List.iter (Manager.absorb m) (List.rev results);
+      let delta = Manager.session_delta m in
+      let code = Manager.session_code_changes m in
+      let ids = Gom.Ids.copy (Manager.ids m) in
+      let replayed =
+        match Manager.end_session ~delta m with
+        | Manager.Consistent -> true
+        | Manager.Inconsistent _ ->
+            Manager.rollback m;
+            false
+      in
+      (* the session, committed as one change *)
+      let m' = manager_with_cars () in
+      let s = Server.Session.create ~owner:1 m' in
+      List.iter
+        (fun text ->
+          ignore (Server.Session.analyze s m' (Analyzer.parse_commands text)))
+        texts;
+      let c = Server.Session.change s m' in
+      let committed = Manager.commit m' c = Manager.Consistent in
+      let facts = List.equal Datalog.Fact.equal in
+      facts c.delta.additions delta.additions
+      && facts c.delta.deletions delta.deletions
+      && c.code = code && c.ids = ids && committed = replayed
+      && render m' = render m)
+
 let qcheck = QCheck_alcotest.to_alcotest
 
 (* ------------------------------------------------------------------ *)
@@ -1662,6 +1725,8 @@ let suite =
       [ qcheck prop_retained_cone_equals_full ] );
     ( "core.overlay",
       [ qcheck prop_overlay_analysis_equals_copy ] );
+    ( "core.commit",
+      [ qcheck prop_session_change_equals_replay ] );
   ]
 
 let () = Alcotest.run "core" suite

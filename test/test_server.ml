@@ -651,7 +651,7 @@ let test_checkpoint_snapshots_and_resets () =
        (read_file (Journal.live_path j)));
   check_int "journal reset to its head" 0 (Journal.bytes j);
   check_bool "no snapshot file" false
-    (Sys.file_exists (Journal.snapshot_path ~dir));
+    (Sys.file_exists (Filename.concat dir "snapshot.gomdb"));
   check_int "checkpoints counted" 2
     (Metrics.counter (Broker.metrics b) "checkpoints");
   let r = Journal.recover ~dir () in
@@ -694,26 +694,6 @@ let test_recovery_skips_what_the_snapshot_covers () =
   let r = Journal.recover ~dir () in
   check_int "no sequence number reused" 4 (Journal.seq r.Journal.journal);
   check_string "exact state" dump (dump_of r.Journal.manager);
-  Journal.close r.Journal.journal
-
-(* A crash between a checkpoint's rename of journal.log to
-   journal.retiring and the open of the fresh segment leaves only
-   journal.retiring: recovery replays it and finishes the checkpoint. *)
-let test_recovery_from_retiring_alone () =
-  let dir = fresh_dir () in
-  let b, _, dump2 = run_scenario dir in
-  Journal.close (Option.get (Broker.journal b));
-  Unix.rename (Journal.journal_path ~dir) (Journal.retiring_path ~dir);
-  let r = Journal.recover ~dir () in
-  check_int "seq" 2 (Journal.seq r.Journal.journal);
-  check_string "exact state" dump2 (dump_of r.Journal.manager);
-  check_bool "checkpoint finished" false
-    (Sys.file_exists (Journal.retiring_path ~dir));
-  Journal.close r.Journal.journal;
-  let r = Journal.recover ~dir () in
-  check_bool "from its snapshot" true r.Journal.from_snapshot;
-  check_int "nothing to replay" 0 r.Journal.replayed;
-  check_int "seq after restart" 2 (Journal.seq r.Journal.journal);
   Journal.close r.Journal.journal
 
 let commit_line b line =
@@ -996,125 +976,64 @@ let test_checkpoint_crash_matrix () =
     [ 10; 60; 200; 1000 ];
   leg "after the next flush" ()
 
-(* The layout before heads, staged by hand: a snapshot written before its
-   header line existed covers its journal header's base, as it always
-   did, and the directory is converted on the way. *)
-let test_legacy_snapshot_recovers () =
+(* A directory in the layout before segment heads — a snapshot.gomdb, a
+   journal.retiring, or a head-less journal.log whose header names a base
+   — is refused with a message naming the files and the last build that
+   converts them, and no byte in it changes. *)
+let test_pre_head_directories_refused () =
   let src = fresh_dir () in
-  let b, _, dump2 = run_scenario src in
+  let b, _, _ = run_scenario src in
+  let records = Journal.records_from (Option.get (Broker.journal b)) ~from:0 in
   let body = Core.Persist.(contents (render (Broker.manager b))) in
   Broker.close b;
-  let dir = fresh_dir () in
-  Unix.mkdir dir 0o755;
-  write_file (Journal.snapshot_path ~dir) body;
-  write_file (Journal.journal_path ~dir) "# gomsm journal v1 base 2\n";
-  let r = Journal.recover ~dir () in
-  check_bool "from snapshot" true r.Journal.from_snapshot;
-  check_int "seq" 2 (Journal.seq r.Journal.journal);
-  check_int "base" 2 (Journal.base r.Journal.journal);
-  check_string "exact state" dump2 (dump_of r.Journal.manager);
-  check_bool "snapshot file imported" false
-    (Sys.file_exists (Journal.snapshot_path ~dir));
-  Journal.close r.Journal.journal;
-  let r = Journal.recover ~dir () in
-  check_bool "from its head" true r.Journal.from_snapshot;
-  check_int "seq after restart" 2 (Journal.seq r.Journal.journal);
-  check_string "same state" dump2 (dump_of r.Journal.manager);
-  Journal.close r.Journal.journal
-
-(* Every layout a data directory could be left in before heads existed
-   recovers the state it held, is converted once to segments with heads,
-   and then recovers from its head alone. *)
-let test_legacy_directories_convert () =
-  let src = fresh_dir () in
-  let r = Journal.recover ~dir:src () in
-  let j = r.Journal.journal in
-  let b =
-    Broker.create ~journal:j ~acquire_timeout:0.05
-      ~metrics:(Metrics.create ()) r.Journal.manager
-  in
-  List.iter (commit_line b)
-    [
-      zoo_frame;
-      "add attribute name : string to Animal@Zoo;";
-      "add type Keeper to Zoo;";
-      "add attribute badge : int to Keeper@Zoo;";
-    ];
-  let records = Journal.records_from j ~from:0 in
-  let dump4 = dump_of (Broker.manager b) in
-  Journal.close j;
-  let m2 = Manager.create () in
-  List.iter
-    (fun (n, text) ->
-      if n <= 2 then
-        check_bool "applies" true
-          (Journal.apply_record m2 (Journal.parse_record text)))
-    records;
-  let body2 = Core.Persist.(contents (render m2)) in
-  let headed =
-    Printf.sprintf "# gomsm snapshot v1 seq 2 epoch 0 crc %s\n"
-      (Fault.Crc32.to_hex (Fault.Crc32.string body2))
-    ^ body2
-  in
-  let recs lo hi =
+  let recs lo =
     String.concat ""
       (List.filter_map
-         (fun (n, text) -> if n > lo && n <= hi then Some text else None)
+         (fun (n, text) -> if n > lo then Some text else None)
          records)
   in
-  let crc_less text =
-    String.split_on_char '\n' text
-    |> List.filter (fun l -> not (String.starts_with ~prefix:"crc " l))
-    |> String.concat "\n"
+  let listing dir =
+    Sys.readdir dir |> Array.to_list |> List.sort compare
+    |> List.map (fun f -> (f, read_file (Filename.concat dir f)))
   in
-  let header base = Printf.sprintf "# gomsm journal v1 base %d\n" base in
-  let snapshot = Journal.snapshot_path and log = Journal.journal_path in
-  let retiring = Journal.retiring_path in
   List.iter
-    (fun (what, files, replayed) ->
+    (fun (what, files, named) ->
       let dir = fresh_dir () in
       Unix.mkdir dir 0o755;
-      List.iter (fun (path, text) -> write_file (path ~dir) text) files;
-      let r = Journal.recover ~dir () in
-      let j = r.Journal.journal in
-      check_int (what ^ ": seq") 4 (Journal.seq j);
-      check_int (what ^ ": replayed") replayed r.Journal.replayed;
-      check_string (what ^ ": state") dump4 (dump_of r.Journal.manager);
-      check_bool (what ^ ": legacy files gone") false
-        (List.exists
-           (fun p -> Sys.file_exists (p ~dir))
-           [ snapshot; retiring ]);
-      check_string (what ^ ": the head is live") (Journal.alt_path ~dir)
-        (Journal.live_path j);
-      Journal.close j;
-      let r = Journal.recover ~dir () in
-      check_bool (what ^ ": from the head") true r.Journal.from_snapshot;
-      check_int (what ^ ": nothing to replay") 0 r.Journal.replayed;
-      check_string (what ^ ": state after restart") dump4
-        (dump_of r.Journal.manager);
-      let b =
-        Broker.create ~journal:r.Journal.journal ~acquire_timeout:0.05
-          ~metrics:(Metrics.create ()) r.Journal.manager
-      in
-      commit_line b "add attribute wing : int to Animal@Zoo;";
-      check_int (what ^ ": numbering continues") 5 (Journal.seq r.Journal.journal);
-      Journal.close r.Journal.journal)
+      List.iter (fun (f, text) -> write_file (Filename.concat dir f) text) files;
+      let before = listing dir in
+      (match Journal.recover ~dir () with
+      | exception Journal.Corrupt reason ->
+          List.iter
+            (fun f -> check_bool (what ^ ": names " ^ f) true (contains reason f))
+            named;
+          check_bool (what ^ ": names the converting build") true
+            (contains reason "4c77f62")
+      | r ->
+          Journal.close r.Journal.journal;
+          Alcotest.failf "%s: recovered a directory from before heads" what);
+      Alcotest.(check (list (pair string string)))
+        (what ^ ": no byte changed") before (listing dir))
     [
-      ("snapshot and journal.log", [ (snapshot, headed); (log, header 2 ^ recs 2 4) ], 2);
-      ( "header-less snapshot",
-        [ (snapshot, body2); (log, header 2 ^ recs 2 4) ],
-        2 );
+      ( "snapshot and journal.log",
+        [
+          ("snapshot.gomdb", body);
+          ("journal.log", "# gomsm journal v1 base 2\n");
+        ],
+        [ "snapshot.gomdb"; "journal.log" ] );
       ( "checkpoint in flight",
         [
-          (snapshot, headed);
-          (retiring, header 2 ^ recs 2 3);
-          (log, header 3 ^ recs 3 4);
+          ("snapshot.gomdb", body);
+          ("journal.retiring", "# gomsm journal v1 base 1\n" ^ recs 1);
+          ("journal.log", "# gomsm journal v1 base 2\n");
         ],
-        2 );
-      ("journal.retiring alone", [ (retiring, "# gomsm journal v1\n" ^ recs 0 4) ], 4);
-      ( "crc-less records",
-        [ (snapshot, headed); (log, header 2 ^ crc_less (recs 2 4)) ],
-        2 );
+        [ "snapshot.gomdb"; "journal.retiring"; "journal.log" ] );
+      ( "journal.retiring alone",
+        [ ("journal.retiring", "# gomsm journal v1\n" ^ recs 0) ],
+        [ "journal.retiring" ] );
+      ( "a head-less segment past base 0",
+        [ ("journal.log", "# gomsm journal v1 base 1\n" ^ recs 1) ],
+        [ "journal.log" ] );
     ]
 
 let test_recovered_ids_do_not_collide () =
@@ -1820,8 +1739,9 @@ let prop_journal_bytes_match_sprintf =
               (List.sort Fact.compare b)
           in
           s = seq && text = expected
-          && same r.Journal.r_delta.Datalog.Delta.additions additions
-          && same r.Journal.r_delta.Datalog.Delta.deletions deletions
+          && same r.Journal.r_change.Manager.delta.Datalog.Delta.additions additions
+          && same r.Journal.r_change.Manager.delta.Datalog.Delta.deletions
+               deletions
       | _ -> false)
 
 (* ------------------------------------------------------------------ *)
@@ -2017,7 +1937,9 @@ let test_session_follows_swapped_manager () =
     |> List.map (fun (f : Fact.t) -> Term.const_to_string f.Fact.args.(1))
     |> List.sort compare
   in
-  let replayed = Server.Session.replay s m2 (fun () -> attrs m2) in
+  let replayed =
+    Manager.with_change m2 (Server.Session.change s m2) (fun () -> attrs m2)
+  in
   Alcotest.(check (list string)) "the replay carries the session" [ "b"; "legs" ]
     replayed;
   Alcotest.(check (list string)) "and leaves the base as it was" [ "legs" ]
@@ -2125,6 +2047,94 @@ let test_journal_bytes_match_in_place_flow () =
   check_int "one record per commit" 4 (List.length expected);
   Alcotest.(check (list (pair int string))) "record bytes" expected records
 
+(* Property: the state a primary commits in memory is the state its
+   journal record rebuilds.  After every [ees] of a random session
+   sequence — a rejected one followed by fixes included — the records
+   since the previous [ees] are parsed and committed on a second manager
+   through the same entry ([Journal.apply_record], [Manager.commit]), and
+   the two managers' dumps and digests agree. *)
+let parity_line_gen =
+  let open QCheck.Gen in
+  let ty = oneofl [ "Animal"; "Keeper"; "Cage" ] in
+  let attr = oneofl [ "legs"; "name"; "size" ] in
+  let domain = oneofl [ "int"; "string"; "Animal@Zoo"; "Keeper@Zoo" ] in
+  oneof
+    [
+      map (Printf.sprintf "add type %s to Zoo;") ty;
+      map3 (Printf.sprintf "add attribute %s : %s to %s@Zoo;") attr domain ty;
+      map2 (Printf.sprintf "delete attribute %s from %s@Zoo;") attr ty;
+      map2 (Printf.sprintf "add supertype %s@Zoo to %s@Zoo;") ty ty;
+      map2 (Printf.sprintf "rename type %s@Zoo to %s;") ty ty;
+      map (Printf.sprintf "delete type %s@Zoo;") ty;
+    ]
+
+let prop_record_commits_primary_state =
+  QCheck.Test.make ~count:20 ~long_factor:10
+    ~name:"a record commits the primary's state"
+    QCheck.(
+      make
+        ~print:(fun sessions ->
+          String.concat " | "
+            (List.map
+               (fun (lines, rejected) ->
+                 String.concat " " lines ^ if rejected then " [rejected]" else "")
+               sessions))
+        Gen.(
+          list_size (int_range 1 6)
+            (pair (list_size (int_range 1 4) parity_line_gen) bool)))
+    (fun sessions ->
+      let r = Journal.recover ~checkpoint_every:1000 ~dir:(fresh_dir ()) () in
+      let j = r.Journal.journal in
+      let b =
+        Broker.create ~journal:j ~acquire_timeout:0.05
+          ~metrics:(Metrics.create ()) r.Journal.manager
+      in
+      let m2 = Manager.create () in
+      let ask req = Broker.handle b ~client:1 req in
+      let line text = ignore (ask (Protocol.Script_line text)) in
+      let applied = ref 0 in
+      let agree () =
+        List.for_all
+          (fun (n, text) ->
+            applied := n;
+            Journal.apply_record m2 (Journal.parse_record text))
+          (Journal.records_from j ~from:!applied)
+        && dump_of m2 = dump_of (Broker.manager b)
+        && Broker.digest_of_manager m2
+           = Broker.digest_of_manager (Broker.manager b)
+      in
+      let ees () = (ask Protocol.Ees).Protocol.status = Protocol.Ok in
+      let held =
+        List.for_all
+          (fun (i, (lines, rejected)) ->
+            expect_ok "bes" (ask Protocol.Bes);
+            if i = 0 then line zoo_frame;
+            List.iter line lines;
+            let bad = Printf.sprintf "Bad%d" i in
+            (not rejected
+            || begin
+                 line
+                   (Printf.sprintf
+                      "schema %s is type T is [ x : Missing; ] end type T; end \
+                       schema %s;"
+                      bad bad);
+                 (not (ees ()))
+                 && agree ()
+                 && begin
+                      line (Printf.sprintf "delete attribute x from T@%s;" bad);
+                      true
+                    end
+               end)
+            && begin
+                 if not (ees ()) then
+                   expect_ok "rollback" (ask Protocol.Rollback);
+                 agree ()
+               end)
+          (List.mapi (fun i s -> (i, s)) sessions)
+      in
+      Broker.close b;
+      held)
+
 (* Query constants intern nothing: distinct answerless reads leave the
    symbol table as it was, and an equality still binds a query-local
    symbol and prints it by name. *)
@@ -2228,16 +2238,12 @@ let suite =
           test_session_delta_nets_out;
         Tmp_dirs.test_case "recovery skips what the snapshot covers" `Quick
           test_recovery_skips_what_the_snapshot_covers;
-        Tmp_dirs.test_case "recovery from journal.retiring alone" `Quick
-          test_recovery_from_retiring_alone;
         Tmp_dirs.test_case "snapshot bit flip raises" `Quick
           test_snapshot_bit_flip_raises;
         Tmp_dirs.test_case "checkpoint after unjournaled changes" `Quick
           test_checkpoint_after_unjournaled_changes;
-        Tmp_dirs.test_case "legacy snapshot recovers" `Quick
-          test_legacy_snapshot_recovers;
-        Tmp_dirs.test_case "legacy directories convert" `Quick
-          test_legacy_directories_convert;
+        Tmp_dirs.test_case "pre-head directories refused" `Quick
+          test_pre_head_directories_refused;
         Tmp_dirs.test_case "torn head falls back to the older segment" `Quick
           test_torn_head_falls_back;
         Tmp_dirs.test_case "checkpoint crash matrix" `Quick
@@ -2245,6 +2251,7 @@ let suite =
         Tmp_dirs.test_case "switch overwrites stale bytes with NULs" `Quick
           test_switch_overwrites_stale_bytes;
         qcheck prop_journal_bytes_match_sprintf;
+        qcheck prop_record_commits_primary_state;
         Tmp_dirs.test_case "journal bytes = the in-place flow's" `Quick
           test_journal_bytes_match_in_place_flow;
       ] );

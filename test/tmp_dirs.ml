@@ -1,7 +1,7 @@
 (* Scratch directories for the tests that need a data directory: every
    directory [fresh] names is removed, with everything under it, when the
    test case that named it ends, pass or fail — wrap the cases with
-   [test_case] and [qcheck]. *)
+   [test_case] and [qcheck], and anything else with [cleaning]. *)
 
 let mu = Mutex.create ()
 let made = ref []

@@ -46,13 +46,9 @@ let contains haystack needle =
   in
   go 0
 
-let fresh_dir =
-  let n = ref 0 in
-  fun () ->
-    incr n;
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "gomsm-torture-%d-%d" (Unix.getpid ()) !n)
+(* Each scenario's directories are removed when it ends: the scenario loop
+   at the bottom runs each under [Tmp_dirs.cleaning]. *)
+let fresh_dir = Tmp_dirs.fresh ~prefix:"gomsm-torture"
 
 let dump_of m =
   Analyzer.Unparse.unparse_script
@@ -1493,21 +1489,24 @@ let () =
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
    with Invalid_argument _ -> ());
   note "seed %d" !seed;
-  let want s = !scenario = "all" || !scenario = s in
-  if
-    not
-      (List.mem !scenario
-         [ "all"; "a"; "b"; "c"; "d"; "e"; "f"; "g"; "h"; "i" ])
-  then
+  let scenarios =
+    [
+      ("a", scenario_a);
+      ("b", scenario_b ~seed:!seed);
+      ("c", scenario_c);
+      ("d", scenario_d);
+      ("e", scenario_e);
+      ("f", scenario_f);
+      ("g", scenario_g);
+      ("h", scenario_h);
+      ("i", scenario_i);
+    ]
+  in
+  if not (!scenario = "all" || List.mem_assoc !scenario scenarios) then
     fail "unknown scenario %S" !scenario;
-  if want "a" then scenario_a ();
-  if want "b" then scenario_b ~seed:!seed ();
-  if want "c" then scenario_c ();
-  if want "d" then scenario_d ();
-  if want "e" then scenario_e ();
-  if want "f" then scenario_f ();
-  if want "g" then scenario_g ();
-  if want "h" then scenario_h ();
-  if want "i" then scenario_i ();
+  List.iter
+    (fun (name, run) ->
+      if !scenario = "all" || !scenario = name then Tmp_dirs.cleaning run ())
+    scenarios;
   note "all invariants held";
   exit 0
